@@ -14,16 +14,12 @@ Machines are immutable; runs on different inputs may proceed concurrently.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from .circuits import Acceptor, CircuitDAG, OutcomeString, _compile, foliate
-from .errors import (
-    GptLabError,
-    HaltingViolationError,
-    MachineValidationError,
-)
+from .circuits import Acceptor, CircuitDAG, _accept, _compile
+from .errors import HaltingViolationError, MachineValidationError
 
 WEIGHT_SUM_TOL = 1e-12
 NORM_BOUND_TOL = 1e-9
@@ -258,42 +254,34 @@ def decides_with_bounded_error(machine: AffineMachine,
 # circuit <-> affine program bridge
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ProgramStep:
-    """One branching step: a labelled affine matrix per outcome combination."""
+    """One branching step: an affine matrix per outcome combination of its gates."""
 
-    branches: tuple[tuple[tuple[tuple[str, str], ...], np.ndarray], ...]
+    gate_ids: tuple[str, ...]
+    labels: tuple[tuple[str, ...], ...]  # one outcome label per gate, per branch
+    matrices: np.ndarray  # (branches, out, in), wire permutation folded in
+    perm = None
+
+    def stack(self) -> np.ndarray:
+        return self.matrices
 
 
 @dataclass(frozen=True, eq=False)
 class AffineProgram:
-    """A branching sequence of affine maps plus an accepting functional.
+    """A branching sequence of affine maps plus an acceptor.
 
     Running the program evolves a weight vector through every branch choice;
     the acceptance weight is the sum of the final scalars over branches the
-    acceptor maps to 0.
+    acceptor maps to 0, evaluated by the code of ``circuits.acceptance_prob``.
     """
 
     steps: tuple[ProgramStep, ...]
-    accept: Callable[[OutcomeString], bool]
+    acceptor: Acceptor
     instance_order: tuple[str, ...]
 
     def acceptance_weight(self) -> float:
-        total = 0.0
-        order = {iid: k for k, iid in enumerate(self.instance_order)}
-
-        def walk(depth: int, vec: np.ndarray, chosen: tuple) -> None:
-            nonlocal total
-            if depth == len(self.steps):
-                pairs = tuple(sorted(chosen, key=lambda p: order[p[0]]))
-                if self.accept(OutcomeString(pairs)):
-                    total += float(vec[0])
-                return
-            for labels, matrix in self.steps[depth].branches:
-                walk(depth + 1, matrix @ vec, chosen + labels)
-
-        walk(0, np.ones(1), ())
-        return total
+        return _accept(self.steps, self.acceptor, self.instance_order)
 
 
 def circuit_to_affine_program(circuit: CircuitDAG, acceptor: Acceptor,
@@ -305,15 +293,8 @@ def circuit_to_affine_program(circuit: CircuitDAG, acceptor: Acceptor,
     into every branch matrix. The program's acceptance weight equals the
     circuit's acceptance probability.
     """
-    total = circuit.n_outcome_strings()
-    if total > cap:
-        raise GptLabError(f"{total} outcome strings exceed the bridge cap {cap}")
-    layers = _compile(circuit, foliate(circuit))
     steps = []
-    for layer in layers:
-        branches = []
-        for labels, matrix in layer.combos.items():
-            m = matrix if layer.perm is None else matrix @ layer.perm
-            branches.append((tuple(zip(layer.gate_ids, labels)), m))
-        steps.append(ProgramStep(tuple(branches)))
-    return AffineProgram(tuple(steps), acceptor.accepts, tuple(circuit.instance_ids))
+    for layer in _compile(circuit, None, cap):
+        matrices = layer.stack() if layer.perm is None else layer.stack() @ layer.perm
+        steps.append(ProgramStep(layer.gate_ids, layer.labels, matrices))
+    return AffineProgram(tuple(steps), acceptor, tuple(circuit.instance_ids))

@@ -1,11 +1,12 @@
 """Closed-circuit construction, validation, foliation, and evaluation.
 
-A circuit is a DAG of gate instances joined by typed wires. Evaluation
-slices the DAG into layers of parallel gates (a foliation) and multiplies
-the layer matrices; the identity blocks for wires passing through a layer
-come from the owning theory's composite rule, so theories without a tensor
-product composite still evaluate correctly. Circuits are immutable once
-validated, and prob() on a shared circuit is safe to call concurrently.
+A circuit is a DAG of gate instances joined by typed wires. Each evaluation
+compiles it once into layers of parallel gates (a foliation) that hold the
+gates, identities for passthrough wires and a wire permutation; a layer
+builds one outcome combination's matrix only on demand, through the
+theory's composite rule. Circuits are immutable once validated and
+evaluation keeps no state, so prob() on a shared circuit is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -13,14 +14,16 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from enum import Enum
+from operator import itemgetter
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import SystemType, TransformationMatrix
+from .core import CompositeRule, SystemType, TransformationMatrix
 from .errors import CapacityError, CircuitValidationError, GptLabError
 
 DEFAULT_ENUMERATION_CAP = 2**20
+PROB_TOL = 1e-6  # slack of the [0, 1] check on every evaluated probability
 
 
 @dataclass(frozen=True, eq=False)
@@ -138,11 +141,8 @@ class ValidationReport:
         return self.ok
 
 
-def validate(circuit: CircuitDAG) -> ValidationReport:
-    """Check that the circuit is closed, acyclic, and type-matched.
-
-    Never raises; every violation found is listed in the report.
-    """
+def _validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationReport, list]:
+    """The validation report, plus the foliation of the given style."""
     errors: list[str] = []
     ids = {iid for iid, _ in circuit.instances}
 
@@ -162,18 +162,14 @@ def validate(circuit: CircuitDAG) -> ValidationReport:
             seen[end] = seen.get(end, 0) + 1
 
     for iid, gate in circuit.instances:
-        for p in range(len(gate.outputs)):
-            count = out_seen.get((iid, p), 0)
-            if count == 0:
-                errors.append(f"open port: output {p} of '{iid}' is not connected")
-            elif count > 1:
-                errors.append(f"output {p} of '{iid}' connected {count} times")
-        for p in range(len(gate.inputs)):
-            count = in_seen.get((iid, p), 0)
-            if count == 0:
-                errors.append(f"open port: input {p} of '{iid}' is not connected")
-            elif count > 1:
-                errors.append(f"input {p} of '{iid}' connected {count} times")
+        for role, n, seen in (("output", len(gate.outputs), out_seen),
+                              ("input", len(gate.inputs), in_seen)):
+            for p in range(n):
+                count = seen.get((iid, p), 0)
+                if count == 0:
+                    errors.append(f"open port: {role} {p} of '{iid}' is not connected")
+                elif count > 1:
+                    errors.append(f"{role} {p} of '{iid}' connected {count} times")
 
     for w in circuit.wires:
         (si, sp), (di, dp) = w.src, w.dst
@@ -186,28 +182,40 @@ def validate(circuit: CircuitDAG) -> ValidationReport:
                         f"{sg.outputs[sp].label} vs {dg.inputs[dp].label}"
                     )
 
-    # Kahn's algorithm over the instance dependency graph.
-    succ: dict[str, set[str]] = {iid: set() for iid in ids}
-    indeg: dict[str, int] = {iid: 0 for iid in ids}
+    # Kahn's algorithm over the instance dependency graph, ready instances in insertion order
+    order = {iid: k for k, (iid, _) in enumerate(circuit.instances)}
+    succ: dict[str, set[str]] = {iid: set() for iid in order}
+    indeg = dict.fromkeys(order, 0)
     for w in circuit.wires:
         si, di = w.src[0], w.dst[0]
         if si in ids and di in ids and di not in succ[si]:
             succ[si].add(di)
             indeg[di] += 1
-    ready = [iid for iid, _ in circuit.instances if indeg[iid] == 0]
-    done = 0
+    ready = [iid for iid in order if indeg[iid] == 0]
+    layers: list[list[str]] = []
     while ready:
-        iid = ready.pop()
-        done += 1
-        for nxt in succ[iid]:
-            indeg[nxt] -= 1
-            if indeg[nxt] == 0:
-                ready.append(nxt)
-    if done != len(ids):
+        layer = ready if style == "greedy" else ready[:1]
+        next_ready = ready[len(layer):]
+        for iid in layer:
+            for nxt in succ[iid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    next_ready.append(nxt)
+        layers.append(list(layer))
+        ready = sorted(next_ready, key=order.get)
+    if sum(map(len, layers)) != len(ids):
         stuck = sorted(iid for iid in ids if indeg[iid] > 0)
         errors.append(f"cycle detected involving instances {stuck}")
 
-    return ValidationReport(not errors, errors)
+    return ValidationReport(not errors, errors), layers
+
+
+def validate(circuit: CircuitDAG) -> ValidationReport:
+    """Check that the circuit is closed, acyclic, and type-matched.
+
+    Never raises; every violation found is listed in the report.
+    """
+    return _validate(circuit)[0]
 
 
 def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
@@ -217,42 +225,12 @@ def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
     emits one gate per layer in topological order. Both are legal foliations
     and give identical outcome probabilities.
     """
-    report = validate(circuit)
+    if style not in ("greedy", "singletons"):
+        raise ValueError(f"unknown foliation style '{style}'")
+    report, layers = _validate(circuit, style)
     if not report.ok:
         raise CircuitValidationError("; ".join(report.errors))
-    order = {iid: k for k, (iid, _) in enumerate(circuit.instances)}
-    succ: dict[str, set[str]] = {iid: set() for iid in order}
-    indeg: dict[str, int] = {iid: 0 for iid in order}
-    for w in circuit.wires:
-        si, di = w.src[0], w.dst[0]
-        if di not in succ[si]:
-            succ[si].add(di)
-            indeg[di] += 1
-    ready = sorted((iid for iid in order if indeg[iid] == 0), key=order.get)
-    layers: list[list[str]] = []
-    while ready:
-        if style == "greedy":
-            layer = ready
-        elif style == "singletons":
-            layer = [ready[0]]
-        else:
-            raise ValueError(f"unknown foliation style '{style}'")
-        next_ready = ready[len(layer):]
-        for iid in layer:
-            for nxt in succ[iid]:
-                indeg[nxt] -= 1
-                if indeg[nxt] == 0:
-                    next_ready.append(nxt)
-        layers.append(list(layer))
-        ready = sorted(next_ready, key=order.get)
     return layers
-
-
-@dataclass
-class _Layer:
-    gate_ids: list[str]
-    perm: np.ndarray | None  # applied before the layer matrices; None = identity
-    combos: dict[tuple[str, ...], np.ndarray]  # outcome labels per gate -> matrix
 
 
 def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> None:
@@ -271,62 +249,91 @@ def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> None:
             )
 
 
-def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None) -> list[_Layer]:
+@dataclass(frozen=True, eq=False)
+class _Layer:
+    """One compiled foliation layer; it builds a combination's matrix on demand."""
+
+    gate_ids: tuple[str, ...]
+    gates: tuple[Gate, ...]
+    idents: tuple[TransformationMatrix, ...]  # passthrough wires, after the gates
+    perm: np.ndarray | None  # applied before the layer matrices; None = identity
+    rule: CompositeRule
+
+    @property
+    def labels(self) -> tuple[tuple[str, ...], ...]:
+        return tuple(itertools.product(*(g.outcome_labels for g in self.gates)))
+
+    def matrix(self, labels: tuple[str, ...]) -> np.ndarray:
+        # C-contiguous, so prob and the batched walk run the same BLAS kernel
+        pieces = [g.outcomes[lab] for g, lab in zip(self.gates, labels)]
+        return np.ascontiguousarray(self.rule.parallel_matrix(pieces + list(self.idents)))
+
+    def stack(self) -> np.ndarray:
+        """Every combination's matrix, in ``labels`` order, in one (K, out, in) array."""
+        labels = self.labels
+        first = self.matrix(labels[0])
+        out = np.empty((len(labels), *first.shape))
+        for k, lab in enumerate(labels):
+            out[k] = first if k == 0 else self.matrix(lab)
+        return out
+
+
+def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
+             cap: int | None = None) -> list[_Layer]:
+    """Validate, check ``cap`` on the outcome strings, and lay out the layers."""
+    if cap is not None and circuit.n_outcome_strings() > cap:
+        raise CapacityError(
+            f"{circuit.n_outcome_strings()} outcome strings exceed the enumeration cap {cap}")
+    greedy = foliate(circuit)  # validates
     if foliation is None:
-        foliation = foliate(circuit)
-    else:
-        report = validate(circuit)
-        if not report.ok:
-            raise CircuitValidationError("; ".join(report.errors))
-        _check_foliation(circuit, foliation)
+        foliation = greedy
+    _check_foliation(circuit, foliation)
 
     rule = circuit.theory.composite_rule
     in_wire: dict[Port, Wire] = {w.dst: w for w in circuit.wires}
+    out_wire: dict[Port, Wire] = {w.src: w for w in circuit.wires}
 
-    live: list[Wire] = []
+    def wire_type(w: Wire) -> SystemType:
+        return circuit.gate(w.src[0]).outputs[w.src[1]]
+
+    live: list[Wire] = []  # the wires of the current joint state, in slot order
     layers: list[_Layer] = []
     for layer_ids in foliation:
-        gates = [(iid, circuit.gate(iid)) for iid in layer_ids]
-        consumed: list[Wire] = []
-        for iid, gate in gates:
-            consumed.extend(in_wire[(iid, p)] for p in range(len(gate.inputs)))
-        passthrough = [w for w in live if w not in consumed]
-        target = consumed + passthrough
-
-        perm = [live.index(w) for w in target]
-        if perm == sorted(perm):
-            perm_matrix = None
-        else:
-            types = [circuit.gate(w.src[0]).outputs[w.src[1]] for w in live]
-            perm_matrix = rule.permutation_matrix(types, perm)
-
-        pass_types = [circuit.gate(w.src[0]).outputs[w.src[1]] for w in passthrough]
-        idents = [rule.identity(t) for t in pass_types]
-        combos: dict[tuple[str, ...], np.ndarray] = {}
-        for labels in itertools.product(*(g.outcome_labels for _, g in gates)):
-            pieces = [g.outcomes[lab] for (_, g), lab in zip(gates, labels)] + idents
-            combos[labels] = rule.parallel_matrix(pieces)
-
-        layers.append(_Layer([iid for iid, _ in gates], perm_matrix, combos))
-
-        produced: list[Wire] = []
-        for iid, gate in gates:
-            for p in range(len(gate.outputs)):
-                produced.append(next(w for w in circuit.wires if w.src == (iid, p)))
-        live = produced + passthrough
+        gates = tuple(circuit.gate(iid) for iid in layer_ids)
+        consumed = [in_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
+                    for p in range(len(g.inputs))]
+        taken = set(consumed)
+        passthrough = [w for w in live if w not in taken]
+        slot = {w: k for k, w in enumerate(live)}
+        perm = [slot[w] for w in consumed + passthrough]
+        perm_matrix = (None if perm == list(range(len(perm)))
+                       else rule.permutation_matrix([wire_type(w) for w in live], perm))
+        idents = tuple(rule.identity(wire_type(w)) for w in passthrough)
+        layers.append(_Layer(tuple(layer_ids), gates, idents, perm_matrix, rule))
+        live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
+                for p in range(len(g.outputs))] + passthrough
     return layers
+
+
+def _checked(p, tol: float, what: str = "acceptance probability"):
+    """``p`` (a number or an array), once every value is in [-tol, 1 + tol]."""
+    values = np.atleast_1d(p)
+    bad = values[~((values >= -tol) & (values <= 1.0 + tol))]
+    if bad.size:
+        raise GptLabError(f"{what} {bad[0]} outside [0, 1]")
+    return p
 
 
 def prob(
     circuit: CircuitDAG,
     z: OutcomeString | Mapping[str, str],
     foliation: list[list[str]] | None = None,
-    tol: float = 1e-6,
+    tol: float = PROB_TOL,
 ) -> float:
     """Probability of one full outcome string.
 
-    The value is the product of the layer matrices selected by ``z`` and is
-    checked against the physical range [-tol, 1+tol].
+    The value is the product of the layer matrices selected by ``z`` (one
+    matrix built per layer) and is checked against [-tol, 1+tol].
     """
     if not isinstance(z, OutcomeString):
         z = circuit.outcome_string(z)
@@ -335,12 +342,28 @@ def prob(
     for layer in _compile(circuit, foliation):
         if layer.perm is not None:
             vec = layer.perm @ vec
-        labels = tuple(chosen[iid] for iid in layer.gate_ids)
-        vec = layer.combos[labels] @ vec
-    value = float(vec[0])
-    if not (-tol <= value <= 1.0 + tol):
-        raise GptLabError(f"outcome probability {value} outside [0, 1]")
-    return value
+        vec = layer.matrix(tuple(chosen[iid] for iid in layer.gate_ids)) @ vec
+    return _checked(float(vec[0]), tol, "outcome probability")
+
+
+def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
+    """Every leaf and its probability, depth first, over compiled layers or
+    affine-program steps. A (prefixes x dim) frontier passes through one layer
+    at a time, one matrix-vector product per (prefix, combination), so values
+    have the bits of a leaf-by-leaf walk."""
+    front = np.ones((1, 1))
+    for layer in layers:
+        if layer.perm is not None:
+            front = np.matmul(layer.perm, front[:, :, None])[:, :, 0]
+        stack = layer.stack()
+        front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
+    _checked(front, PROB_TOL, "outcome probability")
+    # a leaf's pairs: its layer combinations' pairs, concatenated, in instance order
+    pairs = [[tuple(zip(layer.gate_ids, labels)) for labels in layer.labels] for layer in layers]
+    slot = {iid: k for k, iid in enumerate(iid for layer in layers for iid in layer.gate_ids)}
+    pick = itemgetter(*[slot[iid] for iid in instance_ids]) if len(slot) > 1 else tuple
+    keys = [OutcomeString(pick(sum(combo, ()))) for combo in itertools.product(*pairs)]
+    return keys, front[:, 0].tolist()
 
 
 def distribution(
@@ -348,27 +371,13 @@ def distribution(
     cap: int = DEFAULT_ENUMERATION_CAP,
     foliation: list[list[str]] | None = None,
 ) -> dict[OutcomeString, float]:
-    """Probability of every outcome string, by shared-prefix enumeration."""
-    total = circuit.n_outcome_strings()
-    if total > cap:
-        raise CapacityError(f"{total} outcome strings exceed the enumeration cap {cap}")
-    layers = _compile(circuit, foliation)
-    order = {iid: k for k, iid in enumerate(circuit.instance_ids)}
-    out: dict[OutcomeString, float] = {}
+    """Probability of every outcome string, in depth-first itertools.product order.
 
-    def walk(depth: int, vec: np.ndarray, chosen: tuple[tuple[str, str], ...]) -> None:
-        if depth == len(layers):
-            pairs = tuple(sorted(chosen, key=lambda p: order[p[0]]))
-            out[OutcomeString(pairs)] = float(vec[0])
-            return
-        layer = layers[depth]
-        if layer.perm is not None:
-            vec = layer.perm @ vec
-        for labels, matrix in layer.combos.items():
-            walk(depth + 1, matrix @ vec, chosen + tuple(zip(layer.gate_ids, labels)))
-
-    walk(0, np.ones(1), ())
-    return out
+    A frontier of all outcome prefixes goes through each layer's stack of
+    combination matrices, one layer in memory at a time. The cap is checked
+    before anything is built; values are range-checked as in ``prob``."""
+    keys, values = _walk(_compile(circuit, foliation, cap), circuit.instance_ids)
+    return dict(zip(keys, values))
 
 
 @dataclass(frozen=True)
@@ -417,15 +426,49 @@ class Acceptor:
         return Acceptor("table", table=normalized)
 
 
+def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
+    """Acceptance probability over compiled layers or affine-program steps."""
+    kind, target = acceptor.kind, None
+    if kind == "reject-all":
+        return 0.0
+    if kind not in ("accept-all", "first-outcome-is-0", "parity-of-labels"):
+        keys, values = _walk(layers, instance_ids)
+        return _checked(sum(v for z, v in zip(keys, values) if acceptor.accepts(z)), PROB_TOL)
+    if kind == "first-outcome-is-0":
+        target = acceptor.instance or next(iter(instance_ids), None)
+        if target not in instance_ids:
+            raise GptLabError(f"acceptor names instance '{target}', which the circuit lacks")
+    vecs = np.ones((2 if kind == "parity-of-labels" else 1, 1))  # a row per product of sums
+    for layer in layers:
+        labels = layer.labels
+        weights = [[1.0] * len(labels)]
+        if kind == "parity-of-labels":
+            weights.append([(-1.0) ** lab.count("1") for lab in labels])
+        elif target in layer.gate_ids:
+            weights = [[float(lab[layer.gate_ids.index(target)] == "0") for lab in labels]]
+        if layer.perm is not None:
+            vecs = vecs @ layer.perm.T
+        vecs = np.matmul(np.tensordot(weights, layer.stack(), axes=1), vecs[:, :, None])[:, :, 0]
+    return _checked(float(vecs[:, 0].mean()), PROB_TOL)  # parity: mean of its two products
+
+
 def acceptance_prob(
     circuit: CircuitDAG,
     acceptor: Acceptor,
     cap: int = DEFAULT_ENUMERATION_CAP,
     foliation: list[list[str]] | None = None,
 ) -> float:
-    """Total probability of outcome strings with a(z) = 0."""
-    dist = distribution(circuit, cap=cap, foliation=foliation)
-    return sum(p for z, p in dist.items() if acceptor.accepts(z))
+    """Total probability of outcome strings with a(z) = 0.
+
+    Built-in acceptors never enumerate. Composite rules are multilinear, so a
+    sum over strings of a weight that factors over layers is a product of
+    weighted layer sums S_L = sum_c w_L(c) M_L(c) over the layer's outcome
+    combinations c: accept-all weighs every c by 1, first-outcome-is-0 keeps
+    the c where its instance reads "0", and parity-of-labels is
+    (prod S_L + prod P_L)/2 with P_L weighing c by (-1)^(number of "1" labels).
+    Tables sum the accepted leaves of the walk ``distribution`` uses. The cap
+    holds either way, and the result is range-checked as in ``prob``."""
+    return _accept(_compile(circuit, foliation, cap), acceptor, circuit.instance_ids)
 
 
 class Decision(Enum):

@@ -162,6 +162,8 @@ def parse_acceptor(doc: Mapping, circuit: CircuitDAG) -> Acceptor:
         except (KeyError, TypeError) as exc:
             raise ParseError(f"table rows need 'z' and 'a': {exc}", "acceptor") from None
     if kind in ("first-outcome-is-0", "parity-of-labels", "accept-all", "reject-all"):
+        if doc.get("instance") not in (None, *circuit.instance_ids):
+            raise ParseError(f"acceptor names unknown instance {doc['instance']!r}", "acceptor")
         return Acceptor(kind, instance=doc.get("instance"))
     raise ParseError(f"unknown acceptor kind '{kind}'", "acceptor")
 

@@ -1,0 +1,228 @@
+"""The compile-once circuit engine against its reference paths.
+
+Property tests draw small random circuits over the classical, qubit and
+rebit theories, with crossing wires, and check each fast path against the
+leaf-by-leaf reference: contracted built-in acceptors and the affine bridge
+against sums over ``distribution``, ``prob`` against ``distribution``, and
+``distribution`` against the independent oracles in ``conftest``.
+"""
+
+import dataclasses
+import itertools
+import json
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gptlab import (
+    Acceptor,
+    CircuitDAG,
+    acceptance_prob,
+    classical_theory,
+    distribution,
+    foliate,
+    prob,
+    quantum_theory,
+    real_quantum_theory,
+)
+from gptlab.afftm import circuit_to_affine_program
+from gptlab.circuits import Gate
+from gptlab.cli import main
+from gptlab.core import UNIT, KroneckerRule, TransformationMatrix
+from gptlab.errors import GptLabError, ParseError
+from gptlab.serialization import circuit_to_json, parse_circuit
+
+from conftest import classical_path_distribution, operator_distribution
+
+THEORIES = {
+    "classical": classical_theory(2),
+    "qubit": quantum_theory(2),
+    "rebit": real_quantum_theory(2),
+}
+# (preparations, transformations, closing effects); joint effects close two wires
+GATES = {
+    "classical": (["prep_0", "prep_uniform", "coin"], ["id", "not"], ["read", "sink"], []),
+    "qubit": (["prep_0", "prep_plus", "prep_mixed", "prep_bell"], ["h", "x", "t", "cnot"],
+              ["measure", "sink"], []),
+    "rebit": (["prep_0", "prep_plus", "prep_mixed", "prep_phi_plus"], ["t1", "t2", "x", "h"],
+              ["measure", "sink"], ["joint_measure"]),
+}
+BUILT_IN = ("accept-all", "reject-all", "first-outcome-is-0", "parity-of-labels")
+MAX_WIRES = 3
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+@st.composite
+def circuits(draw):
+    """A closed circuit: up to three wires, a few gates on randomly chosen wires."""
+    name = draw(st.sampled_from(sorted(THEORIES)))
+    theory = THEORIES[name]
+    preps, trans, close1, close2 = GATES[name]
+    c = CircuitDAG(theory)
+    open_ports: list = []
+
+    def place(gname: str) -> None:
+        iid = f"g{len(c.instances)}"
+        gate = theory.gate(gname)
+        c.add(iid, gate)
+        for p in range(len(gate.inputs)):
+            k = draw(st.integers(0, len(open_ports) - 1))
+            c.connect(open_ports.pop(k), (iid, p))
+        open_ports.extend((iid, p) for p in range(len(gate.outputs)))
+
+    place(draw(st.sampled_from(preps)))
+    for _ in range(draw(st.integers(0, 2))):
+        fits = [g for g in preps
+                if len(open_ports) + len(theory.gate(g).outputs) <= MAX_WIRES]
+        if fits:
+            place(draw(st.sampled_from(fits)))
+    for _ in range(draw(st.integers(0, 3))):
+        fits = [g for g in trans if len(theory.gate(g).inputs) <= len(open_ports)]
+        place(draw(st.sampled_from(fits)))
+    while open_ports:
+        place(draw(st.sampled_from(close1 + (close2 if len(open_ports) >= 2 else []))))
+    return c
+
+
+def reference_acceptance(dist, acceptor) -> float:
+    return sum(p for z, p in dist.items() if acceptor.accepts(z))
+
+
+def acceptors_for(c: CircuitDAG, data) -> list[Acceptor]:
+    target = data.draw(st.sampled_from([None, *c.instance_ids]))
+    out = [Acceptor(kind, instance=target if kind == "first-outcome-is-0" else None)
+           for kind in BUILT_IN]
+    strings = [z.pairs for z in distribution(c)]
+    bits = data.draw(st.lists(st.integers(0, 1), min_size=len(strings), max_size=len(strings)))
+    out.append(Acceptor("table", table=dict(zip(strings, bits))))
+    return out
+
+
+@PROPERTY
+@given(circuits(), st.sampled_from(["greedy", "singletons"]), st.data())
+def test_contracted_acceptors_match_enumeration(c, style, data):
+    fol = foliate(c, style)
+    dist = distribution(c, foliation=fol)
+    for acceptor in acceptors_for(c, data):
+        want = reference_acceptance(dist, acceptor)
+        assert abs(acceptance_prob(c, acceptor, foliation=fol) - want) <= 1e-12, acceptor.kind
+
+
+@PROPERTY
+@given(circuits(), st.sampled_from(["greedy", "singletons"]))
+def test_prob_matches_distribution_in_product_order(c, style):
+    fol = foliate(c, style)
+    dist = distribution(c, foliation=fol)
+    # leaves come depth first, in itertools.product order over the foliation
+    gates = [(iid, c.gate(iid)) for layer in fol for iid in layer]
+    order = [c.outcome_string(dict(zip([iid for iid, _ in gates], labels)))
+             for labels in itertools.product(*(g.outcome_labels for _, g in gates))]
+    assert list(dist) == order
+    for z, p in dist.items():
+        assert prob(c, z, foliation=fol) == p
+    if c.theory.meta["builtin"] == "classical":
+        oracle = classical_path_distribution(c)
+    else:
+        oracle = operator_distribution(c)
+    for z, p in dist.items():
+        assert abs(p - oracle.get(z.pairs, 0.0)) <= 1e-9
+
+
+@PROPERTY
+@given(circuits(), st.data())
+def test_bridge_matches_enumeration(c, data):
+    dist = distribution(c)
+    for acceptor in acceptors_for(c, data):
+        got = circuit_to_affine_program(c, acceptor).acceptance_weight()
+        assert abs(got - reference_acceptance(dist, acceptor)) <= 1e-12, acceptor.kind
+
+
+class CountingRule(KroneckerRule):
+    """A tensor-product rule that counts the layer matrices it builds."""
+
+    def __init__(self, theory):
+        super().__init__(theory)
+        self.calls = 0
+
+    def parallel_matrix(self, pieces):
+        self.calls += 1
+        return super().parallel_matrix(pieces)
+
+
+def test_prob_builds_one_layer_matrix_per_layer():
+    base = classical_theory(2)
+    rule = CountingRule(base.name)
+    theory = dataclasses.replace(base, composite_rule=rule)
+    c = CircuitDAG(theory)
+    for k in range(4):
+        c.add(f"c{k}", theory.gate("coin"))
+        c.add(f"r{k}", theory.gate("read"))
+        c.connect((f"c{k}", 0), (f"r{k}", 0))
+    z = {**{f"c{k}": "1" for k in range(4)}, **{f"r{k}": "1" for k in range(4)}}
+    for style in ("greedy", "singletons"):
+        fol = foliate(c, style)
+        rule.calls = 0
+        assert prob(c, z, foliation=fol) == pytest.approx(2.0**-4)
+        assert rule.calls == len(fol)
+
+
+def overfull_circuit() -> CircuitDAG:
+    """A classical wire prepared in the non-physical quasi-state (1.5, -0.5), then read."""
+    theory = classical_theory(2)
+    sys = theory.system()
+    quasi = Gate("quasi", (), (sys,), {
+        "0": TransformationMatrix(UNIT, sys, np.array([[1.5], [-0.5]]))})
+    c = CircuitDAG(theory)
+    c.add("q", quasi)
+    c.add("r", theory.gate("read"))
+    c.connect(("q", 0), ("r", 0))
+    return c
+
+
+def test_every_evaluation_path_is_range_checked():
+    c = overfull_circuit()
+    first = Acceptor("first-outcome-is-0", instance="r")
+    with pytest.raises(GptLabError, match="outside"):
+        prob(c, {"q": "0", "r": "0"})
+    with pytest.raises(GptLabError, match="outside"):
+        distribution(c)
+    with pytest.raises(GptLabError, match="outside"):
+        acceptance_prob(c, first)
+    with pytest.raises(GptLabError, match="outside"):
+        circuit_to_affine_program(c, first).acceptance_weight()
+    # the quasi-probabilities still total 1
+    assert acceptance_prob(c, Acceptor("accept-all")) == pytest.approx(1.0)
+
+
+def coin_circuit() -> CircuitDAG:
+    theory = classical_theory(2)
+    c = CircuitDAG(theory)
+    c.add("u", theory.gate("prep_uniform"))
+    c.add("r", theory.gate("read"))
+    c.connect(("u", 0), ("r", 0))
+    return c
+
+
+def test_acceptor_naming_an_unknown_instance():
+    c = coin_circuit()
+    ghost = Acceptor("first-outcome-is-0", instance="ghost")
+    with pytest.raises(GptLabError, match="ghost"):
+        acceptance_prob(c, ghost)
+    with pytest.raises(GptLabError, match="ghost"):
+        circuit_to_affine_program(c, ghost).acceptance_weight()
+    doc = circuit_to_json(c, ghost)
+    with pytest.raises(ParseError, match="ghost"):
+        parse_circuit(json.dumps(doc))
+
+
+def test_cli_rejects_acceptor_naming_an_unknown_instance(tmp_path, capsys):
+    path = tmp_path / "ghost.json"
+    path.write_text(json.dumps(circuit_to_json(coin_circuit(),
+                                               Acceptor("first-outcome-is-0", instance="ghost"))))
+    assert main(["--json", "circuit", "accept", "--circuit", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "ghost" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
