@@ -167,7 +167,13 @@ def _check_caps_and_tols(args) -> None:
         raise ParseError("--rank-tol must lie in (0, 1)", "args")
 
 
+def _check_locality(args) -> None:
+    if not 1 <= args.locality <= args.systems:
+        raise ParseError("need 1 <= --locality <= --systems", "args")
+
+
 def _cmd_tomo_check(args):
+    _check_locality(args)
     theory = parse_theory(args.theory)
     rep = tomography.n_local_span(theory, args.systems, args.locality, cap=args.cap,
                                   rank_tol=args.rank_tol)
@@ -185,6 +191,9 @@ def _cmd_tomo_check(args):
 
 
 def _cmd_tomo_count(args):
+    if args.k < 1:
+        raise ParseError("--k must be >= 1", "args")
+    _check_locality(args)
     value = tomography.fiducial_count(args.k, args.systems, args.locality)
     report = {"command": "tomo count", "k": args.k, "systems": args.systems,
               "locality": args.locality, "count": value}
@@ -229,13 +238,15 @@ def _parse_table(args) -> tuple[int, ...]:
 
 
 def _cmd_query_grover(args):
-    if args.marked is not None:
-        table = [0] * args.n
-        table[args.marked] = 1
-    else:
-        rng = np.random.default_rng(_seed(args))
-        table = [0] * args.n
-        table[int(rng.integers(0, args.n))] = 1
+    if args.n < 1 or (args.marked is not None and not 0 <= args.marked < args.n):
+        raise ParseError("need --n >= 1 and 0 <= --marked < --n", "args")
+    if args.iters is not None and args.iters < 0:
+        raise ParseError("--iters must be >= 0", "args")
+    marked = args.marked
+    if marked is None:
+        marked = int(np.random.default_rng(_seed(args)).integers(0, args.n))
+    table = [0] * args.n
+    table[marked] = 1
     f = querylab.OracleFunction(tuple(table))
     transcript = querylab.grover_search(f, iterations=args.iters)
     report = {

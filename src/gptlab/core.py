@@ -265,6 +265,14 @@ def approx_matrix(m, eps: float) -> np.ndarray:
     return out
 
 
+def kron_all(matrices) -> np.ndarray:
+    """Kronecker product of 2-d arrays, left to right, starting from [[1.0]]."""
+    out = np.eye(1)
+    for m in matrices:  # np.kron's products, minus its per-call overhead
+        out = np.multiply.outer(out, m).transpose(0, 2, 1, 3).reshape(len(out) * len(m), -1)
+    return out
+
+
 class CompositeRule:
     """Theory-owned recipe for joint systems and parallel composition.
 
@@ -321,10 +329,7 @@ class KroneckerRule(CompositeRule):
         return TransformationMatrix(system, system, np.eye(system.dim))
 
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
-        out = np.eye(1)
-        for m in (p.matrix for p in pieces):  # np.kron's products, minus its per-call overhead
-            out = np.multiply.outer(out, m).transpose(0, 2, 1, 3).reshape(len(out) * len(m), -1)
-        return out
+        return kron_all(p.matrix for p in pieces)
 
     def permutation_matrix(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         dims = tuple(t.dim for t in types)

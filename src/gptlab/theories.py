@@ -27,6 +27,7 @@ from .core import (
     SystemType,
     TransformationMatrix,
     UNIT,
+    kron_all,
 )
 from .errors import GptLabError, TypeMismatchError
 
@@ -109,22 +110,30 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return mats
 
 
-def symmetric_pauli_basis(n_qubits: int) -> list[np.ndarray]:
-    """Orthonormal basis of real symmetric matrices on (C^2)^n.
+def pauli_strings(n_qubits: int) -> np.ndarray:
+    """All 4^n unnormalised Pauli strings on n qubits, lexicographic over (I, X, Y, Z)."""
+    single = np.stack([PAULI[c] for c in "IXYZ"])
+    out = single if n_qubits else np.ones((1, 1, 1), dtype=complex)
+    for _ in range(n_qubits - 1):  # np.kron chains' bits, signed zeros too: no [[1]] factor
+        out = np.multiply.outer(out, single).transpose(0, 3, 1, 4, 2, 5).reshape(
+            4 * len(out), 2 * out.shape[1], -1)
+    return out
 
-    These are the Pauli strings with an even number of Y factors. Strings
-    without any Y come first, in lexicographic order over (I, X, Z), so they
-    line up with the Kronecker product of the single-system bases; the
-    remaining even-Y strings follow in lexicographic order.
-    """
-    no_y = ["".join(s) for s in itertools.product("IXZ", repeat=n_qubits)]
-    rest = [
-        "".join(s)
-        for s in itertools.product("IXYZ", repeat=n_qubits)
-        if "Y" in s and s.count("Y") % 2 == 0
-    ]
+
+def even_y_index(n_qubits: int) -> np.ndarray:
+    """Positions in :func:`pauli_strings` of the strings with an even number of
+    Y factors, in coordinate order: strings without any Y come first, so they
+    line up with the Kronecker product of the single-system bases."""
+    strings = ["".join(s) for s in itertools.product("IXYZ", repeat=n_qubits)]
+    even = [i for i, s in enumerate(strings) if s.count("Y") % 2 == 0]
+    return np.array(sorted(even, key=lambda i: "Y" in strings[i]), dtype=np.intp)
+
+
+def symmetric_pauli_basis(n_qubits: int) -> list[np.ndarray]:
+    """Orthonormal basis of real symmetric matrices on (C^2)^n: the even-Y
+    Pauli strings in :func:`even_y_index` order, each divided by 2^(n/2)."""
     scale = 2.0 ** (n_qubits / 2.0)
-    return [reduce(np.kron, [PAULI[c] for c in s]) / scale for s in no_y + rest]
+    return list(pauli_strings(n_qubits)[even_y_index(n_qubits)] / scale)
 
 
 def symmetric_basis(d: int) -> list[np.ndarray]:
@@ -141,15 +150,15 @@ def symmetric_basis(d: int) -> list[np.ndarray]:
 
 
 class RebitRule(CompositeRule):
-    """Operator-space composition for real-amplitude two-level systems.
+    """Composition of real-amplitude two-level systems as an even-Y restriction.
 
-    A joint system of k rebits carries the full real symmetric matrix space
-    of the underlying 2^k-dimensional real Hilbert space, which is strictly
-    bigger than the tensor product of the local coordinate spaces. The embed
-    map of the composite sends the local tensor product onto the Y-free
-    coordinates; the extra even-Y directions are global degrees of freedom.
-    Parallel composition therefore works on the operator (Kraus) form of
-    each piece.
+    k rebits carry the real symmetric matrices on (C^2)^k, spanned by the
+    Pauli strings with an even number of Y factors. The embed map sends the
+    local tensor product onto the Y-free strings; the strings with Y are
+    global degrees of freedom. Every rebit map is a qubit map, so composites
+    are Kronecker products in the full I, X, Y, Z string basis (of each
+    piece's Pauli transfer matrix, of index permutations, of zero-padded
+    coordinates) restricted to the even-Y strings.
     """
 
     name = "real-symmetric"
@@ -158,6 +167,7 @@ class RebitRule(CompositeRule):
         self.theory = theory
         self._carriers: dict[int, DensityCarrier] = {}
         self._perm_cache: dict = {}
+        self._tables: dict = {}
 
     def carrier(self, n_qubits: int) -> DensityCarrier:
         got = self._carriers.get(n_qubits)
@@ -165,16 +175,12 @@ class RebitRule(CompositeRule):
             got = self._carriers[n_qubits] = DensityCarrier(symmetric_pauli_basis(n_qubits))
         return got
 
-    def _carrier_for_hilbert(self, h: int) -> DensityCarrier:
-        if h == 1:
-            got = self._carriers.get(0)
-            if got is None:
-                got = self._carriers[0] = DensityCarrier([np.ones((1, 1), dtype=complex)])
-            return got
-        k = h.bit_length() - 1
-        if 2**k != h:
-            raise GptLabError(f"underlying dimension {h} is not a power of two")
-        return self.carrier(k)
+    def _table(self, build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
+        """``build(k)`` for :func:`pauli_strings` or :func:`even_y_index`, built once per k."""
+        got = self._tables.get((build, k))
+        if got is None:
+            got = self._tables[(build, k)] = build(k)
+        return got
 
     def _n_leaves(self, t: SystemType) -> int:
         if t.dim == 1:
@@ -207,72 +213,50 @@ class RebitRule(CompositeRule):
         )
 
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
-        kraus_sets = []
         for p in pieces:
             if p.kraus is None:
                 raise GptLabError(
                     f"gate outcome '{p.outcome_label}' lacks operator (Kraus) data; "
                     "rebit composites cannot be built from single-wire matrices alone"
                 )
-            kraus_sets.append(p.kraus)
-        in_h = int(np.prod([k[0].shape[1] for k in kraus_sets]))
-        out_h = int(np.prod([k[0].shape[0] for k in kraus_sets]))
-        cin = self._carrier_for_hilbert(in_h)
-        cout = self._carrier_for_hilbert(out_h)
-        moved = np.zeros((cin.dim, out_h, out_h), dtype=complex)
-        for combo in itertools.product(*kraus_sets):
-            k = reduce(np.kron, combo)
-            moved += np.einsum("ij,bjk,lk->bil", k, cin.basis, k.conj())
-        return np.einsum("aij,bji->ab", cout.basis, moved).real
+        full = kron_all(self._transfer_matrix(p.kraus) for p in pieces)
+        k_out, k_in = (n.bit_length() // 2 for n in full.shape)  # full is 4^k_out x 4^k_in
+        return full[np.ix_(self._table(even_y_index, k_out), self._table(even_y_index, k_in))]
 
     def permutation_matrix(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         leaves = [self._n_leaves(t) for t in types]
         key = (tuple(leaves), tuple(perm))
         cached = self._perm_cache.get(key)
-        if cached is not None:
-            return cached
-        offsets = np.cumsum([0] + leaves)
-        new_leaf_order: list[int] = []
-        for i in perm:
-            new_leaf_order.extend(range(offsets[i], offsets[i] + leaves[i]))
-        k = sum(leaves)
-        if k == 0:
-            return np.eye(1)
-        h = 2**k
-        u = np.zeros((h, h), dtype=complex)
-        for old in range(h):
-            bits = [(old >> (k - 1 - j)) & 1 for j in range(k)]
-            new = 0
-            for j, src in enumerate(new_leaf_order):
-                new |= bits[src] << (k - 1 - j)
-            u[new, old] = 1.0
-        matrix = self._conjugation_matrix(u)
-        matrix.setflags(write=False)
-        self._perm_cache[key] = matrix
-        return matrix
+        if cached is None:
+            offsets = np.cumsum([0] + leaves)
+            leaf_order = [j for i in perm for j in range(offsets[i], offsets[i] + leaves[i])]
+            k = sum(leaves)
+            even = self._table(even_y_index, k)
+            slot = np.zeros(4**k, dtype=np.intp)
+            slot[even] = np.arange(len(even))
+            moved = np.arange(4**k).reshape((4,) * k).transpose(leaf_order).ravel()
+            cached = self._perm_cache[key] = np.eye(len(even))[slot[moved[even]]]
+            cached.setflags(write=False)
+        return cached
 
-    def _conjugation_matrix(self, u: np.ndarray) -> np.ndarray:
-        carrier = self._carrier_for_hilbert(u.shape[0])
-        moved = np.einsum("ij,bjk,lk->bil", u, carrier.basis, u.conj())
-        return np.einsum("aij,bji->ab", carrier.basis, moved).real
-
-    def _operator_of(self, system: SystemType, coords: np.ndarray) -> np.ndarray:
-        return self._carrier_for_hilbert(2 ** self._n_leaves(system)).from_vector(coords)
+    def _transfer_matrix(self, kraus: Sequence[np.ndarray]) -> np.ndarray:
+        """M_ab = Tr(P_a sum_j K_j P_b K_j^dag) / 2^((k_out + k_in)/2) over Pauli strings P."""
+        k_out, k_in = (h.bit_length() - 1 for h in kraus[0].shape)
+        p_out, p_in = self._table(pauli_strings, k_out), self._table(pauli_strings, k_in)
+        moved = sum(np.einsum("ij,bjk,lk->bil", op, p_in, op.conj()) for op in kraus)
+        # Unnormalised strings and one division per piece, rather than P/sqrt(2)
+        # per qubit: this keeps the bundled Bell circuit's distribution
+        # bit-identical to the orthonormal-carrier values it was recorded with.
+        return np.einsum("aij,bji->ab", p_out, moved).real / 2.0 ** ((k_out + k_in) / 2)
 
     def _product_coords(self, pieces: Sequence) -> np.ndarray:
-        if all(p.system.dim == 3 for p in pieces):
-            # Products of single-rebit operators have no support on the even-Y
-            # block, so composite coordinates are the zero-padded Kronecker
-            # product of the local ones.
-            local = reduce(np.kron, [p.coords for p in pieces], np.ones(1))
-            k = len(pieces)
-            hdim = 2**k
-            out = np.zeros(hdim * (hdim + 1) // 2)
-            out[: local.shape[0]] = local
-            return out
-        ops = [self._operator_of(p.system, p.coords) for p in pieces]
-        total = reduce(np.kron, ops, np.ones((1, 1), dtype=complex))
-        return self._carrier_for_hilbert(total.shape[0]).to_vector(total)
+        full, k = np.ones(1), 0
+        for p in pieces:
+            k_p = self._n_leaves(p.system)
+            padded = np.zeros(4**k_p)
+            padded[self._table(even_y_index, k_p)] = p.coords
+            full, k = np.kron(full, padded), k + k_p
+        return full[self._table(even_y_index, k)]
 
     def product_state_coords(self, states: Sequence[StateVector]) -> np.ndarray:
         return self._product_coords(states)

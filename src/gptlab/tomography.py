@@ -90,10 +90,9 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
             rows.append(cov)
 
     stacked = np.asarray(rows)
-    svals = np.linalg.svd(stacked, compute_uv=False)
+    # vt spans the composite space; a thin SVD does when rows >= columns
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     rank = int(np.sum(svals > rank_tol * svals[0]))
-    _, _, vt = np.linalg.svd(stacked, full_matrices=True)
-    defect_basis = vt[rank:]
     return TomographyReport(
         theory=theory.name,
         n_systems=n_systems,
@@ -101,7 +100,7 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
         composite_dim=composite.dim,
         n_local_span_dim=rank,
         defect=composite.dim - rank,
-        defect_basis=defect_basis,
+        defect_basis=vt[rank:],
     )
 
 

@@ -3,12 +3,15 @@
 The oracles here deliberately avoid the library's transfer-matrix path:
 ``operator_distribution`` evaluates circuits by direct complex operator
 algebra on the gates' Kraus data, and ``classical_path_distribution`` sums
-over explicit basis-state trajectories. Random corpus builders are seeded.
+over explicit basis-state trajectories. The ``kraus_*`` references build
+rebit composites in the orthonormal carriers by conjugating with Kronecker
+products of operators. Random corpus builders are seeded.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -106,6 +109,33 @@ def operator_distribution(circuit: CircuitDAG) -> dict:
 
     walk(0, [], np.ones((1, 1), dtype=complex), ())
     return out
+
+
+def _conjugation_matrix(b_out, b_in, kraus) -> np.ndarray:
+    """M_ab = Tr(B_a sum_k K B_b K^dag) between two orthonormal operator bases."""
+    moved = sum(k @ b_in @ k.conj().T for k in kraus)
+    return (b_out.conj().reshape(len(b_out), -1) @ moved.reshape(len(moved), -1).T).real
+
+
+def kraus_parallel_matrix(rule, pieces) -> np.ndarray:
+    """Rebit transfer matrix of pieces in parallel, summed over every Kraus product."""
+    kraus = [reduce(np.kron, combo) for combo in itertools.product(*(p.kraus for p in pieces))]
+    k_out, k_in = (h.bit_length() - 1 for h in kraus[0].shape)
+    return _conjugation_matrix(rule.carrier(k_out).basis, rule.carrier(k_in).basis, kraus)
+
+
+def kraus_permutation_matrix(rule, leaves, perm) -> np.ndarray:
+    """Conjugation by the qubit permutation unitary moving factor perm[i] to slot i."""
+    offsets = np.cumsum([0] + list(leaves))
+    order = [j for i in perm for j in range(offsets[i], offsets[i] + leaves[i])]
+    basis = rule.carrier(len(order)).basis
+    return _conjugation_matrix(basis, basis, [_perm_unitary([2] * len(order), order)])
+
+
+def kraus_product_coords(rule, pieces, leaves) -> np.ndarray:
+    """Carrier coordinates of the Kronecker product of the pieces' operators."""
+    ops = [rule.carrier(k).from_vector(p.coords) for p, k in zip(pieces, leaves)]
+    return rule.carrier(sum(leaves)).to_vector(reduce(np.kron, ops))
 
 
 def classical_path_distribution(circuit: CircuitDAG) -> dict:

@@ -1,0 +1,96 @@
+"""Rebit composites as the even-Y restriction of Kronecker-composed Pauli
+transfer matrices, checked against direct Kraus algebra in the orthonormal
+carriers (the ``kraus_*`` references in ``conftest``).
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gptlab import StateVector, TransformationMatrix, real_quantum_theory, symmetric_pauli_basis
+from gptlab.errors import GptLabError
+from gptlab.theories import PAULI, even_y_index
+
+from conftest import kraus_parallel_matrix, kraus_permutation_matrix, kraus_product_coords
+
+REBIT = real_quantum_theory(2)
+RULE = REBIT.composite_rule
+SYS = REBIT.system()
+PAIR = RULE.composite([SYS, SYS])
+MAX_REBITS = 4
+
+# every outcome of every gate in the library, plus the passthrough identity
+PIECES = [tm for g in REBIT.gates.values() for tm in g.outcomes.values()] + [RULE.identity(SYS)]
+COORDS = list(REBIT.states.values()) + list(REBIT.effects.values())
+
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+def _rebits(p) -> int:
+    return max(len(p.kraus[0]), p.kraus[0].shape[1]).bit_length() - 1
+
+
+def _leaves(system) -> int:
+    return {3: 1, 10: 2}[system.dim]
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(PIECES), min_size=1, max_size=MAX_REBITS)
+       .filter(lambda ps: sum(map(_rebits, ps)) <= MAX_REBITS))
+def test_parallel_matrix_matches_kraus_products(pieces):
+    got = RULE.parallel_matrix(pieces)
+    want = kraus_parallel_matrix(RULE, pieces)
+    assert got.shape == want.shape
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from([1, 2]), min_size=1, max_size=MAX_REBITS)
+       .filter(lambda ls: sum(ls) <= MAX_REBITS), st.randoms(use_true_random=False))
+def test_permutation_matrix_is_the_conjugation_by_a_qubit_permutation(leaves, random):
+    perm = list(range(len(leaves)))
+    random.shuffle(perm)
+    got = RULE.permutation_matrix([SYS if k == 1 else PAIR for k in leaves], perm)
+    assert set(np.unique(got)) <= {0.0, 1.0}
+    assert np.array_equal(got.sum(axis=0), np.ones(len(got)))
+    assert np.array_equal(got.sum(axis=1), np.ones(len(got)))
+    assert np.max(np.abs(got - kraus_permutation_matrix(RULE, leaves, perm))) <= 1e-12
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(COORDS + [SYS, PAIR]), min_size=1, max_size=MAX_REBITS)
+       .filter(lambda ps: sum(_leaves(getattr(p, "system", p)) for p in ps) <= MAX_REBITS),
+       st.integers(0, 2**32 - 1))
+def test_product_coords_match_operator_products(drawn, seed):
+    # a bare system type stands for random coordinates on it, which reach
+    # every even-Y direction that the library's states and effects leave out
+    rng = np.random.default_rng(seed)
+    pieces = [p if hasattr(p, "coords") else StateVector(p, rng.normal(size=p.dim))
+              for p in drawn]
+    want = kraus_product_coords(RULE, pieces, [_leaves(p.system) for p in pieces])
+    assert np.max(np.abs(RULE.product_state_coords(pieces) - want)) <= 1e-12
+    assert np.max(np.abs(RULE.product_effect_coords(pieces) - want)) <= 1e-12
+
+
+def test_even_y_order_is_the_carrier_order():
+    # the coordinate basis is the even-Y string list, scaled, and its Y-free
+    # head lines up with the Kronecker product of single-rebit bases
+    for n in (1, 2, 3):
+        everything = ["".join(s) for s in itertools.product("IXYZ", repeat=n)]
+        strings = [everything[i] for i in even_y_index(n)]
+        assert len(strings) == 2**n * (2**n + 1) // 2
+        assert strings[:3**n] == sorted(s for s in strings if "Y" not in s)
+        assert all(s.count("Y") % 2 == 0 for s in strings)
+        for s, b in zip(strings, symmetric_pauli_basis(n)):
+            op = np.eye(1)
+            for c in s:
+                op = np.kron(op, PAULI[c])
+            assert np.array_equal(b, op / 2 ** (n / 2))
+
+
+def test_pieces_without_kraus_data_are_rejected():
+    bare = TransformationMatrix(SYS, SYS, np.eye(3), outcome_label="bare")
+    with pytest.raises(GptLabError, match="Kraus"):
+        RULE.parallel_matrix([bare, RULE.identity(SYS)])

@@ -247,6 +247,22 @@ def test_cli_input_error_exit_code(capsys):
     assert code == 2 and "rank-tol" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["tomo", "check", "--theory", data_path("theory_rebit.json"), "--locality", "3",
+     "--systems", "2"],
+    ["tomo", "count", "--k", "0", "--systems", "2", "--locality", "1"],
+    ["tomo", "count", "--k", "1", "--systems", "2", "--locality", "3"],
+    ["query", "grover", "--marked", "9", "--n", "4"],
+    ["query", "grover", "--marked", "-1", "--n", "4"],
+    ["query", "grover", "--n", "0"],
+    ["query", "grover", "--n", "4", "--marked", "1", "--iters", "-1"],
+])
+def test_cli_rejects_out_of_range_arguments(capsys, argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert "input error" in err and "Traceback" not in err
+
+
 def test_cli_circuit_accept(capsys):
     code, out, _ = run_cli(capsys, "--json", "circuit", "accept",
                            "--circuit", data_path("circuit_coin.json"))

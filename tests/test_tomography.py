@@ -38,6 +38,8 @@ def test_three_rebits_defect_drops_at_bilocality(rebit):
     assert (rep1.composite_dim, rep1.n_local_span_dim, rep1.defect) == (36, 27, 9)
     rep2 = n_local_span(rebit, 3, 2)
     assert rep2.defect == 0
+    rep5 = n_local_span(rebit, 5, 1)  # the local defect stays dim - 3^N past three rebits
+    assert (rep5.composite_dim, rep5.n_local_span_dim, rep5.defect) == (528, 243, 285)
 
 
 def test_span_monotone_in_locality(rebit, qubit):
