@@ -19,10 +19,8 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .circuits import Acceptor, CircuitDAG, _accept, _compile
+from .core import ALGEBRA_TOL, PHYSICAL_TOL
 from .errors import HaltingViolationError, MachineValidationError
-
-WEIGHT_SUM_TOL = 1e-12
-NORM_BOUND_TOL = 1e-9
 
 Move = str  # "L" | "R" | "S"
 _MOVES = {"L": -1, "R": 1, "S": 0}
@@ -113,7 +111,7 @@ def validate(machine: AffineMachine) -> MachineReport:
             violations.append(f"halting state '{state}' has outgoing transitions")
             continue
         total = sum(b.weight for b in branches)
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if abs(total - 1.0) > ALGEBRA_TOL:
             violations.append(f"weights from ({state!r}, {symbol!r}) sum to {total!r}, not 1")
     return MachineReport(not violations, violations)
 
@@ -176,7 +174,7 @@ class NormTrace:
 
     norms: list[float]
     flagged_steps: list[int]
-    bound: float = 1.0 + NORM_BOUND_TOL
+    bound: float = 1.0 + PHYSICAL_TOL
 
     @property
     def within_bound(self) -> bool:
@@ -187,7 +185,7 @@ def norm_trace(machine: AffineMachine, x: str, max_steps: int) -> NormTrace:
     norms = []
     for vector in _run(machine, x, max_steps):
         norms.append(float(np.sqrt(sum(w * w for w in vector.values()))))
-    flagged = [i for i, n in enumerate(norms) if n > 1.0 + NORM_BOUND_TOL]
+    flagged = [i for i, n in enumerate(norms) if n > 1.0 + PHYSICAL_TOL]
     return NormTrace(norms, flagged)
 
 
@@ -206,7 +204,7 @@ class PropernessReport:
 
 
 def is_proper_on(machine: AffineMachine, inputs: Iterable[str], max_steps: int,
-                 tol: float = 1e-9) -> PropernessReport:
+                 tol: float = PHYSICAL_TOL) -> PropernessReport:
     """Check 0 <= acceptance weight <= 1 on the given inputs.
 
     Properness over *all* inputs is undecidable in general; this is a

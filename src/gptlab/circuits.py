@@ -19,11 +19,10 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .core import CompositeRule, SystemType, TransformationMatrix
+from .core import PROB_TOL, CompositeRule, SystemType, TransformationMatrix
 from .errors import CapacityError, CircuitValidationError, GptLabError
 
 DEFAULT_ENUMERATION_CAP = 2**20
-PROB_TOL = 1e-6  # slack of the [0, 1] check on every evaluated probability
 
 
 @dataclass(frozen=True, eq=False)

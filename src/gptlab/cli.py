@@ -17,6 +17,7 @@ import time
 import numpy as np
 
 from . import afftm, circuits, interference, querylab, tomography
+from .core import PHYSICAL_TOL
 from .errors import (
     CapacityError,
     GptLabError,
@@ -145,7 +146,14 @@ def _cmd_interfere_order(args):
 
 def _cmd_interfere_decompose(args):
     family = parse_family(args.family)
-    vector = np.asarray(json.loads(args.vector), dtype=float)
+    try:
+        vector = np.asarray(json.loads(args.vector), dtype=float)
+    except (ValueError, TypeError):
+        raise ParseError(f"--vector must be a JSON array of numbers, got {args.vector!r}",
+                         "args") from None
+    if vector.shape != (family.dim,):
+        raise ParseError(f"--vector needs {family.dim} coordinates for this family, "
+                         f"got shape {vector.shape}", "args")
     decomp = interference.decompose(vector, family, args.order)
     components = {
         "{" + ",".join(str(i) for i in sorted(k)) + "}": [float(x) for x in v]
@@ -162,6 +170,9 @@ def _check_caps_and_tols(args) -> None:
     cap = getattr(args, "cap", None)
     if cap is not None and cap <= 0:
         raise ParseError("--cap must be positive", "args")
+    max_steps = getattr(args, "max_steps", None)
+    if max_steps is not None and max_steps < 0:
+        raise ParseError("--max-steps must be >= 0", "args")
     tol = getattr(args, "rank_tol", None)
     if tol is not None and not (0.0 < tol < 1.0):
         raise ParseError("--rank-tol must lie in (0, 1)", "args")
@@ -224,15 +235,16 @@ def _cmd_query_parity(args):
 
 def _parse_table(args) -> tuple[int, ...]:
     if args.table is not None:
-        try:
-            table = tuple(int(c) for c in args.table)
-        except ValueError:
-            raise ParseError(f"--table must be a bit string, got {args.table!r}", "args") from None
+        if not args.table or set(args.table) - set("01"):
+            raise ParseError(f"--table must be a nonempty bit string, got {args.table!r}", "args")
+        table = tuple(int(c) for c in args.table)
         if args.n is not None and args.n != len(table):
             raise ParseError("--n disagrees with --table length", "args")
         return table
     if args.n is None:
         raise ParseError("need --n or --table", "args")
+    if args.n < 1:
+        raise ParseError("--n must be >= 1", "args")
     rng = np.random.default_rng(_seed(args))
     return tuple(int(b) for b in rng.integers(0, 2, size=args.n))
 
@@ -267,6 +279,8 @@ def _cmd_query_grover(args):
 
 
 def _cmd_query_bounds(args):
+    if args.n < 1 or args.k < 1:
+        raise ParseError("need --n >= 1 and --k >= 1", "args")
     bound = querylab.lower_bound(args.problem, args.n, args.k)
     report = {"command": "query bounds", "problem": bound.problem, "n": bound.n_items,
               "k": bound.order, "value": bound.value, "asymptotic": bound.asymptotic}
@@ -340,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--systems", type=int, required=True)
     q.add_argument("--locality", type=int, required=True)
     q.add_argument("--cap", type=int, default=4096)
-    q.add_argument("--rank-tol", type=float, default=1e-9, dest="rank_tol")
+    q.add_argument("--rank-tol", type=float, default=PHYSICAL_TOL, dest="rank_tol")
     q.set_defaults(handler=_cmd_tomo_check)
     q = ps.add_parser("count")
     q.add_argument("--k", type=int, required=True)

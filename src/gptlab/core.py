@@ -19,10 +19,16 @@ import numpy as np
 
 from .errors import TheoryMismatchError, TypeMismatchError
 
-# Default tolerance for physicality checks (probability ranges, norm caps).
-PHYSICAL_TOL = 1e-9
-# Default tolerance for algebraic identities (adjoints, compositions).
+# The tolerance policy: every default tolerance in gptlab is one of these.
+# Exact identities that only rounding can break: transition weight sums and
+# carrier orthonormality.
 ALGEBRA_TOL = 1e-12
+# Physical checks on computed quantities: norm caps, relative rank, zero
+# tests and Hermiticity.
+PHYSICAL_TOL = 1e-9
+# The [0, 1] check on every evaluated probability, which accumulates rounding
+# over whole circuits.
+PROB_TOL = 1e-6
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -51,32 +57,19 @@ UNIT = SystemType("unit", 1)
 class CompositeType(SystemType):
     """Joint system built from an ordered tuple of factors.
 
-    ``embed`` maps the plain tensor product of the factor spaces injectively
-    into the composite space. ``None`` means the composite *is* the tensor
-    product (tomographically local composition). When an embed is present it
-    only pins down the locally accessible part of the composite; directions
-    outside its image are invisible to products of local objects.
+    Its dimension is at least the product of the factor dimensions. A
+    tomographically local composite has exactly that product; a larger one
+    carries global directions that products of local objects do not reach.
+    The theory's :class:`CompositeRule` decides which it is.
     """
 
     factors: tuple[SystemType, ...] = ()
-    embed: np.ndarray | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        prod = 1
-        for f in self.factors:
-            prod *= f.dim
-        if self.embed is None:
-            if self.factors and prod != self.dim:
-                raise ValueError(
-                    f"composite dim {self.dim} != product of factor dims {prod} "
-                    "(supply an embed map for non-product composites)"
-                )
-        else:
-            emb = np.asarray(self.embed, dtype=float)
-            if emb.shape != (self.dim, prod):
-                raise ValueError(f"embed shape {emb.shape} != ({self.dim}, {prod})")
-            object.__setattr__(self, "embed", _freeze(emb))
+        prod = math.prod(f.dim for f in self.factors)
+        if self.dim < prod:
+            raise ValueError(f"composite dim {self.dim} < product of factor dims {prod}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,57 +178,29 @@ def _kron_type(a: SystemType, b: SystemType) -> CompositeType:
     )
 
 
-def _embed_pinv(ct: CompositeType) -> np.ndarray:
-    return np.linalg.pinv(ct.embed)
-
-
-def tensor(x, y, composite: CompositeType | tuple | None = None):
-    """Parallel composition by Kronecker product.
+def tensor(x, y):
+    """Parallel composition by Kronecker product, typed by the plain tensor
+    product of the two systems.
 
     Works kind-by-kind on two states, two effects, or two transformations.
-    When a :class:`CompositeType` with an embed map is supplied, coordinates
-    are pushed through it (states/effects), or conjugated by it
-    (transformations; pass a ``(input_composite, output_composite)`` pair when
-    the two sides differ). With an embed the transformation result is only
-    determined on the embedded local subspace and acts as zero on its
-    complement; theories with genuinely global degrees of freedom extend
-    gates through their own composite rule instead.
+    Theories whose composites are larger than the tensor product compose
+    through their :class:`CompositeRule` instead.
     """
     if isinstance(x, StateVector) and isinstance(y, StateVector):
-        _check_theories(x.system.theory, y.system.theory)
-        coords = np.kron(x.coords, y.coords)
-        ctype = composite if composite is not None else _kron_type(x.system, y.system)
-        if isinstance(ctype, CompositeType) and ctype.embed is not None:
-            coords = ctype.embed @ coords
-        return StateVector(ctype, coords)
+        return StateVector(_kron_type(x.system, y.system), np.kron(x.coords, y.coords))
 
     if isinstance(x, EffectVector) and isinstance(y, EffectVector):
-        _check_theories(x.system.theory, y.system.theory)
-        coords = np.kron(x.coords, y.coords)
-        ctype = composite if composite is not None else _kron_type(x.system, y.system)
-        if isinstance(ctype, CompositeType) and ctype.embed is not None:
-            coords = coords @ _embed_pinv(ctype)
-        return EffectVector(ctype, coords)
+        return EffectVector(_kron_type(x.system, y.system), np.kron(x.coords, y.coords))
 
     if isinstance(x, TransformationMatrix) and isinstance(y, TransformationMatrix):
         _check_theories(x.input.theory, y.input.theory, x.output.theory, y.output.theory)
-        matrix = np.kron(x.matrix, y.matrix)
-        if composite is None:
-            in_c = _kron_type(x.input, y.input)
-            out_c = _kron_type(x.output, y.output)
-        elif isinstance(composite, tuple):
-            in_c, out_c = composite
-        else:
-            in_c = out_c = composite
-        if isinstance(in_c, CompositeType) and in_c.embed is not None:
-            matrix = matrix @ _embed_pinv(in_c)
-        if isinstance(out_c, CompositeType) and out_c.embed is not None:
-            matrix = out_c.embed @ matrix
         kraus = None
         if x.kraus is not None and y.kraus is not None:
             kraus = tuple(np.kron(k, l) for k in x.kraus for l in y.kraus)
-        label = _join_labels(x.outcome_label, y.outcome_label)
-        return TransformationMatrix(in_c, out_c, matrix, outcome_label=label, kraus=kraus)
+        return TransformationMatrix(_kron_type(x.input, y.input), _kron_type(x.output, y.output),
+                                    np.kron(x.matrix, y.matrix),
+                                    outcome_label=_join_labels(x.outcome_label, y.outcome_label),
+                                    kraus=kraus)
 
     raise TypeError(f"cannot tensor {type(x).__name__} with {type(y).__name__}")
 

@@ -16,10 +16,9 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
+from .core import PHYSICAL_TOL
 from .errors import FamilyInvariantError, ReconstructionError
 from .theories import DensityCarrier, hermitian_basis
-
-ZERO_TOL = 1e-9
 
 Subset = frozenset
 
@@ -74,7 +73,7 @@ class ProjectorFamily:
             raise FamilyInvariantError(f"family has no projector for subset {sorted(key)}") from None
 
 
-def validate_family(family: ProjectorFamily, tol: float = ZERO_TOL) -> list[str]:
+def validate_family(family: ProjectorFamily, tol: float = PHYSICAL_TOL) -> list[str]:
     """Check idempotence, the intersection law, the empty projector, and that
     the full projector is idempotent of full support. Returns violations."""
     violations = []
@@ -115,7 +114,7 @@ def coherence_projector(family: ProjectorFamily, subset: Iterable[int]) -> np.nd
 
 
 def interference_order(family: ProjectorFamily, span: np.ndarray | None = None,
-                       tol: float = ZERO_TOL) -> int:
+                       tol: float = PHYSICAL_TOL) -> int:
     """Largest subset size whose coherence projector acts nontrivially.
 
     ``span``: matrix whose columns span the state region of interest (default:
@@ -153,7 +152,7 @@ class CoherenceDecomposition:
 
 
 def decompose(vector: np.ndarray, family: ProjectorFamily, order: int,
-              tol: float = ZERO_TOL) -> CoherenceDecomposition:
+              tol: float = PHYSICAL_TOL) -> CoherenceDecomposition:
     """Split a carrier-space vector into coherence components up to ``order``.
 
     Raises :class:`ReconstructionError` (carrying the residual norm) when the

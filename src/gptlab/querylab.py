@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import SystemType, TransformationMatrix
+from .core import PHYSICAL_TOL, SystemType, TransformationMatrix
 from .theories import DensityCarrier, hermitian_basis
 
 SQRT2 = math.sqrt(2.0)
@@ -149,7 +149,7 @@ def parity_quantum(f: OracleFunction) -> QueryTranscript:
             reference[2 * x + 0] = 0.5
             reference[2 * x + 1] = -0.5
         overlap = float(reference @ state) ** 2
-        if not (overlap < 1e-9 or overlap > 1 - 1e-9):
+        if not (overlap < PHYSICAL_TOL or overlap > 1 - PHYSICAL_TOL):
             raise AssertionError("pair readout was not deterministic")
         result ^= 0 if overlap > 0.5 else 1
     if n % 2 == 1:

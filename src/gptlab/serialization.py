@@ -105,7 +105,7 @@ def parse_theory(source) -> TheoryDescriptor:
         raise ParseError("'params' must be an object", "theory")
     try:
         return BUILTIN_THEORIES[builtin](**params)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise ParseError(f"bad params for '{builtin}': {exc}", "theory") from None
 
 

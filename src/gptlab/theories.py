@@ -12,13 +12,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from functools import reduce
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .circuits import Gate
 from .core import (
+    ALGEBRA_TOL,
+    PHYSICAL_TOL,
     CompositeRule,
     CompositeType,
     EffectVector,
@@ -44,12 +45,12 @@ PAULI = {
 class DensityCarrier:
     """An orthonormal Hermitian operator basis with vectorisation maps.
 
-    Orthonormality (Tr(B_i B_j) = delta_ij, checked to 1e-12) makes
+    Orthonormality (Tr(B_i B_j) = delta_ij, checked to ALGEBRA_TOL) makes
     ``to_vector`` an isometry: the Euclidean norm of a state's coordinates
     equals sqrt(Tr(rho^2)), so norm monitors downstream are meaningful.
     """
 
-    def __init__(self, basis: Sequence[np.ndarray], tol: float = 1e-12):
+    def __init__(self, basis: Sequence[np.ndarray], tol: float = ALGEBRA_TOL):
         stack = np.stack([np.asarray(b, dtype=complex) for b in basis])
         if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > tol:
             raise ValueError("carrier basis must be Hermitian")
@@ -70,7 +71,7 @@ class DensityCarrier:
     def to_vector(self, op: np.ndarray) -> np.ndarray:
         """Coordinates Tr(B_i op) of a Hermitian operator."""
         v = np.einsum("aij,ji->a", self.basis, np.asarray(op, dtype=complex))
-        if np.max(np.abs(v.imag)) > 1e-9:
+        if np.max(np.abs(v.imag)) > PHYSICAL_TOL:
             raise ValueError("operator is not Hermitian in this carrier")
         return v.real
 
@@ -136,29 +137,18 @@ def symmetric_pauli_basis(n_qubits: int) -> list[np.ndarray]:
     return list(pauli_strings(n_qubits)[even_y_index(n_qubits)] / scale)
 
 
-def symmetric_basis(d: int) -> list[np.ndarray]:
-    """Orthonormal basis of real symmetric d x d matrices (diagonal units first)."""
-    mats = [np.zeros((d, d), dtype=complex) for _ in range(d)]
-    for j in range(d):
-        mats[j][j, j] = 1.0
-    for j in range(d):
-        for k in range(j + 1, d):
-            m = np.zeros((d, d), dtype=complex)
-            m[j, k] = m[k, j] = 1 / SQRT2
-            mats.append(m)
-    return mats
-
-
 class RebitRule(CompositeRule):
     """Composition of real-amplitude two-level systems as an even-Y restriction.
 
     k rebits carry the real symmetric matrices on (C^2)^k, spanned by the
-    Pauli strings with an even number of Y factors. The embed map sends the
-    local tensor product onto the Y-free strings; the strings with Y are
-    global degrees of freedom. Every rebit map is a qubit map, so composites
-    are Kronecker products in the full I, X, Y, Z string basis (of each
-    piece's Pauli transfer matrix, of index permutations, of zero-padded
-    coordinates) restricted to the even-Y strings.
+    Pauli strings with an even number of Y factors: 2^k(2^k+1)/2 coordinates,
+    more than the 3^k of the local tensor product. The 3^k Y-free strings
+    come first and are the products of local coordinates; the strings with
+    Y are global degrees of freedom that no product of local effects sees.
+    Every rebit map is a qubit map, so composites are Kronecker products in
+    the full I, X, Y, Z string basis (of each piece's Pauli transfer matrix,
+    of index permutations, of zero-padded coordinates) restricted to the
+    even-Y strings.
     """
 
     name = "real-symmetric"
@@ -197,14 +187,10 @@ class RebitRule(CompositeRule):
             return UNIT
         if len(types) == 1:
             return types[0]
-        k = sum(self._n_leaves(t) for t in types)
-        hdim = 2**k
-        dim = hdim * (hdim + 1) // 2
-        local = 3**k
-        embed = np.zeros((dim, local))
-        embed[:local, :] = np.eye(local)
+        hdim = 2 ** sum(self._n_leaves(t) for t in types)
         label = "(" + "⊗".join(t.label for t in types) + ")"
-        return CompositeType(label=label, dim=dim, theory=self.theory, factors=types, embed=embed)
+        return CompositeType(label=label, dim=hdim * (hdim + 1) // 2, theory=self.theory,
+                             factors=types)
 
     def identity(self, system: SystemType) -> TransformationMatrix:
         k = self._n_leaves(system)
@@ -265,55 +251,15 @@ class RebitRule(CompositeRule):
         return self._product_coords(effects)
 
 
-class SingleSystemRule(CompositeRule):
-    """Placeholder rule for theories whose composites are out of scope."""
-
-    name = "single-system"
-
-    def __init__(self, theory: str):
-        self.theory = theory
-
-    def composite(self, types: Sequence[SystemType]) -> SystemType:
-        types = tuple(types)
-        if not types:
-            return UNIT
-        if len(types) == 1:
-            return types[0]
-        raise GptLabError(f"theory '{self.theory}' does not define multi-system composites")
-
-    def identity(self, system: SystemType) -> TransformationMatrix:
-        return TransformationMatrix(system, system, np.eye(system.dim))
-
-    def parallel_matrix(self, pieces):
-        if len(pieces) == 1:
-            return pieces[0].matrix
-        raise GptLabError(f"theory '{self.theory}' does not define parallel composition")
-
-    def permutation_matrix(self, types, perm):
-        if list(perm) == list(range(len(types))):
-            dim = int(np.prod([t.dim for t in types])) if types else 1
-            return np.eye(dim)
-        raise GptLabError(f"theory '{self.theory}' does not define wire permutations")
-
-    def product_state_coords(self, states):
-        if len(states) == 1:
-            return states[0].coords
-        raise GptLabError(f"theory '{self.theory}' does not define product states")
-
-    def product_effect_coords(self, effects):
-        if len(effects) == 1:
-            return effects[0].coords
-        raise GptLabError(f"theory '{self.theory}' does not define product effects")
-
-
 @dataclass(frozen=True, eq=False)
 class StrategyHooks:
-    """Samplers used by discrimination searches: deterministic grids plus RNG draws."""
+    """Samplers on the theory's single system type, used by discrimination
+    searches: deterministic grids plus RNG draws."""
 
-    state_grid: Callable[[SystemType], list[tuple[str, StateVector]]]
-    random_state: Callable[[SystemType, np.random.Generator], StateVector]
-    effect_grid: Callable[[SystemType], list[tuple[str, EffectVector]]]
-    random_effect: Callable[[SystemType, np.random.Generator], EffectVector]
+    state_grid: Callable[[], list[tuple[str, StateVector]]]
+    random_state: Callable[[np.random.Generator], StateVector]
+    effect_grid: Callable[[], list[tuple[str, EffectVector]]]
+    random_effect: Callable[[np.random.Generator], EffectVector]
 
 
 @dataclass(frozen=True, eq=False)
@@ -404,16 +350,16 @@ def classical_theory(d: int) -> TheoryDescriptor:
     effects = {f"p{j}": EffectVector(sys, eye[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, np.ones(d))
 
-    def state_grid(t: SystemType):
+    def state_grid():
         return [(n, s) for n, s in states.items()]
 
-    def random_state(t: SystemType, rng: np.random.Generator):
+    def random_state(rng: np.random.Generator):
         return StateVector(sys, rng.dirichlet(np.ones(d)), normalized=True)
 
-    def effect_grid(t: SystemType):
+    def effect_grid():
         return [(n, e) for n, e in effects.items()]
 
-    def random_effect(t: SystemType, rng: np.random.Generator):
+    def random_effect(rng: np.random.Generator):
         return EffectVector(sys, rng.uniform(0.0, 1.0, size=d))
 
     return TheoryDescriptor(
@@ -537,20 +483,20 @@ def quantum_theory(d: int) -> TheoryDescriptor:
                                       kraus=(np.array([[1], [0], [0], [1]], dtype=complex) / SQRT2,))
         })
 
-    def state_grid(t: SystemType):
+    def state_grid():
         entries = [(n, s) for n, s in states.items() if s.system == sys]
         return entries
 
-    def random_state(t: SystemType, rng: np.random.Generator):
+    def random_state(rng: np.random.Generator):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
         return StateVector(sys, carrier.to_vector(rho), normalized=True)
 
-    def effect_grid(t: SystemType):
+    def effect_grid():
         return [(n, e) for n, e in effects.items()]
 
-    def random_effect(t: SystemType, rng: np.random.Generator):
+    def random_effect(rng: np.random.Generator):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = (g + g.conj().T) / 2
         lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
@@ -578,34 +524,15 @@ def quantum_theory(d: int) -> TheoryDescriptor:
 def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     """Quantum theory over real Hilbert spaces: states are real symmetric matrices.
 
-    A single system carries dim = d(d+1)/2. For d=2 (rebits) the full worked
-    gate set is included: the dephasing map t1 (rho -> rho/2 + Y rho Y / 2),
-    the discard-and-reprepare map t2 (rho -> I tr(rho) / 2), entangled pair
+    Only rebits (d=2, three coordinates) are modelled, with the full worked
+    gate set: the dephasing map t1 (rho -> rho/2 + Y rho Y / 2), the
+    discard-and-reprepare map t2 (rho -> I tr(rho) / 2), entangled pair
     preparation, and the two-outcome joint measurement that tells their
-    outputs apart. Composites for d>2 are out of scope.
+    outputs apart. Any other d raises ``ValueError``.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    name = f"real-quantum-{d}"
     if d != 2:
-        carrier = DensityCarrier(symmetric_basis(d))
-        sys = SystemType(f"rq{d}", d * (d + 1) // 2, theory=name)
-        eye_cov = EffectVector(sys, carrier.to_vector(np.eye(d)))
-        return TheoryDescriptor(
-            name=name,
-            system_types={sys.label: sys},
-            composite_rule=SingleSystemRule(name),
-            gates={"id": Gate("id", (sys,), (sys,), {
-                "0": TransformationMatrix(sys, sys, np.eye(sys.dim),
-                                          kraus=(np.eye(d, dtype=complex),))
-            })},
-            states={"mixed": StateVector(sys, carrier.to_vector(np.eye(d) / d), normalized=True)},
-            effects={"u": eye_cov},
-            deterministic_effects={sys.label: eye_cov},
-            carrier=carrier,
-            meta={"builtin": "real-quantum", "params": {"d": d}},
-        )
-
+        raise ValueError("real-amplitude quantum theory is modelled for rebits only (d=2)")
+    name = "real-quantum-2"
     rule = RebitRule(name)
     carrier = rule.carrier(1)
     sys = SystemType("rebit", 3, theory=name)
@@ -705,24 +632,24 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
 
     grid_angles = [k * math.pi / 12 for k in range(24)]
 
-    def state_grid(t: SystemType):
+    def state_grid():
         entries = [(f"pure({k * 15}°)", StateVector(sys, _state_coords(a), normalized=True))
                    for k, a in enumerate(grid_angles)]
         entries.append(("mixed", states["mixed"]))
         return entries
 
-    def random_state(t: SystemType, rng: np.random.Generator):
+    def random_state(rng: np.random.Generator):
         theta = rng.uniform(0.0, 2 * math.pi)
         r = rng.uniform(0.0, 1.0)
         return StateVector(sys, _state_coords(theta, r), normalized=True)
 
-    def effect_grid(t: SystemType):
+    def effect_grid():
         entries = [(f"proj({k * 15}°)", EffectVector(sys, _effect_coords(a)))
                    for k, a in enumerate(grid_angles)]
         entries.append(("unit", effects["u"]))
         return entries
 
-    def random_effect(t: SystemType, rng: np.random.Generator):
+    def random_effect(rng: np.random.Generator):
         theta = rng.uniform(0.0, 2 * math.pi)
         alpha, beta = rng.uniform(0.0, 1.0, size=2)
         u_coords = effects["u"].coords
@@ -823,16 +750,16 @@ def boxworld_gbit() -> TheoryDescriptor:
         "0": TransformationMatrix(sys, sys, np.eye(5))
     })
 
-    def state_grid(t: SystemType):
+    def state_grid():
         return [(n, s) for n, s in states.items() if s.system == sys]
 
-    def random_state(t: SystemType, rng: np.random.Generator):
+    def random_state(rng: np.random.Generator):
         return StateVector(sys, _gbit_coords(rng.uniform(), rng.uniform()))
 
-    def effect_grid(t: SystemType):
+    def effect_grid():
         return [(n, e) for n, e in effects.items()]
 
-    def random_effect(t: SystemType, rng: np.random.Generator):
+    def random_effect(rng: np.random.Generator):
         x = rng.integers(0, 2)
         alpha, beta = rng.uniform(0.0, 1.0, size=2)
         return EffectVector(sys, alpha * effects[f"e0x{x}"].coords

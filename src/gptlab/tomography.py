@@ -16,11 +16,9 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import EffectVector, TransformationMatrix
+from .core import PHYSICAL_TOL, EffectVector, TransformationMatrix
 from .errors import CapacityError, GptLabError, TypeMismatchError
 from .theories import TheoryDescriptor
-
-RANK_TOL = 1e-9
 
 
 @dataclass
@@ -55,7 +53,7 @@ def _partitions(items: Sequence[int], max_block: int) -> Iterator[list[tuple[int
 
 def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
                  system: str | None = None, cap: int = 4096,
-                 rank_tol: float = RANK_TOL) -> TomographyReport:
+                 rank_tol: float = PHYSICAL_TOL) -> TomographyReport:
     """Span of effects factorizing over blocks of at most ``locality`` systems.
 
     The spanning set runs over every partition of the N systems into blocks
@@ -156,7 +154,10 @@ def distinguish_search(theory: TheoryDescriptor,
         raise TypeMismatchError("the two transformations have different signatures")
     if theory.strategies is None:
         raise GptLabError(f"theory '{theory.name}' provides no strategy hooks")
-    sys_type = t.input
+    sys_type = theory.system()
+    if (t.input, t.output) != (sys_type, sys_type):
+        raise TypeMismatchError(f"the transformations must map '{sys_type.label}' to itself, "
+                                f"got '{t.input.label}' -> '{t.output.label}'")
     rule = theory.composite_rule
     pair_type = rule.composite([sys_type, sys_type])
     ident = rule.identity(sys_type)
@@ -164,8 +165,8 @@ def distinguish_search(theory: TheoryDescriptor,
 
     hooks = theory.strategies
     rng = np.random.default_rng(seed)
-    grid_states = hooks.state_grid(sys_type)
-    grid_effects = hooks.effect_grid(sys_type)
+    grid_states = hooks.state_grid()
+    grid_effects = hooks.effect_grid()
 
     state_cols, state_names = [], []
     for (na, sa), (nb, sb) in itertools.product(grid_states, repeat=2):
@@ -198,13 +199,11 @@ def distinguish_search(theory: TheoryDescriptor,
 
     # random product strategies, one quadruple per sample
     rs = np.column_stack([
-        rule.product_state_coords([hooks.random_state(sys_type, rng),
-                                   hooks.random_state(sys_type, rng)])
+        rule.product_state_coords([hooks.random_state(rng), hooks.random_state(rng)])
         for _ in range(n_random)
     ])
     re = np.vstack([
-        rule.product_effect_coords([hooks.random_effect(sys_type, rng),
-                                    hooks.random_effect(sys_type, rng)])
+        rule.product_effect_coords([hooks.random_effect(rng), hooks.random_effect(rng)])
         for _ in range(n_random)
     ])
     rand_vals = np.abs(np.einsum("ij,ji->i", re @ diff, rs))

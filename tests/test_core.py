@@ -101,38 +101,6 @@ def test_tensor_rejects_cross_theory():
         tensor(a, b)
 
 
-def test_tensor_with_embed_pads_local_products():
-    embed = np.zeros((5, 4))
-    embed[:4, :] = np.eye(4)
-    comp = CompositeType("pair", 5, factors=(BIT, BIT), embed=embed)
-    s = tensor(StateVector(BIT, [0.25, 0.75]), StateVector(BIT, [0.5, 0.5]), composite=comp)
-    assert s.system is comp
-    assert np.allclose(s.coords[:4], np.kron([0.25, 0.75], [0.5, 0.5]))
-    assert s.coords[4] == 0.0
-    e = tensor(EffectVector(BIT, [1.0, 1.0]), EffectVector(BIT, [1.0, 0.0]), composite=comp)
-    assert np.allclose(e.coords, [1, 0, 1, 0, 0])
-
-
-def test_tensor_embed_extension_is_minimal():
-    # with an embed, core.tensor pins the map down only on local products
-    # (zero on the complement); the theory's own rule extends the same gate
-    # so that it acts on the global direction too
-    from gptlab import real_quantum_theory, tensor
-
-    rq = real_quantum_theory(2)
-    rule = rq.composite_rule
-    sys = rq.system()
-    pair = rule.composite([sys, sys])
-    t1 = rq.gate("t1").outcomes["0"]
-    ident = rule.identity(sys)
-
-    naive = tensor(t1, ident, composite=pair)
-    extended = rule.parallel_matrix([t1, ident])
-    assert np.allclose(naive.matrix[:9, :9], extended[:9, :9], atol=1e-12)
-    assert naive.matrix[9, 9] == 0.0
-    assert extended[9, 9] == pytest.approx(1.0, abs=1e-12)  # global parity preserved
-
-
 def test_adjoint_consistency():
     rng = np.random.default_rng(11)
     for _ in range(50):
@@ -206,4 +174,4 @@ def test_state_invariants():
     with pytest.raises(ValueError):
         SystemType("empty", 0)
     with pytest.raises(ValueError):
-        CompositeType("pair", 5, factors=(BIT, BIT))  # 5 != 4 without embed
+        CompositeType("pair", 3, factors=(BIT, BIT))  # below the product dimension 4

@@ -139,6 +139,15 @@ def test_bridge_matches_enumeration(c, data):
         assert abs(got - reference_acceptance(dist, acceptor)) <= 1e-12, acceptor.kind
 
 
+@PROPERTY
+@given(circuits(), st.data())
+def test_json_round_trip_keeps_every_bit(c, data):
+    acceptor = data.draw(st.sampled_from(acceptors_for(c, data)))
+    again, parsed_acceptor = parse_circuit(json.dumps(circuit_to_json(c, acceptor)))
+    assert list(distribution(again).items()) == list(distribution(c).items())
+    assert acceptance_prob(again, parsed_acceptor) == acceptance_prob(c, acceptor)
+
+
 class CountingRule(KroneckerRule):
     """A tensor-product rule that counts the layer matrices it builds."""
 

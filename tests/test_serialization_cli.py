@@ -256,6 +256,19 @@ def test_cli_input_error_exit_code(capsys):
     ["query", "grover", "--marked", "-1", "--n", "4"],
     ["query", "grover", "--n", "0"],
     ["query", "grover", "--n", "4", "--marked", "1", "--iters", "-1"],
+    ["query", "parity", "--table", "012"],
+    ["query", "parity", "--table", ""],
+    ["query", "parity", "--n", "0"],
+    ["query", "bounds", "--problem", "search", "--n", "0", "--k", "2"],
+    ["query", "bounds", "--problem", "parity", "--n", "4", "--k", "0"],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"), "--vector", "[1,0]",
+     "--order", "2"],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"), "--vector", "[1,",
+     "--order", "2"],
+    ["afftm", "run", "--machine", data_path("machine_branch.json"), "--max-steps", "-1"],
+    ["theory", "info", "--theory", '{"builtin": "quantum", "params": {"d": 1}}'],
+    ["theory", "info", "--theory", '{"builtin": "classical", "params": {"d": 0}}'],
+    ["theory", "info", "--theory", '{"builtin": "real-quantum", "params": {"d": 3}}'],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -130,11 +130,11 @@ def test_t1_t2_agree_on_every_single_rebit(rebit):
     t2 = rebit.gate("t2").outcomes["0"].matrix
     # identical transfer matrices: no single-system strategy separates them
     assert np.allclose(t1, t2, atol=1e-12)
-    grid = rebit.strategies.state_grid(rebit.system())
-    effs = rebit.strategies.effect_grid(rebit.system())
+    grid = rebit.strategies.state_grid()
+    effs = rebit.strategies.effect_grid()
     rng = np.random.default_rng(1)
-    samples = [(rebit.strategies.random_state(rebit.system(), rng),
-                rebit.strategies.random_effect(rebit.system(), rng)) for _ in range(500)]
+    samples = [(rebit.strategies.random_state(rng), rebit.strategies.random_effect(rng))
+               for _ in range(500)]
     for _, s in grid:
         for _, e in effs:
             assert abs(e.coords @ (t1 - t2) @ s.coords) <= 1e-12
@@ -184,16 +184,18 @@ def test_global_difference_invisible_to_local_products(rebit):
         assert abs(np.trace(diff_op @ np.kron(e, f))) <= 1e-12
 
 
-def test_two_rebit_composite_and_embed(rebit):
+def test_two_rebit_composite(rebit):
+    rule = rebit.composite_rule
     sys = rebit.system()
-    composite = rebit.composite_rule.composite([sys, sys])
+    composite = rule.composite([sys, sys])
     assert composite.dim == 10
-    assert composite.embed.shape == (10, 9)
-    assert np.array_equal(composite.embed[:9], np.eye(9))
     # product states carry no weight on the global coordinate
-    s = rebit.composite_rule.product_state_coords([rebit.state("plus"), rebit.state("zero")])
+    s = rule.product_state_coords([rebit.state("plus"), rebit.state("zero")])
     assert s.shape == (10,)
     assert s[9] == pytest.approx(0.0, abs=1e-15)
+    # the rule extends a local gate to the global direction: t1 x id keeps the Y x Y parity
+    extended = rule.parallel_matrix([rebit.gate("t1").outcomes["0"], rule.identity(sys)])
+    assert extended[9, 9] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetric_pauli_basis_counts():
@@ -202,15 +204,12 @@ def test_symmetric_pauli_basis_counts():
     assert len(symmetric_pauli_basis(3)) == 36  # = 8*9/2
 
 
-def test_real_quantum_higher_dimension_single_system():
+def test_real_quantum_rejects_dimensions_other_than_two():
     from gptlab import real_quantum_theory
-    from gptlab.errors import GptLabError
 
-    rq3 = real_quantum_theory(3)
-    assert rq3.system().dim == 6 == 3 * 4 // 2
-    assert pair(rq3.effect("u"), rq3.state("mixed")) == pytest.approx(1.0)
-    with pytest.raises(GptLabError):
-        rq3.composite_rule.composite([rq3.system(), rq3.system()])
+    for d in (1, 3, 4):
+        with pytest.raises(ValueError):
+            real_quantum_theory(d)
 
 
 # ---------------------------------------------------------------------------

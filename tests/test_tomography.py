@@ -29,7 +29,7 @@ def test_two_rebit_defect_and_bilocality(rebit):
 def test_two_rebit_defect_basis_is_global_direction(rebit):
     rep = n_local_span(rebit, 2, 1)
     axis = np.zeros(10)
-    axis[9] = 1.0  # the even-Y coordinate adjoined by the embed
+    axis[9] = 1.0  # the global Y x Y coordinate, beyond the 9 local products
     assert abs(rep.defect_basis @ axis)[0] == pytest.approx(1.0, abs=1e-9)
 
 
@@ -142,3 +142,9 @@ def test_distinguish_search_signature_mismatch(rebit, qubit):
     with pytest.raises(TypeMismatchError):
         distinguish_search(rebit, rebit.gate("t1").outcomes["0"],
                            qubit.gate("x").outcomes["0"])
+    # both must map the theory's single system type to itself
+    cnot, p0 = qubit.gate("cnot").outcomes["0"], qubit.gate("measure").outcomes["0"]
+    t1 = rebit.gate("t1").outcomes["0"]
+    for theory, t in ((qubit, cnot), (qubit, p0), (qubit, t1)):
+        with pytest.raises(TypeMismatchError):
+            distinguish_search(theory, t, t)
