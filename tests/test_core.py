@@ -101,6 +101,26 @@ def test_tensor_rejects_cross_theory():
         tensor(a, b)
 
 
+def test_tensor_embed_extension_is_minimal():
+    # core.tensor pins a rebit map down only on the local products (the
+    # first 9 coordinates of the composite); the theory's own rule extends
+    # the same gate so that it acts on the global direction too
+    from gptlab import real_quantum_theory
+
+    rq = real_quantum_theory(2)
+    rule = rq.composite_rule
+    sys = rq.system()
+    t1 = rq.gate("t1").outcomes["0"]
+    ident = rule.identity(sys)
+
+    naive = tensor(t1, ident)
+    extended = rule.parallel_matrix([t1, ident])
+    assert naive.matrix.shape == (9, 9)
+    assert extended.shape == (10, 10)
+    assert np.allclose(naive.matrix, extended[:9, :9], atol=1e-12)
+    assert extended[9, 9] == pytest.approx(1.0, abs=1e-12)  # global parity preserved
+
+
 def test_adjoint_consistency():
     rng = np.random.default_rng(11)
     for _ in range(50):

@@ -184,18 +184,18 @@ def test_global_difference_invisible_to_local_products(rebit):
         assert abs(np.trace(diff_op @ np.kron(e, f))) <= 1e-12
 
 
-def test_two_rebit_composite(rebit):
+def test_two_rebit_composite_and_embed(rebit):
     rule = rebit.composite_rule
     sys = rebit.system()
     composite = rule.composite([sys, sys])
     assert composite.dim == 10
-    # product states carry no weight on the global coordinate
-    s = rule.product_state_coords([rebit.state("plus"), rebit.state("zero")])
+    # local products embed as the first 9 coordinates, in Kronecker order,
+    # and carry no weight on the global coordinate
+    plus, zero = rebit.state("plus"), rebit.state("zero")
+    s = rule.product_state_coords([plus, zero])
     assert s.shape == (10,)
+    assert np.allclose(s[:9], np.kron(plus.coords, zero.coords), atol=1e-15)
     assert s[9] == pytest.approx(0.0, abs=1e-15)
-    # the rule extends a local gate to the global direction: t1 x id keeps the Y x Y parity
-    extended = rule.parallel_matrix([rebit.gate("t1").outcomes["0"], rule.identity(sys)])
-    assert extended[9, 9] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_symmetric_pauli_basis_counts():
