@@ -13,8 +13,9 @@ Machines are immutable; runs on different inputs may proceed concurrently.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -57,35 +58,50 @@ class AffineMachine:
                 raise ValueError(f"'{s}' is not in the machine's state set")
         if self.blank not in self.alphabet:
             raise ValueError("blank symbol must be in the tape alphabet")
+        states, alphabet = self.states, self.alphabet
+        for key, branches in self.transitions.items():
+            if key[0] not in states or key[1] not in alphabet:
+                raise _undeclared(self, key, *key)
+            for b in branches:
+                if b.next_state not in states or b.write not in alphabet:
+                    raise _undeclared(self, key, b.next_state, b.write)
 
     def is_halting(self, state: str) -> bool:
         return state in (self.accept, self.reject)
 
 
-@dataclass(frozen=True)
-class Configuration:
-    """Machine state + sparse bidirectional tape (blank cells omitted) + head."""
+def _undeclared(machine: AffineMachine, key, state: str, symbol: str) -> ValueError:
+    what = f"state {state!r}" if state not in machine.states else f"symbol {symbol!r}"
+    return ValueError(f"transition from {key!r} names {what}, which the machine does not declare")
+
+
+class Configuration(NamedTuple):
+    """Machine state + sparse bidirectional tape + head.
+
+    The tape is a tuple of (position, symbol) pairs sorted by position, with
+    blank cells omitted, so equal tapes are equal tuples.
+    """
 
     state: str
     tape: tuple[tuple[int, str], ...]
     head: int
 
     def read(self, blank: str) -> str:
-        for pos, sym in self.tape:
-            if pos == self.head:
-                return sym
-        return blank
+        return _split(self.tape, self.head, blank)[1]
 
 
-def _write(tape: tuple[tuple[int, str], ...], pos: int, sym: str, blank: str):
-    items = [(p, s) for p, s in tape if p != pos]
-    if sym != blank:
-        items.append((pos, sym))
-    items.sort()
-    return tuple(items)
+def _split(tape: tuple[tuple[int, str], ...], head: int, blank: str):
+    """(cells left of the head, symbol under it, cells right of it)."""
+    i = bisect_left(tape, (head,))
+    if i < len(tape) and tape[i][0] == head:
+        return tape[:i], tape[i][1], tape[i + 1:]
+    return tape[:i], blank, tape[i:]
 
 
 def initial_configuration(machine: AffineMachine, x: str) -> Configuration:
+    if not machine.alphabet.issuperset(x):
+        unknown = sorted(set(x) - machine.alphabet)
+        raise MachineValidationError(f"input symbols {unknown} are not in the tape alphabet")
     tape = tuple((i, c) for i, c in enumerate(x) if c != machine.blank)
     return Configuration(machine.initial, tape, 0)
 
@@ -117,23 +133,34 @@ def validate(machine: AffineMachine) -> MachineReport:
 
 
 def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
-    """One parallel transition step; halting configurations persist unchanged."""
+    """One parallel transition step; halting configurations persist unchanged.
+
+    Each configuration's tape is split once at the head; every branch's tape
+    shares those slices. Equal configurations merge in first-seen order.
+    """
     out: AffineVector = {}
+    get = out.get
+    blank = machine.blank
+    halting = (machine.accept, machine.reject)
+    new = tuple.__new__  # Configuration's own __new__ is a Python-level frame
     for cfg, weight in vector.items():
-        if machine.is_halting(cfg.state):
-            out[cfg] = out.get(cfg, 0.0) + weight
+        state, tape, head = cfg
+        if state in halting:
+            out[cfg] = get(cfg, 0.0) + weight
             continue
-        symbol = cfg.read(machine.blank)
-        branches = machine.transitions.get((cfg.state, symbol))
+        left, symbol, right = _split(tape, head, blank)
+        branches = machine.transitions.get((state, symbol))
         if not branches:
             raise MachineValidationError(
-                f"no transition for non-halting ({cfg.state!r}, {symbol!r})"
+                f"no transition for non-halting ({state!r}, {symbol!r})"
             )
         for b in branches:
-            tape = _write(cfg.tape, cfg.head, b.write, machine.blank)
-            nxt = Configuration(b.next_state, tape, cfg.head + _MOVES[b.move])
-            out[nxt] = out.get(nxt, 0.0) + weight * b.weight
-    return {cfg: w for cfg, w in out.items() if w != 0.0}
+            written = left + right if b.write == blank else left + ((head, b.write),) + right
+            nxt = new(Configuration, (b.next_state, written, head + _MOVES[b.move]))
+            out[nxt] = get(nxt, 0.0) + weight * b.weight
+    if 0.0 in out.values():  # pruning copies the frontier; most steps cancel nothing
+        return {cfg: w for cfg, w in out.items() if w != 0.0}
+    return out
 
 
 def _run(machine: AffineMachine, x: str, max_steps: int):

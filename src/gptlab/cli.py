@@ -176,6 +176,9 @@ def _check_caps_and_tols(args) -> None:
     tol = getattr(args, "rank_tol", None)
     if tol is not None and not (0.0 < tol < 1.0):
         raise ParseError("--rank-tol must lie in (0, 1)", "args")
+    order = getattr(args, "order", None)
+    if order is not None and order < 1:
+        raise ParseError("--order must be >= 1", "args")
 
 
 def _check_locality(args) -> None:

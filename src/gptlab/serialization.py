@@ -79,7 +79,10 @@ def parse_number(value, where: str) -> float:
 
 
 def exact_number(value) -> Fraction | None:
-    """The exact rational behind a description entry, when there is one."""
+    """The exact rational behind a description entry, when there is one.
+
+    Floats have none: a float written for a weight is checked as a float.
+    """
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
@@ -250,7 +253,7 @@ def machine_to_json(machine: AffineMachine) -> dict:
             "read": read,
             "branches": [
                 {"next": b.next_state, "write": b.write, "move": b.move,
-                 "weight": repr(b.weight)}
+                 "weight": float(b.weight)}
                 for b in branches
             ],
         })

@@ -5,7 +5,9 @@ The oracles here deliberately avoid the library's transfer-matrix path:
 algebra on the gates' Kraus data, and ``classical_path_distribution`` sums
 over explicit basis-state trajectories. The ``kraus_*`` references build
 rebit composites in the orthonormal carriers by conjugating with Kronecker
-products of operators. Random corpus builders are seeded.
+products of operators. ``reference_step`` steps an affine machine by
+rebuilding and re-sorting the whole tape for every branch. Random corpus
+builders are seeded.
 """
 
 from __future__ import annotations
@@ -23,8 +25,9 @@ from gptlab import (
     quantum_theory,
     real_quantum_theory,
 )
-from gptlab.afftm import AffineMachine, Branch, initial_configuration
+from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import foliate
+from gptlab.errors import MachineValidationError
 
 
 @pytest.fixture(scope="session")
@@ -276,6 +279,42 @@ def random_machine(rng: np.random.Generator, n_work: int | None = None) -> Affin
                          transitions=transitions)
 
 
+# ---------------------------------------------------------------------------
+# affine machine references
+
+
+REFERENCE_MOVES = {"L": -1, "R": 1, "S": 0}
+
+
+def reference_write(tape, pos: int, sym: str, blank: str) -> tuple:
+    """The tape with `sym` at `pos`: every other cell copied, then sorted."""
+    items = [(p, s) for p, s in tape if p != pos]
+    if sym != blank:
+        items.append((pos, sym))
+    items.sort()
+    return tuple(items)
+
+
+def reference_step(machine: AffineMachine, vector: dict) -> dict:
+    """One step with a linear-scan read and a full tape rebuild per branch."""
+    out: dict = {}
+    for cfg, weight in vector.items():
+        if machine.is_halting(cfg.state):
+            out[cfg] = out.get(cfg, 0.0) + weight
+            continue
+        symbol = next((s for p, s in cfg.tape if p == cfg.head), machine.blank)
+        branches = machine.transitions.get((cfg.state, symbol))
+        if not branches:
+            raise MachineValidationError(
+                f"no transition for non-halting ({cfg.state!r}, {symbol!r})"
+            )
+        for b in branches:
+            tape = reference_write(cfg.tape, cfg.head, b.write, machine.blank)
+            nxt = Configuration(b.next_state, tape, cfg.head + REFERENCE_MOVES[b.move])
+            out[nxt] = out.get(nxt, 0.0) + weight * b.weight
+    return {cfg: w for cfg, w in out.items() if w != 0.0}
+
+
 def monte_carlo_acceptance(machine: AffineMachine, x: str, shots: int,
                            rng: np.random.Generator, max_steps: int = 200) -> float:
     """Sample a probabilistic machine (all weights nonnegative) by direct runs."""
@@ -289,9 +328,8 @@ def monte_carlo_acceptance(machine: AffineMachine, x: str, shots: int,
             weights = np.array([b.weight for b in branches])
             assert np.all(weights >= 0)
             b = branches[rng.choice(len(branches), p=weights / weights.sum())]
-            from gptlab.afftm import Configuration, _write, _MOVES
-            tape = _write(cfg.tape, cfg.head, b.write, machine.blank)
-            cfg = Configuration(b.next_state, tape, cfg.head + _MOVES[b.move])
+            tape = reference_write(cfg.tape, cfg.head, b.write, machine.blank)
+            cfg = Configuration(b.next_state, tape, cfg.head + REFERENCE_MOVES[b.move])
         else:
             raise AssertionError("sampled branch did not halt")
         if cfg.state == machine.accept:

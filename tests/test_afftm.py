@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptlab import Acceptor, acceptance_prob
 from gptlab.afftm import (
     AffineMachine,
     Branch,
+    Configuration,
     acceptance_weight,
     circuit_to_affine_program,
     decides_with_bounded_error,
@@ -18,7 +20,9 @@ from gptlab.afftm import (
 )
 from gptlab.errors import HaltingViolationError, MachineValidationError
 
-from conftest import monte_carlo_acceptance, random_circuit, random_machine
+from conftest import monte_carlo_acceptance, random_circuit, random_machine, reference_step
+
+PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
 
 def machine(transitions, states=("q0", "q1", "acc", "rej"), initial="q0"):
@@ -78,6 +82,77 @@ def test_step_semantics():
     # paths merge: 2 + (-1) on the same accepting configuration
     assert list(v2.values()) == [1.0]
     assert step(m, {}) == {}
+
+
+def _bits(vector):
+    return [(cfg, type(cfg), float.hex(w)) for cfg, w in vector.items()]
+
+
+@st.composite
+def machine_runs(draw):
+    """A random machine, an input and a step count. Some transitions may be
+    removed, and one may gain two equal branches of weights c and -c, whose
+    children cancel to an exact zero."""
+    m = random_machine(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    keys = sorted(m.transitions)
+    dropped = draw(st.lists(st.sampled_from(keys), max_size=2, unique=True))
+    transitions = {k: v for k, v in m.transitions.items() if k not in dropped}
+    cancelled = draw(st.sampled_from([None, *keys]))
+    if cancelled in transitions:
+        c = draw(st.sampled_from([0.5, 2.0, 0.3]))
+        transitions[cancelled] += (Branch(m.reject, "1", "L", c), Branch(m.reject, "1", "L", -c))
+    m = AffineMachine(m.states, m.initial, m.accept, m.reject, m.blank, m.alphabet, transitions)
+    x = draw(st.text(alphabet=sorted(m.alphabet), max_size=4))
+    return m, x, draw(st.integers(0, 4))
+
+
+@PROPERTY
+@given(machine_runs())
+def test_step_matches_reference(run):
+    m, x, steps = run
+    v = {initial_configuration(m, x): 1.0}
+    for _ in range(steps):
+        try:
+            want = reference_step(m, v)
+        except MachineValidationError as exc:
+            with pytest.raises(MachineValidationError) as err:
+                step(m, v)
+            assert str(err.value) == str(exc)
+            return
+        got = step(m, v)
+        assert _bits(got) == _bits(want)
+        v = got
+
+
+def test_configuration_is_a_tuple():
+    cfg = Configuration("q0", ((-1, "1"), (2, "0")), 2)
+    assert cfg == ("q0", ((-1, "1"), (2, "0")), 2)
+    state, tape, head = cfg
+    assert (state, tape, head) == (cfg.state, cfg.tape, cfg.head)
+    assert [cfg._replace(head=h).read("_") for h in (-1, 0, 2, 3)] == ["1", "_", "0", "_"]
+
+
+def _coin_with(next_state="acc", write="_", read="_"):
+    return dict(states=frozenset({"q0", "acc", "rej"}), initial="q0", accept="acc",
+                reject="rej", blank="_", alphabet=frozenset("01_"),
+                transitions={("q0", read): (Branch(next_state, write, "S", 0.5),
+                                            Branch("rej", "_", "S", 0.5))})
+
+
+@pytest.mark.parametrize("run, error, message", [
+    (lambda: AffineMachine(**_coin_with(next_state="nowhere")), ValueError, "state 'nowhere'"),
+    (lambda: AffineMachine(**_coin_with(write="Q")), ValueError, "symbol 'Q'"),
+    (lambda: AffineMachine(**_coin_with(read="Q")), ValueError, "symbol 'Q'"),
+    (lambda: AffineMachine(**{**_coin_with(), "transitions": {
+        ("q9", "_"): (Branch("acc", "_", "S", 1.0),)}}), ValueError, "state 'q9'"),
+    (lambda: initial_configuration(AffineMachine(**_coin_with()), "0a1"),
+     MachineValidationError, r"\['a'\] are not in the tape alphabet"),
+    (lambda: acceptance_weight(AffineMachine(**_coin_with()), " ", 3),
+     MachineValidationError, "not in the tape alphabet"),
+])
+def test_undeclared_names_are_rejected(run, error, message):
+    with pytest.raises(error, match=message):
+        run()
 
 
 def test_step_keeps_halting_configurations():

@@ -5,11 +5,12 @@ from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptlab import acceptance_prob, distribution
-from gptlab.afftm import acceptance_weight
+from gptlab.afftm import acceptance_weight, norm_trace
 from gptlab.cli import main
-from gptlab.errors import MachineValidationError, ParseError
+from gptlab.errors import GptLabError, MachineValidationError, ParseError
 from gptlab.serialization import (
     circuit_to_json,
     family_to_json,
@@ -20,6 +21,8 @@ from gptlab.serialization import (
     parse_theory,
     theory_to_json,
 )
+
+from conftest import random_machine
 
 
 def data_path(name: str) -> str:
@@ -125,6 +128,29 @@ def test_machine_round_trip():
     again = parse_machine(json.dumps(machine_to_json(machine)))
     for x in ("", "0", "110", "10101"):
         assert acceptance_weight(machine, x, 10) == acceptance_weight(again, x, 10)
+
+
+def _run_bits(fn):
+    """A run's value as exact bits, or the error it raised."""
+    try:
+        value = fn()
+    except GptLabError as exc:
+        return type(exc), str(exc)
+    if hasattr(value, "norms"):
+        return [float.hex(n) for n in value.norms], value.flagged_steps
+    return float(value).hex()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1), st.text(alphabet="01_", max_size=3))
+def test_machine_json_round_trip_keeps_every_bit(seed, x):
+    machine = random_machine(np.random.default_rng(seed))
+    again = parse_machine(json.dumps(machine_to_json(machine)))
+    assert again.transitions == machine.transitions
+    assert [float.hex(b.weight) for bs in again.transitions.values() for b in bs] == \
+        [float.hex(b.weight) for bs in machine.transitions.values() for b in bs]
+    for fn in (acceptance_weight, norm_trace):
+        assert _run_bits(lambda: fn(again, x, 6)) == _run_bits(lambda: fn(machine, x, 6))
 
 
 def test_rational_and_decimal_weights_accepted():
@@ -247,6 +273,13 @@ def test_cli_input_error_exit_code(capsys):
     assert code == 2 and "rank-tol" in err
 
 
+def parity_with(**change) -> str:
+    """The bundled parity machine, as JSON, with its first branch changed."""
+    doc = json.loads((resources.files("gptlab") / "data" / "machine_parity.json").read_text())
+    doc["transitions"][0]["branches"][0].update(change)
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("argv", [
     ["tomo", "check", "--theory", data_path("theory_rebit.json"), "--locality", "3",
      "--systems", "2"],
@@ -269,6 +302,16 @@ def test_cli_input_error_exit_code(capsys):
     ["theory", "info", "--theory", '{"builtin": "quantum", "params": {"d": 1}}'],
     ["theory", "info", "--theory", '{"builtin": "classical", "params": {"d": 0}}'],
     ["theory", "info", "--theory", '{"builtin": "real-quantum", "params": {"d": 3}}'],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"),
+     "--vector", json.dumps([1.0] + [0.0] * 8), "--order", "-2"],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"),
+     "--vector", json.dumps([1.0] + [0.0] * 8), "--order", "0"],
+    ["afftm", "run", "--machine", parity_with(write="Q"), "--input", "0", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_with(next="nowhere"), "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", data_path("machine_parity.json"), "--input", "012",
+     "--max-steps", "5"],
+    ["afftm", "check", "--machine", data_path("machine_parity.json"), "--inputs", "0,x",
+     "--max-steps", "5"],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
