@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -238,6 +237,14 @@ def kron_all(matrices) -> np.ndarray:
     return out
 
 
+def kron_rows(stacks) -> np.ndarray:
+    """Row-wise Kronecker products of ``(batch, dim_i)`` stacks, starting from [[1.0]]."""
+    out = np.ones((1, 1))
+    for s in stacks:  # np.kron's products in np.kron's order: its bits, signed zeros too
+        out = (out[:, :, None] * s[:, None, :]).reshape(-1, out.shape[1] * s.shape[1])
+    return out
+
+
 class CompositeRule:
     """Theory-owned recipe for joint systems and parallel composition.
 
@@ -262,11 +269,17 @@ class CompositeRule:
         """Matrix reordering a joint state so factor i comes from slot perm[i]."""
         raise NotImplementedError
 
-    def product_state_coords(self, states: Sequence[StateVector]) -> np.ndarray:
+    def product_coords(self, types: Sequence[SystemType],
+                       stacks: Sequence[np.ndarray]) -> np.ndarray:
+        """``(batch, composite_dim)`` joint coordinates of products whose factor i
+        has the ``(batch, dim_i)`` local coordinates ``stacks[i]``."""
         raise NotImplementedError
 
+    def product_state_coords(self, states: Sequence[StateVector]) -> np.ndarray:
+        return self.product_coords([s.system for s in states], [s.coords[None] for s in states])[0]
+
     def product_effect_coords(self, effects: Sequence[EffectVector]) -> np.ndarray:
-        raise NotImplementedError
+        return self.product_coords([e.system for e in effects], [e.coords[None] for e in effects])[0]
 
 
 class KroneckerRule(CompositeRule):
@@ -306,8 +319,6 @@ class KroneckerRule(CompositeRule):
             cached = self._perm_cache[key] = _freeze(np.eye(n)[idx])
         return cached
 
-    def product_state_coords(self, states: Sequence[StateVector]) -> np.ndarray:
-        return reduce(np.kron, [s.coords for s in states], np.ones(1))
-
-    def product_effect_coords(self, effects: Sequence[EffectVector]) -> np.ndarray:
-        return reduce(np.kron, [e.coords for e in effects], np.ones(1))
+    def product_coords(self, types: Sequence[SystemType],
+                       stacks: Sequence[np.ndarray]) -> np.ndarray:
+        return kron_rows(stacks)

@@ -64,6 +64,20 @@ def _require(doc: Mapping, key: str, what: str):
     return doc[key]
 
 
+def _name(doc: Mapping, key: str, what: str) -> str:
+    value = _require(doc, key, what)
+    if not isinstance(value, str):
+        raise ParseError(f"field '{key}' must be a string, got {value!r}", what)
+    return value
+
+
+def _names(doc: Mapping, key: str, what: str) -> list[str]:
+    value = _require(doc, key, what)
+    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+        raise ParseError(f"field '{key}' must be a list of strings, got {value!r}", what)
+    return value
+
+
 def parse_number(value, where: str) -> float:
     """Number, decimal string, or 'p/q' rational string -> float."""
     if isinstance(value, bool):
@@ -195,12 +209,13 @@ def circuit_to_json(circuit: CircuitDAG, acceptor: Acceptor | None = None) -> di
 
 def parse_machine(source) -> AffineMachine:
     doc = _load(source, "machine")
-    states = _require(doc, "states", "machine")
+    states = _names(doc, "states", "machine")
+    alphabet = _names(doc, "alphabet", "machine")
     transitions: dict[tuple[str, str], tuple[Branch, ...]] = {}
     exact_sums: dict[tuple[str, str], Fraction | None] = {}
     for k, row in enumerate(_require(doc, "transitions", "machine")):
         where = f"machine.transitions[{k}]"
-        key = (_require(row, "state", where), _require(row, "read", where))
+        key = (_name(row, "state", where), _name(row, "read", where))
         if key in transitions:
             raise ParseError(f"duplicate transition block for {key}", where)
         branches = []
@@ -209,9 +224,9 @@ def parse_machine(source) -> AffineMachine:
             bwhere = f"{where}.branches[{j}]"
             weight = parse_number(_require(b, "weight", bwhere), bwhere)
             branches.append(Branch(
-                next_state=_require(b, "next", bwhere),
-                write=_require(b, "write", bwhere),
-                move=_require(b, "move", bwhere),
+                next_state=_name(b, "next", bwhere),
+                write=_name(b, "write", bwhere),
+                move=_name(b, "move", bwhere),
                 weight=weight,
             ))
             exact = exact_number(b["weight"])
@@ -230,11 +245,11 @@ def parse_machine(source) -> AffineMachine:
     try:
         machine = AffineMachine(
             states=frozenset(states),
-            initial=_require(doc, "initial", "machine"),
-            accept=_require(doc, "accept", "machine"),
-            reject=_require(doc, "reject", "machine"),
-            blank=_require(doc, "blank", "machine"),
-            alphabet=frozenset(_require(doc, "alphabet", "machine")),
+            initial=_name(doc, "initial", "machine"),
+            accept=_name(doc, "accept", "machine"),
+            reject=_name(doc, "reject", "machine"),
+            blank=_name(doc, "blank", "machine"),
+            alphabet=frozenset(alphabet),
             transitions=transitions,
         )
     except ValueError as exc:

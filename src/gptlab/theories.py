@@ -29,6 +29,7 @@ from .core import (
     TransformationMatrix,
     UNIT,
     kron_all,
+    kron_rows,
 )
 from .errors import GptLabError, TypeMismatchError
 
@@ -235,20 +236,13 @@ class RebitRule(CompositeRule):
         # bit-identical to the orthonormal-carrier values it was recorded with.
         return np.einsum("aij,bji->ab", p_out, moved).real / 2.0 ** ((k_out + k_in) / 2)
 
-    def _product_coords(self, pieces: Sequence) -> np.ndarray:
-        full, k = np.ones(1), 0
-        for p in pieces:
-            k_p = self._n_leaves(p.system)
-            padded = np.zeros(4**k_p)
-            padded[self._table(even_y_index, k_p)] = p.coords
-            full, k = np.kron(full, padded), k + k_p
-        return full[self._table(even_y_index, k)]
-
-    def product_state_coords(self, states: Sequence[StateVector]) -> np.ndarray:
-        return self._product_coords(states)
-
-    def product_effect_coords(self, effects: Sequence[EffectVector]) -> np.ndarray:
-        return self._product_coords(effects)
+    def product_coords(self, types: Sequence[SystemType],
+                       stacks: Sequence[np.ndarray]) -> np.ndarray:
+        leaves = [self._n_leaves(t) for t in types]
+        padded = [np.zeros((len(s), 4**k)) for s, k in zip(stacks, leaves)]
+        for p, s, k in zip(padded, stacks, leaves):
+            p[:, self._table(even_y_index, k)] = s
+        return kron_rows(padded)[:, self._table(even_y_index, sum(leaves))]
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import PHYSICAL_TOL, EffectVector, TransformationMatrix
+from .core import PHYSICAL_TOL, TransformationMatrix
 from .errors import CapacityError, GptLabError, TypeMismatchError
 from .theories import TheoryDescriptor
 
@@ -72,22 +72,17 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
 
     rows = []
     for partition in _partitions(list(range(n_systems)), locality):
-        flat = [i for block in partition for i in block]
-        if flat == sorted(flat):
-            perm_matrix = None
-        else:
-            perm_matrix = rule.permutation_matrix(types, flat)
         block_types = [rule.composite([sys_type] * len(block)) for block in partition]
-        block_bases = [np.eye(bt.dim) for bt in block_types]
-        for choice in itertools.product(*(range(bt.dim) for bt in block_types)):
-            effs = [EffectVector(bt, basis[i])
-                    for bt, basis, i in zip(block_types, block_bases, choice)]
-            cov = rule.product_effect_coords(effs)
-            if perm_matrix is not None:
-                cov = cov @ perm_matrix
-            rows.append(cov)
+        dims = [bt.dim for bt in block_types]
+        # one row per choice of block basis effects, in itertools.product order
+        choice = np.indices(dims).reshape(len(dims), -1)
+        cov = rule.product_coords(block_types, [np.eye(d)[c] for d, c in zip(dims, choice)])
+        flat = [i for block in partition for i in block]
+        if flat != sorted(flat):
+            cov = cov @ rule.permutation_matrix(types, flat)
+        rows.append(cov)
 
-    stacked = np.asarray(rows)
+    stacked = np.concatenate(rows)
     # vt spans the composite space; a thin SVD does when rows >= columns
     _, svals, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
     rank = int(np.sum(svals > rank_tol * svals[0]))
@@ -150,6 +145,8 @@ def distinguish_search(theory: TheoryDescriptor,
     joint effects on the pair. A search cannot prove indistinguishability,
     only bound the separation over the strategies tried.
     """
+    if n_random < 0:
+        raise ValueError("n_random must be >= 0")
     if (t.input, t.output) != (u.input, u.output):
         raise TypeMismatchError("the two transformations have different signatures")
     if theory.strategies is None:
@@ -165,17 +162,18 @@ def distinguish_search(theory: TheoryDescriptor,
 
     hooks = theory.strategies
     rng = np.random.default_rng(seed)
-    grid_states = hooks.state_grid()
-    grid_effects = hooks.effect_grid()
+    types = [sys_type, sys_type]
 
-    state_cols, state_names = [], []
-    for (na, sa), (nb, sb) in itertools.product(grid_states, repeat=2):
-        state_cols.append(rule.product_state_coords([sa, sb]))
-        state_names.append(f"{na}⊗{nb}")
-    effect_rows, effect_names = [], []
-    for (na, ea), (nb, eb) in itertools.product(grid_effects, repeat=2):
-        effect_rows.append(rule.product_effect_coords([ea, eb]))
-        effect_names.append(f"{na}⊗{nb}")
+    def grid_pairs(grid) -> tuple[np.ndarray, list[str]]:
+        """Products of every ordered pair of grid entries, in itertools.product order."""
+        coords = np.array([v.coords for _, v in grid])
+        names = [f"{na}⊗{nb}" for (na, _), (nb, _) in itertools.product(grid, repeat=2)]
+        return rule.product_coords(types, [np.repeat(coords, len(grid), axis=0),
+                                           np.tile(coords, (len(grid), 1))]), names
+
+    grid_states, state_names = grid_pairs(hooks.state_grid())
+    grid_effects, effect_names = grid_pairs(hooks.effect_grid())
+    state_cols, effect_rows = [grid_states.T], [grid_effects]
 
     if locality == "global":
         for name, s in theory.states.items():
@@ -197,15 +195,17 @@ def distinguish_search(theory: TheoryDescriptor,
     best_state, best_effect = state_names[si], effect_names[ei]
     evaluations = grid_vals.size
 
-    # random product strategies, one quadruple per sample
-    rs = np.column_stack([
-        rule.product_state_coords([hooks.random_state(rng), hooks.random_state(rng)])
-        for _ in range(n_random)
-    ])
-    re = np.vstack([
-        rule.product_effect_coords([hooks.random_effect(rng), hooks.random_effect(rng)])
-        for _ in range(n_random)
-    ])
+    def random_pairs(draw) -> np.ndarray:
+        """``n_random`` products of two draws, factor a then factor b per sample."""
+        coords = np.empty((2, n_random, sys_type.dim))
+        for i in range(n_random):
+            coords[0, i], coords[1, i] = draw(rng).coords, draw(rng).coords
+        return rule.product_coords(types, coords)
+
+    # random product strategies, one quadruple per sample, every state drawn before
+    # any effect; the states' (dim, n_random) layout fixes einsum's summation order
+    rs = np.ascontiguousarray(random_pairs(hooks.random_state).T)
+    re = random_pairs(hooks.random_effect)
     rand_vals = np.abs(np.einsum("ij,ji->i", re @ diff, rs))
     evaluations += rand_vals.size
     if rand_vals.size and float(rand_vals.max()) > best:

@@ -6,7 +6,9 @@ algebra on the gates' Kraus data, and ``classical_path_distribution`` sums
 over explicit basis-state trajectories. The ``kraus_*`` references build
 rebit composites in the orthonormal carriers by conjugating with Kronecker
 products of operators. ``reference_step`` steps an affine machine by
-rebuilding and re-sorting the whole tape for every branch. Random corpus
+rebuilding and re-sorting the whole tape for every branch.
+``reference_n_local_span`` and ``reference_distinguish_search`` build their
+product coordinates one ``np.kron`` chain per row or sample. Random corpus
 builders are seeded.
 """
 
@@ -27,7 +29,10 @@ from gptlab import (
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import foliate
+from gptlab.core import PHYSICAL_TOL, EffectVector
 from gptlab.errors import MachineValidationError
+from gptlab.theories import RebitRule, even_y_index
+from gptlab.tomography import SeparationReport, TomographyReport, _partitions
 
 
 @pytest.fixture(scope="session")
@@ -141,6 +146,21 @@ def kraus_product_coords(rule, pieces, leaves) -> np.ndarray:
     return rule.carrier(sum(leaves)).to_vector(reduce(np.kron, ops))
 
 
+def reference_product_coords(rule, pieces) -> np.ndarray:
+    """Joint coordinates of one product by an np.kron chain over the pieces'
+    coordinates; for rebits, over their zero-padded Pauli string coordinates,
+    restricted to the even-Y strings at the end."""
+    if not isinstance(rule, RebitRule):
+        return reduce(np.kron, [p.coords for p in pieces], np.ones(1))
+    full, k = np.ones(1), 0
+    for p in pieces:
+        k_p = len(p.coords).bit_length() // 2  # 2^k(2^k+1)/2 coordinates
+        padded = np.zeros(4**k_p)
+        padded[even_y_index(k_p)] = p.coords
+        full, k = np.kron(full, padded), k + k_p
+    return full[even_y_index(k)]
+
+
 def classical_path_distribution(circuit: CircuitDAG) -> dict:
     """Outcome distribution by summing over basis-state trajectories.
 
@@ -251,6 +271,7 @@ def random_machine(rng: np.random.Generator, n_work: int | None = None) -> Affin
     work = [f"w{i}" for i in range(n_work)]
     states = work + ["acc", "rej"]
     alphabet = ["0", "1", "_"]
+    moves = ["L", "R", "S"]
     transitions = {}
     for s in work:
         for sym in alphabet:
@@ -266,10 +287,12 @@ def random_machine(rng: np.random.Generator, n_work: int | None = None) -> Affin
                 weights = [w, 1.0 - w]
             else:
                 weights = list(rng.dirichlet(np.ones(3)))
+            # list[rng.integers(len(list))] draws what rng.choice(list) draws,
+            # without converting the list to an array each time
             branches = tuple(
-                Branch(next_state=str(rng.choice(states)),
-                       write=str(rng.choice(alphabet)),
-                       move=str(rng.choice(["L", "R", "S"])),
+                Branch(next_state=states[rng.integers(len(states))],
+                       write=alphabet[rng.integers(len(alphabet))],
+                       move=moves[rng.integers(len(moves))],
                        weight=w)
                 for w in weights
             )
@@ -335,3 +358,78 @@ def monte_carlo_acceptance(machine: AffineMachine, x: str, shots: int,
         if cfg.state == machine.accept:
             accepted += 1
     return accepted / shots
+
+
+# ---------------------------------------------------------------------------
+# tomography references
+
+
+def reference_n_local_span(theory, n_systems: int, locality: int) -> TomographyReport:
+    """n_local_span with one effect product, and one permutation, per row."""
+    sys_type = theory.system()
+    rule = theory.composite_rule
+    types = [sys_type] * n_systems
+    composite = rule.composite(types)
+    rows = []
+    for partition in _partitions(list(range(n_systems)), locality):
+        flat = [i for block in partition for i in block]
+        perm_matrix = None if flat == sorted(flat) else rule.permutation_matrix(types, flat)
+        block_types = [rule.composite([sys_type] * len(block)) for block in partition]
+        for choice in itertools.product(*(range(bt.dim) for bt in block_types)):
+            effs = [EffectVector(bt, np.eye(bt.dim)[i]) for bt, i in zip(block_types, choice)]
+            cov = reference_product_coords(rule, effs)
+            rows.append(cov if perm_matrix is None else cov @ perm_matrix)
+    stacked = np.asarray(rows)
+    _, svals, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
+    rank = int(np.sum(svals > PHYSICAL_TOL * svals[0]))
+    return TomographyReport(theory.name, n_systems, locality, composite.dim, rank,
+                            composite.dim - rank, vt[rank:])
+
+
+def reference_distinguish_search(theory, t, u, locality: str, seed: int,
+                                 n_random: int) -> SeparationReport:
+    """distinguish_search with one product per grid pair and per random sample."""
+    sys_type = theory.system()
+    rule = theory.composite_rule
+    pair_type = rule.composite([sys_type, sys_type])
+    ident = rule.identity(sys_type)
+    diff = rule.parallel_matrix([t, ident]) - rule.parallel_matrix([u, ident])
+    hooks = theory.strategies
+    rng = np.random.default_rng(seed)
+
+    state_cols, state_names = [], []
+    for (na, sa), (nb, sb) in itertools.product(hooks.state_grid(), repeat=2):
+        state_cols.append(reference_product_coords(rule, [sa, sb]))
+        state_names.append(f"{na}⊗{nb}")
+    effect_rows, effect_names = [], []
+    for (na, ea), (nb, eb) in itertools.product(hooks.effect_grid(), repeat=2):
+        effect_rows.append(reference_product_coords(rule, [ea, eb]))
+        effect_names.append(f"{na}⊗{nb}")
+    if locality == "global":
+        for name, s in theory.states.items():
+            if s.system == pair_type:
+                state_cols.append(s.coords)
+                state_names.append(name)
+        for name, e in theory.effects.items():
+            if e.system == pair_type:
+                effect_rows.append(e.coords)
+                effect_names.append(name)
+
+    grid_vals = np.abs(np.vstack(effect_rows) @ diff @ np.column_stack(state_cols))
+    best = float(grid_vals.max())
+    ei, si = np.unravel_index(int(grid_vals.argmax()), grid_vals.shape)
+    best_state, best_effect = state_names[si], effect_names[ei]
+
+    states = [reference_product_coords(rule, [hooks.random_state(rng), hooks.random_state(rng)])
+              for _ in range(n_random)]
+    effects = [reference_product_coords(rule, [hooks.random_effect(rng), hooks.random_effect(rng)])
+               for _ in range(n_random)]
+    rs = np.column_stack(states) if states else np.zeros((pair_type.dim, 0))
+    re = np.vstack(effects) if effects else np.zeros((0, pair_type.dim))
+    rand_vals = np.abs(np.einsum("ij,ji->i", re @ diff, rs))
+    if rand_vals.size and float(rand_vals.max()) > best:
+        i = int(rand_vals.argmax())
+        best = float(rand_vals.max())
+        best_state, best_effect = f"random[{i}]", f"random[{i}]"
+    return SeparationReport(best, best_state, best_effect, locality,
+                            grid_vals.size + rand_vals.size)

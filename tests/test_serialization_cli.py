@@ -280,6 +280,16 @@ def parity_with(**change) -> str:
     return json.dumps(doc)
 
 
+def parity_where(*path, value) -> str:
+    """The bundled parity machine, as JSON, with the entry at `path` replaced."""
+    doc = json.loads((resources.files("gptlab") / "data" / "machine_parity.json").read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return json.dumps(doc)
+
+
 @pytest.mark.parametrize("argv", [
     ["tomo", "check", "--theory", data_path("theory_rebit.json"), "--locality", "3",
      "--systems", "2"],
@@ -311,6 +321,27 @@ def parity_with(**change) -> str:
     ["afftm", "run", "--machine", data_path("machine_parity.json"), "--input", "012",
      "--max-steps", "5"],
     ["afftm", "check", "--machine", data_path("machine_parity.json"), "--inputs", "0,x",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_with(next=[1]), "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("states", 1, value=["odd"]), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("transitions", 0, "read", value=[0]),
+     "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("transitions", 0, "state", value=["even"]),
+     "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_with(write=[0]), "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_with(move=["R"]), "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("alphabet", 0, value=0), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("alphabet", value=5), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("initial", value=["even"]), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("accept", value=["acc"]), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("reject", value={"rej": 1}), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("blank", value=["_"]), "--input", "",
      "--max-steps", "5"],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):

@@ -1,17 +1,32 @@
 """Local-effect spans, tomography defects, fiducial counting, discrimination."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from gptlab import StateVector
 from gptlab.errors import CapacityError, GptLabError, TypeMismatchError
+from gptlab.theories import RebitRule
 from gptlab.tomography import (
     defect_direction_overlap,
     distinguish_search,
     fiducial_count,
     n_local_span,
 )
+
+from conftest import (
+    all_theories,
+    kraus_product_coords,
+    reference_distinguish_search,
+    reference_n_local_span,
+    reference_product_coords,
+)
+
+THEORIES = all_theories()
+PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def test_two_qubit_local_tomography(qubit):
@@ -148,3 +163,93 @@ def test_distinguish_search_signature_mismatch(rebit, qubit):
     for theory, t in ((qubit, cnot), (qubit, p0), (qubit, t1)):
         with pytest.raises(TypeMismatchError):
             distinguish_search(theory, t, t)
+
+
+def test_distinguish_search_n_random_edge_cases(rebit):
+    t1 = rebit.gate("t1").outcomes["0"]
+    t2 = rebit.gate("t2").outcomes["0"]
+    for locality in ("local", "global"):
+        grid_only = distinguish_search(rebit, t1, t2, locality, seed=1, n_random=0)
+        assert grid_only == reference_distinguish_search(rebit, t1, t2, locality, 1, 0)
+        assert grid_only.evaluations == distinguish_search(
+            rebit, t1, t2, locality, seed=1, n_random=3).evaluations - 3
+    assert distinguish_search(rebit, t1, t2, "global", n_random=0).separation == \
+        pytest.approx(0.5, abs=1e-12)
+    for n_random in (-1, -5):
+        with pytest.raises(ValueError, match="n_random must be >= 0"):
+            distinguish_search(rebit, t1, t2, n_random=n_random)
+
+
+def _factor_types(theory, sizes):
+    rule, sys_type = theory.composite_rule, theory.system()
+    return [rule.composite([sys_type] * k) for k in sizes]
+
+
+@PROPERTY
+@given(st.sampled_from(THEORIES),
+       st.lists(st.integers(1, 2), min_size=0, max_size=3).filter(lambda ks: sum(ks) <= 4),
+       st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_product_coords_rows_are_per_sample_products(theory, sizes, batch, seed):
+    # random coordinates with some entries set to +0.0 or -0.0
+    rng = np.random.default_rng(seed)
+    rule = theory.composite_rule
+    types = _factor_types(theory, sizes)
+    stacks = []
+    for t in types:
+        coords = rng.normal(size=(batch, t.dim))
+        coords[rng.random(coords.shape) < 0.3] = 0.0
+        coords[rng.random(coords.shape) < 0.3] = -0.0
+        stacks.append(coords)
+    got = rule.product_coords(types, stacks)
+    assert got.shape == (batch if types else 1, rule.composite(types).dim)
+    for b, row in enumerate(got):
+        pieces = [StateVector(t, s[b]) for t, s in zip(types, stacks)]
+        want = reference_product_coords(rule, pieces)
+        assert np.array_equal(row, want) and np.array_equal(np.signbit(row), np.signbit(want))
+        if isinstance(rule, RebitRule) and pieces:
+            assert np.max(np.abs(row - kraus_product_coords(rule, pieces, sizes))) <= 1e-12
+        assert np.array_equal(rule.product_state_coords(pieces), row)
+
+
+def _endomorphisms(theory):
+    sys_type = theory.system()
+    return [tm for g in theory.gates.values() for tm in g.outcomes.values()
+            if (tm.input, tm.output) == (sys_type, sys_type)]
+
+
+def _one_entry_grids(theory):
+    """The theory with one-entry grids, so that random samples can win."""
+    hooks = theory.strategies
+    states, effects = hooks.state_grid()[-1:], hooks.effect_grid()[-1:]
+    return dataclasses.replace(theory, strategies=dataclasses.replace(
+        hooks, state_grid=lambda: states, effect_grid=lambda: effects))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.sampled_from(THEORIES), st.integers(0, 2**16), st.integers(0, 2**16),
+       st.sampled_from(["local", "global"]), st.integers(0, 2**32 - 1), st.integers(0, 100),
+       st.booleans())
+def test_distinguish_search_matches_reference(theory, i, j, locality, seed, n_random, small):
+    ts = _endomorphisms(theory)
+    t, u = ts[i % len(ts)], ts[j % len(ts)]
+    if small:
+        theory = _one_entry_grids(theory)
+    got = distinguish_search(theory, t, u, locality, seed=seed, n_random=n_random)
+    want = reference_distinguish_search(theory, t, u, locality, seed, n_random)
+    assert got.separation.hex() == want.separation.hex()
+    assert (got.best_state, got.best_effect, got.locality, got.evaluations) == \
+        (want.best_state, want.best_effect, want.locality, want.evaluations)
+
+
+@pytest.mark.parametrize("theory", THEORIES, ids=lambda th: th.name)
+def test_n_local_span_matches_reference(theory):
+    cases = [(n_sys, n) for n_sys in (1, 2, 3) for n in range(1, n_sys + 1)]
+    if isinstance(theory.composite_rule, RebitRule):
+        cases += [(4, 1), (4, 2)]
+    for n_sys, n in cases:
+        got = n_local_span(theory, n_sys, n)
+        want = reference_n_local_span(theory, n_sys, n)
+        assert (got.composite_dim, got.n_local_span_dim, got.defect) == \
+            (want.composite_dim, want.n_local_span_dim, want.defect)
+        assert got.defect_basis.shape == want.defect_basis.shape
+        assert got.defect_basis.tobytes() == want.defect_basis.tobytes()
