@@ -320,6 +320,7 @@ def circuit_to_affine_program(circuit: CircuitDAG, acceptor: Acceptor,
     """
     steps = []
     for layer in _compile(circuit, None, cap):
-        matrices = layer.stack() if layer.perm is None else layer.stack() @ layer.perm
+        stack = layer.stack()  # the layer's gather, moved onto the matrix columns
+        matrices = stack if layer.perm is None else np.take(stack, np.argsort(layer.perm), axis=2)
         steps.append(ProgramStep(layer.gate_ids, layer.labels, matrices))
     return AffineProgram(tuple(steps), acceptor, tuple(circuit.instance_ids))

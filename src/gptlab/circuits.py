@@ -255,7 +255,7 @@ class _Layer:
     gate_ids: tuple[str, ...]
     gates: tuple[Gate, ...]
     idents: tuple[TransformationMatrix, ...]  # passthrough wires, after the gates
-    perm: np.ndarray | None  # applied before the layer matrices; None = identity
+    perm: np.ndarray | None  # joint-state gather index applied first; None = identity
     rule: CompositeRule
 
     @property
@@ -305,10 +305,10 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
         passthrough = [w for w in live if w not in taken]
         slot = {w: k for k, w in enumerate(live)}
         perm = [slot[w] for w in consumed + passthrough]
-        perm_matrix = (None if perm == list(range(len(perm)))
-                       else rule.permutation_matrix([wire_type(w) for w in live], perm))
+        gather = (None if perm == list(range(len(perm)))
+                  else rule.permutation_index([wire_type(w) for w in live], perm))
         idents = tuple(rule.identity(wire_type(w)) for w in passthrough)
-        layers.append(_Layer(tuple(layer_ids), gates, idents, perm_matrix, rule))
+        layers.append(_Layer(tuple(layer_ids), gates, idents, gather, rule))
         live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
                 for p in range(len(g.outputs))] + passthrough
     return layers
@@ -340,7 +340,7 @@ def prob(
     vec = np.ones(1)
     for layer in _compile(circuit, foliation):
         if layer.perm is not None:
-            vec = layer.perm @ vec
+            vec = vec[layer.perm]
         vec = layer.matrix(tuple(chosen[iid] for iid in layer.gate_ids)) @ vec
     return _checked(float(vec[0]), tol, "outcome probability")
 
@@ -353,7 +353,7 @@ def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
     front = np.ones((1, 1))
     for layer in layers:
         if layer.perm is not None:
-            front = np.matmul(layer.perm, front[:, :, None])[:, :, 0]
+            front = np.take(front, layer.perm, axis=1)  # C order, unlike front[:, perm]
         stack = layer.stack()
         front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
     _checked(front, PROB_TOL, "outcome probability")
@@ -446,7 +446,7 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
         elif target in layer.gate_ids:
             weights = [[float(lab[layer.gate_ids.index(target)] == "0") for lab in labels]]
         if layer.perm is not None:
-            vecs = vecs @ layer.perm.T
+            vecs = np.take(vecs, layer.perm, axis=1)
         vecs = np.matmul(np.tensordot(weights, layer.stack(), axes=1), vecs[:, :, None])[:, :, 0]
     return _checked(float(vecs[:, 0].mean()), PROB_TOL)  # parity: mean of its two products
 

@@ -395,10 +395,7 @@ def main(argv=None) -> int:
     try:
         _check_caps_and_tols(args)
         report, lines, code = args.handler(args)
-    except (ParseError, FileNotFoundError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (MachineValidationError,) as exc:
+    except (ParseError, FileNotFoundError, MachineValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (HaltingViolationError, CapacityError, ReconstructionError) as exc:

@@ -22,8 +22,8 @@ from .errors import TheoryMismatchError, TypeMismatchError
 # Exact identities that only rounding can break: transition weight sums and
 # carrier orthonormality.
 ALGEBRA_TOL = 1e-12
-# Physical checks on computed quantities: norm caps, relative rank, zero
-# tests and Hermiticity.
+# Physical checks on computed quantities: norm caps, zero tests and
+# Hermiticity.
 PHYSICAL_TOL = 1e-9
 # The [0, 1] check on every evaluated probability, which accumulates rounding
 # over whole circuits.
@@ -265,14 +265,25 @@ class CompositeRule:
         """Matrix of the parallel composition of ``pieces``, in wire order."""
         raise NotImplementedError
 
-    def permutation_matrix(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
-        """Matrix reordering a joint state so factor i comes from slot perm[i]."""
+    def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
+        """Gather index reordering a joint state so factor i comes from slot perm[i]:
+        the reordered coordinates are ``coords[idx]``."""
         raise NotImplementedError
+
+    def permutation_matrix(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
+        """:meth:`permutation_index` as a dense 0/1 matrix, for reference checks."""
+        idx = self.permutation_index(types, perm)
+        return np.eye(len(idx))[idx]
 
     def product_coords(self, types: Sequence[SystemType],
                        stacks: Sequence[np.ndarray]) -> np.ndarray:
         """``(batch, composite_dim)`` joint coordinates of products whose factor i
         has the ``(batch, dim_i)`` local coordinates ``stacks[i]``."""
+        raise NotImplementedError
+
+    def product_axes(self, types: Sequence[SystemType], choices: Sequence[np.ndarray]) -> np.ndarray:
+        """``(batch,)`` joint axes of :meth:`product_coords` on unit vectors, where
+        factor i is the unit vector on its axis ``choices[i][b]``."""
         raise NotImplementedError
 
     def product_state_coords(self, states: Sequence[StateVector]) -> np.ndarray:
@@ -289,7 +300,6 @@ class KroneckerRule(CompositeRule):
 
     def __init__(self, theory: str | None = None):
         self.theory = theory
-        self._perm_cache: dict = {}
 
     def composite(self, types: Sequence[SystemType]) -> SystemType:
         types = tuple(types)
@@ -309,15 +319,12 @@ class KroneckerRule(CompositeRule):
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
         return kron_all(p.matrix for p in pieces)
 
-    def permutation_matrix(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
+    def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         dims = tuple(t.dim for t in types)
-        key = (dims, tuple(perm))
-        cached = self._perm_cache.get(key)
-        if cached is None:
-            n = int(np.prod(dims)) if dims else 1
-            idx = np.arange(n).reshape(dims).transpose(perm).ravel()
-            cached = self._perm_cache[key] = _freeze(np.eye(n)[idx])
-        return cached
+        return np.arange(math.prod(dims)).reshape(dims).transpose(perm).ravel()
+
+    def product_axes(self, types: Sequence[SystemType], choices: Sequence[np.ndarray]) -> np.ndarray:
+        return np.ravel_multi_index(tuple(choices), tuple(t.dim for t in types))
 
     def product_coords(self, types: Sequence[SystemType],
                        stacks: Sequence[np.ndarray]) -> np.ndarray:

@@ -58,22 +58,24 @@ def _load(source, what: str) -> Any:
         raise ParseError(f"invalid JSON: {exc}", where) from None
 
 
-def _require(doc: Mapping, key: str, what: str):
+_KINDS = {str: "a string", int: "an integer", list: "a list", Mapping: "an object"}
+
+
+def _require(doc, key: str, what: str, kind: type = object):
+    """``doc[key]``, once ``doc`` is an object holding ``key`` with a ``kind`` value."""
+    if not isinstance(doc, Mapping):
+        raise ParseError(f"expected an object, got {doc!r}", what)
     if key not in doc:
         raise ParseError(f"missing field '{key}'", what)
-    return doc[key]
-
-
-def _name(doc: Mapping, key: str, what: str) -> str:
-    value = _require(doc, key, what)
-    if not isinstance(value, str):
-        raise ParseError(f"field '{key}' must be a string, got {value!r}", what)
+    value = doc[key]
+    if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
+        raise ParseError(f"field '{key}' must be {_KINDS[kind]}, got {value!r}", what)
     return value
 
 
 def _names(doc: Mapping, key: str, what: str) -> list[str]:
-    value = _require(doc, key, what)
-    if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+    value = _require(doc, key, what, list)
+    if not all(isinstance(v, str) for v in value):
         raise ParseError(f"field '{key}' must be a list of strings, got {value!r}", what)
     return value
 
@@ -113,13 +115,11 @@ def exact_number(value) -> Fraction | None:
 
 def parse_theory(source) -> TheoryDescriptor:
     doc = _load(source, "theory")
-    builtin = _require(doc, "builtin", "theory")
+    builtin = _require(doc, "builtin", "theory", str)
     if builtin not in BUILTIN_THEORIES:
         raise ParseError(f"unknown builtin theory '{builtin}' "
                          f"(have {sorted(BUILTIN_THEORIES)})", "theory")
-    params = doc.get("params", {})
-    if not isinstance(params, Mapping):
-        raise ParseError("'params' must be an object", "theory")
+    params = _require(doc, "params", "theory", Mapping) if "params" in doc else {}
     try:
         return BUILTIN_THEORIES[builtin](**params)
     except (TypeError, ValueError) as exc:
@@ -140,17 +140,17 @@ def parse_circuit(source) -> tuple[CircuitDAG, Acceptor | None]:
     doc = _load(source, "circuit")
     theory = parse_theory(_require(doc, "theory", "circuit"))
     circuit = CircuitDAG(theory)
-    for k, inst in enumerate(_require(doc, "instances", "circuit")):
+    for k, inst in enumerate(_require(doc, "instances", "circuit", list)):
         where = f"circuit.instances[{k}]"
-        iid = _require(inst, "id", where)
-        gname = _require(inst, "gate", where)
+        iid = _require(inst, "id", where, str)
+        gname = _require(inst, "gate", where, str)
         if gname not in theory.gates:
             raise ParseError(f"theory '{theory.name}' has no gate '{gname}'", where)
         try:
             circuit.add(iid, theory.gates[gname])
         except ValueError as exc:
             raise ParseError(str(exc), where) from None
-    for k, wire in enumerate(doc.get("wires", [])):
+    for k, wire in enumerate(_require(doc, "wires", "circuit", list) if "wires" in doc else []):
         where = f"circuit.wires[{k}]"
         src = _require(wire, "from", where)
         dst = _require(wire, "to", where)
@@ -169,7 +169,7 @@ def parse_circuit(source) -> tuple[CircuitDAG, Acceptor | None]:
 
 
 def parse_acceptor(doc: Mapping, circuit: CircuitDAG) -> Acceptor:
-    kind = _require(doc, "kind", "acceptor")
+    kind = _require(doc, "kind", "acceptor", str)
     if kind == "table":
         entries = _require(doc, "table", "acceptor")
         try:
@@ -213,20 +213,20 @@ def parse_machine(source) -> AffineMachine:
     alphabet = _names(doc, "alphabet", "machine")
     transitions: dict[tuple[str, str], tuple[Branch, ...]] = {}
     exact_sums: dict[tuple[str, str], Fraction | None] = {}
-    for k, row in enumerate(_require(doc, "transitions", "machine")):
+    for k, row in enumerate(_require(doc, "transitions", "machine", list)):
         where = f"machine.transitions[{k}]"
-        key = (_name(row, "state", where), _name(row, "read", where))
+        key = (_require(row, "state", where, str), _require(row, "read", where, str))
         if key in transitions:
             raise ParseError(f"duplicate transition block for {key}", where)
         branches = []
         exact_total: Fraction | None = Fraction(0)
-        for j, b in enumerate(_require(row, "branches", where)):
+        for j, b in enumerate(_require(row, "branches", where, list)):
             bwhere = f"{where}.branches[{j}]"
             weight = parse_number(_require(b, "weight", bwhere), bwhere)
             branches.append(Branch(
-                next_state=_name(b, "next", bwhere),
-                write=_name(b, "write", bwhere),
-                move=_name(b, "move", bwhere),
+                next_state=_require(b, "next", bwhere, str),
+                write=_require(b, "write", bwhere, str),
+                move=_require(b, "move", bwhere, str),
                 weight=weight,
             ))
             exact = exact_number(b["weight"])
@@ -245,10 +245,10 @@ def parse_machine(source) -> AffineMachine:
     try:
         machine = AffineMachine(
             states=frozenset(states),
-            initial=_name(doc, "initial", "machine"),
-            accept=_name(doc, "accept", "machine"),
-            reject=_name(doc, "reject", "machine"),
-            blank=_name(doc, "blank", "machine"),
+            initial=_require(doc, "initial", "machine", str),
+            accept=_require(doc, "accept", "machine", str),
+            reject=_require(doc, "reject", "machine", str),
+            blank=_require(doc, "blank", "machine", str),
             alphabet=frozenset(alphabet),
             transitions=transitions,
         )
@@ -289,8 +289,8 @@ def machine_to_json(machine: AffineMachine) -> dict:
 
 def parse_family(source) -> ProjectorFamily:
     doc = _load(source, "family")
-    n_slits = int(_require(doc, "n_slits", "family"))
-    raw = _require(doc, "projectors", "family")
+    n_slits = _require(doc, "n_slits", "family", int)
+    raw = _require(doc, "projectors", "family", Mapping)
     projectors = {}
     for mask_str, rows in raw.items():
         where = f"family.projectors[{mask_str!r}]"

@@ -131,6 +131,14 @@ def even_y_index(n_qubits: int) -> np.ndarray:
     return np.array(sorted(even, key=lambda i: "Y" in strings[i]), dtype=np.intp)
 
 
+def _even_y_slots(n_qubits: int) -> np.ndarray:
+    """Inverse of :func:`even_y_index`: each even-Y string's coordinate (0 elsewhere)."""
+    even = even_y_index(n_qubits)
+    slot = np.zeros(4**n_qubits, dtype=np.intp)
+    slot[even] = np.arange(len(even))
+    return slot
+
+
 def symmetric_pauli_basis(n_qubits: int) -> list[np.ndarray]:
     """Orthonormal basis of real symmetric matrices on (C^2)^n: the even-Y
     Pauli strings in :func:`even_y_index` order, each divided by 2^(n/2)."""
@@ -157,7 +165,6 @@ class RebitRule(CompositeRule):
     def __init__(self, theory: str = "real-quantum-2"):
         self.theory = theory
         self._carriers: dict[int, DensityCarrier] = {}
-        self._perm_cache: dict = {}
         self._tables: dict = {}
 
     def carrier(self, n_qubits: int) -> DensityCarrier:
@@ -167,7 +174,7 @@ class RebitRule(CompositeRule):
         return got
 
     def _table(self, build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
-        """``build(k)`` for :func:`pauli_strings` or :func:`even_y_index`, built once per k."""
+        """``build(k)`` for one of the Pauli string tables above, built once per k."""
         got = self._tables.get((build, k))
         if got is None:
             got = self._tables[(build, k)] = build(k)
@@ -210,21 +217,19 @@ class RebitRule(CompositeRule):
         k_out, k_in = (n.bit_length() // 2 for n in full.shape)  # full is 4^k_out x 4^k_in
         return full[np.ix_(self._table(even_y_index, k_out), self._table(even_y_index, k_in))]
 
-    def permutation_matrix(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
+    def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         leaves = [self._n_leaves(t) for t in types]
-        key = (tuple(leaves), tuple(perm))
-        cached = self._perm_cache.get(key)
-        if cached is None:
-            offsets = np.cumsum([0] + leaves)
-            leaf_order = [j for i in perm for j in range(offsets[i], offsets[i] + leaves[i])]
-            k = sum(leaves)
-            even = self._table(even_y_index, k)
-            slot = np.zeros(4**k, dtype=np.intp)
-            slot[even] = np.arange(len(even))
-            moved = np.arange(4**k).reshape((4,) * k).transpose(leaf_order).ravel()
-            cached = self._perm_cache[key] = np.eye(len(even))[slot[moved[even]]]
-            cached.setflags(write=False)
-        return cached
+        offsets = np.cumsum([0] + leaves)
+        leaf_order = [j for i in perm for j in range(offsets[i], offsets[i] + leaves[i])]
+        k = sum(leaves)
+        moved = np.arange(4**k).reshape((4,) * k).transpose(leaf_order).ravel()
+        return self._table(_even_y_slots, k)[moved[self._table(even_y_index, k)]]
+
+    def product_axes(self, types: Sequence[SystemType], choices: Sequence[np.ndarray]) -> np.ndarray:
+        leaves = [self._n_leaves(t) for t in types]
+        strings = tuple(self._table(even_y_index, k)[c] for c, k in zip(choices, leaves))
+        full = np.ravel_multi_index(strings, tuple(4**k for k in leaves))
+        return self._table(_even_y_slots, sum(leaves))[full]
 
     def _transfer_matrix(self, kraus: Sequence[np.ndarray]) -> np.ndarray:
         """M_ab = Tr(P_a sum_j K_j P_b K_j^dag) / 2^((k_out + k_in)/2) over Pauli strings P."""

@@ -1,8 +1,9 @@
 """How much of a joint system n-local measurements can see.
 
 ``n_local_span`` computes the dimension spanned by products of joint effects
-on blocks of at most n systems; whatever is left over is the tomography
-defect, with an explicit orthonormal basis of inaccessible directions.
+on blocks of at most n systems, exactly, as a cover of coordinate axes;
+whatever is left over is the tomography defect, with an explicit orthonormal
+basis of inaccessible directions.
 ``distinguish_search`` hunts numerically for strategies separating two
 transformations, locally or globally.
 """
@@ -58,8 +59,11 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
 
     The spanning set runs over every partition of the N systems into blocks
     of size <= n, taking a full dual basis on each block (linear-hull
-    convention); the span dimension is the rank of the stacked covectors,
-    decided by singular values relative to the largest one.
+    convention). Each product of block basis effects is one joint unit axis
+    (the rule's ``product_axes``, then ``permutation_index``), so the span
+    dimension counts the axes covered over all partitions and the defect
+    basis is the uncovered unit axes in ascending order. ``rank_tol`` is
+    accepted for compatibility and has no effect: no rank is decided.
     """
     if not (1 <= locality <= n_systems):
         raise ValueError("need 1 <= locality <= n_systems")
@@ -70,31 +74,16 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
     if composite.dim > cap:
         raise CapacityError(f"composite dimension {composite.dim} exceeds cap {cap}")
 
-    rows = []
+    covered = np.zeros(composite.dim, dtype=bool)
     for partition in _partitions(list(range(n_systems)), locality):
         block_types = [rule.composite([sys_type] * len(block)) for block in partition]
-        dims = [bt.dim for bt in block_types]
-        # one row per choice of block basis effects, in itertools.product order
-        choice = np.indices(dims).reshape(len(dims), -1)
-        cov = rule.product_coords(block_types, [np.eye(d)[c] for d, c in zip(dims, choice)])
-        flat = [i for block in partition for i in block]
-        if flat != sorted(flat):
-            cov = cov @ rule.permutation_matrix(types, flat)
-        rows.append(cov)
+        choices = np.indices([bt.dim for bt in block_types]).reshape(len(partition), -1)
+        axes = rule.product_axes(block_types, choices)  # axes in block order, moved to wire order
+        covered[rule.permutation_index(types, [i for b in partition for i in b])[axes]] = True
 
-    stacked = np.concatenate(rows)
-    # vt spans the composite space; a thin SVD does when rows >= columns
-    _, svals, vt = np.linalg.svd(stacked, full_matrices=stacked.shape[0] < stacked.shape[1])
-    rank = int(np.sum(svals > rank_tol * svals[0]))
-    return TomographyReport(
-        theory=theory.name,
-        n_systems=n_systems,
-        locality=locality,
-        composite_dim=composite.dim,
-        n_local_span_dim=rank,
-        defect=composite.dim - rank,
-        defect_basis=vt[rank:],
-    )
+    rank = int(covered.sum())
+    return TomographyReport(theory.name, n_systems, locality, composite.dim, rank,
+                            composite.dim - rank, defect_basis=np.eye(composite.dim)[~covered])
 
 
 def defect_direction_overlap(report: TomographyReport, candidate: np.ndarray) -> float:

@@ -270,6 +270,18 @@ def test_bridge_examples(classical2):
     coin.connect(("u", 0), ("r", 0))
     assert circuit_to_affine_program(coin, acc).acceptance_weight() == pytest.approx(0.5)
 
+    # the reads take the three wires in the cyclic order c, a, b, so the folded
+    # wire permutation is no involution
+    cyc = CircuitDAG(classical2)
+    for w, prep in zip("abc", ("prep_0", "prep_1", "prep_uniform")):
+        cyc.add(f"p{w}", classical2.gate(prep))
+    for w in "cab":
+        cyc.add(f"r{w}", classical2.gate("read"))
+        cyc.connect((f"p{w}", 0), (f"r{w}", 0))
+    for w, want in zip("abc", (1.0, 0.0, 0.5)):
+        acc = Acceptor("first-outcome-is-0", instance=f"r{w}")
+        assert circuit_to_affine_program(cyc, acc).acceptance_weight() == pytest.approx(want)
+
 
 def test_bridge_random_classical_circuits(classical2):
     rng = np.random.default_rng(12)

@@ -178,6 +178,9 @@ def test_family_invariant_errors_at_parse():
     bad = {"n_slits": 1, "projectors": {"0": [[0.0]], "1": [[0.5]]}}
     with pytest.raises(ParseError):
         parse_family(json.dumps(bad))
+    # a valid one-slit family, but with a boolean slit count
+    with pytest.raises(ParseError, match="n_slits"):
+        parse_family(json.dumps({"n_slits": True, "projectors": {"0": [[0.0]], "1": [[1.0]]}}))
 
 
 # ---------------------------------------------------------------------------
@@ -280,14 +283,26 @@ def parity_with(**change) -> str:
     return json.dumps(doc)
 
 
-def parity_where(*path, value) -> str:
-    """The bundled parity machine, as JSON, with the entry at `path` replaced."""
-    doc = json.loads((resources.files("gptlab") / "data" / "machine_parity.json").read_text())
+def bundled_where(name, *path, value) -> str:
+    """A bundled description, as JSON, with the entry at `path` replaced."""
+    doc = json.loads((resources.files("gptlab") / "data" / name).read_text())
     target = doc
     for key in path[:-1]:
         target = target[key]
     target[path[-1]] = value
     return json.dumps(doc)
+
+
+def parity_where(*path, value) -> str:
+    return bundled_where("machine_parity.json", *path, value=value)
+
+
+def coin_where(*path, value) -> str:
+    return bundled_where("circuit_coin.json", *path, value=value)
+
+
+def qutrit_where(*path, value) -> str:
+    return bundled_where("family_qutrit.json", *path, value=value)
 
 
 @pytest.mark.parametrize("argv", [
@@ -343,6 +358,24 @@ def parity_where(*path, value) -> str:
      "--max-steps", "5"],
     ["afftm", "run", "--machine", parity_where("blank", value=["_"]), "--input", "",
      "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("transitions", value=5), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("transitions", 0, "branches", value=5),
+     "--input", "", "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("transitions", 0, value=5), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "run", "--machine", parity_where("transitions", 0, "branches", value=[5]),
+     "--input", "", "--max-steps", "5"],
+    ["circuit", "eval", "--circuit", coin_where("instances", value=5)],
+    ["circuit", "eval", "--circuit", coin_where("instances", value=[5])],
+    ["circuit", "eval", "--circuit", coin_where("wires", value=5)],
+    ["circuit", "eval", "--circuit", coin_where("wires", value=[5])],
+    ["circuit", "eval", "--circuit", coin_where("theory", value=5)],
+    ["circuit", "accept", "--circuit", coin_where("acceptor", value=5)],
+    ["circuit", "eval", "--circuit", coin_where("instances", 0, "id", value=[1])],
+    ["circuit", "eval", "--circuit", coin_where("instances", 0, "gate", value=[1])],
+    ["interfere", "order", "--family", qutrit_where("projectors", value=5)],
+    ["interfere", "order", "--family", qutrit_where("n_slits", value="x")],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)

@@ -57,6 +57,13 @@ def test_three_rebits_defect_drops_at_bilocality(rebit):
     assert (rep5.composite_dim, rep5.n_local_span_dim, rep5.defect) == (528, 243, 285)
 
 
+def test_six_rebits_span_at_every_locality(rebit):
+    reps = [n_local_span(rebit, 6, n) for n in (1, 2, 3)]
+    assert [(r.composite_dim, r.n_local_span_dim, r.defect) for r in reps] == \
+        [(2080, 729, 1351), (2080, 2080, 0), (2080, 2080, 0)]
+    assert [r.defect_basis.shape for r in reps] == [(1351, 2080), (0, 2080), (0, 2080)]
+
+
 def test_span_monotone_in_locality(rebit, qubit):
     for theory, n_sys in ((rebit, 2), (qubit, 2)):
         dims = [n_local_span(theory, n_sys, n).n_local_span_dim
@@ -211,6 +218,41 @@ def test_product_coords_rows_are_per_sample_products(theory, sizes, batch, seed)
         assert np.array_equal(rule.product_state_coords(pieces), row)
 
 
+@PROPERTY
+@given(st.sampled_from(THEORIES),
+       st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(lambda ks: sum(ks) <= 4),
+       st.integers(0, 5), st.integers(0, 2**32 - 1))
+def test_product_axes_are_the_products_of_unit_axes(theory, sizes, batch, seed):
+    # the unit-axis invariant that n_local_span's exact cover rests on
+    rng = np.random.default_rng(seed)
+    rule = theory.composite_rule
+    types = _factor_types(theory, sizes)
+    choices = [rng.integers(0, t.dim, size=batch) for t in types]
+    units = rule.product_coords(types, [np.eye(t.dim)[c] for t, c in zip(types, choices)])
+    want = np.eye(rule.composite(types).dim)[rule.product_axes(types, choices)]
+    assert units.shape == want.shape and units.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(st.sampled_from(THEORIES),
+       st.lists(st.integers(1, 2), min_size=1, max_size=4).filter(lambda ks: sum(ks) <= 4),
+       st.randoms(use_true_random=False), st.integers(0, 2**32 - 1))
+def test_permutation_index_gathers_like_the_permutation_matrix(theory, sizes, random, seed):
+    rule = theory.composite_rule
+    types = _factor_types(theory, sizes)
+    perm = list(range(len(types)))
+    random.shuffle(perm)
+    idx = rule.permutation_index(types, perm)
+    matrix = rule.permutation_matrix(types, perm)
+    rng = np.random.default_rng(seed)
+    for v in rng.normal(size=(3, rule.composite(types).dim)):
+        assert np.array_equal(v[idx], matrix @ v)
+    # the gather puts factor perm[i] in slot i
+    pieces = [StateVector(t, rng.normal(size=t.dim)) for t in types]
+    moved = reference_product_coords(rule, [pieces[p] for p in perm])
+    assert np.max(np.abs(rule.product_state_coords(pieces)[idx] - moved)) <= 1e-12
+
+
 def _endomorphisms(theory):
     sys_type = theory.system()
     return [tm for g in theory.gates.values() for tm in g.outcomes.values()
@@ -245,7 +287,7 @@ def test_distinguish_search_matches_reference(theory, i, j, locality, seed, n_ra
 def test_n_local_span_matches_reference(theory):
     cases = [(n_sys, n) for n_sys in (1, 2, 3) for n in range(1, n_sys + 1)]
     if isinstance(theory.composite_rule, RebitRule):
-        cases += [(4, 1), (4, 2)]
+        cases += [(4, 1), (4, 2), (5, 1), (5, 2), (6, 1)]
     for n_sys, n in cases:
         got = n_local_span(theory, n_sys, n)
         want = reference_n_local_span(theory, n_sys, n)
