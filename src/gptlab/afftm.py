@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import Acceptor, CircuitDAG, _accept, _compile
+from .circuits import Acceptor, CircuitDAG, Decision, _accept, _compile
 from .core import ALGEBRA_TOL, PHYSICAL_TOL
 from .errors import HaltingViolationError, MachineValidationError
 
@@ -194,14 +194,13 @@ def acceptance_weight(machine: AffineMachine, x: str, max_steps: int) -> float:
 class NormTrace:
     """Euclidean norms of the configuration quasi-distribution, step by step.
 
-    Steps whose norm exceeds 1 witness dynamics unavailable to theories that
-    assign probabilities to all composable circuits; the monitor reports and
-    never enforces.
+    Steps whose norm exceeds 1 (by more than PHYSICAL_TOL) witness dynamics
+    unavailable to theories that assign probabilities to all composable
+    circuits; the monitor reports and never enforces.
     """
 
     norms: list[float]
     flagged_steps: list[int]
-    bound: float = 1.0 + PHYSICAL_TOL
 
     @property
     def within_bound(self) -> bool:
@@ -230,9 +229,8 @@ class PropernessReport:
     note: str
 
 
-def is_proper_on(machine: AffineMachine, inputs: Iterable[str], max_steps: int,
-                 tol: float = PHYSICAL_TOL) -> PropernessReport:
-    """Check 0 <= acceptance weight <= 1 on the given inputs.
+def is_proper_on(machine: AffineMachine, inputs: Iterable[str], max_steps: int) -> PropernessReport:
+    """Check 0 <= acceptance weight <= 1, to PHYSICAL_TOL, on the given inputs.
 
     Properness over *all* inputs is undecidable in general; this is a
     finite-sample check and says so in the report.
@@ -240,7 +238,7 @@ def is_proper_on(machine: AffineMachine, inputs: Iterable[str], max_steps: int,
     entries = []
     for x in inputs:
         alpha = acceptance_weight(machine, x, max_steps)
-        entries.append(PropernessEntry(x, alpha, -tol <= alpha <= 1.0 + tol))
+        entries.append(PropernessEntry(x, alpha, -PHYSICAL_TOL <= alpha <= 1.0 + PHYSICAL_TOL))
     note = "finite-sample check only; properness over all inputs is undecidable"
     if not entries:
         note = "vacuous pass: no inputs supplied; " + note
@@ -263,14 +261,13 @@ class BoundedErrorReport:
 
 def decides_with_bounded_error(machine: AffineMachine,
                                samples: Iterable[tuple[str, bool]],
-                               max_steps: int,
-                               accept_at: float = 2.0 / 3.0,
-                               reject_at: float = 1.0 / 3.0) -> BoundedErrorReport:
-    """Check alpha >= 2/3 on positive samples and alpha <= 1/3 on negatives."""
+                               max_steps: int) -> BoundedErrorReport:
+    """Check that :meth:`Decision.of` accepts every positive sample's alpha
+    (alpha >= 2/3) and rejects every negative one's (alpha <= 1/3)."""
     entries = []
     for x, label in samples:
         alpha = acceptance_weight(machine, x, max_steps)
-        ok = alpha >= accept_at if label else alpha <= reject_at
+        ok = Decision.of(alpha) is (Decision.ACCEPT if label else Decision.REJECT)
         entries.append(BoundedErrorEntry(x, bool(label), alpha, ok))
     return BoundedErrorReport(entries, all(e.ok for e in entries))
 

@@ -314,10 +314,10 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
     return layers
 
 
-def _checked(p, tol: float, what: str = "acceptance probability"):
-    """``p`` (a number or an array), once every value is in [-tol, 1 + tol]."""
+def _checked(p, what: str = "acceptance probability"):
+    """``p`` (a number or an array), once every value is in [-PROB_TOL, 1 + PROB_TOL]."""
     values = np.atleast_1d(p)
-    bad = values[~((values >= -tol) & (values <= 1.0 + tol))]
+    bad = values[~((values >= -PROB_TOL) & (values <= 1.0 + PROB_TOL))]
     if bad.size:
         raise GptLabError(f"{what} {bad[0]} outside [0, 1]")
     return p
@@ -327,12 +327,11 @@ def prob(
     circuit: CircuitDAG,
     z: OutcomeString | Mapping[str, str],
     foliation: list[list[str]] | None = None,
-    tol: float = PROB_TOL,
 ) -> float:
     """Probability of one full outcome string.
 
     The value is the product of the layer matrices selected by ``z`` (one
-    matrix built per layer) and is checked against [-tol, 1+tol].
+    matrix built per layer) and is checked against [-PROB_TOL, 1 + PROB_TOL].
     """
     if not isinstance(z, OutcomeString):
         z = circuit.outcome_string(z)
@@ -342,7 +341,7 @@ def prob(
         if layer.perm is not None:
             vec = vec[layer.perm]
         vec = layer.matrix(tuple(chosen[iid] for iid in layer.gate_ids)) @ vec
-    return _checked(float(vec[0]), tol, "outcome probability")
+    return _checked(float(vec[0]), "outcome probability")
 
 
 def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
@@ -356,7 +355,7 @@ def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
             front = np.take(front, layer.perm, axis=1)  # C order, unlike front[:, perm]
         stack = layer.stack()
         front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
-    _checked(front, PROB_TOL, "outcome probability")
+    _checked(front, "outcome probability")
     # a leaf's pairs: its layer combinations' pairs, concatenated, in instance order
     pairs = [[tuple(zip(layer.gate_ids, labels)) for labels in layer.labels] for layer in layers]
     slot = {iid: k for k, iid in enumerate(iid for layer in layers for iid in layer.gate_ids)}
@@ -432,7 +431,7 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
         return 0.0
     if kind not in ("accept-all", "first-outcome-is-0", "parity-of-labels"):
         keys, values = _walk(layers, instance_ids)
-        return _checked(sum(v for z, v in zip(keys, values) if acceptor.accepts(z)), PROB_TOL)
+        return _checked(sum(v for z, v in zip(keys, values) if acceptor.accepts(z)))
     if kind == "first-outcome-is-0":
         target = acceptor.instance or next(iter(instance_ids), None)
         if target not in instance_ids:
@@ -448,7 +447,7 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
         if layer.perm is not None:
             vecs = np.take(vecs, layer.perm, axis=1)
         vecs = np.matmul(np.tensordot(weights, layer.stack(), axes=1), vecs[:, :, None])[:, :, 0]
-    return _checked(float(vecs[:, 0].mean()), PROB_TOL)  # parity: mean of its two products
+    return _checked(float(vecs[:, 0].mean()))  # parity: mean of its two products
 
 
 def acceptance_prob(
@@ -471,30 +470,34 @@ def acceptance_prob(
 
 
 class Decision(Enum):
+    """The bounded-error verdict on an acceptance probability p: accept at
+    p >= 2/3, reject at p <= 1/3, inconclusive in between. The thresholds are
+    fixed, since any constants separated by an inverse-polynomial gap define
+    the same class."""
+
     ACCEPT = "accept"
     REJECT = "reject"
     INCONCLUSIVE = "inconclusive"
+
+    @classmethod
+    def of(cls, p: float) -> "Decision":
+        if p >= 2.0 / 3.0:
+            return cls.ACCEPT
+        if p <= 1.0 / 3.0:
+            return cls.REJECT
+        return cls.INCONCLUSIVE
 
 
 def decide(
     family: Callable[[str], CircuitDAG],
     acceptor: Acceptor,
     x: str,
-    accept_at: float = 2.0 / 3.0,
-    reject_at: float = 1.0 / 3.0,
     cap: int = DEFAULT_ENUMERATION_CAP,
 ) -> Decision:
-    """Bounded-error decision for one input of an indexed circuit family.
+    """Bounded-error decision (:meth:`Decision.of`) for one input of an
+    indexed circuit family.
 
     The generator is trusted to emit polynomially sized circuits; only the
-    acceptance probability is checked here. Thresholds are configurable since
-    any constants separated by an inverse-polynomial gap define the same
-    class.
+    acceptance probability is checked here.
     """
-    circuit = family(x)
-    p = acceptance_prob(circuit, acceptor, cap=cap)
-    if p >= accept_at:
-        return Decision.ACCEPT
-    if p <= reject_at:
-        return Decision.REJECT
-    return Decision.INCONCLUSIVE
+    return Decision.of(acceptance_prob(family(x), acceptor, cap=cap))

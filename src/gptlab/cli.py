@@ -17,7 +17,6 @@ import time
 import numpy as np
 
 from . import afftm, circuits, interference, querylab, tomography
-from .core import PHYSICAL_TOL
 from .errors import (
     CapacityError,
     GptLabError,
@@ -94,7 +93,7 @@ def _cmd_circuit_accept(args):
     if acceptor is None:
         raise ParseError("circuit file declares no acceptor", "circuit")
     p = circuits.acceptance_prob(circuit, acceptor, cap=args.cap)
-    decision = "accept" if p >= 2 / 3 else "reject" if p <= 1 / 3 else "inconclusive"
+    decision = circuits.Decision.of(p).value
     report = {"command": "circuit accept", "acceptance_probability": p,
               "decision": decision}
     return report, [f"acceptance probability {p:.6g} -> {decision}"], EXIT_OK
@@ -166,16 +165,13 @@ def _cmd_interfere_decompose(args):
     return report, lines, EXIT_OK
 
 
-def _check_caps_and_tols(args) -> None:
+def _check_ranges(args) -> None:
     cap = getattr(args, "cap", None)
     if cap is not None and cap <= 0:
         raise ParseError("--cap must be positive", "args")
     max_steps = getattr(args, "max_steps", None)
     if max_steps is not None and max_steps < 0:
         raise ParseError("--max-steps must be >= 0", "args")
-    tol = getattr(args, "rank_tol", None)
-    if tol is not None and not (0.0 < tol < 1.0):
-        raise ParseError("--rank-tol must lie in (0, 1)", "args")
     order = getattr(args, "order", None)
     if order is not None and order < 1:
         raise ParseError("--order must be >= 1", "args")
@@ -189,8 +185,7 @@ def _check_locality(args) -> None:
 def _cmd_tomo_check(args):
     _check_locality(args)
     theory = parse_theory(args.theory)
-    rep = tomography.n_local_span(theory, args.systems, args.locality, cap=args.cap,
-                                  rank_tol=args.rank_tol)
+    rep = tomography.n_local_span(theory, args.systems, args.locality, cap=args.cap)
     report = {
         "command": "tomo check",
         "theory": rep.theory,
@@ -357,7 +352,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--systems", type=int, required=True)
     q.add_argument("--locality", type=int, required=True)
     q.add_argument("--cap", type=int, default=4096)
-    q.add_argument("--rank-tol", type=float, default=PHYSICAL_TOL, dest="rank_tol")
     q.set_defaults(handler=_cmd_tomo_check)
     q = ps.add_parser("count")
     q.add_argument("--k", type=int, required=True)
@@ -393,7 +387,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     start = time.perf_counter()
     try:
-        _check_caps_and_tols(args)
+        _check_ranges(args)
         report, lines, code = args.handler(args)
     except (ParseError, FileNotFoundError, MachineValidationError) as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .errors import TheoryMismatchError, TypeMismatchError
 
-# The tolerance policy: every default tolerance in gptlab is one of these.
+# The tolerance policy: every tolerance in gptlab is one of these, with no
+# per-call override.
 # Exact identities that only rounding can break: transition weight sums and
 # carrier orthonormality.
 ALGEBRA_TOL = 1e-12

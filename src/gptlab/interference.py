@@ -73,9 +73,10 @@ class ProjectorFamily:
             raise FamilyInvariantError(f"family has no projector for subset {sorted(key)}") from None
 
 
-def validate_family(family: ProjectorFamily, tol: float = PHYSICAL_TOL) -> list[str]:
+def validate_family(family: ProjectorFamily) -> list[str]:
     """Check idempotence, the intersection law, the empty projector, and that
-    the full projector is idempotent of full support. Returns violations."""
+    the full projector is idempotent of full support, each to PHYSICAL_TOL.
+    Returns violations."""
     violations = []
     keys = subsets(family.n_slits)
     for key in keys:
@@ -85,15 +86,15 @@ def validate_family(family: ProjectorFamily, tol: float = PHYSICAL_TOL) -> list[
         return violations
     for key in keys:
         p = family.projector(key)
-        if np.max(np.abs(p @ p - p)) > tol:
+        if np.max(np.abs(p @ p - p)) > PHYSICAL_TOL:
             violations.append(f"P_{sorted(key)} is not idempotent")
     for a in keys:
         for b in keys:
             pa, pb = family.projector(a), family.projector(b)
             pab = family.projector(a & b)
-            if np.max(np.abs(pa @ pb - pab)) > tol:
+            if np.max(np.abs(pa @ pb - pab)) > PHYSICAL_TOL:
                 violations.append(f"P_{sorted(a)} P_{sorted(b)} != P_{sorted(a & b)}")
-    if np.max(np.abs(family.projector(frozenset()))) > tol:
+    if np.max(np.abs(family.projector(frozenset()))) > PHYSICAL_TOL:
         violations.append("P_emptyset is not zero")
     return violations
 
@@ -113,15 +114,15 @@ def coherence_projector(family: ProjectorFamily, subset: Iterable[int]) -> np.nd
     return out
 
 
-def interference_order(family: ProjectorFamily, span: np.ndarray | None = None,
-                       tol: float = PHYSICAL_TOL) -> int:
+def interference_order(family: ProjectorFamily, span: np.ndarray | None = None) -> int:
     """Largest subset size whose coherence projector acts nontrivially.
 
     ``span``: matrix whose columns span the state region of interest (default:
     the whole carrier space). Equivalently the result is the smallest k with
-    omega_I v = 0 for every |I| > k and every v in the span.
+    omega_I v = 0 for every |I| > k and every v in the span, to PHYSICAL_TOL
+    relative to the span's norm.
     """
-    violations = validate_family(family, tol)
+    violations = validate_family(family)
     if violations:
         raise FamilyInvariantError("; ".join(violations))
     if span is None:
@@ -129,12 +130,12 @@ def interference_order(family: ProjectorFamily, span: np.ndarray | None = None,
     span = np.asarray(span, dtype=float)
     scale = max(1.0, float(np.linalg.norm(span, 2)))
     full = family.projector(frozenset(range(family.n_slits)))
-    if np.linalg.norm(full @ span - span, 2) > tol * scale:
+    if np.linalg.norm(full @ span - span, 2) > PHYSICAL_TOL * scale:
         raise FamilyInvariantError("the full-slit projector is not the identity on the span")
     order = 1
     for key in subsets(family.n_slits, min_size=2):
         omega = coherence_projector(family, key)
-        if np.linalg.norm(omega @ span, 2) > tol * scale:
+        if np.linalg.norm(omega @ span, 2) > PHYSICAL_TOL * scale:
             order = max(order, len(key))
     return order
 
@@ -151,20 +152,19 @@ class CoherenceDecomposition:
         return sum(self.components.values())
 
 
-def decompose(vector: np.ndarray, family: ProjectorFamily, order: int,
-              tol: float = PHYSICAL_TOL) -> CoherenceDecomposition:
+def decompose(vector: np.ndarray, family: ProjectorFamily, order: int) -> CoherenceDecomposition:
     """Split a carrier-space vector into coherence components up to ``order``.
 
     Raises :class:`ReconstructionError` (carrying the residual norm) when the
-    components do not re-sum to the input, i.e. when ``order`` is below the
-    interference order on this vector.
+    components miss the input by more than PHYSICAL_TOL relative to its norm,
+    i.e. when ``order`` is below the interference order on this vector.
     """
     vector = np.asarray(vector, dtype=float)
     components = {}
     for key in subsets(family.n_slits, min_size=1, max_size=order):
         components[key] = coherence_projector(family, key) @ vector
     residual = float(np.linalg.norm(sum(components.values()) - vector))
-    if residual > tol * max(1.0, float(np.linalg.norm(vector))):
+    if residual > PHYSICAL_TOL * max(1.0, float(np.linalg.norm(vector))):
         raise ReconstructionError(
             f"components up to size {order} miss the input by {residual:.3e}", residual
         )

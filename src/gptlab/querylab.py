@@ -138,16 +138,12 @@ def parity_quantum(f: OracleFunction) -> QueryTranscript:
     size = 2 * f.padded_size
     result = 0
     for i in range(0, n - 1, 2):
-        state = np.zeros(size)
-        # (|2i> + |2i+1>)/sqrt2 on the control, minus state on the target
-        for x in (i, i + 1):
-            state[2 * x + 0] = 0.5
-            state[2 * x + 1] = -0.5
-        state = oracle.apply_bit_unitary(state)
         reference = np.zeros(size)
+        # (|2i> + |2i+1>)/sqrt2 on the control, minus state on the target
         for x in (i, i + 1):
             reference[2 * x + 0] = 0.5
             reference[2 * x + 1] = -0.5
+        state = oracle.apply_bit_unitary(reference)
         overlap = float(reference @ state) ** 2
         if not (overlap < PHYSICAL_TOL or overlap > 1 - PHYSICAL_TOL):
             raise AssertionError("pair readout was not deterministic")

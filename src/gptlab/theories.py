@@ -35,6 +35,11 @@ from .errors import GptLabError, TypeMismatchError
 
 SQRT2 = math.sqrt(2.0)
 
+# The most coordinates a builtin theory's system type may carry: classical
+# d <= 256, quantum d <= 16 (d^2 coordinates). Constructors check it before
+# anything is built; the quantum basis alone holds d^2 complex d x d matrices.
+MAX_SYSTEM_DIM = 256
+
 PAULI = {
     "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
@@ -51,12 +56,12 @@ class DensityCarrier:
     equals sqrt(Tr(rho^2)), so norm monitors downstream are meaningful.
     """
 
-    def __init__(self, basis: Sequence[np.ndarray], tol: float = ALGEBRA_TOL):
+    def __init__(self, basis: Sequence[np.ndarray]):
         stack = np.stack([np.asarray(b, dtype=complex) for b in basis])
-        if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > tol:
+        if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > ALGEBRA_TOL:
             raise ValueError("carrier basis must be Hermitian")
         gram = np.einsum("aij,bji->ab", stack, stack)
-        if np.max(np.abs(gram - np.eye(len(basis)))) > tol:
+        if np.max(np.abs(gram - np.eye(len(basis)))) > ALGEBRA_TOL:
             raise ValueError("carrier basis must be orthonormal under the trace inner product")
         stack.setflags(write=False)
         self.basis = stack
@@ -306,14 +311,27 @@ class TheoryDescriptor:
         return self.effects[name]
 
 
+def _library_strategies(sys: SystemType, states: Mapping, effects: Mapping,
+                        random_state: Callable, random_effect: Callable) -> StrategyHooks:
+    """Hooks whose grids are the library's states and effects on ``sys``."""
+
+    def state_grid():
+        return [(n, s) for n, s in states.items() if s.system == sys]
+
+    def effect_grid():
+        return [(n, e) for n, e in effects.items() if e.system == sys]
+
+    return StrategyHooks(state_grid, random_state, effect_grid, random_effect)
+
+
 # ---------------------------------------------------------------------------
 # classical probability theory
 
 
 def classical_theory(d: int) -> TheoryDescriptor:
     """Probability d-vectors, column-stochastic maps, all-ones readout."""
-    if d < 1:
-        raise ValueError("d must be >= 1")
+    if not 1 <= d <= MAX_SYSTEM_DIM:
+        raise ValueError(f"d must lie in 1..{MAX_SYSTEM_DIM}")
     name = f"classical-{d}"
     sys = SystemType(f"c{d}", d, theory=name)
     rule = KroneckerRule(theory=name)
@@ -349,14 +367,8 @@ def classical_theory(d: int) -> TheoryDescriptor:
     effects = {f"p{j}": EffectVector(sys, eye[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, np.ones(d))
 
-    def state_grid():
-        return [(n, s) for n, s in states.items()]
-
     def random_state(rng: np.random.Generator):
         return StateVector(sys, rng.dirichlet(np.ones(d)), normalized=True)
-
-    def effect_grid():
-        return [(n, e) for n, e in effects.items()]
 
     def random_effect(rng: np.random.Generator):
         return EffectVector(sys, rng.uniform(0.0, 1.0, size=d))
@@ -369,7 +381,7 @@ def classical_theory(d: int) -> TheoryDescriptor:
         states=states,
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
-        strategies=StrategyHooks(state_grid, random_state, effect_grid, random_effect),
+        strategies=_library_strategies(sys, states, effects, random_state, random_effect),
         meta={"builtin": "classical", "params": {"d": d}},
     )
 
@@ -384,15 +396,18 @@ def _ket(d: int, j: int) -> np.ndarray:
     return v
 
 
+# The four maximally entangled two-qubit states, as column kets.
+_BELL_KETS = {
+    "phi_plus": np.array([[1], [0], [0], [1]], dtype=complex) / SQRT2,
+    "phi_minus": np.array([[1], [0], [0], [-1]], dtype=complex) / SQRT2,
+    "psi_plus": np.array([[0], [1], [1], [0]], dtype=complex) / SQRT2,
+    "psi_minus": np.array([[0], [1], [-1], [0]], dtype=complex) / SQRT2,
+}
+
+
 def bell_operators() -> dict[str, np.ndarray]:
     """Projectors onto the four maximally entangled two-qubit states."""
-    vecs = {
-        "phi_plus": np.array([1, 0, 0, 1], dtype=complex) / SQRT2,
-        "phi_minus": np.array([1, 0, 0, -1], dtype=complex) / SQRT2,
-        "psi_plus": np.array([0, 1, 1, 0], dtype=complex) / SQRT2,
-        "psi_minus": np.array([0, 1, -1, 0], dtype=complex) / SQRT2,
-    }
-    return {n: np.outer(v, v.conj()) for n, v in vecs.items()}
+    return {n: np.outer(v, v.conj()) for n, v in _BELL_KETS.items()}
 
 
 def quantum_theory(d: int) -> TheoryDescriptor:
@@ -402,8 +417,8 @@ def quantum_theory(d: int) -> TheoryDescriptor:
     transfer matrices, POVM elements covectors, and the deterministic effect
     is the coordinate vector of the identity operator.
     """
-    if d < 2:
-        raise ValueError("d must be >= 2")
+    if not 2 <= d <= math.isqrt(MAX_SYSTEM_DIM):
+        raise ValueError(f"d must lie in 2..{math.isqrt(MAX_SYSTEM_DIM)}")
     name = f"quantum-{d}"
     carrier = DensityCarrier(hermitian_basis(d))
     sys = SystemType(f"q{d}", d * d, theory=name)
@@ -478,13 +493,8 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         })
         phi_col = pair_carrier.to_vector(bells["phi_plus"]).reshape(-1, 1)
         gates["prep_bell"] = Gate("prep_bell", (), (sys, sys), {
-            "0": TransformationMatrix(UNIT, pair, phi_col,
-                                      kraus=(np.array([[1], [0], [0], [1]], dtype=complex) / SQRT2,))
+            "0": TransformationMatrix(UNIT, pair, phi_col, kraus=(_BELL_KETS["phi_plus"],))
         })
-
-    def state_grid():
-        entries = [(n, s) for n, s in states.items() if s.system == sys]
-        return entries
 
     def random_state(rng: np.random.Generator):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -492,14 +502,11 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         rho /= np.trace(rho).real
         return StateVector(sys, carrier.to_vector(rho), normalized=True)
 
-    def effect_grid():
-        return [(n, e) for n, e in effects.items()]
-
     def random_effect(rng: np.random.Generator):
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = (g + g.conj().T) / 2
         lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
-        e = (h - lo * np.eye(d)) / max(hi - lo, 1e-12) * rng.uniform(0.0, 1.0)
+        e = (h - lo * np.eye(d)) / max(hi - lo, ALGEBRA_TOL) * rng.uniform(0.0, 1.0)
         return EffectVector(sys, carrier.to_vector(e))
 
     return TheoryDescriptor(
@@ -511,7 +518,7 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
         carrier=carrier,
-        strategies=StrategyHooks(state_grid, random_state, effect_grid, random_effect),
+        strategies=_library_strategies(sys, states, effects, random_state, random_effect),
         meta={"builtin": "quantum", "params": {"d": d}},
     )
 
@@ -582,16 +589,10 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     })
 
     bells = bell_operators()
-    bell_kets = {
-        "phi_plus": np.array([[1], [0], [0], [1]], dtype=complex) / SQRT2,
-        "phi_minus": np.array([[1], [0], [0], [-1]], dtype=complex) / SQRT2,
-        "psi_plus": np.array([[0], [1], [1], [0]], dtype=complex) / SQRT2,
-        "psi_minus": np.array([[0], [1], [-1], [0]], dtype=complex) / SQRT2,
-    }
     gates["prep_phi_plus"] = Gate("prep_phi_plus", (), (sys, sys), {
         "0": TransformationMatrix(UNIT, pair,
                                   pair_carrier.to_vector(bells["phi_plus"]).reshape(-1, 1),
-                                  kraus=(bell_kets["phi_plus"],))
+                                  kraus=(_BELL_KETS["phi_plus"],))
     })
     # Two-outcome joint measurement {phi+ + psi-, phi- + psi+}.
     first_op = bells["phi_plus"] + bells["psi_minus"]
@@ -599,12 +600,12 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     gates["joint_measure"] = Gate("joint_measure", (sys, sys), (), {
         "first": TransformationMatrix(pair, UNIT, pair_carrier.to_vector(first_op).reshape(1, -1),
                                       outcome_label="first",
-                                      kraus=(bell_kets["phi_plus"].conj().T,
-                                             bell_kets["psi_minus"].conj().T)),
+                                      kraus=(_BELL_KETS["phi_plus"].conj().T,
+                                             _BELL_KETS["psi_minus"].conj().T)),
         "second": TransformationMatrix(pair, UNIT, pair_carrier.to_vector(second_op).reshape(1, -1),
                                        outcome_label="second",
-                                       kraus=(bell_kets["phi_minus"].conj().T,
-                                              bell_kets["psi_plus"].conj().T)),
+                                       kraus=(_BELL_KETS["phi_minus"].conj().T,
+                                              _BELL_KETS["psi_plus"].conj().T)),
     })
 
     states = {
@@ -749,14 +750,8 @@ def boxworld_gbit() -> TheoryDescriptor:
         "0": TransformationMatrix(sys, sys, np.eye(5))
     })
 
-    def state_grid():
-        return [(n, s) for n, s in states.items() if s.system == sys]
-
     def random_state(rng: np.random.Generator):
         return StateVector(sys, _gbit_coords(rng.uniform(), rng.uniform()))
-
-    def effect_grid():
-        return [(n, e) for n, e in effects.items()]
 
     def random_effect(rng: np.random.Generator):
         x = rng.integers(0, 2)
@@ -772,7 +767,7 @@ def boxworld_gbit() -> TheoryDescriptor:
         states=states,
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
-        strategies=StrategyHooks(state_grid, random_state, effect_grid, random_effect),
+        strategies=_library_strategies(sys, states, effects, random_state, random_effect),
         meta={"builtin": "boxworld", "params": {}},
     )
 

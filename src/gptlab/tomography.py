@@ -17,7 +17,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .core import PHYSICAL_TOL, TransformationMatrix
+from .core import TransformationMatrix
 from .errors import CapacityError, GptLabError, TypeMismatchError
 from .theories import TheoryDescriptor
 
@@ -53,8 +53,7 @@ def _partitions(items: Sequence[int], max_block: int) -> Iterator[list[tuple[int
 
 
 def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
-                 system: str | None = None, cap: int = 4096,
-                 rank_tol: float = PHYSICAL_TOL) -> TomographyReport:
+                 cap: int = 4096) -> TomographyReport:
     """Span of effects factorizing over blocks of at most ``locality`` systems.
 
     The spanning set runs over every partition of the N systems into blocks
@@ -62,12 +61,12 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
     convention). Each product of block basis effects is one joint unit axis
     (the rule's ``product_axes``, then ``permutation_index``), so the span
     dimension counts the axes covered over all partitions and the defect
-    basis is the uncovered unit axes in ascending order. ``rank_tol`` is
-    accepted for compatibility and has no effect: no rank is decided.
+    basis is the uncovered unit axes in ascending order. No rank is decided,
+    so no tolerance enters.
     """
     if not (1 <= locality <= n_systems):
         raise ValueError("need 1 <= locality <= n_systems")
-    sys_type = theory.system(system)
+    sys_type = theory.system()
     rule = theory.composite_rule
     types = [sys_type] * n_systems
     composite = rule.composite(types)

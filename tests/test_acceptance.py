@@ -145,11 +145,11 @@ def test_criterion_2_global_difference_direction(rebit):
 
 def test_criterion_3_tomography_dimensions(rebit, qubit):
     with criterion(3, "defects: two qubits 0; two rebits 1 at n=1 and 0 at n=2"):
-        q = n_local_span(qubit, 2, 1, rank_tol=1e-9)
+        q = n_local_span(qubit, 2, 1)
         assert (q.composite_dim, q.n_local_span_dim, q.defect) == (16, 16, 0)
-        r1 = n_local_span(rebit, 2, 1, rank_tol=1e-9)
+        r1 = n_local_span(rebit, 2, 1)
         assert (r1.composite_dim, r1.n_local_span_dim, r1.defect) == (10, 9, 1)
-        r2 = n_local_span(rebit, 2, 2, rank_tol=1e-9)
+        r2 = n_local_span(rebit, 2, 2)
         assert r2.defect == 0
 
 

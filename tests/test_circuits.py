@@ -211,6 +211,11 @@ def test_acceptance_prob_and_decide(classical2):
     assert decide(family, acceptor, "yes") is Decision.ACCEPT
     assert decide(family, acceptor, "no") is Decision.REJECT
     assert decide(lambda x: coin_circuit(classical2), acceptor, "") is Decision.INCONCLUSIVE
+    # the thresholds themselves decide; just inside them is inconclusive
+    assert Decision.of(2 / 3) is Decision.ACCEPT
+    assert Decision.of(1 / 3) is Decision.REJECT
+    assert Decision.of(np.nextafter(2 / 3, 0.0)) is Decision.INCONCLUSIVE
+    assert Decision.of(np.nextafter(1 / 3, 1.0)) is Decision.INCONCLUSIVE
 
 
 def test_table_acceptor_total(classical2):

@@ -1,9 +1,12 @@
 """Projector families, coherence projectors, and interference order."""
 
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptlab import DensityCarrier, hermitian_basis
 from gptlab.errors import FamilyInvariantError, ReconstructionError
@@ -18,6 +21,9 @@ from gptlab.interference import (
     synthetic_family,
     validate_family,
 )
+from gptlab.serialization import family_to_json, parse_family
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
 
 def qutrit_carrier():
@@ -181,3 +187,48 @@ def test_invalid_subset_rejected():
         coherence_projector(family, {7})
     with pytest.raises(ValueError):
         family.projector({5})
+
+
+@functools.lru_cache(maxsize=None)
+def built_family(kind: str, n: int, k: int) -> ProjectorFamily:
+    if kind == "synthetic":
+        return synthetic_family(n, k)
+    return classical_family(n) if kind == "classical" else quantum_family(n)
+
+
+def families(max_synthetic_slits: int):
+    """(kind, slits, synthetic order): classical and quantum up to d = 4,
+    synthetic families at every order."""
+    return st.one_of(
+        st.tuples(st.just("classical"), st.integers(1, 4), st.just(0)),
+        st.tuples(st.just("quantum"), st.integers(2, 4), st.just(0)),
+        st.integers(1, max_synthetic_slits).flatmap(
+            lambda n: st.tuples(st.just("synthetic"), st.just(n), st.integers(1, n))),
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def order_of(spec) -> int:
+    return interference_order(built_family(*spec))
+
+
+@PROPERTY
+@given(families(6), st.integers(0, 2**32 - 1))
+def test_decompose_at_the_interference_order_resums(spec, seed):
+    family = built_family(*spec)
+    v = np.random.default_rng(seed).normal(size=family.dim)
+    decomp = decompose(v, family, order_of(spec))
+    assert np.max(np.abs(decomp.reconstruct() - v)) <= 1e-12
+
+
+@PROPERTY
+@given(families(5))  # parsing a six-slit synthetic family takes 1-2 s
+def test_family_json_round_trip_keeps_every_projector(spec):
+    family = built_family(*spec)
+    again = parse_family(json.dumps(family_to_json(family)))
+    assert (again.n_slits, again.name, again.synthetic) == (
+        family.n_slits, family.name, family.synthetic)
+    assert again.projectors.keys() == family.projectors.keys()
+    for key, matrix in family.projectors.items():
+        assert again.projectors[key].dtype == matrix.dtype
+        assert again.projectors[key].tobytes() == matrix.tobytes()

@@ -270,10 +270,11 @@ def test_cli_input_error_exit_code(capsys):
                            "--circuit", data_path("circuit_coin.json"))
     assert code == 2 and "--cap" in err
 
-    code, _, err = run_cli(capsys, "tomo", "check", "--rank-tol", "2.0",
-                           "--theory", data_path("theory_rebit.json"),
-                           "--systems", "2", "--locality", "1")
-    assert code == 2 and "rank-tol" in err
+    # an unknown option such as --rank-tol is an argparse usage error
+    with pytest.raises(SystemExit) as exc:
+        main(["tomo", "check", "--rank-tol", "2.0", "--theory", data_path("theory_rebit.json"),
+              "--systems", "2", "--locality", "1"])
+    assert exc.value.code == 2 and "rank-tol" in capsys.readouterr().err
 
 
 def parity_with(**change) -> str:
@@ -376,6 +377,8 @@ def qutrit_where(*path, value) -> str:
     ["circuit", "eval", "--circuit", coin_where("instances", 0, "gate", value=[1])],
     ["interfere", "order", "--family", qutrit_where("projectors", value=5)],
     ["interfere", "order", "--family", qutrit_where("n_slits", value="x")],
+    ["theory", "info", "--theory", '{"builtin": "quantum", "params": {"d": 100000}}'],
+    ["theory", "info", "--theory", '{"builtin": "classical", "params": {"d": 100000}}'],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
