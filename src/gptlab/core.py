@@ -72,6 +72,22 @@ class CompositeType(SystemType):
             raise ValueError(f"composite dim {self.dim} < product of factor dims {prod}")
 
 
+def checked_coords(coords, shape: tuple[int, ...], kind: str,
+                   normalized: bool = False) -> np.ndarray:
+    """``coords`` as a float array of ``shape`` (one row per vector along the last
+    axis), after the checks every state or effect gets: finite entries and, for
+    normalized states, a 2-norm of at most 1 on every row."""
+    coords = np.asarray(coords, dtype=float)
+    if coords.shape != shape:
+        raise ValueError(f"coords shape {coords.shape} != {shape}")
+    if not np.isfinite(coords).all():
+        raise ValueError(f"{kind} coordinates must be finite")
+    # np.linalg.norm(coords, axis=-1), minus its per-call overhead
+    if normalized and (np.sqrt((coords * coords).sum(axis=-1)) > 1.0 + PHYSICAL_TOL).any():
+        raise ValueError("normalized state exceeds the 2-norm bound of 1")
+    return coords
+
+
 @dataclass(frozen=True, eq=False)
 class StateVector:
     """A state, as the real coordinate vector of its system type.
@@ -87,13 +103,7 @@ class StateVector:
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.system.dim,):
-            raise ValueError(f"coords shape {coords.shape} != ({self.system.dim},)")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("state coordinates must be finite")
-        if self.normalized and float(np.linalg.norm(coords)) > 1.0 + PHYSICAL_TOL:
-            raise ValueError("normalized state exceeds the 2-norm bound of 1")
+        coords = checked_coords(self.coords, (self.system.dim,), "state", self.normalized)
         object.__setattr__(self, "coords", _freeze(coords))
 
 
@@ -105,11 +115,7 @@ class EffectVector:
     coords: np.ndarray
 
     def __post_init__(self) -> None:
-        coords = np.asarray(self.coords, dtype=float)
-        if coords.shape != (self.system.dim,):
-            raise ValueError(f"coords shape {coords.shape} != ({self.system.dim},)")
-        if not np.all(np.isfinite(coords)):
-            raise ValueError("effect coordinates must be finite")
+        coords = checked_coords(self.coords, (self.system.dim,), "effect")
         object.__setattr__(self, "coords", _freeze(coords))
 
 

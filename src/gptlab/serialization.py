@@ -9,6 +9,7 @@ error classes so callers can map them to different exit codes.
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -81,16 +82,35 @@ def _names(doc: Mapping, key: str, what: str) -> list[str]:
 
 
 def parse_number(value, where: str) -> float:
-    """Number, decimal string, or 'p/q' rational string -> float."""
+    """Number, decimal string, or 'p/q' rational string -> float.
+
+    A string reads as the float nearest the exact rational it spells, so an
+    exact zero reads as +0.0 whatever its sign, and a value beyond the float
+    range is a parse error.
+    """
     if isinstance(value, bool):
         raise ParseError(f"expected a number, got {value!r}", where)
     if isinstance(value, (int, float)):
         return float(value)
     if isinstance(value, str):
+        # ASCII text without underscores that float() reads is a decimal, which it
+        # rounds correctly as float(Fraction(value)) does, or a spelling of inf or nan
+        if value.isascii() and "_" not in value:
+            try:
+                x = float(value)
+            except ValueError:
+                x = None  # "p/q" or malformed: the exact reading below decides
+            if x is not None:
+                if not math.isfinite(x):
+                    raise ParseError(f"number {value!r} is not a finite float", where)
+                # Fraction has no -0: an exact zero reads as +0.0, a tiny value keeps its sign
+                return x if x or value.lower().partition("e")[0].strip().strip("+-0.") else 0.0
         try:
             return float(Fraction(value))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"cannot read number {value!r}", where) from None
+        except OverflowError:
+            raise ParseError(f"number {value!r} is not a finite float", where) from None
     raise ParseError(f"expected a number, got {value!r}", where)
 
 

@@ -28,6 +28,7 @@ from .core import (
     SystemType,
     TransformationMatrix,
     UNIT,
+    checked_coords,
     kron_all,
     kron_rows,
 )
@@ -257,13 +258,21 @@ class RebitRule(CompositeRule):
 
 @dataclass(frozen=True, eq=False)
 class StrategyHooks:
-    """Samplers on the theory's single system type, used by discrimination
-    searches: deterministic grids plus RNG draws."""
+    """Strategies on the theory's single system type, used by discrimination
+    searches: deterministic grids of named vectors plus batch samplers.
+
+    ``random_states(rng, n)`` and ``random_effects(rng, n)`` return an
+    ``(n, dim)`` float array of coordinates, one sample per row, and every row
+    has passed the checks a :class:`StateVector` or :class:`EffectVector`
+    makes. One call for n rows takes the same draws from ``rng``, in the same
+    order and with the same bits, as n calls for one row, so a search's random
+    stream does not depend on how it batches.
+    """
 
     state_grid: Callable[[], list[tuple[str, StateVector]]]
-    random_state: Callable[[np.random.Generator], StateVector]
+    random_states: Callable[[np.random.Generator, int], np.ndarray]
     effect_grid: Callable[[], list[tuple[str, EffectVector]]]
-    random_effect: Callable[[np.random.Generator], EffectVector]
+    random_effects: Callable[[np.random.Generator, int], np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,8 +320,24 @@ class TheoryDescriptor:
         return self.effects[name]
 
 
+_Draw = Callable[[np.random.Generator, int], np.ndarray]
+
+
+def _checked_hooks(sys: SystemType, state_grid: Callable, draw_states: _Draw,
+                   effect_grid: Callable, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
+    """Hooks whose samplers check every drawn row as the vector classes do."""
+
+    def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
+        return checked_coords(draw_states(rng, n), (n, sys.dim), "state", normalized)
+
+    def random_effects(rng: np.random.Generator, n: int) -> np.ndarray:
+        return checked_coords(draw_effects(rng, n), (n, sys.dim), "effect")
+
+    return StrategyHooks(state_grid, random_states, effect_grid, random_effects)
+
+
 def _library_strategies(sys: SystemType, states: Mapping, effects: Mapping,
-                        random_state: Callable, random_effect: Callable) -> StrategyHooks:
+                        draw_states: _Draw, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
     """Hooks whose grids are the library's states and effects on ``sys``."""
 
     def state_grid():
@@ -321,7 +346,21 @@ def _library_strategies(sys: SystemType, states: Mapping, effects: Mapping,
     def effect_grid():
         return [(n, e) for n, e in effects.items() if e.system == sys]
 
-    return StrategyHooks(state_grid, random_state, effect_grid, random_effect)
+    return _checked_hooks(sys, state_grid, draw_states, effect_grid, draw_effects, normalized)
+
+
+def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int) -> _Draw:
+    """A batch draw calling ``draw(rng)`` once per row, in row order. For samples
+    that mix distributions, where drawing each one in bulk would reorder the
+    random stream."""
+
+    def draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
+        rows = np.empty((n, dim))
+        for i in range(n):
+            rows[i] = draw(rng)
+        return rows
+
+    return draw_rows
 
 
 # ---------------------------------------------------------------------------
@@ -367,11 +406,11 @@ def classical_theory(d: int) -> TheoryDescriptor:
     effects = {f"p{j}": EffectVector(sys, eye[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, np.ones(d))
 
-    def random_state(rng: np.random.Generator):
-        return StateVector(sys, rng.dirichlet(np.ones(d)), normalized=True)
+    def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.dirichlet(np.ones(d), size=n)
 
-    def random_effect(rng: np.random.Generator):
-        return EffectVector(sys, rng.uniform(0.0, 1.0, size=d))
+    def draw_effects(rng: np.random.Generator, n: int) -> np.ndarray:
+        return rng.uniform(0.0, 1.0, size=(n, d))
 
     return TheoryDescriptor(
         name=name,
@@ -381,7 +420,8 @@ def classical_theory(d: int) -> TheoryDescriptor:
         states=states,
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
-        strategies=_library_strategies(sys, states, effects, random_state, random_effect),
+        strategies=_library_strategies(sys, states, effects, draw_states, draw_effects,
+                                       normalized=True),
         meta={"builtin": "classical", "params": {"d": d}},
     )
 
@@ -496,18 +536,18 @@ def quantum_theory(d: int) -> TheoryDescriptor:
             "0": TransformationMatrix(UNIT, pair, phi_col, kraus=(_BELL_KETS["phi_plus"],))
         })
 
-    def random_state(rng: np.random.Generator):
+    def draw_state(rng: np.random.Generator) -> np.ndarray:
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         rho = g @ g.conj().T
         rho /= np.trace(rho).real
-        return StateVector(sys, carrier.to_vector(rho), normalized=True)
+        return carrier.to_vector(rho)
 
-    def random_effect(rng: np.random.Generator):
+    def draw_effect(rng: np.random.Generator) -> np.ndarray:
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
         h = (g + g.conj().T) / 2
         lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
         e = (h - lo * np.eye(d)) / max(hi - lo, ALGEBRA_TOL) * rng.uniform(0.0, 1.0)
-        return EffectVector(sys, carrier.to_vector(e))
+        return carrier.to_vector(e)
 
     return TheoryDescriptor(
         name=name,
@@ -518,7 +558,8 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
         carrier=carrier,
-        strategies=_library_strategies(sys, states, effects, random_state, random_effect),
+        strategies=_library_strategies(sys, states, effects, _per_sample(draw_state, sys.dim),
+                                       _per_sample(draw_effect, sys.dim), normalized=True),
         meta={"builtin": "quantum", "params": {"d": d}},
     )
 
@@ -623,38 +664,36 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
         "joint_second": EffectVector(pair, pair_carrier.to_vector(second_op)),
     }
 
-    def _state_coords(theta: float, r: float = 1.0) -> np.ndarray:
-        # rho = (I + r cos(theta) X + r sin(theta) Z)/2 in the (I,X,Z)/sqrt2 basis
-        return np.array([1.0, r * math.cos(theta), r * math.sin(theta)]) / SQRT2
-
-    def _effect_coords(theta: float) -> np.ndarray:
-        return np.array([1.0, math.cos(theta), math.sin(theta)]) / SQRT2
+    def _bloch_coords(theta, r=1.0) -> np.ndarray:
+        # rho = (I + r cos(theta) X + r sin(theta) Z)/2 in the (I,X,Z)/sqrt2 basis, which
+        # at r = 1 is also the projector at angle theta; array arguments give one row each
+        return np.stack(np.broadcast_arrays(1.0, r * np.cos(theta), r * np.sin(theta)),
+                        axis=-1) / SQRT2
 
     grid_angles = [k * math.pi / 12 for k in range(24)]
 
     def state_grid():
-        entries = [(f"pure({k * 15}°)", StateVector(sys, _state_coords(a), normalized=True))
+        entries = [(f"pure({k * 15}°)", StateVector(sys, _bloch_coords(a), normalized=True))
                    for k, a in enumerate(grid_angles)]
         entries.append(("mixed", states["mixed"]))
         return entries
 
-    def random_state(rng: np.random.Generator):
-        theta = rng.uniform(0.0, 2 * math.pi)
-        r = rng.uniform(0.0, 1.0)
-        return StateVector(sys, _state_coords(theta, r), normalized=True)
+    def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
+        # row i holds sample i's (theta, r): the order of one scalar draw after another
+        theta, r = rng.uniform([0.0, 0.0], [2 * math.pi, 1.0], size=(n, 2)).T
+        return _bloch_coords(theta, r)
 
     def effect_grid():
-        entries = [(f"proj({k * 15}°)", EffectVector(sys, _effect_coords(a)))
+        entries = [(f"proj({k * 15}°)", EffectVector(sys, _bloch_coords(a)))
                    for k, a in enumerate(grid_angles)]
         entries.append(("unit", effects["u"]))
         return entries
 
-    def random_effect(rng: np.random.Generator):
-        theta = rng.uniform(0.0, 2 * math.pi)
-        alpha, beta = rng.uniform(0.0, 1.0, size=2)
-        u_coords = effects["u"].coords
-        p_coords = _effect_coords(theta)
-        return EffectVector(sys, alpha * p_coords + beta * (u_coords - p_coords))
+    def draw_effects(rng: np.random.Generator, n: int) -> np.ndarray:
+        # alpha * projector + beta * its complement, drawn (theta, alpha, beta) per row
+        theta, alpha, beta = rng.uniform([0.0, 0.0, 0.0], [2 * math.pi, 1.0, 1.0], size=(n, 3)).T
+        p_coords = _bloch_coords(theta)
+        return alpha[:, None] * p_coords + beta[:, None] * (effects["u"].coords - p_coords)
 
     return TheoryDescriptor(
         name=name,
@@ -665,7 +704,8 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
         carrier=carrier,
-        strategies=StrategyHooks(state_grid, random_state, effect_grid, random_effect),
+        strategies=_checked_hooks(sys, state_grid, draw_states, effect_grid, draw_effects,
+                                  normalized=True),
         meta={"builtin": "real-quantum", "params": {"d": 2}},
     )
 
@@ -679,9 +719,9 @@ def _gbit_index(a: int, x: int) -> int:
     return 1 + 2 * x + a
 
 
-def _gbit_coords(p0: float, p1: float) -> np.ndarray:
-    # p0 = P(a=0 | x=0), p1 = P(a=0 | x=1)
-    return np.array([1.0, p0, 1.0 - p0, p1, 1.0 - p1])
+def _gbit_coords(p0, p1) -> np.ndarray:
+    # p0 = P(a=0 | x=0), p1 = P(a=0 | x=1); array arguments give one row each
+    return np.stack(np.broadcast_arrays(1.0, p0, 1.0 - p0, p1, 1.0 - p1), axis=-1)
 
 
 def pr_box_coords() -> np.ndarray:
@@ -750,14 +790,14 @@ def boxworld_gbit() -> TheoryDescriptor:
         "0": TransformationMatrix(sys, sys, np.eye(5))
     })
 
-    def random_state(rng: np.random.Generator):
-        return StateVector(sys, _gbit_coords(rng.uniform(), rng.uniform()))
+    def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
+        p0, p1 = rng.uniform(size=(n, 2)).T
+        return _gbit_coords(p0, p1)
 
-    def random_effect(rng: np.random.Generator):
+    def draw_effect(rng: np.random.Generator) -> np.ndarray:
         x = rng.integers(0, 2)
         alpha, beta = rng.uniform(0.0, 1.0, size=2)
-        return EffectVector(sys, alpha * effects[f"e0x{x}"].coords
-                            + beta * effects[f"e1x{x}"].coords)
+        return alpha * effects[f"e0x{x}"].coords + beta * effects[f"e1x{x}"].coords
 
     return TheoryDescriptor(
         name=name,
@@ -767,7 +807,8 @@ def boxworld_gbit() -> TheoryDescriptor:
         states=states,
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
-        strategies=_library_strategies(sys, states, effects, random_state, random_effect),
+        strategies=_library_strategies(sys, states, effects, draw_states,
+                                       _per_sample(draw_effect, sys.dim), normalized=False),
         meta={"builtin": "boxworld", "params": {}},
     )
 

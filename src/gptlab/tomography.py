@@ -135,6 +135,8 @@ def distinguish_search(theory: TheoryDescriptor,
     """
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
+    if locality not in ("local", "global"):
+        raise ValueError("locality must be 'local' or 'global'")
     if (t.input, t.output) != (u.input, u.output):
         raise TypeMismatchError("the two transformations have different signatures")
     if theory.strategies is None:
@@ -172,8 +174,6 @@ def distinguish_search(theory: TheoryDescriptor,
             if e.system == pair_type:
                 effect_rows.append(e.coords)
                 effect_names.append(name)
-    elif locality != "local":
-        raise ValueError("locality must be 'local' or 'global'")
 
     smat = np.column_stack(state_cols)
     emat = np.vstack(effect_rows)
@@ -183,17 +183,20 @@ def distinguish_search(theory: TheoryDescriptor,
     best_state, best_effect = state_names[si], effect_names[ei]
     evaluations = grid_vals.size
 
-    def random_pairs(draw) -> np.ndarray:
-        """``n_random`` products of two draws, factor a then factor b per sample."""
-        coords = np.empty((2, n_random, sys_type.dim))
-        for i in range(n_random):
-            coords[0, i], coords[1, i] = draw(rng).coords, draw(rng).coords
-        return rule.product_coords(types, coords)
+    def random_pairs(name: str) -> np.ndarray:
+        """``n_random`` products of two samples from one sampler call: sample 2i is
+        product i's factor a, sample 2i+1 its factor b."""
+        want = (2 * n_random, sys_type.dim)
+        coords = np.asarray(getattr(hooks, name)(rng, want[0]))
+        if coords.shape != want:
+            raise ValueError(f"strategy hook {name} returned shape {coords.shape}, "
+                             f"expected {want}")
+        return rule.product_coords(types, coords.reshape(n_random, 2, want[1]).swapaxes(0, 1))
 
     # random product strategies, one quadruple per sample, every state drawn before
     # any effect; the states' (dim, n_random) layout fixes einsum's summation order
-    rs = np.ascontiguousarray(random_pairs(hooks.random_state).T)
-    re = random_pairs(hooks.random_effect)
+    rs = np.ascontiguousarray(random_pairs("random_states").T)
+    re = random_pairs("random_effects")
     rand_vals = np.abs(np.einsum("ij,ji->i", re @ diff, rs))
     evaluations += rand_vals.size
     if rand_vals.size and float(rand_vals.max()) > best:

@@ -8,13 +8,15 @@ rebit composites in the orthonormal carriers by conjugating with Kronecker
 products of operators. ``reference_step`` steps an affine machine by
 rebuilding and re-sorting the whole tape for every branch.
 ``reference_n_local_span`` and ``reference_distinguish_search`` build their
-product coordinates one ``np.kron`` chain per row or sample. Random corpus
-builders are seeded.
+product coordinates one ``np.kron`` chain per row or sample.
+``reference_draws`` keeps the one-sample bodies of the strategy samplers that
+draw in bulk. Random corpus builders are seeded.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from functools import reduce
 
 import numpy as np
@@ -29,7 +31,7 @@ from gptlab import (
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import foliate
-from gptlab.core import PHYSICAL_TOL, EffectVector
+from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector
 from gptlab.errors import MachineValidationError
 from gptlab.theories import RebitRule, even_y_index
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
@@ -420,9 +422,15 @@ def reference_distinguish_search(theory, t, u, locality: str, seed: int,
     ei, si = np.unravel_index(int(grid_vals.argmax()), grid_vals.shape)
     best_state, best_effect = state_names[si], effect_names[ei]
 
-    states = [reference_product_coords(rule, [hooks.random_state(rng), hooks.random_state(rng)])
+    def one(sampler, vector):
+        """One sample per sampler call, checked again as a vector."""
+        return vector(sys_type, sampler(rng, 1)[0])
+
+    states = [reference_product_coords(rule, [one(hooks.random_states, StateVector),
+                                              one(hooks.random_states, StateVector)])
               for _ in range(n_random)]
-    effects = [reference_product_coords(rule, [hooks.random_effect(rng), hooks.random_effect(rng)])
+    effects = [reference_product_coords(rule, [one(hooks.random_effects, EffectVector),
+                                               one(hooks.random_effects, EffectVector)])
                for _ in range(n_random)]
     rs = np.column_stack(states) if states else np.zeros((pair_type.dim, 0))
     re = np.vstack(effects) if effects else np.zeros((0, pair_type.dim))
@@ -433,3 +441,40 @@ def reference_distinguish_search(theory, t, u, locality: str, seed: int,
         best_state, best_effect = f"random[{i}]", f"random[{i}]"
     return SeparationReport(best, best_state, best_effect, locality,
                             grid_vals.size + rand_vals.size)
+
+
+# ---------------------------------------------------------------------------
+# strategy sampler references
+
+
+def reference_draws(theory):
+    """(state draw, effect draw): one sample per call, as scalar draws from the
+    generator in turn, for each strategy sampler that draws in bulk; None for a
+    sampler that draws one sample at a time itself."""
+    builtin, dim = theory.meta["builtin"], theory.system().dim
+    if builtin == "classical":
+        return (lambda rng: rng.dirichlet(np.ones(dim)),
+                lambda rng: rng.uniform(0.0, 1.0, size=dim))
+    if builtin == "real-quantum":
+        sqrt2, unit = math.sqrt(2.0), theory.effects["u"].coords
+
+        def rebit_state(rng):
+            theta = rng.uniform(0.0, 2 * math.pi)
+            r = rng.uniform(0.0, 1.0)
+            return np.array([1.0, r * math.cos(theta), r * math.sin(theta)]) / sqrt2
+
+        def rebit_effect(rng):
+            theta = rng.uniform(0.0, 2 * math.pi)
+            alpha, beta = rng.uniform(0.0, 1.0, size=2)
+            proj = np.array([1.0, math.cos(theta), math.sin(theta)]) / sqrt2
+            return alpha * proj + beta * (unit - proj)
+
+        return rebit_state, rebit_effect
+    if builtin == "boxworld":
+
+        def gbit_state(rng):
+            p0, p1 = rng.uniform(), rng.uniform()
+            return np.array([1.0, p0, 1.0 - p0, p1, 1.0 - p1])
+
+        return gbit_state, None
+    return None, None

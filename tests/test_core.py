@@ -17,6 +17,7 @@ from gptlab import (
     pair,
     tensor,
 )
+from gptlab.core import checked_coords
 from gptlab.errors import TheoryMismatchError, TypeMismatchError
 
 BIT = SystemType("bit", 2)
@@ -195,3 +196,20 @@ def test_state_invariants():
         SystemType("empty", 0)
     with pytest.raises(ValueError):
         CompositeType("pair", 3, factors=(BIT, BIT))  # below the product dimension 4
+
+
+@pytest.mark.parametrize("row", [0, 3, 6])
+def test_checked_coords_checks_every_row(row):
+    rows = np.full((7, 2), 0.5)
+    assert checked_coords(rows, (7, 2), "state", normalized=True) is rows
+    bad = rows.copy()
+    bad[row, 1] = np.nan
+    with pytest.raises(ValueError, match="effect coordinates must be finite"):
+        checked_coords(bad, (7, 2), "effect")
+    bad[row] = [1.0, 0.5]  # 2-norm above 1, finite again
+    assert checked_coords(bad, (7, 2), "state").shape == (7, 2)
+    with pytest.raises(ValueError, match="2-norm bound"):
+        checked_coords(bad, (7, 2), "state", normalized=True)
+    with pytest.raises(ValueError, match=r"coords shape \(7, 2\) != \(2,\)"):
+        checked_coords(rows, (2,), "state")
+    assert checked_coords(np.empty((0, 2)), (0, 2), "state", normalized=True).shape == (0, 2)

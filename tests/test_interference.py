@@ -222,7 +222,7 @@ def test_decompose_at_the_interference_order_resums(spec, seed):
 
 
 @PROPERTY
-@given(families(5))  # parsing a six-slit synthetic family takes 1-2 s
+@given(families(6))
 def test_family_json_round_trip_keeps_every_projector(spec):
     family = built_family(*spec)
     again = parse_family(json.dumps(family_to_json(family)))

@@ -1,6 +1,7 @@
 """Description files, round-trips, and the command-line interface."""
 
 import json
+from fractions import Fraction
 from importlib import resources
 
 import numpy as np
@@ -18,6 +19,7 @@ from gptlab.serialization import (
     parse_circuit,
     parse_family,
     parse_machine,
+    parse_number,
     parse_theory,
     theory_to_json,
 )
@@ -166,6 +168,47 @@ def test_rational_and_decimal_weights_accepted():
     assert acceptance_weight(machine, "", 2) == 0.25
 
 
+def _exact_reading(text: str) -> float | None:
+    """The float nearest the exact rational a string spells, or None."""
+    try:
+        return float(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError):
+        return None
+
+
+# Exponents stay at three digits so the exact reference finishes quickly.
+NUMBER_TEXT = st.one_of(
+    st.floats().map(repr),
+    st.from_regex(r"\A\s?[-+]?\d{0,20}\.?\d{0,20}(?:[eE][-+]?\d{1,3})?\s?\Z"),
+    st.from_regex(r"\A[-+]?0*\.0*(?:[eE][-+]?\d{1,3})?\Z"),
+    st.from_regex(r"\A[-+]?\d{1,20}/\d{1,20}\Z"),
+    st.text(alphabet="0123456789.eE+-_/ infatyx\x1c", max_size=6),
+)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(NUMBER_TEXT)
+def test_parse_number_reads_a_string_as_its_exact_value(text):
+    want = _exact_reading(text)
+    if want is None:
+        with pytest.raises(ParseError):
+            parse_number(text, "entry")
+    else:  # float.hex tells -0.0 from +0.0
+        assert parse_number(text, "entry").hex() == want.hex()
+
+
+def test_parse_number_edge_strings():
+    for text, want in (("-0.0", 0.0), ("-0", 0.0), ("-1e-400", -0.0), ("1e-400", 0.0),
+                       ("1/3", 1 / 3), ("-5e-324", -5e-324), (" 2.5\n", 2.5)):
+        assert parse_number(text, "entry").hex() == want.hex()
+    for text in ("inf", "-Infinity", "nan", "0x10", "1e400", "-1e400", "1/0", "", "1.5.2"):
+        with pytest.raises(ParseError):
+            parse_number(text, "entry")
+    for value in (True, None, [1.0]):
+        with pytest.raises(ParseError):
+            parse_number(value, "entry")
+
+
 def test_family_parse_and_round_trip():
     family = parse_family(data_path("family_qutrit.json"))
     assert family.n_slits == 3
@@ -181,6 +224,10 @@ def test_family_invariant_errors_at_parse():
     # a valid one-slit family, but with a boolean slit count
     with pytest.raises(ParseError, match="n_slits"):
         parse_family(json.dumps({"n_slits": True, "projectors": {"0": [[0.0]], "1": [[1.0]]}}))
+    # an entry beyond the float range is an input error, not an OverflowError
+    for entry in ("1e400", "1" + "0" * 400 + "/3"):
+        with pytest.raises(ParseError, match="not a finite float"):
+            parse_family(json.dumps({"n_slits": 1, "projectors": {"0": [["0"]], "1": [[entry]]}}))
 
 
 # ---------------------------------------------------------------------------

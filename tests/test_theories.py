@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptlab import (
     DensityCarrier,
@@ -20,6 +21,8 @@ from gptlab import (
     tsirelson_settings,
 )
 from gptlab.theories import PAULI, pr_box_coords
+
+from conftest import all_theories, reference_draws
 
 SQRT2 = math.sqrt(2.0)
 
@@ -130,16 +133,66 @@ def test_t1_t2_agree_on_every_single_rebit(rebit):
     t2 = rebit.gate("t2").outcomes["0"].matrix
     # identical transfer matrices: no single-system strategy separates them
     assert np.allclose(t1, t2, atol=1e-12)
-    grid = rebit.strategies.state_grid()
-    effs = rebit.strategies.effect_grid()
+    hooks = rebit.strategies
+    grid = hooks.state_grid()
+    effs = hooks.effect_grid()
     rng = np.random.default_rng(1)
-    samples = [(rebit.strategies.random_state(rng), rebit.strategies.random_effect(rng))
+    # one state and one effect per sampler call, alternating
+    samples = [(hooks.random_states(rng, 1)[0], hooks.random_effects(rng, 1)[0])
                for _ in range(500)]
     for _, s in grid:
         for _, e in effs:
             assert abs(e.coords @ (t1 - t2) @ s.coords) <= 1e-12
     for s, e in samples:
-        assert abs(e.coords @ (t1 - t2) @ s.coords) <= 1e-12
+        assert abs(e @ (t1 - t2) @ s) <= 1e-12
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from(all_theories()), st.integers(0, 50), st.integers(0, 2**32 - 1))
+def test_batch_samplers_draw_like_one_sample_calls(theory, n, seed):
+    hooks, dim = theory.strategies, theory.system().dim
+    for sampler, draw in zip((hooks.random_states, hooks.random_effects),
+                             reference_draws(theory)):
+        batch_rng, one_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        batch = sampler(batch_rng, n)
+        assert batch.shape == (n, dim) and batch.dtype == np.float64
+        ones = np.array([sampler(one_rng, 1)[0] for _ in range(n)]).reshape(n, dim)
+        assert batch.tobytes() == ones.tobytes()
+        following = batch_rng.random()
+        assert one_rng.random() == following  # both took the same draws
+        if draw is not None:  # a bulk sampler: the one-sample bodies it replaced
+            ref_rng = np.random.default_rng(seed)
+            want = np.array([draw(ref_rng) for _ in range(n)]).reshape(n, dim)
+            assert batch.tobytes() == want.tobytes()
+            assert ref_rng.random() == following
+
+
+class _ConstantDraws:
+    """A stand-in generator whose every draw is ``value``."""
+
+    def __init__(self, value: float):
+        self.value = value
+
+    def uniform(self, low=0.0, high=1.0, size=None):
+        return np.full(size, self.value)
+
+    def dirichlet(self, alpha, size=None):
+        return np.full((size, len(alpha)), self.value)
+
+
+def test_samplers_check_every_drawn_row(rebit, classical2):
+    # a rebit state at r = 2 lies outside the unit disc; nan is no coordinate
+    with pytest.raises(ValueError, match="2-norm bound"):
+        rebit.strategies.random_states(_ConstantDraws(2.0), 3)
+    with pytest.raises(ValueError, match="state coordinates must be finite"):
+        rebit.strategies.random_states(_ConstantDraws(np.nan), 3)
+    with pytest.raises(ValueError, match="effect coordinates must be finite"):
+        rebit.strategies.random_effects(_ConstantDraws(np.nan), 3)
+    with pytest.raises(ValueError, match="2-norm bound"):
+        classical2.strategies.random_states(_ConstantDraws(0.9), 2)
+    with pytest.raises(ValueError, match="effect coordinates must be finite"):
+        classical2.strategies.random_effects(_ConstantDraws(np.inf), 2)
+    assert rebit.strategies.random_states(_ConstantDraws(0.5), 0).shape == (0, 3)
 
 
 def test_t1_t2_on_half_an_entangled_pair(rebit):

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from gptlab import StateVector
 from gptlab.errors import CapacityError, GptLabError, TypeMismatchError
-from gptlab.theories import RebitRule
+from gptlab.theories import RebitRule, StrategyHooks
 from gptlab.tomography import (
     defect_direction_overlap,
     distinguish_search,
@@ -185,6 +185,29 @@ def test_distinguish_search_n_random_edge_cases(rebit):
     for n_random in (-1, -5):
         with pytest.raises(ValueError, match="n_random must be >= 0"):
             distinguish_search(rebit, t1, t2, n_random=n_random)
+
+
+def test_distinguish_search_checks_inputs_before_any_work(rebit):
+    t1 = rebit.gate("t1").outcomes["0"]
+    t2 = rebit.gate("t2").outcomes["0"]
+
+    def untouched(*args):
+        raise AssertionError("a strategy hook ran")
+
+    idle = dataclasses.replace(rebit, strategies=StrategyHooks(untouched, untouched,
+                                                               untouched, untouched))
+    for locality in ("nonlocal", "Local", ""):
+        with pytest.raises(ValueError, match="locality must be 'local' or 'global'"):
+            distinguish_search(idle, t1, t2, locality=locality)
+
+    # a sampler must return (2 * n_random, dim): two factors per product
+    hooks = rebit.strategies
+    for name, bad in (("random_states", lambda rng, n: np.zeros((n, 4))),
+                      ("random_effects", lambda rng, n: np.zeros(3 * n)),
+                      ("random_states", lambda rng, n: np.zeros((n // 2, 3)))):
+        theory = dataclasses.replace(rebit, strategies=dataclasses.replace(hooks, **{name: bad}))
+        with pytest.raises(ValueError, match=f"strategy hook {name} returned shape"):
+            distinguish_search(theory, t1, t2, n_random=5)
 
 
 def _factor_types(theory, sizes):
