@@ -2,9 +2,14 @@
 
 A circuit is a DAG of gate instances joined by typed wires. Each evaluation
 compiles it once into layers of parallel gates (a foliation) that hold the
-gates, identities for passthrough wires and a wire permutation; a layer
-builds one outcome combination's matrix only on demand, through the
-theory's composite rule. Circuits are immutable once validated and
+gates, identities for passthrough wires and a wire permutation. Layer
+matrices are built only on demand, through the theory's composite rule:
+``prob`` asks each layer for the one outcome combination it selects
+(``parallel_matrix``, a batch of one), while ``distribution``, the built-in
+acceptors and the affine bridge ask for the layer's whole ``(K, out, in)``
+stack, every combination in ``itertools.product`` order over the gates'
+outcome labels, in one ``parallel_stack`` call (one Kronecker broadcast per
+gate or passthrough wire). Circuits are immutable once validated and
 evaluation keeps no state, so prob() on a shared circuit is safe to call
 concurrently.
 """
@@ -250,7 +255,8 @@ def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Layer:
-    """One compiled foliation layer; it builds a combination's matrix on demand."""
+    """One compiled foliation layer; it builds one combination's matrix, or the
+    stack of all of them in one :meth:`CompositeRule.parallel_stack` call, on demand."""
 
     gate_ids: tuple[str, ...]
     gates: tuple[Gate, ...]
@@ -269,12 +275,8 @@ class _Layer:
 
     def stack(self) -> np.ndarray:
         """Every combination's matrix, in ``labels`` order, in one (K, out, in) array."""
-        labels = self.labels
-        first = self.matrix(labels[0])
-        out = np.empty((len(labels), *first.shape))
-        for k, lab in enumerate(labels):
-            out[k] = first if k == 0 else self.matrix(lab)
-        return out
+        pieces = [list(g.outcomes.values()) for g in self.gates] + [[i] for i in self.idents]
+        return np.ascontiguousarray(self.rule.parallel_stack(pieces))
 
 
 def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,

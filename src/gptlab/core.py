@@ -236,11 +236,14 @@ def approx_matrix(m, eps: float) -> np.ndarray:
     return out
 
 
-def kron_all(matrices) -> np.ndarray:
-    """Kronecker product of 2-d arrays, left to right, starting from [[1.0]]."""
-    out = np.eye(1)
-    for m in matrices:  # np.kron's products, minus its per-call overhead
-        out = np.multiply.outer(out, m).transpose(0, 2, 1, 3).reshape(len(out) * len(m), -1)
+def kron_stack(stacks) -> np.ndarray:
+    """Kronecker products of ``(K_i, out_i, in_i)`` matrix stacks, one per
+    combination in ``itertools.product`` order: a ``(prod K_i, prod out_i,
+    prod in_i)`` stack, starting from [[1.0]]."""
+    out = np.ones((1, 1, 1))
+    for s in stacks:  # np.kron's products in np.kron's order: its bits, signed zeros too
+        out = (out[:, None, :, None, :, None] * s[None, :, None, :, None, :]).reshape(
+            len(out) * len(s), out.shape[1] * s.shape[1], -1)
     return out
 
 
@@ -258,6 +261,12 @@ class CompositeRule:
     The circuit engine talks to theories only through this interface, so
     theories whose joint systems are bigger than the tensor product of the
     parts (no tomographic locality) still evaluate correctly.
+
+    Parallel composition is batched: :meth:`parallel_stack` takes, per wire
+    factor, the list of that factor's outcome matrices and returns the
+    ``(prod K_i, out, in)`` stack of every combination's composite matrix, in
+    ``itertools.product`` order over the factors' lists (the last factor's
+    outcome varies fastest). :meth:`parallel_matrix` is its batch of one.
     """
 
     name = "abstract"
@@ -268,9 +277,14 @@ class CompositeRule:
     def identity(self, system: SystemType) -> TransformationMatrix:
         raise NotImplementedError
 
+    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
+        """The ``(prod K_i, out, in)`` stack of parallel compositions, where
+        ``pieces[i]`` lists the K_i outcome matrices of factor i in wire order."""
+        raise NotImplementedError
+
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
         """Matrix of the parallel composition of ``pieces``, in wire order."""
-        raise NotImplementedError
+        return self.parallel_stack([[p] for p in pieces])[0]
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         """Gather index reordering a joint state so factor i comes from slot perm[i]:
@@ -323,8 +337,8 @@ class KroneckerRule(CompositeRule):
     def identity(self, system: SystemType) -> TransformationMatrix:
         return TransformationMatrix(system, system, np.eye(system.dim))
 
-    def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
-        return kron_all(p.matrix for p in pieces)
+    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
+        return kron_stack(np.stack([p.matrix for p in piece]) for piece in pieces)
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         dims = tuple(t.dim for t in types)

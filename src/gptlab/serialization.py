@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 from typing import Any, Mapping
@@ -106,7 +107,7 @@ def parse_number(value, where: str) -> float:
                 # Fraction has no -0: an exact zero reads as +0.0, a tiny value keeps its sign
                 return x if x or value.lower().partition("e")[0].strip().strip("+-0.") else 0.0
         try:
-            return float(Fraction(value))
+            return float(Fraction(_capped_exponent(value)))
         except (ValueError, ZeroDivisionError):
             raise ParseError(f"cannot read number {value!r}", where) from None
         except OverflowError:
@@ -114,14 +115,43 @@ def parse_number(value, where: str) -> float:
     raise ParseError(f"expected a number, got {value!r}", where)
 
 
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")  # as Fraction spells it
+
+
+def _capped_exponent(text: str) -> str:
+    """``text`` with a decimal exponent beyond +-(330 + len(text)) cut to that bound.
+
+    Past the bound the value lies below 1e-330 or at or above 1e330 whatever
+    its digits, and so does the cut value, on the same side and with the same
+    sign: the float reading, and whether Fraction reads the text at all, stay
+    the same, but Fraction no longer builds 10**|exponent| (a billion-digit
+    integer for "1e-999999999").
+    """
+    m = _EXPONENT.search(text)
+    if m is None:
+        return text
+    try:
+        exponent = int(m[1])
+    except ValueError:  # past int's digit limit, where Fraction fails the same way
+        return text
+    bound = 330 + len(text)
+    if abs(exponent) <= bound:
+        return text
+    return f"{text[:m.start(1)]}{-bound if exponent < 0 else bound}{text[m.end(1):]}"
+
+
 def exact_number(value) -> Fraction | None:
     """The exact rational behind a description entry, when there is one.
 
-    Floats have none: a float written for a weight is checked as a float.
+    Floats have none: a float written for a weight is checked as a float. So
+    has a decimal string whose exponent puts it beyond the float range: it
+    reads as 0.0 (or fails to read), and is checked as what it reads as.
     """
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _capped_exponent(value) != value:
+            return None
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError):

@@ -29,8 +29,8 @@ from .core import (
     TransformationMatrix,
     UNIT,
     checked_coords,
-    kron_all,
     kron_rows,
+    kron_stack,
 )
 from .errors import GptLabError, TypeMismatchError
 
@@ -212,16 +212,18 @@ class RebitRule(CompositeRule):
             system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),)
         )
 
-    def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
-        for p in pieces:
+    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
+        for p in itertools.chain.from_iterable(pieces):
             if p.kraus is None:
                 raise GptLabError(
                     f"gate outcome '{p.outcome_label}' lacks operator (Kraus) data; "
                     "rebit composites cannot be built from single-wire matrices alone"
                 )
-        full = kron_all(self._transfer_matrix(p.kraus) for p in pieces)
-        k_out, k_in = (n.bit_length() // 2 for n in full.shape)  # full is 4^k_out x 4^k_in
-        return full[np.ix_(self._table(even_y_index, k_out), self._table(even_y_index, k_in))]
+        full = kron_stack(np.stack([self._transfer_matrix(p.kraus) for p in piece])
+                          for piece in pieces)
+        k_out, k_in = (n.bit_length() // 2 for n in full.shape[1:])  # 4^k_out x 4^k_in
+        return full[np.ix_(np.arange(len(full)), self._table(even_y_index, k_out),
+                           self._table(even_y_index, k_in))]
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         leaves = [self._n_leaves(t) for t in types]

@@ -7,8 +7,10 @@ over explicit basis-state trajectories. The ``kraus_*`` references build
 rebit composites in the orthonormal carriers by conjugating with Kronecker
 products of operators. ``reference_step`` steps an affine machine by
 rebuilding and re-sorting the whole tape for every branch.
-``reference_n_local_span`` and ``reference_distinguish_search`` build their
-product coordinates one ``np.kron`` chain per row or sample.
+``reference_parallel_stack``, ``reference_n_local_span`` and
+``reference_distinguish_search`` build their Kronecker products one ``np.kron``
+chain per combination, row or sample; ``reference_layer_stack`` builds a
+circuit layer's stack one ``parallel_matrix`` call per outcome combination.
 ``reference_draws`` keeps the one-sample bodies of the strategy samplers that
 draw in bulk. Random corpus builders are seeded.
 """
@@ -146,6 +148,31 @@ def kraus_product_coords(rule, pieces, leaves) -> np.ndarray:
     """Carrier coordinates of the Kronecker product of the pieces' operators."""
     ops = [rule.carrier(k).from_vector(p.coords) for p, k in zip(pieces, leaves)]
     return rule.carrier(sum(leaves)).to_vector(reduce(np.kron, ops))
+
+
+def reference_parallel_stack(rule, pieces) -> np.ndarray:
+    """``rule.parallel_stack(pieces)`` one combination at a time, in
+    itertools.product order: an np.kron chain from [[1.0]] over the chosen
+    outcomes' matrices; for rebits, over their Pauli transfer matrices,
+    restricted to the even-Y strings at the end."""
+    mats = []
+    for combo in itertools.product(*pieces):
+        if not isinstance(rule, RebitRule):
+            mats.append(reduce(np.kron, [p.matrix for p in combo], np.eye(1)))
+            continue
+        full = reduce(np.kron, [rule._transfer_matrix(p.kraus) for p in combo], np.eye(1))
+        k_out, k_in = (n.bit_length() // 2 for n in full.shape)  # 4^k_out x 4^k_in
+        mats.append(full[np.ix_(even_y_index(k_out), even_y_index(k_in))])
+    return np.stack(mats)
+
+
+def reference_layer_stack(layer) -> np.ndarray:
+    """A compiled layer's stack as the engine once built it: one
+    ``parallel_matrix`` call per outcome combination, in ``labels`` order."""
+    return np.stack([
+        layer.rule.parallel_matrix([g.outcomes[lab] for g, lab in zip(layer.gates, labels)]
+                                   + list(layer.idents))
+        for labels in layer.labels])
 
 
 def reference_product_coords(rule, pieces) -> np.ndarray:

@@ -27,13 +27,13 @@ from gptlab import (
     real_quantum_theory,
 )
 from gptlab.afftm import circuit_to_affine_program
-from gptlab.circuits import Gate
+from gptlab.circuits import Gate, _compile
 from gptlab.cli import main
 from gptlab.core import UNIT, KroneckerRule, TransformationMatrix
 from gptlab.errors import GptLabError, ParseError
 from gptlab.serialization import circuit_to_json, parse_circuit
 
-from conftest import classical_path_distribution, operator_distribution
+from conftest import classical_path_distribution, operator_distribution, reference_layer_stack
 
 THEORIES = {
     "classical": classical_theory(2),
@@ -148,19 +148,35 @@ def test_json_round_trip_keeps_every_bit(c, data):
     assert acceptance_prob(again, parsed_acceptor) == acceptance_prob(c, acceptor)
 
 
+@PROPERTY
+@given(circuits(), st.sampled_from(["greedy", "singletons"]))
+def test_layer_stacks_match_per_combination_matrices(c, style):
+    for layer in _compile(c, foliate(c, style)):
+        got, want = layer.stack(), reference_layer_stack(layer)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
+        assert got.flags.c_contiguous
+
+
 class CountingRule(KroneckerRule):
-    """A tensor-product rule that counts the layer matrices it builds."""
+    """A tensor-product rule that counts the layer matrices and the layer
+    stacks it builds; a matrix is built as a stack of one."""
 
     def __init__(self, theory):
         super().__init__(theory)
-        self.calls = 0
+        self.matrices = self.stacks = 0
 
     def parallel_matrix(self, pieces):
-        self.calls += 1
+        self.matrices += 1
         return super().parallel_matrix(pieces)
 
+    def parallel_stack(self, pieces):
+        self.stacks += 1
+        return super().parallel_stack(pieces)
 
-def test_prob_builds_one_layer_matrix_per_layer():
+
+def counting_coin_circuit() -> tuple[CircuitDAG, CountingRule]:
+    """Four coins, each read: two greedy layers, eight singleton layers."""
     base = classical_theory(2)
     rule = CountingRule(base.name)
     theory = dataclasses.replace(base, composite_rule=rule)
@@ -169,12 +185,39 @@ def test_prob_builds_one_layer_matrix_per_layer():
         c.add(f"c{k}", theory.gate("coin"))
         c.add(f"r{k}", theory.gate("read"))
         c.connect((f"c{k}", 0), (f"r{k}", 0))
+    return c, rule
+
+
+def test_prob_builds_one_layer_matrix_per_layer():
+    c, rule = counting_coin_circuit()
     z = {**{f"c{k}": "1" for k in range(4)}, **{f"r{k}": "1" for k in range(4)}}
     for style in ("greedy", "singletons"):
         fol = foliate(c, style)
-        rule.calls = 0
+        rule.matrices = 0
         assert prob(c, z, foliation=fol) == pytest.approx(2.0**-4)
-        assert rule.calls == len(fol)
+        assert rule.matrices == len(fol)
+
+
+def test_enumeration_and_acceptors_build_one_stack_per_layer():
+    c, rule = counting_coin_circuit()
+    table = Acceptor("table", table={z.pairs: 0 for z in distribution(c)})
+    acceptors = [Acceptor(kind) for kind in BUILT_IN if kind != "reject-all"] + [table]
+    for style in ("greedy", "singletons"):
+        fol = foliate(c, style)
+        rule.matrices = rule.stacks = 0
+        distribution(c, foliation=fol)
+        assert (rule.matrices, rule.stacks) == (0, len(fol))
+        for acceptor in acceptors:
+            rule.stacks = 0
+            acceptance_prob(c, acceptor, foliation=fol)
+            assert (rule.matrices, rule.stacks) == (0, len(fol)), acceptor.kind
+    # the bridge compiles the greedy foliation; running the program builds nothing
+    for acceptor in acceptors:
+        rule.stacks = 0
+        program = circuit_to_affine_program(c, acceptor)
+        assert (rule.matrices, rule.stacks) == (0, len(foliate(c)))
+        program.acceptance_weight()
+        assert (rule.matrices, rule.stacks) == (0, len(foliate(c)))
 
 
 def overfull_circuit() -> CircuitDAG:

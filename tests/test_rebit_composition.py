@@ -9,11 +9,27 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import StateVector, TransformationMatrix, real_quantum_theory, symmetric_pauli_basis
+from gptlab import (
+    Acceptor,
+    CircuitDAG,
+    StateVector,
+    TransformationMatrix,
+    acceptance_prob,
+    distribution,
+    prob,
+    real_quantum_theory,
+    symmetric_pauli_basis,
+)
+from gptlab.circuits import Gate
 from gptlab.errors import GptLabError
 from gptlab.theories import PAULI, even_y_index
 
-from conftest import kraus_parallel_matrix, kraus_permutation_matrix, kraus_product_coords
+from conftest import (
+    kraus_parallel_matrix,
+    kraus_permutation_matrix,
+    kraus_product_coords,
+    reference_parallel_stack,
+)
 
 REBIT = real_quantum_theory(2)
 RULE = REBIT.composite_rule
@@ -23,6 +39,8 @@ MAX_REBITS = 4
 
 # every outcome of every gate in the library, plus the passthrough identity
 PIECES = [tm for g in REBIT.gates.values() for tm in g.outcomes.values()] + [RULE.identity(SYS)]
+# every gate's outcome list, one-outcome gates included, plus the passthrough identity
+FACTORS = [list(g.outcomes.values()) for g in REBIT.gates.values()] + [[RULE.identity(SYS)]]
 COORDS = list(REBIT.states.values()) + list(REBIT.effects.values())
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True)
@@ -44,6 +62,18 @@ def test_parallel_matrix_matches_kraus_products(pieces):
     want = kraus_parallel_matrix(RULE, pieces)
     assert got.shape == want.shape
     assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=MAX_REBITS)
+       .filter(lambda fs: sum(_rebits(f[0]) for f in fs) <= MAX_REBITS))
+def test_parallel_stack_is_the_per_combination_products(factors):
+    got = RULE.parallel_stack(factors)
+    want = reference_parallel_stack(RULE, factors)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
+    for m, combo in zip(got, itertools.product(*factors)):
+        assert np.max(np.abs(m - kraus_parallel_matrix(RULE, combo))) <= 1e-12
 
 
 @PROPERTY
@@ -94,3 +124,17 @@ def test_pieces_without_kraus_data_are_rejected():
     bare = TransformationMatrix(SYS, SYS, np.eye(3), outcome_label="bare")
     with pytest.raises(GptLabError, match="Kraus"):
         RULE.parallel_matrix([bare, RULE.identity(SYS)])
+
+
+def test_circuits_with_pieces_without_kraus_data_are_rejected():
+    bare = Gate("bare", (SYS,), (SYS,), {"0": TransformationMatrix(SYS, SYS, np.eye(3))})
+    c = CircuitDAG(REBIT)
+    c.add("p", REBIT.gate("prep_0"))
+    c.add("b", bare)
+    c.add("m", REBIT.gate("measure"))
+    c.connect(("p", 0), ("b", 0))
+    c.connect(("b", 0), ("m", 0))
+    for evaluate in (distribution, lambda c: acceptance_prob(c, Acceptor("accept-all")),
+                     lambda c: prob(c, {"p": "0", "b": "0", "m": "0"})):
+        with pytest.raises(GptLabError, match="Kraus"):
+            evaluate(c)

@@ -209,6 +209,41 @@ def test_parse_number_edge_strings():
             parse_number(value, "entry")
 
 
+def _two_branch_machine(weights) -> dict:
+    return {
+        "states": ["q0", "acc", "rej"], "initial": "q0", "accept": "acc",
+        "reject": "rej", "blank": "_", "alphabet": ["_"],
+        "transitions": [{"state": "q0", "read": "_", "branches": [
+            {"next": nxt, "write": "_", "move": "S", "weight": w}
+            for nxt, w in zip(("acc", "rej"), weights)]}],
+    }
+
+
+def test_huge_decimal_exponents_read_at_once(tmp_path, capsys):
+    # Fraction would build 10**999999999 for these; they read at once, as the
+    # float nearest their exact value
+    for text, want in (("1_0e-999999999", 0.0), ("-1_0e-999999999", -0.0),
+                       ("0_0e999999999", 0.0), ("\u0661e-999999999", 0.0),
+                       ("1_0e-400", 0.0), ("-2_5e-500", -0.0), (" 1_5E+0_3 ", 15000.0)):
+        assert parse_number(text, "entry").hex() == want.hex()
+    for text in ("1_0e999999999", "-1_0e+999999999", "9_9e400"):
+        with pytest.raises(ParseError, match="not a finite float"):
+            parse_number(text, "entry")
+    # the same readings as Fraction's, where it is quick
+    assert [_exact_reading(t) for t in ("1_0e-400", "-2_5e-500", "9_9e400")] == [0.0, -0.0, None]
+    # a weight beyond the float range reads as 0.0 and is checked as 0.0
+    machine = parse_machine(json.dumps(_two_branch_machine(["1", "1e-999999999"])))
+    assert [b.weight for b in machine.transitions[("q0", "_")]] == [1.0, 0.0]
+    for weights, exit_code in ((["1", "1e-999999999"], 0), (["1", "1_0e-999999999"], 0),
+                               (["1", "1_0e999999999"], 2), (["1", "1e999999999"], 2)):
+        path = tmp_path / "machine.json"
+        path.write_text(json.dumps(_two_branch_machine(weights)))
+        code, _, err = run_cli(capsys, "afftm", "run", "--machine", str(path),
+                               "--input", "", "--max-steps", "2")
+        assert code == exit_code, weights
+        assert "Traceback" not in err
+
+
 def test_family_parse_and_round_trip():
     family = parse_family(data_path("family_qutrit.json"))
     assert family.n_slits == 3

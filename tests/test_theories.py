@@ -10,6 +10,8 @@ from gptlab import (
     DensityCarrier,
     EffectVector,
     StateVector,
+    TransformationMatrix,
+    UNIT,
     apply,
     bell_operators,
     chsh_value,
@@ -22,7 +24,7 @@ from gptlab import (
 )
 from gptlab.theories import PAULI, pr_box_coords
 
-from conftest import all_theories, reference_draws
+from conftest import all_theories, reference_draws, reference_parallel_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -165,6 +167,32 @@ def test_batch_samplers_draw_like_one_sample_calls(theory, n, seed):
             want = np.array([draw(ref_rng) for _ in range(n)]).reshape(n, dim)
             assert batch.tobytes() == want.tobytes()
             assert ref_rng.random() == following
+
+
+# entries of random outcome matrices: both signed zeros, and values whose
+# products round
+_ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3.0 ** 0.5])
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([t for t in all_theories() if t.meta["builtin"] != "real-quantum"]),
+       st.data())
+def test_kronecker_parallel_stack_is_the_per_combination_products(theory, data):
+    rule, sys = theory.composite_rule, theory.system()
+    # every gate's outcome list, one-outcome gates included, the passthrough
+    # identity, and random 1-3 outcome maps on one wire, to and from the unit
+    factors = [list(g.outcomes.values()) for g in theory.gates.values()] + [[rule.identity(sys)]]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    for k, (t_in, t_out) in enumerate([(sys, sys), (UNIT, sys), (sys, UNIT)]):
+        factors.append([TransformationMatrix(t_in, t_out, rng.choice(_ENTRIES, (t_out.dim, t_in.dim)))
+                        for _ in range(1 + k)])
+    pieces = data.draw(st.lists(st.sampled_from(factors), max_size=4)
+                       .filter(lambda fs: math.prod(f[0].matrix.size for f in fs) <= 2**16))
+    got = rule.parallel_stack(pieces)
+    want = reference_parallel_stack(rule, pieces)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
+    assert got[0].tobytes() == rule.parallel_matrix([f[0] for f in pieces]).tobytes()
 
 
 class _ConstantDraws:
