@@ -19,7 +19,7 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import Acceptor, CircuitDAG, Decision, _accept, _compile
+from .circuits import DEFAULT_ENUMERATION_CAP, Acceptor, CircuitDAG, Decision, _accept, _compile
 from .core import ALGEBRA_TOL, PHYSICAL_TOL
 from .errors import HaltingViolationError, MachineValidationError
 
@@ -307,7 +307,7 @@ class AffineProgram:
 
 
 def circuit_to_affine_program(circuit: CircuitDAG, acceptor: Acceptor,
-                              cap: int = 2**20) -> AffineProgram:
+                              cap: int = DEFAULT_ENUMERATION_CAP) -> AffineProgram:
     """Recast a closed circuit as a branching affine program.
 
     Each foliation layer becomes one branching step whose branches are the

@@ -1,17 +1,17 @@
 """Closed-circuit construction, validation, foliation, and evaluation.
 
 A circuit is a DAG of gate instances joined by typed wires. Each evaluation
-compiles it once into layers of parallel gates (a foliation) that hold the
-gates, identities for passthrough wires and a wire permutation. Layer
-matrices are built only on demand, through the theory's composite rule:
-``prob`` asks each layer for the one outcome combination it selects
-(``parallel_matrix``, a batch of one), while ``distribution``, the built-in
-acceptors and the affine bridge ask for the layer's whole ``(K, out, in)``
-stack, every combination in ``itertools.product`` order over the gates'
-outcome labels, in one ``parallel_stack`` call (one Kronecker broadcast per
-gate or passthrough wire). Circuits are immutable once validated and
-evaluation keeps no state, so prob() on a shared circuit is safe to call
-concurrently.
+compiles it once into layers of parallel gates (a foliation) that hold, per
+wire factor, the gate's outcome matrices or a passthrough identity, and a
+wire permutation. Every evaluation runs one walk over these layers: each
+layer's ``(K, out, in)`` stack, every combination in ``itertools.product``
+order over the gates' outcome labels, comes from one ``parallel_stack`` call
+of the theory's composite rule (one Kronecker broadcast per gate or
+passthrough wire). ``distribution``, the built-in acceptors and the affine
+bridge compile every outcome of every gate; ``prob`` compiles only the
+outcomes its string selects, so each of its layers has one combination.
+Circuits are immutable once validated and evaluation keeps no state, so
+prob() on a shared circuit is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -237,7 +237,7 @@ def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
     return layers
 
 
-def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> None:
+def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> list[list[str]]:
     seen: dict[str, int] = {}
     for k, layer in enumerate(layers):
         for iid in layer:
@@ -251,44 +251,34 @@ def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> None:
             raise CircuitValidationError(
                 f"foliation violates wire order ('{w.src[0]}' before '{w.dst[0]}')"
             )
+    return layers
 
 
 @dataclass(frozen=True, eq=False)
 class _Layer:
-    """One compiled foliation layer; it builds one combination's matrix, or the
-    stack of all of them in one :meth:`CompositeRule.parallel_stack` call, on demand."""
+    """One compiled foliation layer; it builds the stack of its outcome
+    combinations in one :meth:`CompositeRule.parallel_stack` call, on demand."""
 
     gate_ids: tuple[str, ...]
-    gates: tuple[Gate, ...]
-    idents: tuple[TransformationMatrix, ...]  # passthrough wires, after the gates
+    labels: tuple[tuple[str, ...], ...]  # one outcome label per gate, per combination
+    pieces: tuple[tuple[TransformationMatrix, ...], ...]  # per factor; passthrough wires last
     perm: np.ndarray | None  # joint-state gather index applied first; None = identity
     rule: CompositeRule
 
-    @property
-    def labels(self) -> tuple[tuple[str, ...], ...]:
-        return tuple(itertools.product(*(g.outcome_labels for g in self.gates)))
-
-    def matrix(self, labels: tuple[str, ...]) -> np.ndarray:
-        # C-contiguous, so prob and the batched walk run the same BLAS kernel
-        pieces = [g.outcomes[lab] for g, lab in zip(self.gates, labels)]
-        return np.ascontiguousarray(self.rule.parallel_matrix(pieces + list(self.idents)))
-
     def stack(self) -> np.ndarray:
         """Every combination's matrix, in ``labels`` order, in one (K, out, in) array."""
-        pieces = [list(g.outcomes.values()) for g in self.gates] + [[i] for i in self.idents]
-        return np.ascontiguousarray(self.rule.parallel_stack(pieces))
+        return np.ascontiguousarray(self.rule.parallel_stack(self.pieces))
 
 
 def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
-             cap: int | None = None) -> list[_Layer]:
-    """Validate, check ``cap`` on the outcome strings, and lay out the layers."""
+             cap: int | None = None, select: Mapping[str, str] | None = None) -> list[_Layer]:
+    """Validate, check ``cap`` on the outcome strings, and lay out the layers;
+    ``select`` restricts every gate to the one outcome it names."""
     if cap is not None and circuit.n_outcome_strings() > cap:
         raise CapacityError(
             f"{circuit.n_outcome_strings()} outcome strings exceed the enumeration cap {cap}")
     greedy = foliate(circuit)  # validates
-    if foliation is None:
-        foliation = greedy
-    _check_foliation(circuit, foliation)
+    foliation = greedy if foliation is None else _check_foliation(circuit, foliation)
 
     rule = circuit.theory.composite_rule
     in_wire: dict[Port, Wire] = {w.dst: w for w in circuit.wires}
@@ -309,8 +299,12 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
         perm = [slot[w] for w in consumed + passthrough]
         gather = (None if perm == list(range(len(perm)))
                   else rule.permutation_index([wire_type(w) for w in live], perm))
-        idents = tuple(rule.identity(wire_type(w)) for w in passthrough)
-        layers.append(_Layer(tuple(layer_ids), gates, idents, gather, rule))
+        outcomes = [g.outcome_labels if select is None else (select[iid],)
+                    for iid, g in zip(layer_ids, gates)]
+        pieces = [tuple(g.outcomes[lab] for lab in labs) for g, labs in zip(gates, outcomes)]
+        pieces += [(rule.identity(wire_type(w)),) for w in passthrough]
+        layers.append(_Layer(tuple(layer_ids), tuple(itertools.product(*outcomes)),
+                             tuple(pieces), gather, rule))
         live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
                 for p in range(len(g.outputs))] + passthrough
     return layers
@@ -330,34 +324,31 @@ def prob(
     z: OutcomeString | Mapping[str, str],
     foliation: list[list[str]] | None = None,
 ) -> float:
-    """Probability of one full outcome string.
-
-    The value is the product of the layer matrices selected by ``z`` (one
-    matrix built per layer) and is checked against [-PROB_TOL, 1 + PROB_TOL].
-    """
+    """Probability of one full outcome string: the walk of ``distribution``
+    over one combination per layer, every gate restricted to its outcome in
+    ``z``; checked against [-PROB_TOL, 1 + PROB_TOL]."""
     if not isinstance(z, OutcomeString):
         z = circuit.outcome_string(z)
-    chosen = z.as_dict()
-    vec = np.ones(1)
-    for layer in _compile(circuit, foliation):
-        if layer.perm is not None:
-            vec = vec[layer.perm]
-        vec = layer.matrix(tuple(chosen[iid] for iid in layer.gate_ids)) @ vec
-    return _checked(float(vec[0]), "outcome probability")
+    return float(_front(_compile(circuit, foliation, select=z.as_dict()))[0, 0])
 
 
-def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
-    """Every leaf and its probability, depth first, over compiled layers or
-    affine-program steps. A (prefixes x dim) frontier passes through one layer
-    at a time, one matrix-vector product per (prefix, combination), so values
-    have the bits of a leaf-by-leaf walk."""
+def _front(layers) -> np.ndarray:
+    """Every leaf's value, depth first, as a (leaves, 1) array, over compiled
+    layers or affine-program steps. A (prefixes x dim) frontier passes through
+    one layer at a time, one matrix-vector product per (prefix, combination),
+    so values have the bits of a leaf-by-leaf walk."""
     front = np.ones((1, 1))
     for layer in layers:
         if layer.perm is not None:
             front = np.take(front, layer.perm, axis=1)  # C order, unlike front[:, perm]
         stack = layer.stack()
         front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
-    _checked(front, "outcome probability")
+    return _checked(front, "outcome probability")
+
+
+def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
+    """Every leaf of :func:`_front`, keyed by its outcome string."""
+    front = _front(layers)
     # a leaf's pairs: its layer combinations' pairs, concatenated, in instance order
     pairs = [[tuple(zip(layer.gate_ids, labels)) for labels in layer.labels] for layer in layers]
     slot = {iid: k for k, iid in enumerate(iid for layer in layers for iid in layer.gate_ids)}

@@ -35,15 +35,18 @@ EXIT_INPUT = 2
 
 
 def _seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    env = os.environ.get("GPTLAB_SEED")
-    if env is not None:
+    seed, where = args.seed, "args"
+    if seed is None:
+        env = os.environ.get("GPTLAB_SEED")
+        if env is None:
+            return DEFAULT_SEED
         try:
-            return int(env)
+            seed, where = int(env), "env"
         except ValueError:
             raise ParseError(f"GPTLAB_SEED must be an integer, got {env!r}", "env") from None
-    return DEFAULT_SEED
+    if seed < 0:
+        raise ParseError(f"seed must be >= 0, got {seed}", where)
+    return seed
 
 
 def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> None:
@@ -153,6 +156,8 @@ def _cmd_interfere_decompose(args):
     if vector.shape != (family.dim,):
         raise ParseError(f"--vector needs {family.dim} coordinates for this family, "
                          f"got shape {vector.shape}", "args")
+    if not np.isfinite(vector).all():
+        raise ParseError("--vector entries must be finite", "args")
     decomp = interference.decompose(vector, family, args.order)
     components = {
         "{" + ",".join(str(i) for i in sorted(k)) + "}": [float(x) for x in v]
@@ -279,6 +284,8 @@ def _cmd_query_grover(args):
 def _cmd_query_bounds(args):
     if args.n < 1 or args.k < 1:
         raise ParseError("need --n >= 1 and --k >= 1", "args")
+    if args.n // args.k > sys.float_info.max:
+        raise ParseError("--n / --k is beyond the float range", "args")
     bound = querylab.lower_bound(args.problem, args.n, args.k)
     report = {"command": "query bounds", "problem": bound.problem, "n": bound.n_items,
               "k": bound.order, "value": bound.value, "asymptotic": bound.asymptotic}

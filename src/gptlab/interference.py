@@ -157,14 +157,15 @@ def decompose(vector: np.ndarray, family: ProjectorFamily, order: int) -> Cohere
 
     Raises :class:`ReconstructionError` (carrying the residual norm) when the
     components miss the input by more than PHYSICAL_TOL relative to its norm,
-    i.e. when ``order`` is below the interference order on this vector.
+    i.e. when ``order`` is below the interference order on this vector, or
+    when the residual is not a number.
     """
     vector = np.asarray(vector, dtype=float)
     components = {}
     for key in subsets(family.n_slits, min_size=1, max_size=order):
         components[key] = coherence_projector(family, key) @ vector
     residual = float(np.linalg.norm(sum(components.values()) - vector))
-    if residual > PHYSICAL_TOL * max(1.0, float(np.linalg.norm(vector))):
+    if not residual <= PHYSICAL_TOL * max(1.0, float(np.linalg.norm(vector))):
         raise ReconstructionError(
             f"components up to size {order} miss the input by {residual:.3e}", residual
         )

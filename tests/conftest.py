@@ -168,11 +168,10 @@ def reference_parallel_stack(rule, pieces) -> np.ndarray:
 
 def reference_layer_stack(layer) -> np.ndarray:
     """A compiled layer's stack as the engine once built it: one
-    ``parallel_matrix`` call per outcome combination, in ``labels`` order."""
-    return np.stack([
-        layer.rule.parallel_matrix([g.outcomes[lab] for g, lab in zip(layer.gates, labels)]
-                                   + list(layer.idents))
-        for labels in layer.labels])
+    ``parallel_matrix`` call per outcome combination of its pieces, in
+    ``itertools.product`` order."""
+    return np.stack([layer.rule.parallel_matrix(list(combo))
+                     for combo in itertools.product(*layer.pieces)])
 
 
 def reference_product_coords(rule, pieces) -> np.ndarray:

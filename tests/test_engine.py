@@ -160,11 +160,12 @@ def test_layer_stacks_match_per_combination_matrices(c, style):
 
 class CountingRule(KroneckerRule):
     """A tensor-product rule that counts the layer matrices and the layer
-    stacks it builds; a matrix is built as a stack of one."""
+    stacks it builds, and the combinations in those stacks; a matrix is built
+    as a stack of one."""
 
     def __init__(self, theory):
         super().__init__(theory)
-        self.matrices = self.stacks = 0
+        self.matrices = self.stacks = self.combinations = 0
 
     def parallel_matrix(self, pieces):
         self.matrices += 1
@@ -172,7 +173,9 @@ class CountingRule(KroneckerRule):
 
     def parallel_stack(self, pieces):
         self.stacks += 1
-        return super().parallel_stack(pieces)
+        stack = super().parallel_stack(pieces)
+        self.combinations += len(stack)
+        return stack
 
 
 def counting_coin_circuit() -> tuple[CircuitDAG, CountingRule]:
@@ -193,9 +196,10 @@ def test_prob_builds_one_layer_matrix_per_layer():
     z = {**{f"c{k}": "1" for k in range(4)}, **{f"r{k}": "1" for k in range(4)}}
     for style in ("greedy", "singletons"):
         fol = foliate(c, style)
-        rule.matrices = 0
+        rule.matrices = rule.stacks = rule.combinations = 0
         assert prob(c, z, foliation=fol) == pytest.approx(2.0**-4)
-        assert rule.matrices == len(fol)
+        # the walk of distribution, over one selected combination per layer
+        assert (rule.matrices, rule.stacks, rule.combinations) == (0, len(fol), len(fol))
 
 
 def test_enumeration_and_acceptors_build_one_stack_per_layer():

@@ -166,6 +166,16 @@ def test_decompose_order_too_small():
     assert decompose(v, family, 2).residual <= 1e-12
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_decompose_rejects_a_non_finite_vector(bad):
+    # a NaN residual compares false with every bound, so it must not pass as a fit
+    v = np.zeros(9)
+    v[0] = bad
+    with np.errstate(invalid="ignore"), pytest.raises(ReconstructionError) as err:
+        decompose(v, quantum_family(3, qutrit_carrier()), 2)
+    assert np.isnan(err.value.residual)
+
+
 def test_synthetic_family_axes():
     family = synthetic_family(4, 2)
     # omega_I projects exactly onto the axis labelled I

@@ -307,6 +307,14 @@ def test_cli_env_seed(capsys, monkeypatch):
     assert json.loads(out1)["table"] != json.loads(out2)["table"]
 
 
+def test_cli_rejects_a_negative_env_seed(capsys, monkeypatch):
+    monkeypatch.setenv("GPTLAB_SEED", "-3")
+    for argv in (["query", "grover", "--n", "4"], ["--json", "query", "parity", "--n", "4"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert "input error: env: seed must be >= 0" in err and "Traceback" not in err
+
+
 def test_cli_tomo_check(capsys):
     code, out, _ = run_cli(capsys, "--json", "tomo", "check",
                            "--theory", data_path("theory_rebit.json"),
@@ -461,6 +469,14 @@ def qutrit_where(*path, value) -> str:
     ["interfere", "order", "--family", qutrit_where("n_slits", value="x")],
     ["theory", "info", "--theory", '{"builtin": "quantum", "params": {"d": 100000}}'],
     ["theory", "info", "--theory", '{"builtin": "classical", "params": {"d": 100000}}'],
+    ["query", "bounds", "--problem", "search", "--n", "9" * 400, "--k", "2"],
+    ["query", "bounds", "--problem", "parity", "--n", "9" * 400, "--k", "2"],
+    ["--json", "query", "parity", "--n", "4", "--seed", "-1"],
+    ["query", "grover", "--n", "4", "--seed", "-1"],
+    ["--json", "interfere", "decompose", "--family", data_path("family_qutrit.json"),
+     "--vector", "[NaN,0,0,0,0,0,0,0,0]", "--order", "2"],
+    ["--json", "interfere", "decompose", "--family", data_path("family_qutrit.json"),
+     "--vector", "[Infinity,0,0,0,0,0,0,0,0]", "--order", "2"],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
