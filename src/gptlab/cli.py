@@ -1,9 +1,14 @@
-"""Command-line entry point.
+"""Command-line entry point (also ``python -m gptlab``).
 
 Exit codes: 0 success, 1 domain failure (bounded-error test fails, halting
 violation, reconstruction failure), 2 input error (missing/malformed files,
-bad arguments). With --json a single JSON document goes to stdout; it
-contains no timing, so fixed seeds and inputs give byte-identical output.
+bad arguments, a query size over ``querylab.MAX_ITEMS``). With --json a
+single JSON document goes to stdout; it contains no timing, so fixed seeds
+and inputs give byte-identical output.
+
+A call builds the parser of its own command group only (``build_parser``
+with the argv); the other groups are registered with their help alone. Help
+pages, usage errors and exit codes are byte for byte those of the full tree.
 """
 
 from __future__ import annotations
@@ -236,18 +241,24 @@ def _cmd_query_parity(args):
     return report, lines, EXIT_OK if agree else EXIT_DOMAIN
 
 
+def _check_items(n: int) -> None:
+    if n > querylab.MAX_ITEMS:
+        raise ParseError(f"query size {n} is over the cap of {querylab.MAX_ITEMS} items", "args")
+
+
 def _parse_table(args) -> tuple[int, ...]:
     if args.table is not None:
         if not args.table or set(args.table) - set("01"):
             raise ParseError(f"--table must be a nonempty bit string, got {args.table!r}", "args")
-        table = tuple(int(c) for c in args.table)
-        if args.n is not None and args.n != len(table):
+        if args.n is not None and args.n != len(args.table):
             raise ParseError("--n disagrees with --table length", "args")
-        return table
+        _check_items(len(args.table))
+        return tuple(int(c) for c in args.table)
     if args.n is None:
         raise ParseError("need --n or --table", "args")
     if args.n < 1:
         raise ParseError("--n must be >= 1", "args")
+    _check_items(args.n)
     rng = np.random.default_rng(_seed(args))
     return tuple(int(b) for b in rng.integers(0, 2, size=args.n))
 
@@ -257,6 +268,7 @@ def _cmd_query_grover(args):
         raise ParseError("need --n >= 1 and 0 <= --marked < --n", "args")
     if args.iters is not None and args.iters < 0:
         raise ParseError("--iters must be >= 0", "args")
+    _check_items(args.n)
     marked = args.marked
     if marked is None:
         marked = int(np.random.default_rng(_seed(args)).integers(0, args.n))
@@ -295,7 +307,108 @@ def _cmd_query_bounds(args):
 # ---------------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _add_theory(commands) -> None:
+    q = commands.add_parser("info")
+    q.add_argument("--theory", required=True, help="theory JSON file or inline JSON")
+    q.set_defaults(handler=_cmd_theory_info)
+
+
+def _add_circuit(commands) -> None:
+    q = commands.add_parser("eval")
+    q.add_argument("--circuit", required=True)
+    q.add_argument("--cap", type=int, default=circuits.DEFAULT_ENUMERATION_CAP)
+    q.set_defaults(handler=_cmd_circuit_eval)
+    q = commands.add_parser("accept")
+    q.add_argument("--circuit", required=True)
+    q.add_argument("--cap", type=int, default=circuits.DEFAULT_ENUMERATION_CAP)
+    q.set_defaults(handler=_cmd_circuit_accept)
+
+
+def _add_afftm(commands) -> None:
+    q = commands.add_parser("run")
+    q.add_argument("--machine", required=True)
+    q.add_argument("--input", default="")
+    q.add_argument("--max-steps", type=int, required=True)
+    q.set_defaults(handler=_cmd_afftm_run)
+    q = commands.add_parser("check")
+    q.add_argument("--machine", required=True)
+    q.add_argument("--inputs", default="", help="comma-separated inputs")
+    q.add_argument("--max-steps", type=int, required=True)
+    q.set_defaults(handler=_cmd_afftm_check)
+    q = commands.add_parser("norms")
+    q.add_argument("--machine", required=True)
+    q.add_argument("--input", default="")
+    q.add_argument("--max-steps", type=int, required=True)
+    q.set_defaults(handler=_cmd_afftm_norms)
+
+
+def _add_interfere(commands) -> None:
+    q = commands.add_parser("order")
+    q.add_argument("--family", required=True)
+    q.set_defaults(handler=_cmd_interfere_order)
+    q = commands.add_parser("decompose")
+    q.add_argument("--family", required=True)
+    q.add_argument("--vector", required=True, help="JSON array of carrier coordinates")
+    q.add_argument("--order", type=int, required=True)
+    q.set_defaults(handler=_cmd_interfere_decompose)
+
+
+def _add_tomo(commands) -> None:
+    q = commands.add_parser("check")
+    q.add_argument("--theory", required=True)
+    q.add_argument("--systems", type=int, required=True)
+    q.add_argument("--locality", type=int, required=True)
+    q.add_argument("--cap", type=int, default=4096)
+    q.set_defaults(handler=_cmd_tomo_check)
+    q = commands.add_parser("count")
+    q.add_argument("--k", type=int, required=True)
+    q.add_argument("--systems", type=int, required=True)
+    q.add_argument("--locality", type=int, required=True)
+    q.set_defaults(handler=_cmd_tomo_count)
+
+
+def _add_query(commands) -> None:
+    q = commands.add_parser("parity")
+    q.add_argument("--n", type=int, default=None)
+    q.add_argument("--table", default=None, help="explicit bit string, e.g. 0110")
+    # SUPPRESS keeps a top-level --seed visible to the subcommand
+    q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    q.set_defaults(handler=_cmd_query_parity)
+    q = commands.add_parser("grover")
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--marked", type=int, default=None)
+    q.add_argument("--iters", type=int, default=None)
+    q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
+    q.set_defaults(handler=_cmd_query_grover)
+    q = commands.add_parser("bounds")
+    q.add_argument("--problem", choices=("parity", "search"), required=True)
+    q.add_argument("--n", type=int, required=True)
+    q.add_argument("--k", type=int, required=True)
+    q.set_defaults(handler=_cmd_query_bounds)
+
+
+# (name, help, adder) per command group, in help order; the adder fills the
+# group's subcommands and their options
+_GROUPS = (
+    ("theory", "inspect theories", _add_theory),
+    ("circuit", "evaluate closed circuits", _add_circuit),
+    ("afftm", "run affine Turing machines", _add_afftm),
+    ("interfere", "projector families and coherence", _add_interfere),
+    ("tomo", "tomographic locality analysis", _add_tomo),
+    ("query", "oracle query experiments", _add_query),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser; for an ``argv``, only the group it names is filled.
+
+    Every group is registered with its help, so the top-level usage, help
+    and errors do not depend on ``argv``. argparse enters only the group
+    named by the first positional token, and that is the first token naming
+    a group: the one top-level option taking a value, ``--seed``, takes an
+    int, so a group name there is an error before any group is entered.
+    With no ``argv`` every group is filled.
+    """
     parser = argparse.ArgumentParser(
         prog="gptlab",
         description="Simulation laboratory for computation in generalised probabilistic theories",
@@ -305,93 +418,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}; GPTLAB_SEED overrides the default)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("theory", help="inspect theories")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    q = ps.add_parser("info")
-    q.add_argument("--theory", required=True, help="theory JSON file or inline JSON")
-    q.set_defaults(handler=_cmd_theory_info)
-
-    p = sub.add_parser("circuit", help="evaluate closed circuits")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    q = ps.add_parser("eval")
-    q.add_argument("--circuit", required=True)
-    q.add_argument("--cap", type=int, default=circuits.DEFAULT_ENUMERATION_CAP)
-    q.set_defaults(handler=_cmd_circuit_eval)
-    q = ps.add_parser("accept")
-    q.add_argument("--circuit", required=True)
-    q.add_argument("--cap", type=int, default=circuits.DEFAULT_ENUMERATION_CAP)
-    q.set_defaults(handler=_cmd_circuit_accept)
-
-    p = sub.add_parser("afftm", help="run affine Turing machines")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    q = ps.add_parser("run")
-    q.add_argument("--machine", required=True)
-    q.add_argument("--input", default="")
-    q.add_argument("--max-steps", type=int, required=True)
-    q.set_defaults(handler=_cmd_afftm_run)
-    q = ps.add_parser("check")
-    q.add_argument("--machine", required=True)
-    q.add_argument("--inputs", default="", help="comma-separated inputs")
-    q.add_argument("--max-steps", type=int, required=True)
-    q.set_defaults(handler=_cmd_afftm_check)
-    q = ps.add_parser("norms")
-    q.add_argument("--machine", required=True)
-    q.add_argument("--input", default="")
-    q.add_argument("--max-steps", type=int, required=True)
-    q.set_defaults(handler=_cmd_afftm_norms)
-
-    p = sub.add_parser("interfere", help="projector families and coherence")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    q = ps.add_parser("order")
-    q.add_argument("--family", required=True)
-    q.set_defaults(handler=_cmd_interfere_order)
-    q = ps.add_parser("decompose")
-    q.add_argument("--family", required=True)
-    q.add_argument("--vector", required=True, help="JSON array of carrier coordinates")
-    q.add_argument("--order", type=int, required=True)
-    q.set_defaults(handler=_cmd_interfere_decompose)
-
-    p = sub.add_parser("tomo", help="tomographic locality analysis")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    q = ps.add_parser("check")
-    q.add_argument("--theory", required=True)
-    q.add_argument("--systems", type=int, required=True)
-    q.add_argument("--locality", type=int, required=True)
-    q.add_argument("--cap", type=int, default=4096)
-    q.set_defaults(handler=_cmd_tomo_check)
-    q = ps.add_parser("count")
-    q.add_argument("--k", type=int, required=True)
-    q.add_argument("--systems", type=int, required=True)
-    q.add_argument("--locality", type=int, required=True)
-    q.set_defaults(handler=_cmd_tomo_count)
-
-    p = sub.add_parser("query", help="oracle query experiments")
-    ps = p.add_subparsers(dest="subcommand", required=True)
-    q = ps.add_parser("parity")
-    q.add_argument("--n", type=int, default=None)
-    q.add_argument("--table", default=None, help="explicit bit string, e.g. 0110")
-    # SUPPRESS keeps a top-level --seed visible to the subcommand
-    q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    q.set_defaults(handler=_cmd_query_parity)
-    q = ps.add_parser("grover")
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--marked", type=int, default=None)
-    q.add_argument("--iters", type=int, default=None)
-    q.add_argument("--seed", type=int, default=argparse.SUPPRESS)
-    q.set_defaults(handler=_cmd_query_grover)
-    q = ps.add_parser("bounds")
-    q.add_argument("--problem", choices=("parity", "search"), required=True)
-    q.add_argument("--n", type=int, required=True)
-    q.add_argument("--k", type=int, required=True)
-    q.set_defaults(handler=_cmd_query_bounds)
-
+    names = [name for name, _, _ in _GROUPS]
+    filled = names if argv is None else [next((t for t in argv if t in names), None)]
+    for name, help_text, add in _GROUPS:
+        group = sub.add_parser(name, help=help_text)
+        if name in filled:
+            add(group.add_subparsers(dest="subcommand", required=True))
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
     start = time.perf_counter()
     try:
         _check_ranges(args)

@@ -123,6 +123,30 @@ def test_grover_matches_closed_form():
                 grover_success_probability(n, t), abs=1e-9)
 
 
+def _apply_phase_scanning(self, state):
+    """The phase oracle as first written: a scan of the whole table per query."""
+    self.queries += 1
+    out = np.array(state, dtype=float)
+    for i in self._f.marked_items():
+        out[i] = -out[i]
+    return out
+
+
+def test_grover_matches_the_scanning_phase_oracle(monkeypatch):
+    n = 2**14
+    table = [0] * n
+    table[int(np.random.default_rng(9).integers(0, n))] = 1
+    f = OracleFunction(tuple(table))
+    for iterations in (None, 7):
+        fast = grover_search(f, iterations)
+        with monkeypatch.context() as patch:
+            patch.setattr(Oracle, "apply_phase", _apply_phase_scanning)
+            slow = grover_search(f, iterations)
+        assert (fast.query_count, fast.result, fast.success) == \
+            (slow.query_count, slow.result, slow.success)
+        assert fast.success_probability.hex() == slow.success_probability.hex()
+
+
 def test_grover_marked_item_validation():
     with pytest.raises(ValueError):
         grover_search(OracleFunction((0, 0, 0, 0)))

@@ -1,5 +1,6 @@
 """Description files, round-trips, and the command-line interface."""
 
+import argparse
 import json
 from fractions import Fraction
 from importlib import resources
@@ -8,9 +9,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import acceptance_prob, distribution
+from gptlab import acceptance_prob, distribution, querylab
 from gptlab.afftm import acceptance_weight, norm_trace
-from gptlab.cli import main
+from gptlab.cli import build_parser, main
 from gptlab.errors import GptLabError, MachineValidationError, ParseError
 from gptlab.serialization import (
     circuit_to_json,
@@ -477,11 +478,76 @@ def qutrit_where(*path, value) -> str:
      "--vector", "[NaN,0,0,0,0,0,0,0,0]", "--order", "2"],
     ["--json", "interfere", "decompose", "--family", data_path("family_qutrit.json"),
      "--vector", "[Infinity,0,0,0,0,0,0,0,0]", "--order", "2"],
+    ["query", "parity", "--n", "70000"],
+    ["query", "parity", "--table", "01" * 35000],
+    ["query", "grover", "--n", "10000000000"],
+    ["query", "grover", "--n", str(querylab.MAX_ITEMS + 1), "--marked", "0"],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
     assert code == 2
     assert "input error" in err and "Traceback" not in err
+
+
+def test_cli_query_cap_is_inclusive(capsys):
+    code, out, _ = run_cli(capsys, "--json", "query", "grover",
+                           "--n", str(querylab.MAX_ITEMS), "--marked", "0")
+    assert code == 0 and json.loads(out)["n"] == querylab.MAX_ITEMS
+
+
+def _subcommands(parser):
+    """A parser's subcommand table (name -> parser), or None if it has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return None
+
+
+def _help_pages() -> list[list[str]]:
+    """The argv prefix of every help page of the full tree: top level, groups, commands."""
+    pages = [[]]
+    for group, group_parser in _subcommands(build_parser()).items():
+        pages.append([group])
+        pages.extend([group, command] for command in _subcommands(group_parser))
+    return pages
+
+
+TOMO_COUNT = ["tomo", "count", "--k", "1", "--systems", "2", "--locality", "1"]
+
+
+@pytest.mark.parametrize("argv", [
+    *([*page, flag] for page in _help_pages() for flag in ("-h", "--help")),
+    [],
+    ["nosuch"],
+    ["circuit"],
+    ["circuit", "nosuch"],
+    ["circuit", "eval"],
+    [*TOMO_COUNT, "extra"],
+    ["--seed", "x", *TOMO_COUNT],
+    ["--seed", "circuit", *TOMO_COUNT],
+    ["--seed=circuit", "circuit", "eval"],
+], ids=lambda argv: " ".join(argv) or "(no arguments)")
+def test_cli_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+
+    def outcome(parse):
+        try:
+            result = parse(argv)
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+        out = capsys.readouterr()
+        return result, out.out, out.err
+
+    assert outcome(main) == outcome(build_parser().parse_args)
+
+
+def test_build_parser_fills_only_the_named_group():
+    assert len(_help_pages()) == 20  # top level, six groups, 13 commands
+    groups = _subcommands(build_parser(TOMO_COUNT))
+    assert list(groups) == ["theory", "circuit", "afftm", "interfere", "tomo", "query"]
+    assert list(_subcommands(groups["tomo"])) == ["check", "count"]
+    assert [name for name, group in groups.items() if _subcommands(group) is None] == \
+        ["theory", "circuit", "afftm", "interfere", "query"]
 
 
 def test_cli_circuit_accept(capsys):
