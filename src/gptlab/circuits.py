@@ -371,6 +371,10 @@ def distribution(
     return dict(zip(keys, values))
 
 
+# The acceptor kinds decided by a predicate on labels, not by a table.
+BUILTIN_ACCEPTORS = ("first-outcome-is-0", "parity-of-labels", "accept-all", "reject-all")
+
+
 @dataclass(frozen=True)
 class Acceptor:
     """The accept/reject function a(z) over outcome strings; a(z)=0 accepts.
@@ -381,7 +385,7 @@ class Acceptor:
     family of acceptors is the caller's claim.
     """
 
-    kind: str  # "table" | "first-outcome-is-0" | "parity-of-labels" | "accept-all" | "reject-all"
+    kind: str  # "table" or one of BUILTIN_ACCEPTORS
     table: Mapping[tuple[tuple[str, str], ...], int] | None = None
     instance: str | None = None
 
@@ -422,7 +426,7 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
     kind, target = acceptor.kind, None
     if kind == "reject-all":
         return 0.0
-    if kind not in ("accept-all", "first-outcome-is-0", "parity-of-labels"):
+    if kind not in BUILTIN_ACCEPTORS:
         keys, values = _walk(layers, instance_ids)
         return _checked(sum(v for z, v in zip(keys, values) if acceptor.accepts(z)))
     if kind == "first-outcome-is-0":

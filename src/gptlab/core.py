@@ -173,37 +173,30 @@ def pair(e: EffectVector, s: StateVector) -> float:
     return float(e.coords @ s.coords)
 
 
-def _kron_type(a: SystemType, b: SystemType) -> CompositeType:
-    _check_theories(a.theory, b.theory)
-    theory = a.theory if a.theory is not None else b.theory
-    return CompositeType(
-        label=f"({a.label}⊗{b.label})",
-        dim=a.dim * b.dim,
-        theory=theory,
-        factors=(a, b),
-    )
-
-
 def tensor(x, y):
     """Parallel composition by Kronecker product, typed by the plain tensor
-    product of the two systems.
+    product of the two systems (:meth:`KroneckerRule.composite`).
 
     Works kind-by-kind on two states, two effects, or two transformations.
     Theories whose composites are larger than the tensor product compose
     through their :class:`CompositeRule` instead.
     """
+    def joint(a: SystemType, b: SystemType) -> SystemType:
+        _check_theories(a.theory, b.theory)
+        return KroneckerRule(a.theory if a.theory is not None else b.theory).composite([a, b])
+
     if isinstance(x, StateVector) and isinstance(y, StateVector):
-        return StateVector(_kron_type(x.system, y.system), np.kron(x.coords, y.coords))
+        return StateVector(joint(x.system, y.system), np.kron(x.coords, y.coords))
 
     if isinstance(x, EffectVector) and isinstance(y, EffectVector):
-        return EffectVector(_kron_type(x.system, y.system), np.kron(x.coords, y.coords))
+        return EffectVector(joint(x.system, y.system), np.kron(x.coords, y.coords))
 
     if isinstance(x, TransformationMatrix) and isinstance(y, TransformationMatrix):
         _check_theories(x.input.theory, y.input.theory, x.output.theory, y.output.theory)
         kraus = None
         if x.kraus is not None and y.kraus is not None:
             kraus = tuple(np.kron(k, l) for k in x.kraus for l in y.kraus)
-        return TransformationMatrix(_kron_type(x.input, y.input), _kron_type(x.output, y.output),
+        return TransformationMatrix(joint(x.input, y.input), joint(x.output, y.output),
                                     np.kron(x.matrix, y.matrix),
                                     outcome_label=_join_labels(x.outcome_label, y.outcome_label),
                                     kraus=kraus)

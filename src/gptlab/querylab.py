@@ -19,10 +19,10 @@ from .theories import DensityCarrier, hermitian_basis
 
 SQRT2 = math.sqrt(2.0)
 
-# The largest item count the command line accepts. PARITY by pairing holds
-# the bit oracle as a dense (2P, 2P) matrix, P the padded item count: at
-# 4096 items that is 512 MiB, and its 2048 uses took 110 s on one core of a
-# 2 vCPU Xeon. The functions below take any size.
+# The largest item count the command line accepts. It bounds the oracle
+# table, and PARITY by pairing, whose P/2 oracle uses are gathers of length
+# 2P (P the padded item count), so its cost grows as P^2. The functions below
+# take any size.
 MAX_ITEMS = 4096
 
 
@@ -54,18 +54,21 @@ class OracleFunction:
         return [i for i, b in enumerate(self.table) if b]
 
 
+def _bit_oracle_index(f: OracleFunction) -> np.ndarray:
+    """The bit oracle as a gather index, 2x + y -> 2x + (y xor f(x)); padded items read 0."""
+    bits = np.zeros(f.padded_size, dtype=np.intp)
+    bits[:f.n_items] = f.table
+    return np.arange(2 * f.padded_size) ^ np.repeat(bits, 2)
+
+
 def bit_oracle_unitary(f: OracleFunction) -> np.ndarray:
     """Permutation on control (x) tensor target (y): maps (x, y) to (x, y xor f(x)).
 
-    The control register is padded to a power of two; padded items read 0.
+    The control register is padded to a power of two. This is the dense view
+    of the gather index: the oracle is an involution, so row i is e_index[i].
     """
-    n = f.padded_size
-    u = np.zeros((2 * n, 2 * n))
-    for x in range(n):
-        fx = f.table[x] if x < f.n_items else 0
-        for y in range(2):
-            u[2 * x + (y ^ fx), 2 * x + y] = 1.0
-    return u
+    index = _bit_oracle_index(f)
+    return np.eye(len(index))[index]
 
 
 class Oracle:
@@ -73,7 +76,7 @@ class Oracle:
 
     def __init__(self, f: OracleFunction):
         self._f = f
-        self._bit_unitary = None
+        self._bit_index = _bit_oracle_index(f)
         self._marked = np.array(f.marked_items(), dtype=np.intp)
         self.queries = 0
 
@@ -82,10 +85,9 @@ class Oracle:
         return self._f.table[item]
 
     def apply_bit_unitary(self, state: np.ndarray) -> np.ndarray:
-        if self._bit_unitary is None:
-            self._bit_unitary = bit_oracle_unitary(self._f)
+        """``bit_oracle_unitary(f) @ state``, as a gather: the oracle is a permutation."""
         self.queries += 1
-        return self._bit_unitary @ state
+        return state[self._bit_index]
 
     def apply_phase(self, state: np.ndarray) -> np.ndarray:
         """Phase form: flips the sign of marked-item amplitudes.

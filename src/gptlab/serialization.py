@@ -18,8 +18,8 @@ from typing import Any, Mapping
 import numpy as np
 
 from .afftm import AffineMachine, Branch, validate as validate_machine
-from .circuits import Acceptor, CircuitDAG, validate as validate_circuit
-from .errors import MachineValidationError, ParseError
+from .circuits import BUILTIN_ACCEPTORS, Acceptor, CircuitDAG, validate as validate_circuit
+from .errors import GptLabError, MachineValidationError, ParseError
 from .interference import ProjectorFamily, validate_family
 from .theories import (
     TheoryDescriptor,
@@ -73,6 +73,14 @@ def _require(doc, key: str, what: str, kind: type = object):
     if not isinstance(value, kind) or (kind is int and isinstance(value, bool)):
         raise ParseError(f"field '{key}' must be {_KINDS[kind]}, got {value!r}", what)
     return value
+
+
+def _port(end, where: str) -> tuple[str, int]:
+    """A wire endpoint: an [instance id, port index] pair."""
+    if (not isinstance(end, (list, tuple)) or len(end) != 2 or not isinstance(end[0], str)
+            or not isinstance(end[1], int) or isinstance(end[1], bool)):
+        raise ParseError(f"wire endpoints are [instance id, port index] pairs, got {end!r}", where)
+    return end[0], end[1]
 
 
 def _names(doc: Mapping, key: str, what: str) -> list[str]:
@@ -202,12 +210,8 @@ def parse_circuit(source) -> tuple[CircuitDAG, Acceptor | None]:
             raise ParseError(str(exc), where) from None
     for k, wire in enumerate(_require(doc, "wires", "circuit", list) if "wires" in doc else []):
         where = f"circuit.wires[{k}]"
-        src = _require(wire, "from", where)
-        dst = _require(wire, "to", where)
-        try:
-            circuit.connect((src[0], int(src[1])), (dst[0], int(dst[1])))
-        except (TypeError, IndexError, ValueError) as exc:
-            raise ParseError(f"bad wire endpoints: {exc}", where) from None
+        circuit.connect(_port(_require(wire, "from", where), where),
+                        _port(_require(wire, "to", where), where))
     report = validate_circuit(circuit)
     if not report.ok:
         raise ParseError("; ".join(report.errors), "circuit")
@@ -221,14 +225,21 @@ def parse_circuit(source) -> tuple[CircuitDAG, Acceptor | None]:
 def parse_acceptor(doc: Mapping, circuit: CircuitDAG) -> Acceptor:
     kind = _require(doc, "kind", "acceptor", str)
     if kind == "table":
-        entries = _require(doc, "table", "acceptor")
+        entries = []
+        for k, row in enumerate(_require(doc, "table", "acceptor", list)):
+            where = f"acceptor.table[{k}]"
+            a = _require(row, "a", where, int)
+            if a not in (0, 1):
+                raise ParseError(f"field 'a' must be 0 (accept) or 1 (reject), got {a!r}", where)
+            entries.append((_require(row, "z", where, Mapping), a))
         try:
-            return Acceptor.from_table(
-                [(row["z"], row["a"]) for row in entries], circuit
-            )
-        except (KeyError, TypeError) as exc:
-            raise ParseError(f"table rows need 'z' and 'a': {exc}", "acceptor") from None
-    if kind in ("first-outcome-is-0", "parity-of-labels", "accept-all", "reject-all"):
+            acceptor = Acceptor.from_table(entries, circuit)
+        except GptLabError as exc:
+            raise ParseError(str(exc), "acceptor") from None
+        if len(acceptor.table) < len(entries):
+            raise ParseError("table lists an outcome string more than once", "acceptor")
+        return acceptor
+    if kind in BUILTIN_ACCEPTORS:
         if doc.get("instance") not in (None, *circuit.instance_ids):
             raise ParseError(f"acceptor names unknown instance {doc['instance']!r}", "acceptor")
         return Acceptor(kind, instance=doc.get("instance"))
@@ -273,12 +284,15 @@ def parse_machine(source) -> AffineMachine:
         for j, b in enumerate(_require(row, "branches", where, list)):
             bwhere = f"{where}.branches[{j}]"
             weight = parse_number(_require(b, "weight", bwhere), bwhere)
-            branches.append(Branch(
-                next_state=_require(b, "next", bwhere, str),
-                write=_require(b, "write", bwhere, str),
-                move=_require(b, "move", bwhere, str),
-                weight=weight,
-            ))
+            try:
+                branches.append(Branch(
+                    next_state=_require(b, "next", bwhere, str),
+                    write=_require(b, "write", bwhere, str),
+                    move=_require(b, "move", bwhere, str),
+                    weight=weight,
+                ))
+            except ValueError as exc:
+                raise ParseError(str(exc), bwhere) from None
             exact = exact_number(b["weight"])
             exact_total = None if (exact is None or exact_total is None) else exact_total + exact
         transitions[key] = tuple(branches)
@@ -341,6 +355,12 @@ def parse_family(source) -> ProjectorFamily:
     doc = _load(source, "family")
     n_slits = _require(doc, "n_slits", "family", int)
     raw = _require(doc, "projectors", "family", Mapping)
+    if n_slits < 1:
+        raise ParseError(f"n_slits must be >= 1, got {n_slits}", "family")
+    # each nonempty subset needs its own projector; bit_length keeps 2**n_slits unbuilt
+    if n_slits > len(raw).bit_length() or len(raw) < (1 << n_slits) - 1:
+        raise ParseError(f"{len(raw)} projectors cannot cover the nonempty subsets "
+                         f"of {n_slits} slits", "family")
     projectors = {}
     for mask_str, rows in raw.items():
         where = f"family.projectors[{mask_str!r}]"
@@ -348,7 +368,11 @@ def parse_family(source) -> ProjectorFamily:
             mask = int(mask_str, 0)
         except ValueError:
             raise ParseError(f"subset keys are bitmask strings, got {mask_str!r}", where) from None
+        if not 0 <= mask < 1 << n_slits:
+            raise ParseError(f"bitmask {mask_str!r} is not a subset of the {n_slits} slits", where)
         subset = frozenset(i for i in range(n_slits) if mask >> i & 1)
+        if subset in projectors:
+            raise ParseError(f"a second key for subset {sorted(subset)}", where)
         try:
             matrix = np.array([[parse_number(x, where) for x in row] for row in rows])
         except TypeError as exc:

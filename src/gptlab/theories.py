@@ -71,10 +71,6 @@ class DensityCarrier:
     def dim(self) -> int:
         return self.basis.shape[0]
 
-    @property
-    def hilbert_dim(self) -> int:
-        return self.basis.shape[1]
-
     def to_vector(self, op: np.ndarray) -> np.ndarray:
         """Coordinates Tr(B_i op) of a Hermitian operator."""
         v = np.einsum("aij,ji->a", self.basis, np.asarray(op, dtype=complex))

@@ -56,6 +56,18 @@ def test_bit_oracle_is_permutation_and_involution():
         assert np.array_equal(u.sum(axis=1), np.ones(u.shape[0]))
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 8, 1000])
+def test_bit_oracle_gather_matches_the_dense_matrix(n):
+    rng = np.random.default_rng(n)
+    f = OracleFunction(tuple(rng.integers(0, 2, size=n)))
+    u = bit_oracle_unitary(f)
+    oracle = Oracle(f)
+    for k in range(3):
+        state = rng.normal(size=2 * f.padded_size)
+        assert np.array_equal(oracle.apply_bit_unitary(state), u @ state)
+        assert oracle.queries == k + 1
+
+
 def test_oracle_unitary_carries_both_representations():
     t = oracle_unitary(OracleFunction((0, 1)))
     assert t.kraus[0].shape == (4, 4)

@@ -397,6 +397,22 @@ def qutrit_where(*path, value) -> str:
     return bundled_where("family_qutrit.json", *path, value=value)
 
 
+def coin_table(z, a, *more_z) -> str:
+    """The bundled coin circuit with a table acceptor: row z -> a, then each of
+    ``more_z`` -> 0, then the coin's other outcome -> 0."""
+    rows = [{"z": z, "a": a}, *({"z": m, "a": 0} for m in more_z),
+            {"z": {"u": "0", "r": "1"}, "a": 0}]
+    return coin_where("acceptor", value={"kind": "table", "table": rows})
+
+
+def one_slit_family(extra_key: str, empty: bool = True) -> str:
+    """A valid one-slit family (the empty projector optional) plus ``extra_key``."""
+    projectors = {"1": [[1.0]], extra_key: [[1.0]]}
+    if empty:
+        projectors["0"] = [[0.0]]
+    return json.dumps({"n_slits": 1, "projectors": projectors})
+
+
 @pytest.mark.parametrize("argv", [
     ["tomo", "check", "--theory", data_path("theory_rebit.json"), "--locality", "3",
      "--systems", "2"],
@@ -482,6 +498,22 @@ def qutrit_where(*path, value) -> str:
     ["query", "parity", "--table", "01" * 35000],
     ["query", "grover", "--n", "10000000000"],
     ["query", "grover", "--n", str(querylab.MAX_ITEMS + 1), "--marked", "0"],
+    ["circuit", "eval", "--circuit", coin_where("wires", 0, "from", value=[["u"], 0])],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "0"}, "x")],
+    ["afftm", "run", "--machine", parity_with(move="X"), "--input", "", "--max-steps", "5"],
+    ["interfere", "order", "--family", json.dumps({"n_slits": 2, "projectors": {}})],
+    ["circuit", "eval", "--circuit", coin_where("wires", 0, "from", value=["u", 0.5])],
+    ["circuit", "eval", "--circuit", coin_where("wires", 0, "to", value=["r", "0"])],
+    ["circuit", "eval", "--circuit", coin_where("wires", 0, "from", value=["u", False])],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "0"}, 7)],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "0"}, 0, {"u": "0", "r": "0"})],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "2"}, 0)],
+    ["interfere", "order", "--family", one_slit_family("2")],
+    ["interfere", "order", "--family", one_slit_family("-1", empty=False)],
+    ["interfere", "order", "--family", one_slit_family("0x1")],
+    *(["interfere", "order", "--family", json.dumps({"n_slits": n, "projectors": {"0": [[0.0]]}})]
+      for n in (0, -1)),
+    ["interfere", "order", "--family", qutrit_where("n_slits", value=10**9)],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -490,9 +522,10 @@ def test_cli_rejects_out_of_range_arguments(capsys, argv):
 
 
 def test_cli_query_cap_is_inclusive(capsys):
-    code, out, _ = run_cli(capsys, "--json", "query", "grover",
-                           "--n", str(querylab.MAX_ITEMS), "--marked", "0")
-    assert code == 0 and json.loads(out)["n"] == querylab.MAX_ITEMS
+    for argv in (["query", "grover", "--n", str(querylab.MAX_ITEMS), "--marked", "0"],
+                 ["query", "parity", "--n", str(querylab.MAX_ITEMS)]):
+        code, out, _ = run_cli(capsys, "--json", *argv)
+        assert code == 0 and json.loads(out)["n"] == querylab.MAX_ITEMS
 
 
 def _subcommands(parser):
