@@ -358,7 +358,7 @@ def _add_tomo(commands) -> None:
     q.add_argument("--theory", required=True)
     q.add_argument("--systems", type=int, required=True)
     q.add_argument("--locality", type=int, required=True)
-    q.add_argument("--cap", type=int, default=4096)
+    q.add_argument("--cap", type=int, default=tomography.DEFAULT_SPAN_CAP)
     q.set_defaults(handler=_cmd_tomo_check)
     q = commands.add_parser("count")
     q.add_argument("--k", type=int, required=True)

@@ -54,6 +54,8 @@ class ProjectorFamily:
                 raise ValueError("projectors must share one carrier dimension")
             mat.setflags(write=False)
             fixed[frozenset(key)] = mat
+        if dim is None:
+            raise ValueError("a projector family needs at least one projector")
         empty = frozenset()
         if empty not in fixed:
             fixed[empty] = np.zeros((dim, dim))
@@ -77,24 +79,24 @@ def validate_family(family: ProjectorFamily) -> list[str]:
     """Check idempotence, the intersection law, the empty projector, and that
     the full projector is idempotent of full support, each to PHYSICAL_TOL.
     Returns violations."""
-    violations = []
-    keys = subsets(family.n_slits)
-    for key in keys:
-        if frozenset(key) not in family.projectors:
-            violations.append(f"missing projector for subset {sorted(key)}")
+    n, projectors = family.n_slits, family.projectors
+    # every subset needs its own projector: len < 2**n, with 2**n left unbuilt
+    if len(projectors).bit_length() <= n:
+        return [f"{len(projectors)} projectors cannot cover the subsets of {n} slits"]
+    keys = subsets(n)
+    violations = [f"missing projector for subset {sorted(key)}"
+                  for key in keys if key not in projectors]
     if violations:
         return violations
-    for key in keys:
-        p = family.projector(key)
+    mats = [projectors[key] for key in keys]
+    for key, p in zip(keys, mats):
         if np.max(np.abs(p @ p - p)) > PHYSICAL_TOL:
             violations.append(f"P_{sorted(key)} is not idempotent")
-    for a in keys:
-        for b in keys:
-            pa, pb = family.projector(a), family.projector(b)
-            pab = family.projector(a & b)
-            if np.max(np.abs(pa @ pb - pab)) > PHYSICAL_TOL:
+    for a, pa in zip(keys, mats):
+        for b, pb in zip(keys, mats):
+            if np.max(np.abs(pa @ pb - projectors[a & b])) > PHYSICAL_TOL:
                 violations.append(f"P_{sorted(a)} P_{sorted(b)} != P_{sorted(a & b)}")
-    if np.max(np.abs(family.projector(frozenset()))) > PHYSICAL_TOL:
+    if np.max(np.abs(projectors[frozenset()])) > PHYSICAL_TOL:
         violations.append("P_emptyset is not zero")
     return violations
 

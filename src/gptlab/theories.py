@@ -362,6 +362,52 @@ def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int) -> 
 
 
 # ---------------------------------------------------------------------------
+# devices built from the state and effect libraries
+
+
+def _wires(system: SystemType) -> tuple[SystemType, ...]:
+    return system.factors if isinstance(system, CompositeType) and system.factors else (system,)
+
+
+def _outcomes(vectors, kraus) -> list[tuple]:
+    """``(key, label, vector, kraus)`` per device outcome. A lone vector is the
+    single unlabelled outcome "0"; outcomes given by key are labelled with it,
+    and ``kraus`` then maps each key to that outcome's operators."""
+    if isinstance(vectors, Mapping):
+        return [(k, k, v, None if kraus is None else kraus[k]) for k, v in vectors.items()]
+    return [("0", "", vectors, kraus)]
+
+
+def _prep(name: str, states: StateVector | Mapping[str, StateVector],
+          kraus: tuple | Mapping[str, tuple] | None = None) -> Gate:
+    """A preparation device: each outcome's column is the coords of its state."""
+    outs = _outcomes(states, kraus)
+    sys = outs[0][2].system
+    return Gate(name, (), _wires(sys), {
+        key: TransformationMatrix(UNIT, sys, s.coords.reshape(-1, 1), outcome_label=label, kraus=k)
+        for key, label, s, k in outs
+    })
+
+
+def _measure(name: str, effects: EffectVector | Mapping[str, EffectVector],
+             kraus: tuple | Mapping[str, tuple] | None = None) -> Gate:
+    """A measurement or sink device: each outcome's row is the coords of its effect."""
+    outs = _outcomes(effects, kraus)
+    sys = outs[0][2].system
+    return Gate(name, _wires(sys), (), {
+        key: TransformationMatrix(sys, UNIT, e.coords.reshape(1, -1), outcome_label=label, kraus=k)
+        for key, label, e, k in outs
+    })
+
+
+def _channel(name: str, carrier: DensityCarrier, sys: SystemType, kraus: tuple) -> Gate:
+    """A one-outcome device on ``sys`` with the transfer matrix of a Kraus map."""
+    return Gate(name, _wires(sys), _wires(sys), {
+        "0": TransformationMatrix(sys, sys, carrier.channel_matrix(kraus), kraus=kraus)
+    })
+
+
+# ---------------------------------------------------------------------------
 # classical probability theory
 
 
@@ -374,35 +420,23 @@ def classical_theory(d: int) -> TheoryDescriptor:
     rule = KroneckerRule(theory=name)
     eye = np.eye(d)
 
-    gates: dict[str, Gate] = {}
-
-    def prep(gname: str, outcomes: dict[str, np.ndarray]) -> None:
-        gates[gname] = Gate(gname, (), (sys,), {
-            lab: TransformationMatrix(UNIT, sys, col.reshape(d, 1), outcome_label=lab)
-            for lab, col in outcomes.items()
-        })
-
-    for j in range(d):
-        prep(f"prep_{j}", {"0": eye[:, j]})
-    prep("prep_uniform", {"0": np.full(d, 1.0 / d)})
-    if d == 2:
-        prep("coin", {"0": np.array([0.5, 0.0]), "1": np.array([0.0, 0.5])})
-        gates["not"] = Gate("not", (sys,), (sys,), {
-            "0": TransformationMatrix(sys, sys, np.array([[0.0, 1.0], [1.0, 0.0]]))
-        })
-    gates["id"] = Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, eye)})
-    gates["read"] = Gate("read", (sys,), (), {
-        str(k): TransformationMatrix(sys, UNIT, eye[k].reshape(1, d), outcome_label=str(k))
-        for k in range(d)
-    })
-    gates["sink"] = Gate("sink", (sys,), (), {
-        "0": TransformationMatrix(sys, UNIT, np.ones((1, d)))
-    })
-
     states = {f"s{j}": StateVector(sys, eye[:, j], normalized=True) for j in range(d)}
     states["uniform"] = StateVector(sys, np.full(d, 1.0 / d), normalized=True)
     effects = {f"p{j}": EffectVector(sys, eye[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, np.ones(d))
+
+    devices = [_prep(f"prep_{j}", {"0": states[f"s{j}"]}) for j in range(d)]
+    devices.append(_prep("prep_uniform", {"0": states["uniform"]}))
+    if d == 2:
+        devices.append(_prep("coin", {"0": StateVector(sys, [0.5, 0.0]),
+                                      "1": StateVector(sys, [0.0, 0.5])}))
+        devices.append(Gate("not", (sys,), (sys,), {
+            "0": TransformationMatrix(sys, sys, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        }))
+    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, eye)}))
+    devices.append(_measure("read", {str(k): effects[f"p{k}"] for k in range(d)}))
+    devices.append(_measure("sink", effects["u"]))
+    gates = {g.name: g for g in devices}
 
     def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.dirichlet(np.ones(d), size=n)
@@ -426,12 +460,6 @@ def classical_theory(d: int) -> TheoryDescriptor:
 
 # ---------------------------------------------------------------------------
 # complex quantum theory
-
-
-def _ket(d: int, j: int) -> np.ndarray:
-    v = np.zeros((d, 1), dtype=complex)
-    v[j, 0] = 1.0
-    return v
 
 
 # The four maximally entangled two-qubit states, as column kets.
@@ -462,77 +490,46 @@ def quantum_theory(d: int) -> TheoryDescriptor:
     sys = SystemType(f"q{d}", d * d, theory=name)
     rule = KroneckerRule(theory=name)
 
-    def proj(j: int) -> np.ndarray:
-        k = _ket(d, j)
-        return k @ k.conj().T
-
-    gates: dict[str, Gate] = {}
-
-    def prep_gate(gname: str, rho: np.ndarray, kraus: tuple) -> None:
-        col = carrier.to_vector(rho).reshape(-1, 1)
-        gates[gname] = Gate(gname, (), (sys,), {
-            "0": TransformationMatrix(UNIT, sys, col, kraus=kraus)
-        })
-
-    def unitary_gate(gname: str, u: np.ndarray) -> None:
-        gates[gname] = Gate(gname, (sys,), (sys,), {
-            "0": TransformationMatrix(sys, sys, carrier.channel_matrix([u]), kraus=(u,))
-        })
-
-    for j in range(d):
-        prep_gate(f"prep_{j}", proj(j), (_ket(d, j),))
-    prep_gate("prep_mixed", np.eye(d, dtype=complex) / d,
-              tuple(_ket(d, j) / math.sqrt(d) for j in range(d)))
-
-    if d == 2:
-        plus = np.full((2, 1), 1 / SQRT2, dtype=complex)
-        prep_gate("prep_plus", plus @ plus.conj().T, (plus,))
-        unitary_gate("h", np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2)
-        unitary_gate("x", PAULI["X"])
-        unitary_gate("z", PAULI["Z"])
-        unitary_gate("s", np.diag([1, 1j]).astype(complex))
-        unitary_gate("t", np.diag([1, np.exp(1j * math.pi / 4)]))
-
-    gates["id"] = Gate("id", (sys,), (sys,), {
-        "0": TransformationMatrix(sys, sys, np.eye(d * d), kraus=(np.eye(d, dtype=complex),))
-    })
-    gates["measure"] = Gate("measure", (sys,), (), {
-        str(k): TransformationMatrix(sys, UNIT, carrier.to_vector(proj(k)).reshape(1, -1),
-                                     outcome_label=str(k), kraus=(_ket(d, k).conj().T,))
-        for k in range(d)
-    })
-    gates["sink"] = Gate("sink", (sys,), (), {
-        "0": TransformationMatrix(sys, UNIT, carrier.to_vector(np.eye(d)).reshape(1, -1),
-                                  kraus=tuple(_ket(d, k).conj().T for k in range(d)))
-    })
-
-    states = {f"basis_{j}": StateVector(sys, carrier.to_vector(proj(j)), normalized=True)
-              for j in range(d)}
+    kets = list(np.eye(d, dtype=complex).reshape(d, d, 1))  # the basis kets, as columns
+    projs = [carrier.to_vector(k @ k.conj().T) for k in kets]
+    states = {f"basis_{j}": StateVector(sys, projs[j], normalized=True) for j in range(d)}
     states["mixed"] = StateVector(sys, carrier.to_vector(np.eye(d) / d), normalized=True)
-    effects = {f"p{j}": EffectVector(sys, carrier.to_vector(proj(j))) for j in range(d)}
+    effects = {f"p{j}": EffectVector(sys, projs[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, carrier.to_vector(np.eye(d)))
 
-    pair_carrier = None
+    devices = [_prep(f"prep_{j}", states[f"basis_{j}"], (kets[j],)) for j in range(d)]
+    devices.append(_prep("prep_mixed", states["mixed"], tuple(k / math.sqrt(d) for k in kets)))
+    pair_devices = []
     if d == 2:
-        plus_op = np.full((2, 2), 0.5, dtype=complex)
-        states["plus"] = StateVector(sys, carrier.to_vector(plus_op), normalized=True)
-        effects["p_plus"] = EffectVector(sys, carrier.to_vector(plus_op))
-        pair_carrier = DensityCarrier(
-            [np.kron(a, b) for a in carrier.basis for b in carrier.basis]
-        )
+        plus_coords = carrier.to_vector(np.full((2, 2), 0.5, dtype=complex))
+        states["plus"] = StateVector(sys, plus_coords, normalized=True)
+        effects["p_plus"] = EffectVector(sys, plus_coords)
+        pair_carrier = DensityCarrier([np.kron(a, b) for a in carrier.basis for b in carrier.basis])
         pair = rule.composite([sys, sys])
-        bells = bell_operators()
-        for bname, op in bells.items():
+        for bname, op in bell_operators().items():
             states[bname] = StateVector(pair, pair_carrier.to_vector(op), normalized=True)
+
+        # plus @ plus^dag holds 0.5000000000000001 where the "plus" state holds 0.5
+        plus = np.full((2, 1), 1 / SQRT2, dtype=complex)
+        devices.append(_prep("prep_plus", StateVector(sys, carrier.to_vector(plus @ plus.conj().T)),
+                             (plus,)))
+        for gname, u in (("h", np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2),
+                         ("x", PAULI["X"]), ("z", PAULI["Z"]),
+                         ("s", np.diag([1, 1j]).astype(complex)),
+                         ("t", np.diag([1, np.exp(1j * math.pi / 4)]))):
+            devices.append(_channel(gname, carrier, sys, (u,)))
         cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-        gates["cnot"] = Gate("cnot", (sys, sys), (sys, sys), {
-            "0": TransformationMatrix(pair, pair, pair_carrier.channel_matrix([cnot]),
-                                      kraus=(cnot,))
-        })
-        phi_col = pair_carrier.to_vector(bells["phi_plus"]).reshape(-1, 1)
-        gates["prep_bell"] = Gate("prep_bell", (), (sys, sys), {
-            "0": TransformationMatrix(UNIT, pair, phi_col, kraus=(_BELL_KETS["phi_plus"],))
-        })
+        pair_devices = [_channel("cnot", pair_carrier, pair, (cnot,)),
+                        _prep("prep_bell", states["phi_plus"], (_BELL_KETS["phi_plus"],))]
+
+    devices.append(Gate("id", (sys,), (sys,), {
+        "0": TransformationMatrix(sys, sys, np.eye(d * d), kraus=(np.eye(d, dtype=complex),))
+    }))
+    bras = [k.conj().T for k in kets]
+    devices.append(_measure("measure", {str(k): effects[f"p{k}"] for k in range(d)},
+                            {str(k): (bras[k],) for k in range(d)}))
+    devices.append(_measure("sink", effects["u"], tuple(bras)))
+    gates = {g.name: g for g in devices + pair_devices}
 
     def draw_state(rng: np.random.Generator) -> np.ndarray:
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -585,82 +582,52 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     pair_carrier = rule.carrier(2)
 
     e0, e1 = np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)
-    had = np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2
-
-    def kraus_gate(gname: str, kraus: tuple) -> Gate:
-        return Gate(gname, (sys,), (sys,), {
-            "0": TransformationMatrix(sys, sys, carrier.channel_matrix(kraus), kraus=kraus)
-        })
-
-    gates: dict[str, Gate] = {
-        "id": kraus_gate("id", (PAULI["I"],)),
-        "x": kraus_gate("x", (PAULI["X"],)),
-        "h": kraus_gate("h", (had,)),
-        # rho -> rho/2 + Y rho Y/2: acts like total dephasing on every single
-        # rebit, but preserves the global Y-parity of joint states.
-        "t1": kraus_gate("t1", (PAULI["I"] / SQRT2, PAULI["Y"] / SQRT2)),
-        # rho -> I tr(rho)/2: discard and reprepare maximally mixed.
-        "t2": kraus_gate("t2", tuple(
-            (a @ b.conj().T) / SQRT2 for a in (e0, e1) for b in (e0, e1)
-        )),
-    }
-
-    def prep(gname: str, rho: np.ndarray, kraus: tuple) -> None:
-        gates[gname] = Gate(gname, (), (sys,), {
-            "0": TransformationMatrix(UNIT, sys, carrier.to_vector(rho).reshape(-1, 1),
-                                      kraus=kraus)
-        })
-
-    prep("prep_0", e0 @ e0.conj().T, (e0,))
     plus = (e0 + e1) / SQRT2
-    prep("prep_plus", plus @ plus.conj().T, (plus,))
-    prep("prep_mixed", np.eye(2, dtype=complex) / 2, (e0 / SQRT2, e1 / SQRT2))
-
-    gates["measure"] = Gate("measure", (sys,), (), {
-        "0": TransformationMatrix(sys, UNIT, carrier.to_vector(e0 @ e0.conj().T).reshape(1, -1),
-                                  outcome_label="0", kraus=(e0.conj().T,)),
-        "1": TransformationMatrix(sys, UNIT, carrier.to_vector(e1 @ e1.conj().T).reshape(1, -1),
-                                  outcome_label="1", kraus=(e1.conj().T,)),
-    })
-    gates["sink"] = Gate("sink", (sys,), (), {
-        "0": TransformationMatrix(sys, UNIT, carrier.to_vector(np.eye(2)).reshape(1, -1),
-                                  kraus=(e0.conj().T, e1.conj().T))
-    })
-
     bells = bell_operators()
-    gates["prep_phi_plus"] = Gate("prep_phi_plus", (), (sys, sys), {
-        "0": TransformationMatrix(UNIT, pair,
-                                  pair_carrier.to_vector(bells["phi_plus"]).reshape(-1, 1),
-                                  kraus=(_BELL_KETS["phi_plus"],))
-    })
     # Two-outcome joint measurement {phi+ + psi-, phi- + psi+}.
     first_op = bells["phi_plus"] + bells["psi_minus"]
     second_op = bells["phi_minus"] + bells["psi_plus"]
-    gates["joint_measure"] = Gate("joint_measure", (sys, sys), (), {
-        "first": TransformationMatrix(pair, UNIT, pair_carrier.to_vector(first_op).reshape(1, -1),
-                                      outcome_label="first",
-                                      kraus=(_BELL_KETS["phi_plus"].conj().T,
-                                             _BELL_KETS["psi_minus"].conj().T)),
-        "second": TransformationMatrix(pair, UNIT, pair_carrier.to_vector(second_op).reshape(1, -1),
-                                       outcome_label="second",
-                                       kraus=(_BELL_KETS["phi_minus"].conj().T,
-                                              _BELL_KETS["psi_plus"].conj().T)),
-    })
 
+    zero, one = (carrier.to_vector(e @ e.conj().T) for e in (e0, e1))
     states = {
-        "zero": StateVector(sys, carrier.to_vector(e0 @ e0.conj().T), normalized=True),
+        "zero": StateVector(sys, zero, normalized=True),
         "plus": StateVector(sys, carrier.to_vector(plus @ plus.conj().T), normalized=True),
         "mixed": StateVector(sys, carrier.to_vector(np.eye(2) / 2), normalized=True),
     }
     for bname, op in bells.items():
         states[bname] = StateVector(pair, pair_carrier.to_vector(op), normalized=True)
     effects = {
-        "p0": EffectVector(sys, carrier.to_vector(e0 @ e0.conj().T)),
-        "p1": EffectVector(sys, carrier.to_vector(e1 @ e1.conj().T)),
+        "p0": EffectVector(sys, zero),
+        "p1": EffectVector(sys, one),
         "u": EffectVector(sys, carrier.to_vector(np.eye(2))),
         "joint_first": EffectVector(pair, pair_carrier.to_vector(first_op)),
         "joint_second": EffectVector(pair, pair_carrier.to_vector(second_op)),
     }
+
+    bras = {n: k.conj().T for n, k in _BELL_KETS.items()}
+    devices = [
+        _channel("id", carrier, sys, (PAULI["I"],)),
+        _channel("x", carrier, sys, (PAULI["X"],)),
+        _channel("h", carrier, sys, (np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,)),
+        # rho -> rho/2 + Y rho Y/2: acts like total dephasing on every single
+        # rebit, but preserves the global Y-parity of joint states.
+        _channel("t1", carrier, sys, (PAULI["I"] / SQRT2, PAULI["Y"] / SQRT2)),
+        # rho -> I tr(rho)/2: discard and reprepare maximally mixed.
+        _channel("t2", carrier, sys,
+                 tuple((a @ b.conj().T) / SQRT2 for a in (e0, e1) for b in (e0, e1))),
+        _prep("prep_0", states["zero"], (e0,)),
+        _prep("prep_plus", states["plus"], (plus,)),
+        _prep("prep_mixed", states["mixed"], (e0 / SQRT2, e1 / SQRT2)),
+        _measure("measure", {"0": effects["p0"], "1": effects["p1"]},
+                 {"0": (e0.conj().T,), "1": (e1.conj().T,)}),
+        _measure("sink", effects["u"], (e0.conj().T, e1.conj().T)),
+        _prep("prep_phi_plus", states["phi_plus"], (_BELL_KETS["phi_plus"],)),
+        _measure("joint_measure", {"first": effects["joint_first"],
+                                   "second": effects["joint_second"]},
+                 {"first": (bras["phi_plus"], bras["psi_minus"]),
+                  "second": (bras["phi_minus"], bras["psi_plus"])}),
+    ]
+    gates = {g.name: g for g in devices}
 
     def _bloch_coords(theta, r=1.0) -> np.ndarray:
         # rho = (I + r cos(theta) X + r sin(theta) Z)/2 in the (I,X,Z)/sqrt2 basis, which
@@ -767,26 +734,14 @@ def boxworld_gbit() -> TheoryDescriptor:
             states[f"v{p0}{p1}"] = StateVector(sys, _gbit_coords(float(p0), float(p1)))
     states["pr_box"] = StateVector(pair, pr_box_coords())
 
-    gates: dict[str, Gate] = {}
-    for sname in ("mixed", "v00", "v01", "v10", "v11"):
-        gates[f"prep_{sname}"] = Gate(f"prep_{sname}", (), (sys,), {
-            "0": TransformationMatrix(UNIT, sys, states[sname].coords.reshape(-1, 1))
-        })
-    gates["prep_pr"] = Gate("prep_pr", (), (sys, sys), {
-        "0": TransformationMatrix(UNIT, pair, pr_box_coords().reshape(-1, 1))
-    })
+    devices = [_prep(f"prep_{sname}", states[sname])
+               for sname in ("mixed", "v00", "v01", "v10", "v11")]
+    devices.append(_prep("prep_pr", states["pr_box"]))
     for x in range(2):
-        gates[f"measure_x{x}"] = Gate(f"measure_x{x}", (sys,), (), {
-            str(a): TransformationMatrix(sys, UNIT, effects[f"e{a}x{x}"].coords.reshape(1, -1),
-                                         outcome_label=str(a))
-            for a in range(2)
-        })
-    gates["sink"] = Gate("sink", (sys,), (), {
-        "0": TransformationMatrix(sys, UNIT, effects["u"].coords.reshape(1, -1))
-    })
-    gates["id"] = Gate("id", (sys,), (sys,), {
-        "0": TransformationMatrix(sys, sys, np.eye(5))
-    })
+        devices.append(_measure(f"measure_x{x}", {str(a): effects[f"e{a}x{x}"] for a in range(2)}))
+    devices.append(_measure("sink", effects["u"]))
+    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, np.eye(5))}))
+    gates = {g.name: g for g in devices}
 
     def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
         p0, p1 = rng.uniform(size=(n, 2)).T

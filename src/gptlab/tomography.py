@@ -21,6 +21,9 @@ from .core import TransformationMatrix
 from .errors import CapacityError, GptLabError, TypeMismatchError
 from .theories import TheoryDescriptor
 
+# The largest composite dimension n_local_span takes by default.
+DEFAULT_SPAN_CAP = 4096
+
 
 @dataclass
 class TomographyReport:
@@ -53,7 +56,7 @@ def _partitions(items: Sequence[int], max_block: int) -> Iterator[list[tuple[int
 
 
 def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
-                 cap: int = 4096) -> TomographyReport:
+                 cap: int = DEFAULT_SPAN_CAP) -> TomographyReport:
     """Span of effects factorizing over blocks of at most ``locality`` systems.
 
     The spanning set runs over every partition of the N systems into blocks

@@ -44,6 +44,30 @@ def test_family_invariant_violation_detected():
         interference_order(family)
 
 
+def test_family_without_projectors_is_a_value_error():
+    with pytest.raises(ValueError, match="at least one projector"):
+        ProjectorFamily(2, {})
+
+
+def test_too_few_projectors_are_reported_before_any_subset_is_listed(monkeypatch):
+    from gptlab import interference
+
+    wide = ProjectorFamily(40, {frozenset(range(40)): np.eye(2)})
+    # one projector short of the 2**n a family needs, the empty one included
+    short = dict(classical_family(3).projectors)
+    del short[frozenset({0, 2})]
+    short = ProjectorFamily(3, short)
+
+    def no_listing(*args, **kwargs):
+        raise AssertionError("subsets enumerated for a family that cannot cover them")
+
+    monkeypatch.setattr(interference, "subsets", no_listing)
+    assert validate_family(wide) == ["2 projectors cannot cover the subsets of 40 slits"]
+    with pytest.raises(FamilyInvariantError, match="cannot cover"):
+        interference_order(wide)
+    assert validate_family(short) == ["7 projectors cannot cover the subsets of 3 slits"]
+
+
 def test_singleton_coherence_projector_is_projector():
     family = quantum_family(3)
     for i in range(3):

@@ -14,11 +14,14 @@ from gptlab import (
     UNIT,
     apply,
     bell_operators,
+    boxworld_gbit,
     chsh_value,
+    classical_theory,
     gbit_fiducial_settings,
     hermitian_basis,
     pair,
     quantum_theory,
+    real_quantum_theory,
     symmetric_pauli_basis,
     tsirelson_settings,
 )
@@ -360,3 +363,60 @@ def test_causal_theories_have_one_deterministic_effect(classical2, qubit, rebit,
         assert set(theory.deterministic_effects) == set(theory.system_types)
         for label, eff in theory.deterministic_effects.items():
             assert eff.system == theory.system_types[label]
+
+
+# ---------------------------------------------------------------------------
+# devices and libraries
+
+
+LIBRARY_ORDER = {
+    "classical-1": (["prep_0", "prep_uniform", "id", "read", "sink"],
+                    ["s0", "uniform"], ["p0", "u"]),
+    "classical-2": (["prep_0", "prep_1", "prep_uniform", "coin", "not", "id", "read", "sink"],
+                    ["s0", "s1", "uniform"], ["p0", "p1", "u"]),
+    "classical-3": (["prep_0", "prep_1", "prep_2", "prep_uniform", "id", "read", "sink"],
+                    ["s0", "s1", "s2", "uniform"], ["p0", "p1", "p2", "u"]),
+    "quantum-2": (["prep_0", "prep_1", "prep_mixed", "prep_plus", "h", "x", "z", "s", "t", "id",
+                   "measure", "sink", "cnot", "prep_bell"],
+                  ["basis_0", "basis_1", "mixed", "plus", "phi_plus", "phi_minus", "psi_plus",
+                   "psi_minus"],
+                  ["p0", "p1", "u", "p_plus"]),
+    "quantum-3": (["prep_0", "prep_1", "prep_2", "prep_mixed", "id", "measure", "sink"],
+                  ["basis_0", "basis_1", "basis_2", "mixed"], ["p0", "p1", "p2", "u"]),
+    "real-quantum-2": (["id", "x", "h", "t1", "t2", "prep_0", "prep_plus", "prep_mixed",
+                        "measure", "sink", "prep_phi_plus", "joint_measure"],
+                       ["zero", "plus", "mixed", "phi_plus", "phi_minus", "psi_plus",
+                        "psi_minus"],
+                       ["p0", "p1", "u", "joint_first", "joint_second"]),
+    "boxworld": (["prep_mixed", "prep_v00", "prep_v01", "prep_v10", "prep_v11", "prep_pr",
+                  "measure_x0", "measure_x1", "sink", "id"],
+                 ["mixed", "v00", "v01", "v10", "v11", "pr_box"],
+                 ["u", "e0x0", "e1x0", "e0x1", "e1x1"]),
+}
+
+
+def builtin_theories():
+    return [classical_theory(1), classical_theory(2), classical_theory(3), quantum_theory(2),
+            quantum_theory(3), real_quantum_theory(2), boxworld_gbit()]
+
+
+@pytest.mark.parametrize("theory", builtin_theories(), ids=lambda t: t.name)
+def test_devices_are_library_vectors_in_library_order(theory):
+    gates, states, effects = LIBRARY_ORDER[theory.name]
+    assert (list(theory.gates), list(theory.states), list(theory.effects)) == (
+        gates, states, effects)
+    state_bytes, effect_bytes = ({(v.system, v.coords.tobytes()) for v in lib.values()}
+                                 for lib in (theory.states, theory.effects))
+    own_matrices = set()
+    for gate in theory.gates.values():
+        if gate.inputs and gate.outputs:
+            continue
+        # a preparation's one column is a state; a measurement's one row an effect
+        library, side = (effect_bytes, "input") if gate.inputs else (state_bytes, "output")
+        for t in gate.outcomes.values():
+            if (getattr(t, side), t.matrix.ravel().tobytes()) not in library:
+                own_matrices.add(gate.name)
+    # coin prepares subnormalised states; prep_plus is plus @ plus^dag, whose
+    # entries are 0.5000000000000001 where the "plus" state holds 0.5
+    assert own_matrices == {"classical-2": {"coin"}, "quantum-2": {"prep_plus"}}.get(
+        theory.name, set())
