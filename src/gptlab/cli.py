@@ -6,14 +6,16 @@ bad arguments, a query size over ``querylab.MAX_ITEMS``). With --json a
 single JSON document goes to stdout; it contains no timing, so fixed seeds
 and inputs give byte-identical output.
 
-A call builds the parser of its own command group only (``build_parser``
-with the argv); the other groups are registered with their help alone. Help
-pages, usage errors and exit codes are byte for byte those of the full tree.
+``main`` parses every call with one full parser, built on the first call of
+the process and reused: ``parse_args`` leaves the parser unchanged (it makes
+a fresh namespace and help formatter each time), so a call sees the same
+parser a fresh ``build_parser()`` returns.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -399,16 +401,8 @@ _GROUPS = (
 )
 
 
-def build_parser(argv=None) -> argparse.ArgumentParser:
-    """The command-line parser; for an ``argv``, only the group it names is filled.
-
-    Every group is registered with its help, so the top-level usage, help
-    and errors do not depend on ``argv``. argparse enters only the group
-    named by the first positional token, and that is the first token naming
-    a group: the one top-level option taking a value, ``--seed``, takes an
-    int, so a group name there is an error before any group is entered.
-    With no ``argv`` every group is filled.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: every command group with its subcommands."""
     parser = argparse.ArgumentParser(
         prog="gptlab",
         description="Simulation laboratory for computation in generalised probabilistic theories",
@@ -418,18 +412,16 @@ def build_parser(argv=None) -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}; GPTLAB_SEED overrides the default)")
     sub = parser.add_subparsers(dest="command", required=True)
-    names = [name for name, _, _ in _GROUPS]
-    filled = names if argv is None else [next((t for t in argv if t in names), None)]
     for name, help_text, add in _GROUPS:
-        group = sub.add_parser(name, help=help_text)
-        if name in filled:
-            add(group.add_subparsers(dest="subcommand", required=True))
+        add(sub.add_parser(name, help=help_text).add_subparsers(dest="subcommand", required=True))
     return parser
 
 
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
+    args = _parser().parse_args(argv)
     start = time.perf_counter()
     try:
         _check_ranges(args)

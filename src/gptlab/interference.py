@@ -63,7 +63,8 @@ class ProjectorFamily:
 
     @property
     def dim(self) -> int:
-        return self.projectors[frozenset(range(self.n_slits))].shape[0]
+        # every projector has it: __post_init__ checks one shared dimension
+        return next(iter(self.projectors.values())).shape[0]
 
     def projector(self, subset: Iterable[int]) -> np.ndarray:
         key = frozenset(subset)

@@ -11,13 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .core import PHYSICAL_TOL, SystemType, TransformationMatrix
-from .theories import DensityCarrier, hermitian_basis
-
-SQRT2 = math.sqrt(2.0)
+from .core import PHYSICAL_TOL
 
 # The largest item count the command line accepts. It bounds the oracle
 # table, and PARITY by pairing, whose P/2 oracle uses are gathers of length
@@ -47,9 +45,6 @@ class OracleFunction:
     def padded_size(self) -> int:
         return 1 << max(1, (self.n_items - 1).bit_length())
 
-    def parity(self) -> int:
-        return sum(self.table) % 2
-
     def marked_items(self) -> list[int]:
         return [i for i, b in enumerate(self.table) if b]
 
@@ -61,31 +56,29 @@ def _bit_oracle_index(f: OracleFunction) -> np.ndarray:
     return np.arange(2 * f.padded_size) ^ np.repeat(bits, 2)
 
 
-def bit_oracle_unitary(f: OracleFunction) -> np.ndarray:
-    """Permutation on control (x) tensor target (y): maps (x, y) to (x, y xor f(x)).
-
-    The control register is padded to a power of two. This is the dense view
-    of the gather index: the oracle is an involution, so row i is e_index[i].
-    """
-    index = _bit_oracle_index(f)
-    return np.eye(len(index))[index]
-
-
 class Oracle:
     """Counting wrapper; algorithms below only touch ``f`` through this."""
 
     def __init__(self, f: OracleFunction):
         self._f = f
-        self._bit_index = _bit_oracle_index(f)
-        self._marked = np.array(f.marked_items(), dtype=np.intp)
         self.queries = 0
+
+    # each algorithm uses one oracle form, so each is built on its first use
+    @cached_property
+    def _bit_index(self) -> np.ndarray:
+        return _bit_oracle_index(self._f)
+
+    @cached_property
+    def _marked(self) -> np.ndarray:
+        return np.array(self._f.marked_items(), dtype=np.intp)
 
     def classical(self, item: int) -> int:
         self.queries += 1
         return self._f.table[item]
 
     def apply_bit_unitary(self, state: np.ndarray) -> np.ndarray:
-        """``bit_oracle_unitary(f) @ state``, as a gather: the oracle is a permutation."""
+        """The bit oracle (x, y) -> (x, y xor f(x)) on the padded control (x) target
+        register, as a gather: the oracle is a permutation."""
         self.queries += 1
         return state[self._bit_index]
 
@@ -107,20 +100,6 @@ class QueryTranscript:
     result: int
     success: bool
     success_probability: float | None = None
-
-
-def oracle_unitary(f: OracleFunction) -> TransformationMatrix:
-    """The controlled oracle as a transformation.
-
-    ``matrix`` is the transfer representation on the padded control-target
-    register (for circuit use); ``kraus[0]`` is the raw permutation unitary
-    (for state-vector use).
-    """
-    u = bit_oracle_unitary(f)
-    d = u.shape[0]
-    carrier = DensityCarrier(hermitian_basis(d))
-    sys = SystemType(f"q{d}", d * d, theory=f"quantum-{d}")
-    return TransformationMatrix(sys, sys, carrier.channel_matrix([u]), kraus=(u,))
 
 
 def parity_classical(f: OracleFunction) -> QueryTranscript:

@@ -88,18 +88,6 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
                             composite.dim - rank, defect_basis=np.eye(composite.dim)[~covered])
 
 
-def defect_direction_overlap(report: TomographyReport, candidate: np.ndarray) -> float:
-    """Squared cosine between a composite-space vector and the defect subspace."""
-    if report.defect < 1:
-        raise GptLabError("the report has no defect subspace")
-    candidate = np.asarray(candidate, dtype=float)
-    norm = float(np.linalg.norm(candidate))
-    if norm == 0.0:
-        raise ValueError("candidate vector is zero")
-    projected = report.defect_basis @ candidate
-    return float(projected @ projected) / (norm * norm)
-
-
 def fiducial_count(k: int, n_systems: int, locality: int) -> int:
     """Measurements needed for n-local tomography of N systems: k * C(N, n)."""
     if k < 1:

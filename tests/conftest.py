@@ -12,7 +12,10 @@ rebuilding and re-sorting the whole tape for every branch.
 chain per combination, row or sample; ``reference_layer_stack`` builds a
 circuit layer's stack one ``parallel_matrix`` call per outcome combination.
 ``reference_draws`` keeps the one-sample bodies of the strategy samplers that
-draw in bulk. Random corpus builders are seeded.
+draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
+matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
+transfer matrix; ``defect_direction_overlap`` measures a vector against a
+tomography report's defect basis. Random corpus builders are seeded.
 """
 
 from __future__ import annotations
@@ -33,9 +36,10 @@ from gptlab import (
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import foliate
-from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector
-from gptlab.errors import MachineValidationError
-from gptlab.theories import RebitRule, even_y_index
+from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector, SystemType, TransformationMatrix
+from gptlab.errors import GptLabError, MachineValidationError
+from gptlab.querylab import OracleFunction
+from gptlab.theories import DensityCarrier, RebitRule, even_y_index, hermitian_basis
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
 
 
@@ -467,6 +471,49 @@ def reference_distinguish_search(theory, t, u, locality: str, seed: int,
         best_state, best_effect = f"random[{i}]", f"random[{i}]"
     return SeparationReport(best, best_state, best_effect, locality,
                             grid_vals.size + rand_vals.size)
+
+
+def defect_direction_overlap(report: TomographyReport, candidate: np.ndarray) -> float:
+    """Squared cosine between a composite-space vector and the defect subspace."""
+    if report.defect < 1:
+        raise GptLabError("the report has no defect subspace")
+    candidate = np.asarray(candidate, dtype=float)
+    norm = float(np.linalg.norm(candidate))
+    if norm == 0.0:
+        raise ValueError("candidate vector is zero")
+    projected = report.defect_basis @ candidate
+    return float(projected @ projected) / (norm * norm)
+
+
+# ---------------------------------------------------------------------------
+# oracle references
+
+
+def bit_oracle_unitary(f: OracleFunction) -> np.ndarray:
+    """Permutation on control (x) tensor target (y): maps (x, y) to (x, y xor f(x)).
+
+    The control register is padded to a power of two; padded items read 0.
+    """
+    size = 2 * f.padded_size
+    u = np.zeros((size, size))
+    for x in range(f.padded_size):
+        fx = f.table[x] if x < f.n_items else 0
+        for y in (0, 1):
+            u[2 * x + (y ^ fx), 2 * x + y] = 1.0
+    return u
+
+
+def oracle_unitary(f: OracleFunction) -> TransformationMatrix:
+    """The controlled oracle as a transformation.
+
+    ``matrix`` is the transfer representation on the padded control-target
+    register; ``kraus[0]`` is the permutation unitary.
+    """
+    u = bit_oracle_unitary(f)
+    d = u.shape[0]
+    carrier = DensityCarrier(hermitian_basis(d))
+    sys = SystemType(f"q{d}", d * d, theory=f"quantum-{d}")
+    return TransformationMatrix(sys, sys, carrier.channel_matrix([u]), kraus=(u,))
 
 
 # ---------------------------------------------------------------------------

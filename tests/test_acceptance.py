@@ -52,14 +52,14 @@ from gptlab.querylab import (
     parity_quantum,
 )
 from gptlab.theories import PAULI
-from gptlab.tomography import (
-    defect_direction_overlap,
-    distinguish_search,
-    fiducial_count,
-    n_local_span,
-)
+from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
 
-from conftest import monte_carlo_acceptance, random_circuit, random_machine
+from conftest import (
+    defect_direction_overlap,
+    monte_carlo_acceptance,
+    random_circuit,
+    random_machine,
+)
 
 
 @contextmanager

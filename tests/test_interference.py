@@ -49,6 +49,14 @@ def test_family_without_projectors_is_a_value_error():
         ProjectorFamily(2, {})
 
 
+def test_family_without_the_full_slit_projector():
+    family = ProjectorFamily(2, {frozenset({0}): np.eye(2)})
+    assert family.dim == 2
+    assert np.array_equal(coherence_projector(family, {0}), np.eye(2))
+    with pytest.raises(FamilyInvariantError, match=r"subset \[1\]"):
+        decompose(np.ones(2), family, 2)
+
+
 def test_too_few_projectors_are_reported_before_any_subset_is_listed(monkeypatch):
     from gptlab import interference
 

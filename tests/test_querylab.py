@@ -6,17 +6,18 @@ import math
 import numpy as np
 import pytest
 
+from gptlab import querylab
 from gptlab.querylab import (
     Oracle,
     OracleFunction,
-    bit_oracle_unitary,
     grover_search,
     grover_success_probability,
     lower_bound,
-    oracle_unitary,
     parity_classical,
     parity_quantum,
 )
+
+from conftest import bit_oracle_unitary, oracle_unitary
 
 
 def test_oracle_table_validation():
@@ -107,6 +108,23 @@ def test_query_counter_cannot_be_skipped():
     oracle.apply_phase(np.ones(4) / 2)
     oracle.classical(2)
     assert oracle.queries == 3
+
+
+def test_oracle_forms_are_built_on_first_use(monkeypatch):
+    table, search = OracleFunction((0, 0, 1, 0, 1)), OracleFunction((0, 0, 1, 0))
+
+    def counts():
+        return parity_classical(table).query_count, grover_search(search).query_count
+
+    def unused(*_):
+        raise AssertionError("built an oracle form the algorithm does not use")
+
+    want = counts()
+    monkeypatch.setattr(querylab, "_bit_oracle_index", unused)
+    assert counts() == want == (5, 1)
+    monkeypatch.undo()
+    monkeypatch.setattr(OracleFunction, "marked_items", unused)
+    assert parity_quantum(table).query_count == 3
 
 
 def test_grover_examples():

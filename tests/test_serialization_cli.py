@@ -574,13 +574,47 @@ def test_cli_help_and_usage_errors_match_the_full_parser(capsys, monkeypatch, ar
     assert outcome(main) == outcome(build_parser().parse_args)
 
 
-def test_build_parser_fills_only_the_named_group():
+# Every README command, plus `afftm check` and `interfere decompose`, on the bundled data
+BUNDLED_COMMANDS = [
+    ["theory", "info", "--theory", data_path("theory_rebit.json")],
+    ["circuit", "eval", "--circuit", data_path("circuit_rebit_bell.json")],
+    ["circuit", "accept", "--circuit", data_path("circuit_coin.json")],
+    ["afftm", "run", "--machine", data_path("machine_branch.json"), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "norms", "--machine", data_path("machine_branch.json"), "--input", "",
+     "--max-steps", "5"],
+    ["afftm", "check", "--machine", data_path("machine_parity.json"),
+     "--inputs", "0,1,0110,111", "--max-steps", "10"],
+    ["interfere", "order", "--family", data_path("family_qutrit.json")],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"),
+     "--vector", "[1,0,0,0,0,0,0,0,0.5]", "--order", "2"],
+    ["tomo", "check", "--theory", data_path("theory_rebit.json"), "--systems", "2",
+     "--locality", "1"],
+    ["tomo", "count", "--k", "3", "--systems", "4", "--locality", "2"],
+    ["query", "parity", "--table", "0110"],
+    ["query", "grover", "--n", "16", "--marked", "3"],
+    ["query", "bounds", "--problem", "search", "--n", "100", "--k", "2"],
+]
+
+
+def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
     assert len(_help_pages()) == 20  # top level, six groups, 13 commands
-    groups = _subcommands(build_parser(TOMO_COUNT))
-    assert list(groups) == ["theory", "circuit", "afftm", "interfere", "tomo", "query"]
-    assert list(_subcommands(groups["tomo"])) == ["check", "count"]
-    assert [name for name, group in groups.items() if _subcommands(group) is None] == \
-        ["theory", "circuit", "afftm", "interfere", "query"]
+    argvs = [["--json", *argv] for argv in BUNDLED_COMMANDS]
+    argvs += [["circuit", "nosuch"], ["query", "parity", "--help"]]
+
+    def outcome(argv):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+        out = capsys.readouterr()
+        return code, out.out, out.err
+
+    first = {tuple(argv): outcome(argv) for argv in argvs}
+    second = {tuple(argv): outcome(argv) for argv in reversed(argvs)}
+    assert second == first
+    assert [first[tuple(argv)][0] for argv in argvs] == [0] * 13 + [("exit", 2), ("exit", 0)]
 
 
 def test_cli_circuit_accept(capsys):

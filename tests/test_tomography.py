@@ -10,15 +10,11 @@ from hypothesis import given, settings, strategies as st
 from gptlab import StateVector
 from gptlab.errors import CapacityError, GptLabError, TypeMismatchError
 from gptlab.theories import RebitRule, StrategyHooks
-from gptlab.tomography import (
-    defect_direction_overlap,
-    distinguish_search,
-    fiducial_count,
-    n_local_span,
-)
+from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
 
 from conftest import (
     all_theories,
+    defect_direction_overlap,
     kraus_product_coords,
     reference_distinguish_search,
     reference_n_local_span,
