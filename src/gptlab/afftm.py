@@ -8,6 +8,20 @@ branch has halted. Branches are evolved as a quasi-distribution over
 configurations (dynamic programming), which produces the same acceptance
 weights as explicit path trees but merges paths that reconverge.
 
+A run steps that quasi-distribution in one of two encodings, chosen by its
+size. A small frontier is an affine vector, a `{Configuration: weight}`
+dict stepped by `step`. Once a frontier holds _ROWS_FROM configurations,
+the run converts it to rows (`_Rows`) and steps it there until it halts:
+an integer row per configuration (state index, head column, and a tape
+window of symbol indices with blank = 0) beside a float64 weight array.
+A row step gathers each row's branches from a transition table built at the
+hand-off, repeats the row over them, writes and moves, then merges equal
+rows in first-seen order and sums their weights in row order, as `step`
+does, so every acceptance weight and norm is bit-identical on either
+encoding. The window covers the tape at the hand-off and widens when a
+head steps past an edge, so its width never depends on `max_steps`. A
+machine whose weights are not all Python floats stays on `step`.
+
 Machines are immutable; runs on different inputs may proceed concurrently.
 """
 
@@ -15,6 +29,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -163,31 +178,218 @@ def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
     return out
 
 
+# A frontier of this many configurations steps as rows. Handing a writer off
+# here and stepping once more (128 -> 256) costs what the dict step does;
+# each further step is cheaper as rows, and a run that peaks below it is not.
+_ROWS_FROM = 128
+
+
+class _Table(NamedTuple):
+    """A machine's transitions as arrays, keyed by state * len(symbols) + symbol.
+
+    A halting state gets one branch per symbol that keeps the configuration,
+    so halting rows persist unchanged; a missing transition has no branches.
+    """
+
+    states: list[str]  # state index -> name, sorted
+    symbols: list[str]  # symbol index -> symbol, blank = 0
+    halting: np.ndarray  # per state index
+    first: np.ndarray  # per key: index of its first branch
+    count: np.ndarray  # per key: number of branches
+    next_state: np.ndarray  # per branch, like the three below
+    write: np.ndarray
+    move: np.ndarray
+    weight: np.ndarray
+
+
+def _table(machine: AffineMachine) -> _Table:
+    states = sorted(machine.states)
+    symbols = [machine.blank, *sorted(machine.alphabet - {machine.blank})]
+    state_index = {s: i for i, s in enumerate(states)}
+    symbol_index = {a: i for i, a in enumerate(symbols)}
+    count, branches = [], []
+    for state in states:
+        for symbol in symbols:
+            if machine.is_halting(state):
+                keyed = [(state, symbol, "S", 1.0)]
+            else:
+                keyed = [(b.next_state, b.write, b.move, b.weight)
+                         for b in machine.transitions.get((state, symbol), ())]
+            count.append(len(keyed))
+            branches.extend(keyed)
+    count = np.array(count, dtype=np.intp)
+    next_state, write, move, weight = zip(*branches)  # the accept state has branches
+    return _Table(states, symbols, np.array([machine.is_halting(s) for s in states]),
+                  np.cumsum(count) - count, count,
+                  np.array([state_index[s] for s in next_state], dtype=np.intp),
+                  np.array([symbol_index[a] for a in write], dtype=np.intp),
+                  np.array([_MOVES[m] for m in move], dtype=np.intp),
+                  np.array(weight, dtype=float))
+
+
+def _merge(rows: np.ndarray, weights: np.ndarray):
+    """Merge equal rows in first-seen order, adding their weights in row order.
+
+    A stable sort puts each group of equal rows behind its first-seen row.
+    `np.bincount` adds each group's weights in row order starting from 0.0,
+    the additions `out.get(cfg, 0.0) + w` makes in `step`.
+    """
+    order = np.lexsort(rows.T)
+    ranked = np.take(rows, order, axis=0)
+    starts = np.empty(len(rows), dtype=bool)
+    starts[0] = True
+    np.any(ranked[1:] != ranked[:-1], axis=1, out=starts[1:])
+    seen = np.empty(len(rows), dtype=np.intp)  # each row's first-seen equal row
+    seen[order] = order[starts][np.cumsum(starts) - 1]
+    firsts, group = np.unique(seen, return_inverse=True)
+    return np.take(rows, firsts, axis=0), np.bincount(group, weights, len(firsts))
+
+
+class _Rows:
+    """A frontier as integer rows and a weight array, both in frontier order.
+
+    Row i is configuration i as (state index, head column, tape window): the
+    window's columns are consecutive tape cells, from position `origin` on,
+    holding symbol indices with blank = 0. Every row shares one window, so
+    equal rows are equal configurations. The window covers the tape extent
+    at the hand-off and widens when a head steps past an edge.
+    """
+
+    def __init__(self, table: _Table, rows: np.ndarray, weights: np.ndarray,
+                 origin: int) -> None:
+        self.table, self.rows, self.weights, self.origin = table, rows, weights, origin
+
+    @classmethod
+    def of(cls, machine: AffineMachine, vector: AffineVector) -> "_Rows":
+        table = _table(machine)
+        state_index = {s: i for i, s in enumerate(table.states)}
+        symbol_index = {a: i for i, a in enumerate(table.symbols)}
+        states, tapes, heads = zip(*vector)
+        cells = list(chain.from_iterable(chain.from_iterable(tapes)))  # position, symbol, ...
+        row = np.repeat(np.arange(len(vector)), np.fromiter(map(len, tapes), np.intp, len(tapes)))
+        position = np.array(cells[0::2], dtype=np.intp)
+        heads = np.array(heads, dtype=np.intp)
+        lo = min(heads.min(), position.min(initial=heads.min()))
+        width = max(heads.max(), position.max(initial=heads.max())) - lo + 1
+        rows = np.zeros((len(vector), 2 + width), dtype=_row_dtype(table, width))
+        rows[:, 0] = np.fromiter(map(state_index.__getitem__, states), np.intp, len(states))
+        rows[:, 1] = heads - lo
+        rows[row, 2 + position - lo] = np.fromiter(map(symbol_index.__getitem__, cells[1::2]),
+                                                   np.intp, len(row))
+        weights = np.fromiter(vector.values(), dtype=float, count=len(vector))
+        return cls(table, rows, weights, int(lo))
+
+    def running(self) -> np.ndarray:
+        return ~self.table.halting[self.rows[:, 0]]
+
+    def accepted(self, machine: AffineMachine):
+        accept = self.table.states.index(machine.accept)
+        return sum(self.weights[self.rows[:, 0] == accept].tolist())
+
+    def step(self) -> "_Rows":
+        """`step` on rows: the same merge order, weights and errors."""
+        t, rows = self.table, self.rows
+        heads = rows[:, 1].astype(np.intp)
+        symbols = rows[np.arange(len(rows)), 2 + heads].astype(np.intp)
+        keys = rows[:, 0].astype(np.intp) * len(t.symbols) + symbols
+        count = t.count[keys]
+        if not count.all():
+            i = int(np.argmin(count))
+            raise MachineValidationError(f"no transition for non-halting "
+                                         f"({t.states[rows[i, 0]]!r}, {t.symbols[symbols[i]]!r})")
+        parent = np.repeat(np.arange(len(rows)), count)
+        ends = np.cumsum(count)
+        branch = np.arange(ends[-1]) + np.repeat(t.first[keys] - (ends - count), count)
+        child = np.take(rows, parent, axis=0)
+        heads = heads[parent]
+        child[np.arange(len(child)), 2 + heads] = t.write[branch]
+        child[:, 0] = t.next_state[branch]
+        heads += t.move[branch]
+        width = child.shape[1] - 2
+        left = width if heads.min() < 0 else 0
+        right = width if heads.max() >= width else 0
+        if left or right:
+            # a move goes one cell at most: widen by the window's width on each side crossed
+            grown = np.zeros((len(child), 2 + left + width + right),
+                             dtype=_row_dtype(t, left + width + right))
+            grown[:, 0] = child[:, 0]
+            grown[:, 2 + left:2 + left + width] = child[:, 2:]
+            child, heads = grown, heads + left
+        child[:, 1] = heads
+        with np.errstate(all="ignore"):  # as float arithmetic: inf and nan without a warning
+            weights = self.weights[parent] * t.weight[branch]
+        merged, weights = _merge(child, weights)
+        kept = weights != 0.0
+        if not kept.all():
+            merged, weights = merged[kept], weights[kept]
+        return _Rows(t, merged, weights, self.origin - left)
+
+
+def _row_dtype(table: _Table, width: int) -> np.dtype:
+    """The narrowest unsigned dtype for state indices, symbol indices and head columns."""
+    return np.min_scalar_type(max(len(table.states), len(table.symbols), width))
+
+
+def _float_weights(machine: AffineMachine) -> bool:
+    """Whether every branch weight is a Python float, as parsed machines' are.
+
+    Rows hold float64 weights. `step` keeps another number type's arithmetic
+    (numpy float64 weights make numpy float64 results), so such machines stay
+    on it.
+    """
+    return all(type(b.weight) is float for bs in machine.transitions.values() for b in bs)
+
+
+def _halting_violation(max_steps: int, running: Iterable[str]) -> HaltingViolationError:
+    return HaltingViolationError(
+        f"branches still running after {max_steps} steps (states {sorted(set(running))})"
+    )
+
+
 def _run(machine: AffineMachine, x: str, max_steps: int):
-    """Yield the affine vector after each step until every branch halts."""
+    """Yield the frontier after each step until every branch halts.
+
+    The frontier is an affine vector stepped by `step` until it first holds
+    _ROWS_FROM configurations, and _Rows from the step after that on.
+    """
     report = validate(machine)
     if not report.ok:
         raise MachineValidationError("; ".join(report.violations))
     vector: AffineVector = {initial_configuration(machine, x): 1.0}
     yield vector
-    for _ in range(max_steps):
-        if all(machine.is_halting(c.state) for c in vector):
+    steps = 0
+    while not all(machine.is_halting(c.state) for c in vector):
+        if steps == max_steps:
+            raise _halting_violation(max_steps, (c.state for c in vector
+                                                 if not machine.is_halting(c.state)))
+        if len(vector) >= _ROWS_FROM and _float_weights(machine):
+            yield from _run_rows(_Rows.of(machine, vector), steps, max_steps)
             return
         vector = step(machine, vector)
+        steps += 1
         yield vector
-    if not all(machine.is_halting(c.state) for c in vector):
-        running = sorted({c.state for c in vector if not machine.is_halting(c.state)})
-        raise HaltingViolationError(
-            f"branches still running after {max_steps} steps (states {running})"
-        )
+
+
+def _run_rows(rows: _Rows, steps: int, max_steps: int):
+    """_run from the hand-off on, where some branch is still running."""
+    while steps < max_steps:
+        rows = rows.step()
+        steps += 1
+        yield rows
+        if not rows.running().any():
+            return
+    running = rows.rows[rows.running(), 0]
+    raise _halting_violation(max_steps, (rows.table.states[i] for i in running))
 
 
 def acceptance_weight(machine: AffineMachine, x: str, max_steps: int) -> float:
     """Total weight of accepting configurations once every branch has halted."""
-    vector: AffineVector = {}
-    for vector in _run(machine, x, max_steps):
+    frontier: AffineVector | _Rows = {}
+    for frontier in _run(machine, x, max_steps):
         pass
-    return sum(w for cfg, w in vector.items() if cfg.state == machine.accept)
+    if isinstance(frontier, _Rows):
+        return frontier.accepted(machine)
+    return sum(w for cfg, w in frontier.items() if cfg.state == machine.accept)
 
 
 @dataclass
@@ -209,8 +411,13 @@ class NormTrace:
 
 def norm_trace(machine: AffineMachine, x: str, max_steps: int) -> NormTrace:
     norms = []
-    for vector in _run(machine, x, max_steps):
-        norms.append(float(np.sqrt(sum(w * w for w in vector.values()))))
+    for frontier in _run(machine, x, max_steps):
+        if isinstance(frontier, _Rows):
+            with np.errstate(over="ignore"):  # as float arithmetic, inf without a warning
+                squares = (frontier.weights * frontier.weights).tolist()
+        else:
+            squares = (w * w for w in frontier.values())
+        norms.append(float(np.sqrt(sum(squares))))
     flagged = [i for i, n in enumerate(norms) if n > 1.0 + PHYSICAL_TOL]
     return NormTrace(norms, flagged)
 

@@ -6,7 +6,8 @@ algebra on the gates' Kraus data, and ``classical_path_distribution`` sums
 over explicit basis-state trajectories. The ``kraus_*`` references build
 rebit composites in the orthonormal carriers by conjugating with Kronecker
 products of operators. ``reference_step`` steps an affine machine by
-rebuilding and re-sorting the whole tape for every branch.
+rebuilding and re-sorting the whole tape for every branch, and
+``reference_run`` runs one on dict frontiers alone, however large they grow.
 ``reference_parallel_stack``, ``reference_n_local_span`` and
 ``reference_distinguish_search`` build their Kronecker products one ``np.kron``
 chain per combination, row or sample; ``reference_layer_stack`` builds a
@@ -37,7 +38,7 @@ from gptlab import (
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import foliate
 from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector, SystemType, TransformationMatrix
-from gptlab.errors import GptLabError, MachineValidationError
+from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
 from gptlab.querylab import OracleFunction
 from gptlab.theories import DensityCarrier, RebitRule, even_y_index, hermitian_basis
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
@@ -368,6 +369,50 @@ def reference_step(machine: AffineMachine, vector: dict) -> dict:
             nxt = Configuration(b.next_state, tape, cfg.head + REFERENCE_MOVES[b.move])
             out[nxt] = out.get(nxt, 0.0) + weight * b.weight
     return {cfg: w for cfg, w in out.items() if w != 0.0}
+
+
+def reference_run(machine: AffineMachine, x: str, max_steps: int) -> list[dict]:
+    """Every frontier of a run by ``reference_step``, with the library's halting rule."""
+    vectors = [{initial_configuration(machine, x): 1.0}]
+    for _ in range(max_steps):
+        if all(machine.is_halting(c.state) for c in vectors[-1]):
+            return vectors
+        vectors.append(reference_step(machine, vectors[-1]))
+    running = sorted({c.state for c in vectors[-1] if not machine.is_halting(c.state)})
+    if running:
+        raise HaltingViolationError(
+            f"branches still running after {max_steps} steps (states {running})")
+    return vectors
+
+
+def writer_machine(k: int, a: float, move: str = "R", last: str = "acc") -> AffineMachine:
+    """Writes one branching bit per step for k steps, then enters `last`.
+
+    The frontier doubles each step: 2^k configurations at the end.
+    """
+    states = [f"q{i}" for i in range(k)] + ["acc", "rej"]
+    transitions = {}
+    for i in range(k):
+        nxt = f"q{i + 1}" if i + 1 < k else last
+        transitions[(f"q{i}", "_")] = (Branch(nxt, "0", move, a), Branch(nxt, "1", move, 1.0 - a))
+    return AffineMachine(frozenset([*states, last]), "q0", "acc", "rej", "_", frozenset("01_"),
+                         transitions)
+
+
+def fanout(machine: AffineMachine, k: int, a: float) -> AffineMachine:
+    """`machine` behind k branching steps that write a bit and move right.
+
+    A run starts with up to 2^k configurations on distinct tapes, all in the
+    machine's initial state. Weights become Python floats.
+    """
+    fan = [f"fan{i}" for i in range(k)] + [machine.initial]
+    transitions = {key: tuple(Branch(b.next_state, b.write, b.move, float(b.weight)) for b in bs)
+                   for key, bs in machine.transitions.items()}
+    for here, nxt in zip(fan, fan[1:]):
+        for symbol in machine.alphabet:
+            transitions[(here, symbol)] = (Branch(nxt, "0", "R", a), Branch(nxt, "1", "R", 1.0 - a))
+    return AffineMachine(machine.states | set(fan), fan[0], machine.accept, machine.reject,
+                         machine.blank, machine.alphabet, transitions)
 
 
 def monte_carlo_acceptance(machine: AffineMachine, x: str, shots: int,

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptlab import Acceptor, acceptance_prob
+from gptlab import afftm
 from gptlab.afftm import (
     AffineMachine,
     Branch,
@@ -20,7 +21,15 @@ from gptlab.afftm import (
 )
 from gptlab.errors import HaltingViolationError, MachineValidationError
 
-from conftest import monte_carlo_acceptance, random_circuit, random_machine, reference_step
+from conftest import (
+    fanout,
+    monte_carlo_acceptance,
+    random_circuit,
+    random_machine,
+    reference_run,
+    reference_step,
+    writer_machine,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True)
 
@@ -291,3 +300,168 @@ def test_bridge_random_classical_circuits(classical2):
         got = circuit_to_affine_program(c, acc).acceptance_weight()
         want = acceptance_prob(c, acc)
         assert got == pytest.approx(want, abs=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# rows: the encoding a run steps its frontier in from afftm._ROWS_FROM on
+
+
+def rows_vector(rows) -> dict:
+    """Decode rows back to the affine vector they hold, in row order."""
+    t = rows.table
+    out = {}
+    for (state, head, *cells), w in zip(rows.rows.tolist(), rows.weights.tolist()):
+        tape = tuple((rows.origin + j, t.symbols[c]) for j, c in enumerate(cells) if c)
+        out[Configuration(t.states[state], tape, rows.origin + head)] = w
+    return out
+
+
+@PROPERTY
+@given(machine_runs(), st.integers(0, 8), st.sampled_from([0.5, 2.0, 0.3]), st.data())
+def test_row_step_matches_reference(run, k, a, data):
+    """dict -> rows -> dict round trips of the row step, against reference_step,
+    on frontiers of up to 2^k configurations after a fan-out."""
+    m, x, steps = run
+    m = fanout(m, k, a)
+    v = {initial_configuration(m, x): 1.0}
+    start = data.draw(st.integers(0, k + steps), label="steps before the hand-off")
+    rows = None
+    for i in range(k + steps):
+        if i == start:
+            rows = afftm._Rows.of(m, v)
+            assert _bits(rows_vector(rows)) == _bits(v)
+        try:
+            want = reference_step(m, v)
+        except MachineValidationError as exc:
+            with pytest.raises(MachineValidationError) as err:
+                (rows or afftm._Rows.of(m, v)).step()
+            assert str(err.value) == str(exc)
+            return
+        if rows is not None:
+            rows = rows.step()
+            assert _bits(rows_vector(rows)) == _bits(want)
+        v = want
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (MachineValidationError, HaltingViolationError) as exc:
+        return type(exc), str(exc)
+
+
+def _reference_results(m, x, max_steps):
+    """acceptance_weight and norm_trace's norms, from reference_run."""
+    vectors = reference_run(m, x, max_steps)
+    alpha = sum(w for cfg, w in vectors[-1].items() if cfg.state == m.accept)
+    return alpha, [float(np.sqrt(sum(w * w for w in v.values()))) for v in vectors]
+
+
+def _check_run(m, x, max_steps):
+    """Both entry points bit-identical to the reference, errors included."""
+    want = _outcome(lambda: _reference_results(m, x, max_steps))
+    got = _outcome(lambda: (acceptance_weight(m, x, max_steps), norm_trace(m, x, max_steps).norms))
+    if isinstance(want[0], type):
+        assert got == want
+        return want
+    assert (type(got[0]), repr(got[0])) == (type(want[0]), repr(want[0]))
+    assert [float.hex(n) for n in got[1]] == [float.hex(n) for n in want[1]]
+    return want
+
+
+@PROPERTY
+@given(machine_runs(), st.integers(6, 9), st.sampled_from([0.5, 2.0, -1.0]))
+def test_runs_across_the_hand_off_match_reference(run, k, a):
+    m, x, steps = run
+    _check_run(fanout(m, k, a), x, k + 2 * steps)
+
+
+def _peak(m, x, max_steps):
+    return max(len(v) for v in reference_run(m, x, max_steps))
+
+
+def _branching(k: int, tail: dict, states=()) -> AffineMachine:
+    """writer_machine(k, 0.5) entering q{k}, whose transitions are `tail`."""
+    w = writer_machine(k, 0.5, last=f"q{k}")
+    return AffineMachine(w.states | {f"q{k}", *states}, w.initial, w.accept, w.reject, w.blank,
+                         w.alphabet, {**w.transitions, **tail})
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, -1.0, 0.3])
+@pytest.mark.parametrize("move", ["L", "R"])
+def test_writers_across_the_hand_off(move, a):
+    # a left-moving writer widens the window on its left at every step after the hand-off
+    m = writer_machine(9, a, move)
+    assert _peak(m, "", 9) >= 2 * afftm._ROWS_FROM
+    _check_run(m, "", 9)
+
+
+@pytest.mark.parametrize("a", [0.5, 2.0, 0.3])
+@pytest.mark.parametrize("move", ["L", "S", "R"])
+def test_moves_across_the_hand_off(move, a):
+    # two more branching writes after an 8-bit fan-out; S and L overwrite cells, so rows merge
+    def bits(nxt):
+        return Branch(nxt, "0", move, a), Branch(nxt, "1", move, 1.0 - a)
+
+    tail = {(q, sym): bits(nxt) for q, nxt in (("q8", "q9"), ("q9", "q10")) for sym in "01_"}
+    tail.update({("q10", sym): (Branch("acc", sym, "S", 1.0),) for sym in "01_"})
+    m = _branching(8, tail, states={"q9", "q10"})
+    assert _peak(m, "", 11) >= afftm._ROWS_FROM
+    _check_run(m, "", 11)
+
+
+def test_cancelling_and_merging_branches_across_the_hand_off():
+    # q9 reads the last written bit: a 0's accepting branches cancel to an exact
+    # zero; a 1's three equal branches merge, and their sum depends on the order
+    m = _branching(8, {
+        ("q8", "_"): (Branch("q9", "_", "L", 1.0),),
+        ("q9", "0"): (Branch("acc", "0", "S", 2.0), Branch("acc", "0", "S", -2.0),
+                      Branch("rej", "1", "S", 1.0)),
+        ("q9", "1"): (Branch("acc", "1", "S", 0.1), Branch("acc", "1", "S", 0.7),
+                      Branch("acc", "1", "S", 0.2)),
+    }, states={"q9"})
+    vectors = reference_run(m, "", 12)
+    assert max(map(len, vectors)) >= afftm._ROWS_FROM
+    assert len(vectors[-1]) == 2**8  # the q9 '0' rows lost their accept branch
+    _check_run(m, "", 12)
+
+
+def test_missing_transition_across_the_hand_off():
+    # the first configuration in frontier order that has no transition is named
+    m = _branching(8, {("q8", "_"): (Branch("q9", "_", "L", 1.0),),
+                       ("q9", "1"): (Branch("acc", "1", "S", 1.0),)}, states={"q9"})
+    assert _check_run(m, "", 12) == (MachineValidationError,
+                                     "no transition for non-halting ('q9', '0')")
+
+
+def test_halting_violation_across_the_hand_off():
+    # the running states are listed sorted, not in frontier order
+    m = _branching(8, {("q8", "_"): (Branch("z", "_", "R", 0.5), Branch("b", "_", "R", 0.5)),
+                       ("z", "_"): (Branch("z", "_", "R", 1.0),),
+                       ("b", "_"): (Branch("b", "_", "L", 1.0),),
+                       ("b", "0"): (Branch("b", "0", "L", 1.0),),
+                       ("b", "1"): (Branch("b", "1", "L", 1.0),)}, states={"z", "b"})
+    assert _check_run(m, "", 20) == (HaltingViolationError,
+                                     "branches still running after 20 steps (states ['b', 'z'])")
+
+
+def test_nothing_accepting_across_the_hand_off_is_int_zero():
+    m = writer_machine(9, 0.5, last="rej")
+    assert _peak(m, "", 9) >= afftm._ROWS_FROM
+    alpha = acceptance_weight(m, "", 9)
+    assert alpha == 0 and type(alpha) is int
+    _check_run(m, "", 9)
+
+
+def test_numpy_weights_keep_their_type_across_the_hand_off():
+    m = writer_machine(9, 0.5)
+    m = AffineMachine(m.states, m.initial, m.accept, m.reject, m.blank, m.alphabet,
+                      {k: tuple(Branch(b.next_state, b.write, b.move, np.float64(b.weight))
+                                for b in bs) for k, bs in m.transitions.items()})
+    assert type(acceptance_weight(m, "", 9)) is np.float64
+    _check_run(m, "", 9)
+
+
+def test_writer_window_does_not_scale_with_max_steps():
+    m = writer_machine(12, 0.3)
+    assert acceptance_weight(m, "", 10**9) == acceptance_weight(m, "", 12)

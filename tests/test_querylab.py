@@ -16,6 +16,7 @@ from gptlab.querylab import (
     parity_classical,
     parity_quantum,
 )
+from gptlab.theories import DensityCarrier, hermitian_basis
 
 from conftest import bit_oracle_unitary, oracle_unitary
 
@@ -69,12 +70,25 @@ def test_bit_oracle_gather_matches_the_dense_matrix(n):
         assert oracle.queries == k + 1
 
 
-def test_oracle_unitary_carries_both_representations():
-    t = oracle_unitary(OracleFunction((0, 1)))
-    assert t.kraus[0].shape == (4, 4)
-    assert t.matrix.shape == (16, 16)
-    # transfer of an involution is an involution
-    assert np.allclose(t.matrix @ t.matrix, np.eye(16), atol=1e-12)
+def test_bit_oracle_gather_matches_the_transfer_matrix():
+    """The library's gather on both sides of a density matrix is the reference
+    oracle transformation's transfer matrix on its coordinates."""
+    rng = np.random.default_rng(9)
+    for table in ((0, 1), (1, 0, 1), (0, 1, 1, 0, 1)):
+        f = OracleFunction(table)
+        t = oracle_unitary(f)
+        d = 2 * f.padded_size
+        assert t.kraus[0].shape == (d, d)
+        assert t.matrix.shape == (d * d, d * d)
+        # transfer of an involution is an involution
+        assert np.allclose(t.matrix @ t.matrix, np.eye(d * d), atol=1e-12)
+        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        rho = g @ g.conj().T
+        rho /= np.trace(rho).real
+        oracle = Oracle(f)
+        moved = oracle.apply_bit_unitary(oracle.apply_bit_unitary(rho).T).T  # U rho U^T
+        carrier = DensityCarrier(hermitian_basis(d))
+        assert np.allclose(t.matrix @ carrier.to_vector(rho), carrier.to_vector(moved), atol=1e-12)
 
 
 def test_parity_classical_counts_n():
