@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gptlab import StateVector
-from gptlab.errors import CapacityError, TypeMismatchError
+from gptlab.errors import CapacityError, GptLabError, TypeMismatchError
 from gptlab.theories import RebitRule, StrategyHooks
 from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
 
@@ -42,9 +42,6 @@ def test_two_rebit_defect_basis_is_global_direction(rebit):
     axis = np.zeros(10)
     axis[9] = 1.0  # the global Y x Y coordinate, beyond the 9 local products
     assert abs(rep.defect_basis @ axis)[0] == pytest.approx(1.0, abs=1e-9)
-    # a product state's coordinates lie in the local span, off the defect subspace
-    prod = rebit.composite_rule.product_state_coords([rebit.state("plus"), rebit.state("zero")])
-    assert defect_direction_overlap(rep, prod) <= 1e-9
 
 
 def test_three_rebits_defect_drops_at_bilocality(rebit):
@@ -76,6 +73,24 @@ def test_classical_and_boxworld_are_locally_tomographic(classical2, boxworld, qu
         for n_sys in range(2, max_n + 1):
             rep = n_local_span(theory, n_sys, 1)
             assert rep.defect == 0, theory.name
+
+
+def test_defect_overlap_examples(rebit):
+    rep = n_local_span(rebit, 2, 1)
+    yy = np.zeros(10)
+    yy[9] = 1.0
+    assert defect_direction_overlap(rep, yy) >= 1 - 1e-9
+
+    rule = rebit.composite_rule
+    prod = rule.product_state_coords([rebit.state("plus"), rebit.state("zero")])
+    assert defect_direction_overlap(rep, prod) <= 1e-9
+
+    with pytest.raises(ValueError):
+        defect_direction_overlap(rep, np.zeros(10))
+
+    rep0 = n_local_span(rebit, 2, 2)
+    with pytest.raises(GptLabError):
+        defect_direction_overlap(rep0, yy)
 
 
 def test_capacity_cap(rebit):
