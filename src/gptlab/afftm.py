@@ -11,16 +11,19 @@ weights as explicit path trees but merges paths that reconverge.
 A run steps that quasi-distribution in one of two encodings, chosen by its
 size. A small frontier is an affine vector, a `{Configuration: weight}`
 dict stepped by `step`. Once a frontier holds _ROWS_FROM configurations,
-the run converts it to rows (`_Rows`) and steps it there until it halts:
+the run converts it to rows (`_Rows`) and steps it there:
 an integer row per configuration (state index, head column, and a tape
 window of symbol indices with blank = 0) beside a float64 weight array.
 A row step gathers each row's branches from a transition table built at the
 hand-off, repeats the row over them, writes and moves, then merges equal
 rows in first-seen order and sums their weights in row order, as `step`
 does, so every acceptance weight and norm is bit-identical on either
-encoding. The window covers the tape at the hand-off and widens when a
-head steps past an edge, so its width never depends on `max_steps`. A
-machine whose weights are not all Python floats stays on `step`.
+encoding. The window covers the tape at the hand-off. When a head steps
+past an edge, it moves to the cells some row has written or a head is on,
+padded on that side; if those rows would be mostly blank (heads far from the
+written cells), the run converts them back and finishes on `step`. So
+memory follows the tape a run writes, never `max_steps`. A machine whose
+weights are not all Python floats stays on `step`.
 
 Machines are immutable; runs on different inputs may proceed concurrently.
 """
@@ -28,8 +31,10 @@ Machines are immutable; runs on different inputs may proceed concurrently.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -252,7 +257,7 @@ class _Rows:
     window's columns are consecutive tape cells, from position `origin` on,
     holding symbol indices with blank = 0. Every row shares one window, so
     equal rows are equal configurations. The window covers the tape extent
-    at the hand-off and widens when a head steps past an edge.
+    at the hand-off and moves (`_rewindow`) when a head steps past an edge.
     """
 
     def __init__(self, table: _Table, rows: np.ndarray, weights: np.ndarray,
@@ -279,15 +284,33 @@ class _Rows:
         weights = np.fromiter(vector.values(), dtype=float, count=len(vector))
         return cls(table, rows, weights, int(lo))
 
-    def running(self) -> np.ndarray:
-        return ~self.table.halting[self.rows[:, 0]]
+    def vector(self) -> AffineVector:
+        """The affine vector the rows hold, in row order."""
+        t, origin = self.table, self.origin
+        out: AffineVector = {}
+        for (state, head, *cells), w in zip(self.rows.tolist(), self.weights.tolist()):
+            tape = tuple((origin + j, t.symbols[c]) for j, c in enumerate(cells) if c)
+            out[Configuration(t.states[state], tape, origin + head)] = w
+        return out
 
-    def accepted(self, machine: AffineMachine):
-        accept = self.table.states.index(machine.accept)
-        return sum(self.weights[self.rows[:, 0] == accept].tolist())
+    def weights_in(self, state: str | None) -> list[float]:
+        """The weights of the rows in `state`, or of all rows for None, in row order."""
+        if state is None:
+            return self.weights.tolist()
+        return self.weights[self.rows[:, 0] == self.table.states.index(state)].tolist()
 
-    def step(self) -> "_Rows":
-        """`step` on rows: the same merge order, weights and errors."""
+    def running(self) -> list[str]:
+        """The names of the states some row is running in, each once."""
+        present = np.zeros(len(self.table.states), dtype=bool)
+        present[self.rows[:, 0]] = True
+        return [s for s, row in zip(self.table.states, present & ~self.table.halting) if row]
+
+    def step(self) -> "_Rows | None":
+        """`step` on rows: the same merge order, weights and errors.
+
+        None where a head steps past the window's edge and the rows would be
+        mostly blank: a run then goes on with `step`.
+        """
         t, rows = self.table, self.rows
         heads = rows[:, 1].astype(np.intp)
         symbols = rows[np.arange(len(rows)), 2 + heads].astype(np.intp)
@@ -305,16 +328,13 @@ class _Rows:
         child[np.arange(len(child)), 2 + heads] = t.write[branch]
         child[:, 0] = t.next_state[branch]
         heads += t.move[branch]
-        width = child.shape[1] - 2
-        left = width if heads.min() < 0 else 0
-        right = width if heads.max() >= width else 0
-        if left or right:
-            # a move goes one cell at most: widen by the window's width on each side crossed
-            grown = np.zeros((len(child), 2 + left + width + right),
-                             dtype=_row_dtype(t, left + width + right))
-            grown[:, 0] = child[:, 0]
-            grown[:, 2 + left:2 + left + width] = child[:, 2:]
-            child, heads = grown, heads + left
+        start = 0
+        if heads.min() < 0 or heads.max() >= child.shape[1] - 2:
+            moved = _rewindow(t, child, heads)
+            if moved is None:
+                return None
+            child, start = moved
+            heads -= start
         child[:, 1] = heads
         with np.errstate(all="ignore"):  # as float arithmetic: inf and nan without a warning
             weights = self.weights[parent] * t.weight[branch]
@@ -322,7 +342,39 @@ class _Rows:
         kept = weights != 0.0
         if not kept.all():
             merged, weights = merged[kept], weights[kept]
-        return _Rows(t, merged, weights, self.origin - left)
+        return _Rows(t, merged, weights, self.origin + start)
+
+
+# Rows whose window holds more than this many columns per non-blank cell or
+# head are mostly blank; a run steps them as an affine vector instead, whose
+# tapes keep only the non-blank cells. A column costs 1-4 bytes per row and
+# padding triples the window at most, so rows within this ratio take less
+# memory per cell than a tape's (position, symbol) tuple of 56 bytes and more.
+_BLANKS_PER_CELL = 4
+
+
+def _rewindow(table: _Table, child: np.ndarray, heads: np.ndarray):
+    """Move the window to the columns a head or a non-blank cell occupies,
+    padded by their extent on each side a head stepped past.
+
+    Returns the new rows, whose heads are unset, and the old column of the
+    new window's first; None if the rows would be mostly blank.
+    """
+    width = child.shape[1] - 2
+    tape = child[:, 2:]
+    used = np.flatnonzero(tape.any(axis=0))
+    lo = min(heads.min(), used.min(initial=width))
+    hi = max(heads.max(), used.max(initial=-1))
+    extent = int(hi - lo + 1)
+    if len(child) * extent > _BLANKS_PER_CELL * (np.count_nonzero(tape) + len(child)):
+        return None
+    start = int(lo) - (extent if heads.min() < 0 else 0)
+    stop = int(hi) + 1 + (extent if heads.max() >= width else 0)
+    grown = np.zeros((len(child), 2 + stop - start), dtype=_row_dtype(table, stop - start))
+    grown[:, 0] = child[:, 0]
+    a, b = max(start, 0), min(stop, width)
+    grown[:, 2 + a - start:2 + b - start] = tape[:, a:b]
+    return grown, start
 
 
 def _row_dtype(table: _Table, width: int) -> np.dtype:
@@ -340,56 +392,51 @@ def _float_weights(machine: AffineMachine) -> bool:
     return all(type(b.weight) is float for bs in machine.transitions.values() for b in bs)
 
 
-def _halting_violation(max_steps: int, running: Iterable[str]) -> HaltingViolationError:
-    return HaltingViolationError(
-        f"branches still running after {max_steps} steps (states {sorted(set(running))})"
-    )
-
-
-def _run(machine: AffineMachine, x: str, max_steps: int):
-    """Yield the frontier after each step until every branch halts.
+def _run(machine: AffineMachine, x: str, max_steps: int, state: str | None = None):
+    """Yield the weights of each frontier of a run, in frontier order, from the
+    input on until every branch halts; with `state`, only the weights of the
+    configurations in that state.
 
     The frontier is an affine vector stepped by `step` until it first holds
-    _ROWS_FROM configurations, and _Rows from the step after that on.
+    _ROWS_FROM configurations, and _Rows from then on, unless those turn
+    mostly blank: the run then goes back to `step` for good.
     """
     report = validate(machine)
     if not report.ok:
         raise MachineValidationError("; ".join(report.violations))
     vector: AffineVector = {initial_configuration(machine, x): 1.0}
-    yield vector
+    rows: _Rows | None = None
+    to_rows = _float_weights(machine)
+    halting = (machine.accept, machine.reject)
     steps = 0
-    while not all(machine.is_halting(c.state) for c in vector):
-        if steps == max_steps:
-            raise _halting_violation(max_steps, (c.state for c in vector
-                                                 if not machine.is_halting(c.state)))
-        if len(vector) >= _ROWS_FROM and _float_weights(machine):
-            yield from _run_rows(_Rows.of(machine, vector), steps, max_steps)
+    while True:
+        if rows is None:
+            yield vector.values() if state is None else (
+                w for c, w in vector.items() if c.state == state)
+            running = [c.state for c in vector if c.state not in halting]
+        else:
+            yield rows.weights_in(state)
+            running = rows.running()
+        if not running:
             return
-        vector = step(machine, vector)
+        if steps >= max_steps:
+            raise HaltingViolationError(f"branches still running after {max_steps} steps "
+                                        f"(states {sorted(set(running))})")
+        if rows is None and to_rows and len(vector) >= _ROWS_FROM:
+            rows = _Rows.of(machine, vector)
+        if rows is None:
+            vector = step(machine, vector)
+        elif (stepped := rows.step()) is not None:
+            rows = stepped
+        else:
+            vector, rows, to_rows = step(machine, rows.vector()), None, False
         steps += 1
-        yield vector
-
-
-def _run_rows(rows: _Rows, steps: int, max_steps: int):
-    """_run from the hand-off on, where some branch is still running."""
-    while steps < max_steps:
-        rows = rows.step()
-        steps += 1
-        yield rows
-        if not rows.running().any():
-            return
-    running = rows.rows[rows.running(), 0]
-    raise _halting_violation(max_steps, (rows.table.states[i] for i in running))
 
 
 def acceptance_weight(machine: AffineMachine, x: str, max_steps: int) -> float:
     """Total weight of accepting configurations once every branch has halted."""
-    frontier: AffineVector | _Rows = {}
-    for frontier in _run(machine, x, max_steps):
-        pass
-    if isinstance(frontier, _Rows):
-        return frontier.accepted(machine)
-    return sum(w for cfg, w in frontier.items() if cfg.state == machine.accept)
+    weights, = deque(_run(machine, x, max_steps, machine.accept), maxlen=1)
+    return sum(weights)
 
 
 @dataclass
@@ -410,14 +457,8 @@ class NormTrace:
 
 
 def norm_trace(machine: AffineMachine, x: str, max_steps: int) -> NormTrace:
-    norms = []
-    for frontier in _run(machine, x, max_steps):
-        if isinstance(frontier, _Rows):
-            with np.errstate(over="ignore"):  # as float arithmetic, inf without a warning
-                squares = (frontier.weights * frontier.weights).tolist()
-        else:
-            squares = (w * w for w in frontier.values())
-        norms.append(float(np.sqrt(sum(squares))))
+    norms = [float(np.sqrt(sum(map(mul, weights, weights))))
+             for weights in _run(machine, x, max_steps)]
     flagged = [i for i, n in enumerate(norms) if n > 1.0 + PHYSICAL_TOL]
     return NormTrace(norms, flagged)
 

@@ -1,5 +1,7 @@
 """Affine machine semantics: weights, halting, norms, and the circuit bridge."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -465,3 +467,54 @@ def test_numpy_weights_keep_their_type_across_the_hand_off():
 def test_writer_window_does_not_scale_with_max_steps():
     m = writer_machine(12, 0.3)
     assert acceptance_weight(m, "", 10**9) == acceptance_weight(m, "", 12)
+
+
+def test_negative_max_steps_raise_at_once():
+    with pytest.raises(HaltingViolationError, match=r"after -1 steps \(states \['q0'\]\)"):
+        acceptance_weight(writer_machine(9, 0.5), "", -1)
+
+
+def _row_widths(monkeypatch) -> list:
+    """Record each row step's window width, or None where the run went back to `step`."""
+    widths, row_step = [], afftm._Rows.step
+
+    def recording(rows):
+        stepped = row_step(rows)
+        widths.append(None if stepped is None else stepped.rows.shape[1] - 2)
+        return stepped
+
+    monkeypatch.setattr(afftm._Rows, "step", recording)
+    return widths
+
+
+def _blank_fanout(k: int) -> AffineMachine:
+    """2^k configurations on blank tapes, one state each, that then move right for ever."""
+    transitions = {}
+    for depth in range(k + 1):
+        for bits in product("01", repeat=depth):
+            s = "t" + "".join(bits)
+            transitions[(s, "_")] = ((Branch(s + "0", "_", "S", 0.5), Branch(s + "1", "_", "S", 0.5))
+                                     if depth < k else (Branch(s, "_", "R", 1.0),))
+    states = {s for s, _ in transitions} | {"acc", "rej"}
+    return AffineMachine(frozenset(states), "t", "acc", "rej", "_", frozenset("_"), transitions)
+
+
+def test_rows_moving_over_blanks_keep_a_narrow_window(monkeypatch):
+    # the window follows the heads: its width does not grow with the steps taken
+    m = _blank_fanout(8)
+    widths = _row_widths(monkeypatch)
+    with pytest.raises(HaltingViolationError, match="after 5000 steps"):
+        acceptance_weight(m, "", 5000)
+    assert len(widths) == 5000 - 7 and max(widths) <= 2
+
+
+def test_rows_that_turn_mostly_blank_go_back_to_step(monkeypatch):
+    # 256 written tapes whose heads then move right for ever: a window over the
+    # written cells and the heads would grow with every step, so the run steps
+    # the frontier as an affine vector again after a few row steps
+    m = _branching(8, {("q8", "_"): (Branch("q8", "_", "R", 1.0),)})
+    _check_run(m, "", 80)
+    widths = _row_widths(monkeypatch)
+    with pytest.raises(HaltingViolationError, match=r"after 2000 steps \(states \['q8'\]\)"):
+        acceptance_weight(m, "", 2000)
+    assert widths[-1] is None and None not in widths[:-1] and len(widths) < 64
