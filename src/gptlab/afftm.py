@@ -1,12 +1,14 @@
 """Affine Turing machines: weighted nondeterministic branching over configurations.
 
-Transitions carry real weights that must sum to exactly +1 for every
-(state, symbol) a non-halting state can read; the weight of a computational
-branch is the product of its transition weights, and the acceptance weight
-of an input is the total weight landing in the accept state once every
-branch has halted. Branches are evolved as a quasi-distribution over
-configurations (dynamic programming), which produces the same acceptance
-weights as explicit path trees but merges paths that reconverge.
+Transitions carry finite real weights (held as Python floats) that must sum
+to +1 for every (state, symbol) a non-halting state can read, and halting
+states have none; a machine is checked once, when it is built. The weight of
+a computational branch is the product of its transition weights, and the
+acceptance weight of an input is the total weight landing in the accept
+state once every branch has halted. Branches are evolved as a
+quasi-distribution over configurations (dynamic programming), which produces
+the same acceptance weights as explicit path trees but merges paths that
+reconverge.
 
 A run steps that quasi-distribution in one of two encodings, chosen by its
 size. A small frontier is an affine vector, a `{Configuration: weight}`
@@ -22,8 +24,7 @@ encoding. The window covers the tape at the hand-off. When a head steps
 past an edge, it moves to the cells some row has written or a head is on,
 padded on that side; if those rows would be mostly blank (heads far from the
 written cells), the run converts them back and finishes on `step`. So
-memory follows the tape a run writes, never `max_steps`. A machine whose
-weights are not all Python floats stays on `step`.
+memory follows the tape a run writes, never `max_steps`.
 
 Machines are immutable; runs on different inputs may proceed concurrently.
 """
@@ -34,6 +35,8 @@ from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
+from math import isfinite
+from numbers import Real
 from operator import mul
 from typing import Iterable, Mapping, NamedTuple
 
@@ -57,6 +60,14 @@ class Branch:
     def __post_init__(self) -> None:
         if self.move not in _MOVES:
             raise ValueError(f"move must be one of L/R/S, got '{self.move}'")
+        weight = self.weight
+        if type(weight) is not float:
+            if not isinstance(weight, Real) or isinstance(weight, bool):
+                raise ValueError(f"weight must be a real number, got {weight!r}")
+            weight = float(weight)
+            object.__setattr__(self, "weight", weight)
+        if not isfinite(weight):
+            raise ValueError(f"weight must be finite, got {weight!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,12 +90,22 @@ class AffineMachine:
         if self.blank not in self.alphabet:
             raise ValueError("blank symbol must be in the tape alphabet")
         states, alphabet = self.states, self.alphabet
+        violations = []
         for key, branches in self.transitions.items():
-            if key[0] not in states or key[1] not in alphabet:
-                raise _undeclared(self, key, *key)
+            state, symbol = key
+            if state not in states or symbol not in alphabet:
+                raise _undeclared(self, key, state, symbol)
             for b in branches:
                 if b.next_state not in states or b.write not in alphabet:
                     raise _undeclared(self, key, b.next_state, b.write)
+            if self.is_halting(state):
+                violations.append(f"halting state '{state}' has outgoing transitions")
+                continue
+            total = sum(b.weight for b in branches)
+            if not abs(total - 1.0) <= ALGEBRA_TOL:
+                violations.append(f"weights from ({state!r}, {symbol!r}) sum to {total!r}, not 1")
+        if violations:
+            raise MachineValidationError("; ".join(violations))
 
     def is_halting(self, state: str) -> bool:
         return state in (self.accept, self.reject)
@@ -127,29 +148,6 @@ def initial_configuration(machine: AffineMachine, x: str) -> Configuration:
 
 
 AffineVector = dict  # Configuration -> weight; exact zeros pruned
-
-
-@dataclass
-class MachineReport:
-    ok: bool
-    violations: list[str]
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-
-def validate(machine: AffineMachine) -> MachineReport:
-    """List every (state, symbol) whose weights do not sum to +1, and any
-    transition leaving a halting state."""
-    violations: list[str] = []
-    for (state, symbol), branches in machine.transitions.items():
-        if machine.is_halting(state):
-            violations.append(f"halting state '{state}' has outgoing transitions")
-            continue
-        total = sum(b.weight for b in branches)
-        if abs(total - 1.0) > ALGEBRA_TOL:
-            violations.append(f"weights from ({state!r}, {symbol!r}) sum to {total!r}, not 1")
-    return MachineReport(not violations, violations)
 
 
 def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
@@ -382,16 +380,6 @@ def _row_dtype(table: _Table, width: int) -> np.dtype:
     return np.min_scalar_type(max(len(table.states), len(table.symbols), width))
 
 
-def _float_weights(machine: AffineMachine) -> bool:
-    """Whether every branch weight is a Python float, as parsed machines' are.
-
-    Rows hold float64 weights. `step` keeps another number type's arithmetic
-    (numpy float64 weights make numpy float64 results), so such machines stay
-    on it.
-    """
-    return all(type(b.weight) is float for bs in machine.transitions.values() for b in bs)
-
-
 def _run(machine: AffineMachine, x: str, max_steps: int, state: str | None = None):
     """Yield the weights of each frontier of a run, in frontier order, from the
     input on until every branch halts; with `state`, only the weights of the
@@ -401,12 +389,9 @@ def _run(machine: AffineMachine, x: str, max_steps: int, state: str | None = Non
     _ROWS_FROM configurations, and _Rows from then on, unless those turn
     mostly blank: the run then goes back to `step` for good.
     """
-    report = validate(machine)
-    if not report.ok:
-        raise MachineValidationError("; ".join(report.violations))
     vector: AffineVector = {initial_configuration(machine, x): 1.0}
     rows: _Rows | None = None
-    to_rows = _float_weights(machine)
+    to_rows = True
     halting = (machine.accept, machine.reject)
     steps = 0
     while True:

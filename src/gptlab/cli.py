@@ -2,9 +2,11 @@
 
 Exit codes: 0 success, 1 domain failure (bounded-error test fails, halting
 violation, reconstruction failure), 2 input error (missing/malformed files,
-bad arguments, a query size over ``querylab.MAX_ITEMS``). With --json a
-single JSON document goes to stdout; it contains no timing, so fixed seeds
-and inputs give byte-identical output.
+bad arguments, a query size or Grover iteration count over
+``querylab.MAX_ITEMS``, a fiducial count of more than
+``tomography.MAX_COUNT_DIGITS`` digits). With --json a single JSON document
+goes to stdout; it contains no timing, so fixed seeds and inputs give
+byte-identical output.
 
 ``main`` parses every call with one full parser, built on the first call of
 the process and reused: ``parse_args`` leaves the parser unchanged (it makes
@@ -215,7 +217,10 @@ def _cmd_tomo_count(args):
     if args.k < 1:
         raise ParseError("--k must be >= 1", "args")
     _check_locality(args)
-    value = tomography.fiducial_count(args.k, args.systems, args.locality)
+    try:
+        value = tomography.fiducial_count(args.k, args.systems, args.locality)
+    except ValueError as exc:
+        raise ParseError(str(exc), "args") from None
     report = {"command": "tomo count", "k": args.k, "systems": args.systems,
               "locality": args.locality, "count": value}
     return report, [f"fiducial measurements required: {value}"], EXIT_OK
@@ -270,6 +275,8 @@ def _cmd_query_grover(args):
         raise ParseError("need --n >= 1 and 0 <= --marked < --n", "args")
     if args.iters is not None and args.iters < 0:
         raise ParseError("--iters must be >= 0", "args")
+    if args.iters is not None and args.iters > querylab.MAX_ITEMS:
+        raise ParseError(f"--iters {args.iters} is over the cap of {querylab.MAX_ITEMS}", "args")
     _check_items(args.n)
     marked = args.marked
     if marked is None:

@@ -5,7 +5,8 @@ slits, with P_I P_J equal to the projector of the intersection. The
 coherence projector of a subset is the alternating (Moebius) sum of the
 projectors of its subsets; it isolates exactly the coherences among that
 subset of slits, and the largest subset size on which it acts nontrivially
-is the interference order of the family.
+is the interference order of the family. A family is checked once, when it
+is built, so the analyses below take its invariants as given.
 """
 
 from __future__ import annotations
@@ -19,8 +20,6 @@ import numpy as np
 from .core import PHYSICAL_TOL
 from .errors import FamilyInvariantError, ReconstructionError
 from .theories import DensityCarrier, hermitian_basis
-
-Subset = frozenset
 
 
 def subsets(n_slits: int, min_size: int = 0, max_size: int | None = None) -> list[frozenset]:
@@ -48,6 +47,8 @@ class ProjectorFamily:
             mat = np.asarray(mat, dtype=float)
             if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
                 raise ValueError("projectors must be square matrices")
+            if not np.isfinite(mat).all():
+                raise ValueError("projector entries must be finite")
             if dim is None:
                 dim = mat.shape[0]
             elif mat.shape[0] != dim:
@@ -60,6 +61,9 @@ class ProjectorFamily:
         if empty not in fixed:
             fixed[empty] = np.zeros((dim, dim))
         object.__setattr__(self, "projectors", fixed)
+        violations = _violations(self.n_slits, fixed)
+        if violations:
+            raise FamilyInvariantError("; ".join(violations))
 
     @property
     def dim(self) -> int:
@@ -70,17 +74,12 @@ class ProjectorFamily:
         key = frozenset(subset)
         if not key <= frozenset(range(self.n_slits)):
             raise ValueError(f"{sorted(key)} is not a subset of the {self.n_slits} slits")
-        try:
-            return self.projectors[key]
-        except KeyError:
-            raise FamilyInvariantError(f"family has no projector for subset {sorted(key)}") from None
+        return self.projectors[key]
 
 
-def validate_family(family: ProjectorFamily) -> list[str]:
-    """Check idempotence, the intersection law, the empty projector, and that
-    the full projector is idempotent of full support, each to PHYSICAL_TOL.
-    Returns violations."""
-    n, projectors = family.n_slits, family.projectors
+def _violations(n: int, projectors: Mapping[frozenset, np.ndarray]) -> list[str]:
+    """A projector for every subset of n slits, idempotence, the intersection
+    law and a zero empty projector, each to PHYSICAL_TOL: the violations."""
     # every subset needs its own projector: len < 2**n, with 2**n left unbuilt
     if len(projectors).bit_length() <= n:
         return [f"{len(projectors)} projectors cannot cover the subsets of {n} slits"]
@@ -91,13 +90,13 @@ def validate_family(family: ProjectorFamily) -> list[str]:
         return violations
     mats = [projectors[key] for key in keys]
     for key, p in zip(keys, mats):
-        if np.max(np.abs(p @ p - p)) > PHYSICAL_TOL:
+        if not np.max(np.abs(p @ p - p)) <= PHYSICAL_TOL:
             violations.append(f"P_{sorted(key)} is not idempotent")
     for a, pa in zip(keys, mats):
         for b, pb in zip(keys, mats):
-            if np.max(np.abs(pa @ pb - projectors[a & b])) > PHYSICAL_TOL:
+            if not np.max(np.abs(pa @ pb - projectors[a & b])) <= PHYSICAL_TOL:
                 violations.append(f"P_{sorted(a)} P_{sorted(b)} != P_{sorted(a & b)}")
-    if np.max(np.abs(projectors[frozenset()])) > PHYSICAL_TOL:
+    if not np.max(np.abs(projectors[frozenset()])) <= PHYSICAL_TOL:
         violations.append("P_emptyset is not zero")
     return violations
 
@@ -125,9 +124,6 @@ def interference_order(family: ProjectorFamily, span: np.ndarray | None = None) 
     omega_I v = 0 for every |I| > k and every v in the span, to PHYSICAL_TOL
     relative to the span's norm.
     """
-    violations = validate_family(family)
-    if violations:
-        raise FamilyInvariantError("; ".join(violations))
     if span is None:
         span = np.eye(family.dim)
     span = np.asarray(span, dtype=float)

@@ -17,9 +17,10 @@ import numpy as np
 
 from .core import PHYSICAL_TOL
 
-# The largest item count the command line accepts. It bounds the oracle
-# table, and PARITY by pairing, whose P/2 oracle uses are gathers of length
-# 2P (P the padded item count), so its cost grows as P^2. The functions below
+# The largest item count the command line accepts, and the most Grover
+# iterations it runs. It bounds the oracle table, and PARITY by pairing, whose
+# P/2 oracle uses are gathers of length 2P (P the padded item count), so its
+# cost grows as P^2; each Grover iteration costs O(N). The functions below
 # take any size.
 MAX_ITEMS = 4096
 
@@ -191,14 +192,15 @@ class QueryBound:
 def lower_bound(problem: str, n_items: int, order: int) -> QueryBound:
     """Query bounds under interference order k.
 
-    parity: minimum ceil(N/k) queries. search: order sqrt(N/k) queries,
-    reported as an asymptotic witness value since no constant is available.
+    parity: minimum ceil(N/k) queries, an exact integer for every N. search:
+    order sqrt(N/k) queries, reported as an asymptotic witness value since no
+    constant is available.
     Algorithms attaining the parity bound for k > 2 are not provided here.
     """
     if n_items < 1 or order < 1:
         raise ValueError("need N >= 1 and k >= 1")
     if problem == "parity":
-        return QueryBound(problem, n_items, order, math.ceil(n_items / order), False)
+        return QueryBound(problem, n_items, order, -(-n_items // order), False)
     if problem == "search":
         return QueryBound(problem, n_items, order, math.sqrt(n_items / order), True)
     raise ValueError(f"unknown problem '{problem}'")

@@ -17,10 +17,10 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from .afftm import AffineMachine, Branch, validate as validate_machine
+from .afftm import AffineMachine, Branch
 from .circuits import BUILTIN_ACCEPTORS, Acceptor, CircuitDAG, validate as validate_circuit
-from .errors import GptLabError, MachineValidationError, ParseError
-from .interference import ProjectorFamily, validate_family
+from .errors import FamilyInvariantError, GptLabError, MachineValidationError, ParseError
+from .interference import ProjectorFamily
 from .theories import (
     TheoryDescriptor,
     boxworld_gbit,
@@ -299,7 +299,7 @@ def parse_machine(source) -> AffineMachine:
         exact_sums[key] = exact_total
 
     # Rational weight sums are checked exactly; anything else falls through
-    # to the machine's floating-point validation.
+    # to the floating-point check AffineMachine makes when it is built.
     for key, total in exact_sums.items():
         if total is not None and total != 1:
             raise MachineValidationError(
@@ -318,9 +318,6 @@ def parse_machine(source) -> AffineMachine:
         )
     except ValueError as exc:
         raise ParseError(str(exc), "machine") from None
-    report = validate_machine(machine)
-    if not report.ok:
-        raise MachineValidationError("; ".join(report.violations))
     return machine
 
 
@@ -331,8 +328,7 @@ def machine_to_json(machine: AffineMachine) -> dict:
             "state": state,
             "read": read,
             "branches": [
-                {"next": b.next_state, "write": b.write, "move": b.move,
-                 "weight": float(b.weight)}
+                {"next": b.next_state, "write": b.write, "move": b.move, "weight": b.weight}
                 for b in branches
             ],
         })
@@ -381,11 +377,8 @@ def parse_family(source) -> ProjectorFamily:
     try:
         family = ProjectorFamily(n_slits, projectors, name=doc.get("name", ""),
                                  synthetic=bool(doc.get("synthetic", False)))
-    except ValueError as exc:
+    except (ValueError, FamilyInvariantError) as exc:
         raise ParseError(str(exc), "family") from None
-    violations = validate_family(family)
-    if violations:
-        raise ParseError("; ".join(violations), "family")
     return family
 
 

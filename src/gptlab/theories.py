@@ -59,10 +59,11 @@ class DensityCarrier:
 
     def __init__(self, basis: Sequence[np.ndarray]):
         stack = np.stack([np.asarray(b, dtype=complex) for b in basis])
-        if np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) > ALGEBRA_TOL:
+        # `not x <= tol`, so that a NaN entry fails the check
+        if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be Hermitian")
         gram = np.einsum("aij,bji->ab", stack, stack)
-        if np.max(np.abs(gram - np.eye(len(basis)))) > ALGEBRA_TOL:
+        if not np.max(np.abs(gram - np.eye(len(basis)))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be orthonormal under the trace inner product")
         stack.setflags(write=False)
         self.basis = stack

@@ -24,6 +24,10 @@ from .theories import TheoryDescriptor
 # The largest composite dimension n_local_span takes by default.
 DEFAULT_SPAN_CAP = 4096
 
+# The most decimal digits a fiducial count may have: the default limit of
+# Python's int-to-text conversion, so every count fiducial_count returns prints.
+MAX_COUNT_DIGITS = 4300
+
 
 @dataclass
 class TomographyReport:
@@ -89,12 +93,22 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
 
 
 def fiducial_count(k: int, n_systems: int, locality: int) -> int:
-    """Measurements needed for n-local tomography of N systems: k * C(N, n)."""
+    """Measurements needed for n-local tomography of N systems: k * C(N, n).
+
+    Raises ValueError for a count of more than MAX_COUNT_DIGITS digits.
+    """
     if k < 1:
         raise ValueError("k must be >= 1")
     if not (1 <= locality <= n_systems):
         raise ValueError("need 1 <= locality <= n_systems")
-    return k * math.comb(n_systems, locality)
+    m = min(locality, n_systems - locality)
+    # C(N, m) >= (N / m)**m. A count this bound puts over a digit past the cap
+    # (slack for rounding) is never computed; any other has under 11,000 digits.
+    bound = math.log10(k) + m * (math.log10(n_systems) - math.log10(m)) if m else 0.0
+    if (bound > MAX_COUNT_DIGITS + 1
+            or (count := k * math.comb(n_systems, m)) >= 10**MAX_COUNT_DIGITS):
+        raise ValueError(f"the count has more than {MAX_COUNT_DIGITS} digits")
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -403,11 +403,10 @@ def fanout(machine: AffineMachine, k: int, a: float) -> AffineMachine:
     """`machine` behind k branching steps that write a bit and move right.
 
     A run starts with up to 2^k configurations on distinct tapes, all in the
-    machine's initial state. Weights become Python floats.
+    machine's initial state.
     """
     fan = [f"fan{i}" for i in range(k)] + [machine.initial]
-    transitions = {key: tuple(Branch(b.next_state, b.write, b.move, float(b.weight)) for b in bs)
-                   for key, bs in machine.transitions.items()}
+    transitions = dict(machine.transitions)
     for here, nxt in zip(fan, fan[1:]):
         for symbol in machine.alphabet:
             transitions[(here, symbol)] = (Branch(nxt, "0", "R", a), Branch(nxt, "1", "R", 1.0 - a))

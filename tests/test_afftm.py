@@ -1,5 +1,6 @@
 """Affine machine semantics: weights, halting, norms, and the circuit bridge."""
 
+import re
 from itertools import product
 
 import numpy as np
@@ -19,7 +20,6 @@ from gptlab.afftm import (
     is_proper_on,
     norm_trace,
     step,
-    validate,
 )
 from gptlab.errors import HaltingViolationError, MachineValidationError
 
@@ -71,17 +71,37 @@ def parity_machine():
 
 
 def test_validate_examples():
-    assert validate(immediate_accept()).ok
-    assert validate(coin_machine()).ok
-    bad = machine({("q0", "_"): (Branch("acc", "_", "S", 2.0),
-                                 Branch("rej", "_", "S", -0.5))})
-    rep = validate(bad)
-    assert not rep.ok and "1.5" in rep.violations[0]
+    immediate_accept(), coin_machine()  # valid machines build
+    with pytest.raises(MachineValidationError,
+                       match=r"^weights from \('q0', '_'\) sum to 1\.5, not 1$"):
+        machine({("q0", "_"): (Branch("acc", "_", "S", 2.0), Branch("rej", "_", "S", -0.5))})
+    with pytest.raises(MachineValidationError,
+                       match="^halting state 'acc' has outgoing transitions$"):
+        machine({("q0", "_"): (Branch("acc", "_", "S", 1.0),),
+                 ("acc", "_"): (Branch("rej", "_", "S", 1.0),)})
+    # every violation, in transition order
+    with pytest.raises(MachineValidationError) as err:
+        machine({("q0", "_"): (),
+                 ("rej", "0"): (Branch("rej", "_", "S", 1.0),),
+                 ("q1", "1"): (Branch("acc", "_", "S", 0.25),)})
+    assert str(err.value) == ("weights from ('q0', '_') sum to 0, not 1; "
+                              "halting state 'rej' has outgoing transitions; "
+                              "weights from ('q1', '1') sum to 0.25, not 1")
 
-    leaky = machine({("q0", "_"): (Branch("acc", "_", "S", 1.0),),
-                     ("acc", "_"): (Branch("rej", "_", "S", 1.0),)})
-    rep = validate(leaky)
-    assert not rep.ok and any("halting" in v for v in rep.violations)
+
+@pytest.mark.parametrize("weight, message", [
+    (float("nan"), "finite, got nan"),
+    (float("inf"), "finite, got inf"),
+    (np.float64("-inf"), "finite, got -inf"),
+    ("0.5", "a real number, got '0.5'"),
+    (None, "a real number, got None"),
+    (1j, "a real number, got 1j"),
+    (True, "a real number, got True"),
+])
+def test_branch_weights_are_finite_real_numbers(weight, message):
+    # a machine with weight [nan] used to pass its checks and run
+    with pytest.raises(ValueError, match=f"^weight must be {re.escape(message)}$"):
+        Branch("acc", "_", "S", weight)
 
 
 def test_step_semantics():
@@ -239,7 +259,6 @@ def test_weight_conservation_randomized():
     rng = np.random.default_rng(2024)
     for _ in range(300):
         m = random_machine(rng)
-        assert validate(m).ok
         x = "".join(rng.choice(["0", "1"], size=rng.integers(0, 4)))
         v = {initial_configuration(m, x): 1.0}
         for _ in range(4):
@@ -455,13 +474,40 @@ def test_nothing_accepting_across_the_hand_off_is_int_zero():
     _check_run(m, "", 9)
 
 
-def test_numpy_weights_keep_their_type_across_the_hand_off():
+def test_numpy_weights_become_floats_across_the_hand_off():
     m = writer_machine(9, 0.5)
     m = AffineMachine(m.states, m.initial, m.accept, m.reject, m.blank, m.alphabet,
                       {k: tuple(Branch(b.next_state, b.write, b.move, np.float64(b.weight))
                                 for b in bs) for k, bs in m.transitions.items()})
-    assert type(acceptance_weight(m, "", 9)) is np.float64
+    assert {type(b.weight) for bs in m.transitions.values() for b in bs} == {float}
+    assert type(acceptance_weight(m, "", 9)) is float
     _check_run(m, "", 9)
+
+
+@st.composite
+def retyped_runs(draw):
+    """machine_runs behind a fan-out of k = 6-9 steps, each weight given as an
+    int (where it is one), a numpy float64 or a float."""
+    m, x, steps = draw(machine_runs())
+    k = draw(st.integers(6, 9))
+    m = fanout(m, k, draw(st.sampled_from([0.5, 2.0, -1.0])))
+
+    def retyped(w):
+        kinds = [float, np.float64] + ([int] if w == int(w) else [])
+        return draw(st.sampled_from(kinds))(w)
+
+    transitions = {key: tuple(Branch(b.next_state, b.write, b.move, retyped(b.weight)) for b in bs)
+                   for key, bs in m.transitions.items()}
+    m = AffineMachine(m.states, m.initial, m.accept, m.reject, m.blank, m.alphabet, transitions)
+    return m, x, k + 2 * steps
+
+
+@PROPERTY
+@given(retyped_runs())
+def test_weights_of_any_real_type_are_floats_across_the_hand_off(run):
+    m, x, max_steps = run
+    assert {type(b.weight) for bs in m.transitions.values() for b in bs} == {float}
+    _check_run(m, x, max_steps)
 
 
 def test_writer_window_does_not_scale_with_max_steps():

@@ -19,7 +19,6 @@ from gptlab.interference import (
     quantum_family,
     subsets,
     synthetic_family,
-    validate_family,
 )
 from gptlab.serialization import family_to_json, parse_family
 
@@ -31,17 +30,17 @@ def qutrit_carrier():
 
 
 def test_family_invariants_builtin():
+    # the constructor checks every invariant: building them is the test
     for family in (classical_family(3), quantum_family(3), synthetic_family(4, 2)):
-        assert validate_family(family) == []
+        assert len(family.projectors) == 2**family.n_slits
 
 
 def test_family_invariant_violation_detected():
     bad = dict(classical_family(2).projectors)
     bad[frozenset({0})] = np.array([[0.5, 0.0], [0.0, 0.0]])  # not idempotent
-    family = ProjectorFamily(2, bad)
-    assert any("idempotent" in v for v in validate_family(family))
-    with pytest.raises(FamilyInvariantError):
-        interference_order(family)
+    with pytest.raises(FamilyInvariantError) as err:
+        ProjectorFamily(2, bad)
+    assert str(err.value) == "P_[0] is not idempotent; P_[0] P_[0] != P_[0]"
 
 
 def test_family_without_projectors_is_a_value_error():
@@ -49,31 +48,40 @@ def test_family_without_projectors_is_a_value_error():
         ProjectorFamily(2, {})
 
 
+@pytest.mark.parametrize("entry", [np.nan, np.inf, -np.inf])
+def test_family_entries_must_be_finite(entry):
+    # a NaN family used to pass its checks, then fail in an SVD
+    with pytest.raises(ValueError, match="projector entries must be finite"):
+        ProjectorFamily(1, {frozenset({0}): [[entry]]})
+
+
 def test_family_without_the_full_slit_projector():
-    family = ProjectorFamily(2, {frozenset({0}): np.eye(2)})
-    assert family.dim == 2
-    assert np.array_equal(coherence_projector(family, {0}), np.eye(2))
-    with pytest.raises(FamilyInvariantError, match=r"subset \[1\]"):
-        decompose(np.ones(2), family, 2)
+    with pytest.raises(FamilyInvariantError,
+                       match=r"^2 projectors cannot cover the subsets of 2 slits$"):
+        ProjectorFamily(2, {frozenset({0}): np.eye(2)})
+    # enough projectors, but one keyed by a subset of no slits in place of {0, 1}
+    projectors = {key: np.eye(2) for key in map(frozenset, ({0}, {1}, {5}))}
+    with pytest.raises(FamilyInvariantError, match=r"^missing projector for subset \[0, 1\]$"):
+        ProjectorFamily(2, projectors)
 
 
 def test_too_few_projectors_are_reported_before_any_subset_is_listed(monkeypatch):
     from gptlab import interference
 
-    wide = ProjectorFamily(40, {frozenset(range(40)): np.eye(2)})
     # one projector short of the 2**n a family needs, the empty one included
     short = dict(classical_family(3).projectors)
     del short[frozenset({0, 2})]
-    short = ProjectorFamily(3, short)
 
     def no_listing(*args, **kwargs):
         raise AssertionError("subsets enumerated for a family that cannot cover them")
 
     monkeypatch.setattr(interference, "subsets", no_listing)
-    assert validate_family(wide) == ["2 projectors cannot cover the subsets of 40 slits"]
-    with pytest.raises(FamilyInvariantError, match="cannot cover"):
-        interference_order(wide)
-    assert validate_family(short) == ["7 projectors cannot cover the subsets of 3 slits"]
+    with pytest.raises(FamilyInvariantError,
+                       match="^2 projectors cannot cover the subsets of 40 slits$"):
+        ProjectorFamily(40, {frozenset(range(40)): np.eye(2)})
+    with pytest.raises(FamilyInvariantError,
+                       match="^7 projectors cannot cover the subsets of 3 slits$"):
+        ProjectorFamily(3, short)
 
 
 def test_singleton_coherence_projector_is_projector():

@@ -203,6 +203,11 @@ def test_lower_bounds():
     assert lower_bound("parity", 10, 10).value == 1
     assert lower_bound("parity", 10, 3).value == math.ceil(10 / 3)
     assert not lower_bound("parity", 10, 2).asymptotic
+    # integer ceiling division: exact past 2**53, where N / k in floats is not
+    n = 10**32 + 1
+    assert lower_bound("parity", n, 1).value == n
+    assert lower_bound("parity", n, 2).value == 5 * 10**31 + 1
+    assert lower_bound("parity", n, n).value == 1
 
     search = lower_bound("search", 100, 2)
     assert search.value == pytest.approx(math.sqrt(50))

@@ -498,6 +498,11 @@ def one_slit_family(extra_key: str, empty: bool = True) -> str:
     ["query", "parity", "--table", "01" * 35000],
     ["query", "grover", "--n", "10000000000"],
     ["query", "grover", "--n", str(querylab.MAX_ITEMS + 1), "--marked", "0"],
+    ["query", "grover", "--n", "16", "--marked", "3", "--iters", "1000000000"],
+    ["query", "grover", "--n", "16", "--marked", "3", "--iters", str(querylab.MAX_ITEMS + 1)],
+    # counts past tomography.MAX_COUNT_DIGITS digits, rejected before math.comb runs
+    ["tomo", "count", "--k", "1", "--systems", "20000", "--locality", "10000"],
+    ["tomo", "count", "--k", "1", "--systems", "2000000", "--locality", "1000000"],
     ["circuit", "eval", "--circuit", coin_where("wires", 0, "from", value=[["u"], 0])],
     ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "0"}, "x")],
     ["afftm", "run", "--machine", parity_with(move="X"), "--input", "", "--max-steps", "5"],

@@ -87,6 +87,11 @@ def test_carrier_round_trip_and_orthonormality():
             assert np.allclose(carrier.from_vector(carrier.to_vector(h)), h, atol=1e-12)
 
 
+def test_carrier_rejects_a_nan_basis():
+    with pytest.raises(ValueError, match="carrier basis must be Hermitian"):
+        DensityCarrier([np.full((2, 2), np.nan)])
+
+
 def test_quantum_representation_faithfulness(qubit):
     # pair(to_vector(E), to_vector(rho)) == Tr(E rho) for random density
     # matrices and random POVM elements

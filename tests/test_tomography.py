@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import StateVector
+from gptlab import StateVector, tomography
 from gptlab.errors import CapacityError, GptLabError, TypeMismatchError
 from gptlab.theories import RebitRule, StrategyHooks
 from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
@@ -113,6 +113,19 @@ def test_fiducial_count_formula():
         fiducial_count(0, 3, 1)
     with pytest.raises(ValueError):
         fiducial_count(1, 3, 4)
+
+
+def test_fiducial_count_digit_cap():
+    cap = tomography.MAX_COUNT_DIGITS
+    assert len(str(fiducial_count(10**cap - 1, 1, 1))) == cap
+    # C(10^2150, 2) has cap digits; C(10^2151, 2) is past the cap by the bound
+    # (N / 2)^2, so it is never computed; neither is C(2 * 10^6, 10^6)
+    assert len(str(fiducial_count(1, 10**2150, 2))) == cap
+    assert len(str(fiducial_count(1, 10**2150, 10**2150 - 2))) == cap
+    for args in ((10**cap, 1, 1), (10, 10**2150, 2), (1, 10**2151, 2), (1, 20000, 10000),
+                 (1, 2 * 10**6, 10**6)):
+        with pytest.raises(ValueError, match=f"more than {cap} digits"):
+            fiducial_count(*args)
 
 
 def test_fiducial_count_leading_order():
