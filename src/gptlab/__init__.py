@@ -21,7 +21,6 @@ from .core import (
     apply,
     approx_matrix,
     pair,
-    tensor,
 )
 from .theories import (
     DensityCarrier,
@@ -95,7 +94,6 @@ __all__ = [
     "real_quantum_theory",
     "serialization",
     "symmetric_pauli_basis",
-    "tensor",
     "tomography",
     "tsirelson_settings",
     "validate",

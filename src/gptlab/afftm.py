@@ -127,9 +127,6 @@ class Configuration(NamedTuple):
     tape: tuple[tuple[int, str], ...]
     head: int
 
-    def read(self, blank: str) -> str:
-        return _split(self.tape, self.head, blank)[1]
-
 
 def _split(tape: tuple[tuple[int, str], ...], head: int, blank: str):
     """(cells left of the head, symbol under it, cells right of it)."""

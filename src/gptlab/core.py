@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import TheoryMismatchError, TypeMismatchError
+from .errors import TypeMismatchError
 
 # The tolerance policy: every tolerance in gptlab is one of these, with no
 # per-call override.
@@ -149,12 +149,6 @@ class TransformationMatrix:
             object.__setattr__(self, "kraus", ks)
 
 
-def _check_theories(*tags: str | None) -> None:
-    seen = {t for t in tags if t is not None}
-    if len(seen) > 1:
-        raise TheoryMismatchError(f"cannot compose objects across theories: {sorted(seen)}")
-
-
 def apply(t: TransformationMatrix, s: StateVector) -> StateVector:
     """Apply a transformation to a state by matrix multiplication."""
     if t.input != s.system:
@@ -171,43 +165,6 @@ def pair(e: EffectVector, s: StateVector) -> float:
             f"effect lives on '{e.system.label}', state on '{s.system.label}'"
         )
     return float(e.coords @ s.coords)
-
-
-def tensor(x, y):
-    """Parallel composition by Kronecker product, typed by the plain tensor
-    product of the two systems (:meth:`KroneckerRule.composite`).
-
-    Works kind-by-kind on two states, two effects, or two transformations.
-    Theories whose composites are larger than the tensor product compose
-    through their :class:`CompositeRule` instead.
-    """
-    def joint(a: SystemType, b: SystemType) -> SystemType:
-        _check_theories(a.theory, b.theory)
-        return KroneckerRule(a.theory if a.theory is not None else b.theory).composite([a, b])
-
-    if isinstance(x, StateVector) and isinstance(y, StateVector):
-        return StateVector(joint(x.system, y.system), np.kron(x.coords, y.coords))
-
-    if isinstance(x, EffectVector) and isinstance(y, EffectVector):
-        return EffectVector(joint(x.system, y.system), np.kron(x.coords, y.coords))
-
-    if isinstance(x, TransformationMatrix) and isinstance(y, TransformationMatrix):
-        _check_theories(x.input.theory, y.input.theory, x.output.theory, y.output.theory)
-        kraus = None
-        if x.kraus is not None and y.kraus is not None:
-            kraus = tuple(np.kron(k, l) for k in x.kraus for l in y.kraus)
-        return TransformationMatrix(joint(x.input, y.input), joint(x.output, y.output),
-                                    np.kron(x.matrix, y.matrix),
-                                    outcome_label=_join_labels(x.outcome_label, y.outcome_label),
-                                    kraus=kraus)
-
-    raise TypeError(f"cannot tensor {type(x).__name__} with {type(y).__name__}")
-
-
-def _join_labels(a: str, b: str) -> str:
-    if a and b:
-        return f"{a}⊗{b}"
-    return a or b
 
 
 def approx_matrix(m, eps: float) -> np.ndarray:

@@ -9,10 +9,6 @@ class TypeMismatchError(GptLabError):
     """Wire/system types do not line up (typed-wire violation)."""
 
 
-class TheoryMismatchError(GptLabError):
-    """Objects from different theories were composed."""
-
-
 class CircuitValidationError(GptLabError):
     """A circuit failed validation (open ports, cycles, bad types)."""
 

@@ -186,7 +186,8 @@ class QueryBound:
 
     def __str__(self) -> str:
         kind = "asymptotic witness" if self.asymptotic else "exact"
-        return f"{self.problem}(N={self.n_items}, k={self.order}): {self.value:g} ({kind})"
+        value = f"{self.value:g}" if self.asymptotic else str(int(self.value))
+        return f"{self.problem}(N={self.n_items}, k={self.order}): {value} ({kind})"
 
 
 def lower_bound(problem: str, n_items: int, order: int) -> QueryBound:

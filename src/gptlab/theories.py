@@ -59,7 +59,9 @@ class DensityCarrier:
 
     def __init__(self, basis: Sequence[np.ndarray]):
         stack = np.stack([np.asarray(b, dtype=complex) for b in basis])
-        # `not x <= tol`, so that a NaN entry fails the check
+        if not np.isfinite(stack).all():
+            raise ValueError("carrier basis entries must be finite")
+        # `not x <= tol`, so that a NaN from an overflowing product fails the check
         if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be Hermitian")
         gram = np.einsum("aij,bji->ab", stack, stack)
@@ -84,12 +86,13 @@ class DensityCarrier:
 
     def channel_matrix(self, kraus: Sequence[np.ndarray]) -> np.ndarray:
         """Transfer matrix M_ab = Tr(B_a sum_k K B_b K^dag) of a Kraus map."""
-        moved = np.zeros_like(self.basis)
-        for k in kraus:
-            k = np.asarray(k, dtype=complex)
-            moved = moved + np.einsum("ij,bjk,lk->bil", k, self.basis, k.conj())
-        m = np.einsum("aij,bji->ab", self.basis, moved)
-        return m.real
+        return _kraus_transfer(self.basis, self.basis, kraus)
+
+
+def _kraus_transfer(b_out: np.ndarray, b_in: np.ndarray, kraus: Sequence[np.ndarray]) -> np.ndarray:
+    """M_ab = Tr(B_a sum_k K B_b K^dag), from input operators B_b to output operators B_a."""
+    moved = sum(np.einsum("ij,bjk,lk->bil", k, b_in, k.conj()) for k in np.asarray(kraus, complex))
+    return np.einsum("aij,bji->ab", b_out, moved).real
 
 
 def hermitian_basis(d: int) -> list[np.ndarray]:
@@ -240,11 +243,10 @@ class RebitRule(CompositeRule):
         """M_ab = Tr(P_a sum_j K_j P_b K_j^dag) / 2^((k_out + k_in)/2) over Pauli strings P."""
         k_out, k_in = (h.bit_length() - 1 for h in kraus[0].shape)
         p_out, p_in = self._table(pauli_strings, k_out), self._table(pauli_strings, k_in)
-        moved = sum(np.einsum("ij,bjk,lk->bil", op, p_in, op.conj()) for op in kraus)
         # Unnormalised strings and one division per piece, rather than P/sqrt(2)
         # per qubit: this keeps the bundled Bell circuit's distribution
         # bit-identical to the orthonormal-carrier values it was recorded with.
-        return np.einsum("aij,bji->ab", p_out, moved).real / 2.0 ** ((k_out + k_in) / 2)
+        return _kraus_transfer(p_out, p_in, kraus) / 2.0 ** ((k_out + k_in) / 2)
 
     def product_coords(self, types: Sequence[SystemType],
                        stacks: Sequence[np.ndarray]) -> np.ndarray:

@@ -39,6 +39,7 @@ from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configura
 from gptlab.circuits import foliate
 from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector, SystemType, TransformationMatrix
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
+from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
 from gptlab.theories import DensityCarrier, RebitRule, even_y_index, hermitian_basis
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
@@ -66,6 +67,12 @@ def boxworld():
 
 def all_theories():
     return [classical_theory(2), quantum_theory(2), real_quantum_theory(2), boxworld_gbit()]
+
+
+def product_state(theory, states) -> StateVector:
+    """The product of ``states`` on the theory's composite of their systems."""
+    rule = theory.composite_rule
+    return StateVector(rule.composite([s.system for s in states]), rule.product_state_coords(states))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +430,8 @@ def monte_carlo_acceptance(machine: AffineMachine, x: str, shots: int,
         for _ in range(max_steps):
             if machine.is_halting(cfg.state):
                 break
-            branches = machine.transitions[(cfg.state, cfg.read(machine.blank))]
+            symbol = next((s for p, s in cfg.tape if p == cfg.head), machine.blank)
+            branches = machine.transitions[(cfg.state, symbol)]
             weights = np.array([b.weight for b in branches])
             assert np.all(weights >= 0)
             b = branches[rng.choice(len(branches), p=weights / weights.sum())]
@@ -558,6 +566,29 @@ def oracle_unitary(f: OracleFunction) -> TransformationMatrix:
     carrier = DensityCarrier(hermitian_basis(d))
     sys = SystemType(f"q{d}", d * d, theory=f"quantum-{d}")
     return TransformationMatrix(sys, sys, carrier.channel_matrix([u]), kraus=(u,))
+
+
+# ---------------------------------------------------------------------------
+# projector family references
+
+
+def reference_family_violations(n: int, projectors) -> list[str]:
+    """The intersection law on every pair of subsets (4^n products), with
+    idempotence and a zero empty projector, each to PHYSICAL_TOL: the
+    violations, as the family check once listed them."""
+    keys = subsets(n)
+    mats = [projectors[key] for key in keys]
+    violations = []
+    for key, p in zip(keys, mats):
+        if not np.max(np.abs(p @ p - p)) <= PHYSICAL_TOL:
+            violations.append(f"P_{sorted(key)} is not idempotent")
+    for a, pa in zip(keys, mats):
+        for b, pb in zip(keys, mats):
+            if not np.max(np.abs(pa @ pb - projectors[a & b])) <= PHYSICAL_TOL:
+                violations.append(f"P_{sorted(a)} P_{sorted(b)} != P_{sorted(a & b)}")
+    if not np.max(np.abs(projectors[frozenset()])) <= PHYSICAL_TOL:
+        violations.append("P_emptyset is not zero")
+    return violations
 
 
 # ---------------------------------------------------------------------------

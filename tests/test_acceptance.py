@@ -23,7 +23,6 @@ from gptlab import (
     gbit_fiducial_settings,
     quantum_theory,
     real_quantum_theory,
-    tensor,
     tsirelson_settings,
 )
 from gptlab.afftm import (
@@ -56,6 +55,7 @@ from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
 from conftest import (
     defect_direction_overlap,
     monte_carlo_acceptance,
+    product_state,
     random_circuit,
     random_machine,
 )
@@ -318,7 +318,7 @@ def test_criterion_11_chsh():
 
         vertices = ("v00", "v01", "v10", "v11")
         for na, nb in itertools.product(vertices, repeat=2):
-            s = tensor(boxworld.state(na), boxworld.state(nb))
+            s = product_state(boxworld, [boxworld.state(na), boxworld.state(nb)])
             assert abs(chsh_value(boxworld, s, settings)) <= 2.0 + 1e-9
 
 

@@ -160,7 +160,7 @@ def test_configuration_is_a_tuple():
     assert cfg == ("q0", ((-1, "1"), (2, "0")), 2)
     state, tape, head = cfg
     assert (state, tape, head) == (cfg.state, cfg.tape, cfg.head)
-    assert [cfg._replace(head=h).read("_") for h in (-1, 0, 2, 3)] == ["1", "_", "0", "_"]
+    assert [afftm._split(tape, h, "_")[1] for h in (-1, 0, 2, 3)] == ["1", "_", "0", "_"]
 
 
 def _coin_with(next_state="acc", write="_", read="_"):

@@ -9,16 +9,16 @@ import pytest
 from gptlab import (
     CompositeType,
     EffectVector,
+    KroneckerRule,
     StateVector,
     SystemType,
     TransformationMatrix,
     apply,
     approx_matrix,
     pair,
-    tensor,
 )
 from gptlab.core import checked_coords
-from gptlab.errors import TheoryMismatchError, TypeMismatchError
+from gptlab.errors import TypeMismatchError
 
 BIT = SystemType("bit", 2)
 
@@ -73,16 +73,17 @@ def test_pair_quantum_plus_against_zero_projector():
 
 
 def test_tensor_states_and_matrices():
+    rule = KroneckerRule()
     a = StateVector(BIT, [1.0, 0.0])
     b = StateVector(BIT, [0.0, 1.0])
-    ab = tensor(a, b)
+    ab = StateVector(rule.composite([BIT, BIT]), rule.product_state_coords([a, b]))
     # Kronecker convention: first factor is the major index
     assert np.array_equal(ab.coords, [0.0, 1.0, 0.0, 0.0])
     assert ab.system.dim == 4
 
     i2 = TransformationMatrix(BIT, BIT, np.eye(2))
     i3 = TransformationMatrix(SystemType("trit", 3), SystemType("trit", 3), np.eye(3))
-    assert np.array_equal(tensor(i2, i3).matrix, np.eye(6))
+    assert np.array_equal(rule.parallel_matrix([i2, i3]), np.eye(6))
 
 
 def test_tensor_quantum_identities():
@@ -90,22 +91,15 @@ def test_tensor_quantum_identities():
 
     q2 = quantum_theory(2)
     ident = q2.gate("id").outcomes["0"]
-    big = tensor(ident, ident)
-    assert big.matrix.shape == (16, 16)
-    assert np.array_equal(big.matrix, np.eye(16))
-
-
-def test_tensor_rejects_cross_theory():
-    a = StateVector(SystemType("bit", 2, theory="classical-2"), [1, 0])
-    b = StateVector(SystemType("q2", 4, theory="quantum-2"), [0.5, 0, 0, 0.5])
-    with pytest.raises(TheoryMismatchError):
-        tensor(a, b)
+    big = q2.composite_rule.parallel_matrix([ident, ident])
+    assert big.shape == (16, 16)
+    assert np.array_equal(big, np.eye(16))
 
 
 def test_tensor_embed_extension_is_minimal():
-    # core.tensor pins a rebit map down only on the local products (the
-    # first 9 coordinates of the composite); the theory's own rule extends
-    # the same gate so that it acts on the global direction too
+    # the plain Kronecker product pins a rebit map down only on the local
+    # products (the first 9 coordinates of the composite); the theory's own
+    # rule extends the same gate so that it acts on the global direction too
     from gptlab import real_quantum_theory
 
     rq = real_quantum_theory(2)
@@ -114,11 +108,11 @@ def test_tensor_embed_extension_is_minimal():
     t1 = rq.gate("t1").outcomes["0"]
     ident = rule.identity(sys)
 
-    naive = tensor(t1, ident)
+    naive = np.kron(t1.matrix, ident.matrix)
     extended = rule.parallel_matrix([t1, ident])
-    assert naive.matrix.shape == (9, 9)
+    assert naive.shape == (9, 9)
     assert extended.shape == (10, 10)
-    assert np.allclose(naive.matrix, extended[:9, :9], atol=1e-12)
+    assert np.allclose(naive, extended[:9, :9], atol=1e-12)
     assert extended[9, 9] == pytest.approx(1.0, abs=1e-12)  # global parity preserved
 
 
@@ -136,19 +130,25 @@ def test_adjoint_consistency():
 
 
 def test_tensor_associative_and_distributes_over_apply():
+    rule = KroneckerRule()
     rng = np.random.default_rng(5)
     dims = (2, 3, 2)
     systems = [SystemType(f"s{i}", d) for i, d in enumerate(dims)]
     states = [StateVector(t, rng.normal(size=t.dim)) for t in systems]
-    left = tensor(tensor(states[0], states[1]), states[2])
-    right = tensor(states[0], tensor(states[1], states[2]))
-    assert np.allclose(left.coords, right.coords, atol=0)
+    stacks = [s.coords[None] for s in states]
+    s01, s12 = rule.composite(systems[:2]), rule.composite(systems[1:])
+    left = rule.product_coords([s01, systems[2]],
+                               [rule.product_coords(systems[:2], stacks[:2]), stacks[2]])
+    right = rule.product_coords([systems[0], s12],
+                                [stacks[0], rule.product_coords(systems[1:], stacks[1:])])
+    assert np.allclose(left, right, atol=0)
+    assert np.allclose(left, rule.product_coords(systems, stacks), atol=0)
 
     t0 = TransformationMatrix(systems[0], systems[0], rng.normal(size=(2, 2)))
     t1 = TransformationMatrix(systems[1], systems[1], rng.normal(size=(3, 3)))
-    lhs = apply(tensor(t0, t1), tensor(states[0], states[1]))
-    rhs = tensor(apply(t0, states[0]), apply(t1, states[1]))
-    assert np.allclose(lhs.coords, rhs.coords, atol=1e-12)
+    lhs = rule.parallel_matrix([t0, t1]) @ rule.product_state_coords(states[:2])
+    rhs = rule.product_state_coords([apply(t0, states[0]), apply(t1, states[1])])
+    assert np.allclose(lhs, rhs, atol=1e-12)
 
 
 def test_approx_matrix_examples():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import DensityCarrier, hermitian_basis
+from gptlab import DensityCarrier, hermitian_basis, interference
 from gptlab.errors import FamilyInvariantError, ReconstructionError
 from gptlab.interference import (
     ProjectorFamily,
@@ -21,6 +21,8 @@ from gptlab.interference import (
     synthetic_family,
 )
 from gptlab.serialization import family_to_json, parse_family
+
+from conftest import reference_family_violations
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -41,6 +43,21 @@ def test_family_invariant_violation_detected():
     with pytest.raises(FamilyInvariantError) as err:
         ProjectorFamily(2, bad)
     assert str(err.value) == "P_[0] is not idempotent; P_[0] P_[0] != P_[0]"
+
+
+def test_family_check_agrees_with_the_full_scan():
+    # the generating products accept what the 4^n pairwise scan accepts, and
+    # both reject a family once any one projector moves by 1e-6
+    for family in (classical_family(3), quantum_family(3), synthetic_family(4, 2)):
+        n = family.n_slits
+        assert interference._violations(n, family.projectors) == []
+        assert reference_family_violations(n, family.projectors) == []
+        for key in subsets(n):
+            bad = dict(family.projectors)
+            bad[key] = bad[key].copy()
+            bad[key][0, 0] += 1e-6
+            assert interference._violations(n, bad), (family.name, sorted(key))
+            assert reference_family_violations(n, bad), (family.name, sorted(key))
 
 
 def test_family_without_projectors_is_a_value_error():

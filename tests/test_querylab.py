@@ -208,6 +208,8 @@ def test_lower_bounds():
     assert lower_bound("parity", n, 1).value == n
     assert lower_bound("parity", n, 2).value == 5 * 10**31 + 1
     assert lower_bound("parity", n, n).value == 1
+    # and the human line prints it exactly, where :g would print 1e+32
+    assert str(lower_bound("parity", 10**32, 1)) == f"parity(N={10**32}, k=1): {10**32} (exact)"
 
     search = lower_bound("search", 100, 2)
     assert search.value == pytest.approx(math.sqrt(50))

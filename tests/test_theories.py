@@ -1,6 +1,7 @@
 """Built-in theories: representations, worked rebit example, Boxworld/CHSH."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from gptlab import (
 )
 from gptlab.theories import PAULI, pr_box_coords
 
-from conftest import all_theories, reference_draws, reference_parallel_stack
+from conftest import all_theories, product_state, reference_draws, reference_parallel_stack
 
 SQRT2 = math.sqrt(2.0)
 
@@ -88,8 +89,12 @@ def test_carrier_round_trip_and_orthonormality():
 
 
 def test_carrier_rejects_a_nan_basis():
-    with pytest.raises(ValueError, match="carrier basis must be Hermitian"):
-        DensityCarrier([np.full((2, 2), np.nan)])
+    # rejected before any arithmetic: inf - inf used to warn on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for entry in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="carrier basis entries must be finite"):
+                DensityCarrier([np.full((2, 2), entry)])
 
 
 def test_quantum_representation_faithfulness(qubit):
@@ -342,9 +347,7 @@ def test_pr_box_no_signalling_bookkeeping():
 def test_chsh_values(boxworld, qubit):
     assert chsh_value(boxworld, boxworld.state("pr_box"), gbit_fiducial_settings(boxworld)) == 4.0
 
-    from gptlab import tensor
-
-    mixed_pair = tensor(boxworld.state("mixed"), boxworld.state("mixed"))
+    mixed_pair = product_state(boxworld, [boxworld.state("mixed"), boxworld.state("mixed")])
     assert chsh_value(boxworld, mixed_pair, gbit_fiducial_settings(boxworld)) == pytest.approx(0.0)
 
     got = chsh_value(qubit, qubit.state("psi_minus"), tsirelson_settings(qubit))
@@ -352,13 +355,11 @@ def test_chsh_values(boxworld, qubit):
 
 
 def test_product_gbits_respect_the_classical_bound(boxworld):
-    from gptlab import tensor
-
     settings = gbit_fiducial_settings(boxworld)
     best = 0.0
     for na in ("v00", "v01", "v10", "v11"):
         for nb in ("v00", "v01", "v10", "v11"):
-            s = tensor(boxworld.state(na), boxworld.state(nb))
+            s = product_state(boxworld, [boxworld.state(na), boxworld.state(nb)])
             best = max(best, abs(chsh_value(boxworld, s, settings)))
     assert best <= 2.0 + 1e-12
 
