@@ -42,7 +42,8 @@ from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
-from .circuits import DEFAULT_ENUMERATION_CAP, Acceptor, CircuitDAG, Decision, _accept, _compile
+from .circuits import (DEFAULT_ENUMERATION_CAP, Acceptor, CircuitDAG, Decision, _accept,
+                       _compile, _Layer)
 from .core import ALGEBRA_TOL, PHYSICAL_TOL
 from .errors import HaltingViolationError, MachineValidationError
 
@@ -507,19 +508,6 @@ def decides_with_bounded_error(machine: AffineMachine,
 
 
 @dataclass(frozen=True, eq=False)
-class ProgramStep:
-    """One branching step: an affine matrix per outcome combination of its gates."""
-
-    gate_ids: tuple[str, ...]
-    labels: tuple[tuple[str, ...], ...]  # one outcome label per gate, per branch
-    matrices: np.ndarray  # (branches, out, in), wire permutation folded in
-    perm = None
-
-    def stack(self) -> np.ndarray:
-        return self.matrices
-
-
-@dataclass(frozen=True, eq=False)
 class AffineProgram:
     """A branching sequence of affine maps plus an acceptor.
 
@@ -528,7 +516,7 @@ class AffineProgram:
     acceptor maps to 0, evaluated by the code of ``circuits.acceptance_prob``.
     """
 
-    steps: tuple[ProgramStep, ...]
+    steps: tuple[_Layer, ...]
     acceptor: Acceptor
     instance_order: tuple[str, ...]
 
@@ -540,14 +528,13 @@ def circuit_to_affine_program(circuit: CircuitDAG, acceptor: Acceptor,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> AffineProgram:
     """Recast a closed circuit as a branching affine program.
 
-    Each foliation layer becomes one branching step whose branches are the
-    layer's outcome combinations; the permutation aligning wires is folded
-    into every branch matrix. The program's acceptance weight equals the
-    circuit's acceptance probability.
+    Each greedy foliation layer, as ``circuits`` compiles it, becomes one
+    branching step: a wire permutation, then one branch per outcome
+    combination of the layer's gates, whose affine map is the parallel
+    composition of the chosen outcomes (passthrough wires unchanged). No
+    branch matrix is built: the program runs through ``acceptance_prob``'s
+    code, so its acceptance weight equals the circuit's acceptance
+    probability, bit for bit.
     """
-    steps = []
-    for layer in _compile(circuit, None, cap):
-        stack = layer.stack()  # the layer's gather, moved onto the matrix columns
-        matrices = stack if layer.perm is None else np.take(stack, np.argsort(layer.perm), axis=2)
-        steps.append(ProgramStep(layer.gate_ids, layer.labels, matrices))
-    return AffineProgram(tuple(steps), acceptor, tuple(circuit.instance_ids))
+    return AffineProgram(tuple(_compile(circuit, None, cap)), acceptor,
+                         tuple(circuit.instance_ids))

@@ -3,15 +3,18 @@
 A circuit is a DAG of gate instances joined by typed wires. Each evaluation
 compiles it once into layers of parallel gates (a foliation) that hold, per
 wire factor, the gate's outcome matrices or a passthrough identity, and a
-wire permutation. Every evaluation runs one walk over these layers: each
-layer's ``(K, out, in)`` stack, every combination in ``itertools.product``
-order over the gates' outcome labels, comes from one ``parallel_stack`` call
-of the theory's composite rule (one Kronecker broadcast per gate or
-passthrough wire). ``distribution``, the built-in acceptors and the affine
-bridge compile every outcome of every gate; ``prob`` compiles only the
-outcomes its string selects, so each of its layers has one combination.
-Circuits are immutable once validated and evaluation keeps no state, so
-prob() on a shared circuit is safe to call concurrently.
+wire permutation. Every evaluation runs one walk over these layers, in which
+the theory's composite rule applies each layer to a frontier of joint
+states with one ``CompositeRule.contract`` call. A tensor-product rule
+contracts each gate's outcome matrices into the gate's own wire axes, so a
+passthrough wire only moves and no Kronecker product of a layer is formed;
+the rebit rule builds the layer's ``(K, out, in)`` stack with
+``parallel_stack`` and multiplies by it. ``distribution``, the built-in
+acceptors and the affine bridge compile every outcome of every gate;
+``prob`` compiles only the outcomes its string selects, so each of its
+layers has one combination. Circuits are immutable once validated and
+evaluation keeps no state, so prob() on a shared circuit is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -256,18 +259,14 @@ def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> list[list[
 
 @dataclass(frozen=True, eq=False)
 class _Layer:
-    """One compiled foliation layer; it builds the stack of its outcome
-    combinations in one :meth:`CompositeRule.parallel_stack` call, on demand."""
+    """One compiled foliation layer, applied by ``rule.contract(pieces, ...)``;
+    its outcome combinations are the ``itertools.product`` of ``outcomes``."""
 
     gate_ids: tuple[str, ...]
-    labels: tuple[tuple[str, ...], ...]  # one outcome label per gate, per combination
+    outcomes: tuple[tuple[str, ...], ...]  # per gate, the outcome labels it reads
     pieces: tuple[tuple[TransformationMatrix, ...], ...]  # per factor; passthrough wires last
     perm: np.ndarray | None  # joint-state gather index applied first; None = identity
     rule: CompositeRule
-
-    def stack(self) -> np.ndarray:
-        """Every combination's matrix, in ``labels`` order, in one (K, out, in) array."""
-        return np.ascontiguousarray(self.rule.parallel_stack(self.pieces))
 
 
 def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
@@ -303,8 +302,7 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
                     for iid, g in zip(layer_ids, gates)]
         pieces = [tuple(g.outcomes[lab] for lab in labs) for g, labs in zip(gates, outcomes)]
         pieces += [(rule.identity(wire_type(w)),) for w in passthrough]
-        layers.append(_Layer(tuple(layer_ids), tuple(itertools.product(*outcomes)),
-                             tuple(pieces), gather, rule))
+        layers.append(_Layer(tuple(layer_ids), tuple(outcomes), tuple(pieces), gather, rule))
         live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
                 for p in range(len(g.outputs))] + passthrough
     return layers
@@ -333,27 +331,28 @@ def prob(
 
 
 def _front(layers) -> np.ndarray:
-    """Every leaf's value, depth first, as a (leaves, 1) array, over compiled
-    layers or affine-program steps. A (prefixes x dim) frontier passes through
-    one layer at a time, one matrix-vector product per (prefix, combination),
-    so values have the bits of a leaf-by-leaf walk."""
+    """Every leaf's value, depth first, as a (leaves, 1) array. A
+    (prefixes x dim) frontier of joint states passes through one layer at a
+    time; the layer's rule extends every prefix by every outcome combination.
+    Each prefix is computed on its own, so a leaf's value does not depend on
+    which other outcomes are compiled: ``prob`` reads ``distribution``'s bits."""
     front = np.ones((1, 1))
     for layer in layers:
         if layer.perm is not None:
             front = np.take(front, layer.perm, axis=1)  # C order, unlike front[:, perm]
-        stack = layer.stack()
-        front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
+        front = layer.rule.contract(layer.pieces, front)
     return _checked(front, "outcome probability")
 
 
 def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
     """Every leaf of :func:`_front`, keyed by its outcome string."""
     front = _front(layers)
-    # a leaf's pairs: its layer combinations' pairs, concatenated, in instance order
-    pairs = [[tuple(zip(layer.gate_ids, labels)) for labels in layer.labels] for layer in layers]
-    slot = {iid: k for k, iid in enumerate(iid for layer in layers for iid in layer.gate_ids)}
+    # a leaf's pairs: one (instance, label) pair per gate in layer order, put in instance order
+    gates = [[(iid, lab) for lab in labels]
+             for layer in layers for iid, labels in zip(layer.gate_ids, layer.outcomes)]
+    slot = {pairs[0][0]: k for k, pairs in enumerate(gates)}
     pick = itemgetter(*[slot[iid] for iid in instance_ids]) if len(slot) > 1 else tuple
-    keys = [OutcomeString(pick(sum(combo, ()))) for combo in itertools.product(*pairs)]
+    keys = list(map(OutcomeString, map(pick, itertools.product(*gates))))
     return keys, front[:, 0].tolist()
 
 
@@ -364,9 +363,9 @@ def distribution(
 ) -> dict[OutcomeString, float]:
     """Probability of every outcome string, in depth-first itertools.product order.
 
-    A frontier of all outcome prefixes goes through each layer's stack of
-    combination matrices, one layer in memory at a time. The cap is checked
-    before anything is built; values are range-checked as in ``prob``."""
+    A frontier of all outcome prefixes goes through one layer at a time, each
+    applied by the composite rule's ``contract``. The cap is checked before
+    anything is built; values are range-checked as in ``prob``."""
     keys, values = _walk(_compile(circuit, foliation, cap), circuit.instance_ids)
     return dict(zip(keys, values))
 
@@ -422,7 +421,7 @@ class Acceptor:
 
 
 def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
-    """Acceptance probability over compiled layers or affine-program steps."""
+    """Acceptance probability over compiled layers."""
     kind, target = acceptor.kind, None
     if kind == "reject-all":
         return 0.0
@@ -435,15 +434,18 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
             raise GptLabError(f"acceptor names instance '{target}', which the circuit lacks")
     vecs = np.ones((2 if kind == "parity-of-labels" else 1, 1))  # a row per product of sums
     for layer in layers:
-        labels = layer.labels
-        weights = [[1.0] * len(labels)]
-        if kind == "parity-of-labels":
-            weights.append([(-1.0) ** lab.count("1") for lab in labels])
-        elif target in layer.gate_ids:
-            weights = [[float(lab[layer.gate_ids.index(target)] == "0") for lab in labels]]
+        weights = []  # per factor, a row of outcome weights per row of vecs
+        for iid, labels in zip(layer.gate_ids, layer.outcomes):
+            w = [[1.0] * len(labels)]
+            if kind == "parity-of-labels":
+                w.append([-1.0 if lab == "1" else 1.0 for lab in labels])
+            elif iid == target:
+                w = [[float(lab == "0") for lab in labels]]
+            weights.append(np.array(w))
+        weights += [np.ones((len(vecs), 1))] * (len(layer.pieces) - len(weights))
         if layer.perm is not None:
             vecs = np.take(vecs, layer.perm, axis=1)
-        vecs = np.matmul(np.tensordot(weights, layer.stack(), axes=1), vecs[:, :, None])[:, :, 0]
+        vecs = layer.rule.contract(layer.pieces, vecs, weights)
     return _checked(float(vecs[:, 0].mean()))  # parity: mean of its two products
 
 
@@ -456,13 +458,16 @@ def acceptance_prob(
     """Total probability of outcome strings with a(z) = 0.
 
     Built-in acceptors never enumerate. Composite rules are multilinear, so a
-    sum over strings of a weight that factors over layers is a product of
+    sum over strings of a weight that factors over gates is a product of
     weighted layer sums S_L = sum_c w_L(c) M_L(c) over the layer's outcome
-    combinations c: accept-all weighs every c by 1, first-outcome-is-0 keeps
-    the c where its instance reads "0", and parity-of-labels is
-    (prod S_L + prod P_L)/2 with P_L weighing c by (-1)^(number of "1" labels).
-    Tables sum the accepted leaves of the walk ``distribution`` uses. The cap
-    holds either way, and the result is range-checked as in ``prob``."""
+    combinations c, with w_L(c) the product of the gates' weights w_g(k):
+    accept-all weighs every outcome by 1, first-outcome-is-0 keeps the
+    outcomes where its instance reads "0", and parity-of-labels is
+    (prod S_L + prod P_L)/2 with P_L weighing each "1" label by -1. A
+    tensor-product rule applies S_L one gate at a time, as the sums
+    S_g = sum_k w_g(k) M_g(k); other rules sum the layer's stack. Tables sum
+    the accepted leaves of the walk ``distribution`` uses. The cap holds
+    either way, and the result is range-checked as in ``prob``."""
     return _accept(_compile(circuit, foliation, cap), acceptor, circuit.instance_ids)
 
 

@@ -205,6 +205,13 @@ def kron_rows(stacks) -> np.ndarray:
     return out
 
 
+def _rotate(x: np.ndarray, width: int) -> np.ndarray:
+    """``(rows, width * rest)`` with its leading ``width`` block moved after the rest."""
+    if width in (1, x.shape[1]):
+        return x
+    return x.reshape(len(x), width, -1).swapaxes(1, 2).reshape(len(x), -1)
+
+
 class CompositeRule:
     """Theory-owned recipe for joint systems and parallel composition.
 
@@ -217,6 +224,10 @@ class CompositeRule:
     ``(prod K_i, out, in)`` stack of every combination's composite matrix, in
     ``itertools.product`` order over the factors' lists (the last factor's
     outcome varies fastest). :meth:`parallel_matrix` is its batch of one.
+    The circuit engine evaluates layers through :meth:`contract`, which
+    applies that stack to a frontier of joint states; a rule whose composite
+    is a tensor product overrides it to act one factor at a time, without
+    forming the stack.
     """
 
     name = "abstract"
@@ -235,6 +246,23 @@ class CompositeRule:
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
         """Matrix of the parallel composition of ``pieces``, in wire order."""
         return self.parallel_stack([[p] for p in pieces])[0]
+
+    def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
+                 weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """A ``(B, in)`` frontier of joint states through the parallel
+        composition of ``pieces`` (as in :meth:`parallel_stack`).
+
+        Without ``weights``: the ``(B * prod K_i, out)`` frontier of every
+        (row, combination) pair, rows major, combinations in
+        ``itertools.product`` order. With ``weights``, one ``(B, K_i)`` array
+        per factor: the ``(B, out)`` rows ``sum_c w_b(c) M(c) front[b]``, where
+        ``w_b(c)`` is the product of the factors' weights in row b for c.
+        """
+        stack = self.parallel_stack(pieces)
+        if weights is None:
+            return np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
+        summed = np.tensordot(kron_rows(weights), stack, axes=1)
+        return np.matmul(summed, front[:, :, None])[:, :, 0]
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         """Gather index reordering a joint state so factor i comes from slot perm[i]:
@@ -289,6 +317,38 @@ class KroneckerRule(CompositeRule):
 
     def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
         return kron_stack(np.stack([p.matrix for p in piece]) for piece in pieces)
+
+    def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
+                 weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        """:meth:`CompositeRule.contract` one factor at a time, with no stack.
+
+        The frontier's columns are its wire axes. Each factor contracts its
+        ``(K_i, out_i, in_i)`` outcome matrices (or, with ``weights``, their
+        weighted sums per row) into the leading axis, which is its input,
+        appends its outcome axis to the rows and puts its output axis last;
+        after the last factor the axes are in output order again. Without
+        ``weights``, a single identity piece (a passthrough wire) only moves
+        its axis. Every row is contracted on its own, with the same shapes
+        whatever the other factors' outcome counts, so a row's bits do not
+        depend on how many combinations are enumerated.
+        """
+        x, moved = front, 1  # moved: the width of identity axes still to move last
+        for i, piece in enumerate(pieces):
+            m = piece[0].matrix
+            if weights is None and len(piece) == 1 and np.array_equal(m, np.eye(len(m))):
+                moved *= len(m)
+                continue
+            x, moved = _rotate(x, moved), 1
+            mats = np.stack([p.matrix for p in piece])
+            if weights is not None:  # one summed matrix per row, paired with it
+                mats = np.tensordot(weights[i], mats, axes=1)[:, None]
+            # (rows, 1, rest, in) @ (K, in, out), or (rows, 1, in, out) with
+            # weights: transposed views, so the product lands in
+            # (rows, K, rest, out) order with no copy
+            y = np.matmul(x.reshape(len(x), 1, m.shape[1], -1).swapaxes(2, 3),
+                          mats.swapaxes(-1, -2))
+            x = y.reshape(-1, y.shape[2] * y.shape[3])
+        return _rotate(x, moved)
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         dims = tuple(t.dim for t in types)

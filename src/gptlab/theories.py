@@ -785,7 +785,8 @@ def chsh_value(theory: TheoryDescriptor, state: StateVector, settings: Settings)
         total = 0.0
         for a, ea in enumerate(ea_pair):
             for b, eb in enumerate(eb_pair):
-                cov = rule.product_effect_coords([ea, eb])
+                cov = rule.product_coords([ea.system, eb.system],
+                                          [ea.coords[None], eb.coords[None]])[0]
                 if cov.shape != state.coords.shape:
                     raise TypeMismatchError(
                         "state does not live on the composite of the setting systems"

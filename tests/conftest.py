@@ -11,7 +11,9 @@ rebuilding and re-sorting the whole tape for every branch, and
 ``reference_parallel_stack``, ``reference_n_local_span`` and
 ``reference_distinguish_search`` build their Kronecker products one ``np.kron``
 chain per combination, row or sample; ``reference_layer_stack`` builds a
-circuit layer's stack one ``parallel_matrix`` call per outcome combination.
+circuit layer's stack one ``parallel_matrix`` call per outcome combination,
+and ``reference_walk`` evaluates a circuit by multiplying its frontier by
+those stacks: the Kronecker walk the engine's per-wire contraction is held to.
 ``reference_draws`` keeps the one-sample bodies of the strategy samplers that
 draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
@@ -36,7 +38,7 @@ from gptlab import (
     real_quantum_theory,
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
-from gptlab.circuits import foliate
+from gptlab.circuits import _compile, foliate
 from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector, SystemType, TransformationMatrix
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
 from gptlab.interference import subsets
@@ -184,6 +186,19 @@ def reference_layer_stack(layer) -> np.ndarray:
     ``itertools.product`` order."""
     return np.stack([layer.rule.parallel_matrix(list(combo))
                      for combo in itertools.product(*layer.pieces)])
+
+
+def reference_walk(circuit: CircuitDAG, foliation=None) -> np.ndarray:
+    """``distribution(circuit, foliation=foliation)``'s values in leaf order,
+    from every layer's ``reference_layer_stack`` times every prefix of the
+    frontier, one matrix-vector product per (prefix, combination)."""
+    front = np.ones((1, 1))
+    for layer in _compile(circuit, foliation):
+        if layer.perm is not None:
+            front = front[:, layer.perm]
+        stack = reference_layer_stack(layer)
+        front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
+    return front[:, 0]
 
 
 def reference_product_coords(rule, pieces) -> np.ndarray:

@@ -4,12 +4,14 @@ Property tests draw small random circuits over the classical, qubit and
 rebit theories, with crossing wires, and check each fast path against the
 leaf-by-leaf reference: contracted built-in acceptors and the affine bridge
 against sums over ``distribution``, ``prob`` against ``distribution``, and
-``distribution`` against the independent oracles in ``conftest``.
+``distribution`` against the independent oracles in ``conftest`` and against
+the Kronecker stack walk ``conftest.reference_walk``.
 """
 
 import dataclasses
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from gptlab import (
     Acceptor,
     CircuitDAG,
     acceptance_prob,
+    boxworld_gbit,
     classical_theory,
     distribution,
     foliate,
@@ -33,7 +36,13 @@ from gptlab.core import UNIT, KroneckerRule, TransformationMatrix
 from gptlab.errors import GptLabError, ParseError
 from gptlab.serialization import circuit_to_json, parse_circuit
 
-from conftest import classical_path_distribution, operator_distribution, reference_layer_stack
+from conftest import (
+    classical_path_distribution,
+    operator_distribution,
+    random_circuit,
+    reference_layer_stack,
+    reference_walk,
+)
 
 THEORIES = {
     "classical": classical_theory(2),
@@ -141,6 +150,36 @@ def test_bridge_matches_enumeration(c, data):
 
 @PROPERTY
 @given(circuits(), st.data())
+def test_bridge_is_acceptance_prob(c, data):
+    # the program's steps are the compiled layers, run by acceptance_prob's code
+    for acceptor in acceptors_for(c, data):
+        got = circuit_to_affine_program(c, acceptor).acceptance_weight()
+        assert got == acceptance_prob(c, acceptor), acceptor.kind
+
+
+ALL_THEORIES = [*THEORIES.values(), boxworld_gbit()]
+
+
+@PROPERTY
+@given(st.sampled_from(ALL_THEORIES), st.integers(0, 2**32 - 1),
+       st.sampled_from(["greedy", "singletons"]))
+def test_distribution_matches_the_kronecker_stack_walk(theory, seed, style):
+    """Contracting wire by wire sums in another order than multiplying by
+    the layer's Kronecker stack, so values may differ in the last bits: they
+    agree with conftest.reference_walk within 1e-12 absolute. Rebit layers
+    still multiply by the stack, so there they agree bit for bit."""
+    c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+    fol = foliate(c, style)
+    got = np.array(list(distribution(c, foliation=fol).values()))
+    want = reference_walk(c, fol)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12
+    if theory is THEORIES["rebit"]:
+        assert got.tobytes() == want.tobytes()
+
+
+@PROPERTY
+@given(circuits(), st.data())
 def test_json_round_trip_keeps_every_bit(c, data):
     acceptor = data.draw(st.sampled_from(acceptors_for(c, data)))
     again, parsed_acceptor = parse_circuit(json.dumps(circuit_to_json(c, acceptor)))
@@ -152,30 +191,29 @@ def test_json_round_trip_keeps_every_bit(c, data):
 @given(circuits(), st.sampled_from(["greedy", "singletons"]))
 def test_layer_stacks_match_per_combination_matrices(c, style):
     for layer in _compile(c, foliate(c, style)):
-        got, want = layer.stack(), reference_layer_stack(layer)
+        got, want = layer.rule.parallel_stack(layer.pieces), reference_layer_stack(layer)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
         assert got.flags.c_contiguous
 
 
 class CountingRule(KroneckerRule):
-    """A tensor-product rule that counts the layer matrices and the layer
-    stacks it builds, and the combinations in those stacks; a matrix is built
-    as a stack of one."""
+    """A tensor-product rule that counts its ``contract`` calls, the outcome
+    combinations they extend the frontier by, and the layer stacks it builds
+    (a ``parallel_matrix`` is a stack of one)."""
 
     def __init__(self, theory):
         super().__init__(theory)
-        self.matrices = self.stacks = self.combinations = 0
+        self.contracts = self.stacks = self.combinations = 0
 
-    def parallel_matrix(self, pieces):
-        self.matrices += 1
-        return super().parallel_matrix(pieces)
+    def contract(self, pieces, front, weights=None):
+        self.contracts += 1
+        self.combinations += math.prod(map(len, pieces))
+        return super().contract(pieces, front, weights)
 
     def parallel_stack(self, pieces):
         self.stacks += 1
-        stack = super().parallel_stack(pieces)
-        self.combinations += len(stack)
-        return stack
+        return super().parallel_stack(pieces)
 
 
 def counting_coin_circuit() -> tuple[CircuitDAG, CountingRule]:
@@ -196,10 +234,11 @@ def test_prob_builds_one_layer_matrix_per_layer():
     z = {**{f"c{k}": "1" for k in range(4)}, **{f"r{k}": "1" for k in range(4)}}
     for style in ("greedy", "singletons"):
         fol = foliate(c, style)
-        rule.matrices = rule.stacks = rule.combinations = 0
+        rule.contracts = rule.stacks = rule.combinations = 0
         assert prob(c, z, foliation=fol) == pytest.approx(2.0**-4)
-        # the walk of distribution, over one selected combination per layer
-        assert (rule.matrices, rule.stacks, rule.combinations) == (0, len(fol), len(fol))
+        # the walk of distribution, one contraction of one selected combination
+        # per layer, and no Kronecker stack
+        assert (rule.contracts, rule.stacks, rule.combinations) == (len(fol), 0, len(fol))
 
 
 def test_enumeration_and_acceptors_build_one_stack_per_layer():
@@ -208,20 +247,21 @@ def test_enumeration_and_acceptors_build_one_stack_per_layer():
     acceptors = [Acceptor(kind) for kind in BUILT_IN if kind != "reject-all"] + [table]
     for style in ("greedy", "singletons"):
         fol = foliate(c, style)
-        rule.matrices = rule.stacks = 0
+        rule.contracts = rule.stacks = 0
         distribution(c, foliation=fol)
-        assert (rule.matrices, rule.stacks) == (0, len(fol))
+        assert (rule.contracts, rule.stacks) == (len(fol), 0)
         for acceptor in acceptors:
-            rule.stacks = 0
+            rule.contracts = 0
             acceptance_prob(c, acceptor, foliation=fol)
-            assert (rule.matrices, rule.stacks) == (0, len(fol)), acceptor.kind
-    # the bridge compiles the greedy foliation; running the program builds nothing
+            assert (rule.contracts, rule.stacks) == (len(fol), 0), acceptor.kind
+    # the bridge compiles the greedy foliation; running the program contracts
+    # each of its layers once
     for acceptor in acceptors:
-        rule.stacks = 0
+        rule.contracts = 0
         program = circuit_to_affine_program(c, acceptor)
-        assert (rule.matrices, rule.stacks) == (0, len(foliate(c)))
+        assert (rule.contracts, rule.stacks) == (0, 0)
         program.acceptance_weight()
-        assert (rule.matrices, rule.stacks) == (0, len(foliate(c)))
+        assert (rule.contracts, rule.stacks) == (len(foliate(c)), 0)
 
 
 def overfull_circuit() -> CircuitDAG:

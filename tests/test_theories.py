@@ -26,6 +26,7 @@ from gptlab import (
     symmetric_pauli_basis,
     tsirelson_settings,
 )
+from gptlab.core import CompositeRule
 from gptlab.theories import PAULI, pr_box_coords
 
 from conftest import all_theories, product_state, reference_draws, reference_parallel_stack
@@ -206,6 +207,27 @@ def test_kronecker_parallel_stack_is_the_per_combination_products(theory, data):
     assert got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
     assert got[0].tobytes() == rule.parallel_matrix([f[0] for f in pieces]).tobytes()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.sampled_from([t for t in all_theories() if t.meta["builtin"] != "real-quantum"]),
+       st.data())
+def test_kronecker_contract_is_the_stack_product(theory, data):
+    """KroneckerRule.contract against the base class's stack path, within
+    1e-12: with and without per-row weights, passthrough identities anywhere."""
+    rule, sys = theory.composite_rule, theory.system()
+    factors = [list(g.outcomes.values()) for g in theory.gates.values()] + [[rule.identity(sys)]]
+    pieces = data.draw(st.lists(st.sampled_from(factors), min_size=1, max_size=4)
+                       .filter(lambda fs: math.prod(f[0].matrix.size for f in fs) <= 2**16))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    front = rng.uniform(-1.0, 1.0, (data.draw(st.integers(1, 3)),
+                                    math.prod(f[0].matrix.shape[1] for f in pieces)))
+    weights = [rng.choice([-1.0, 0.0, 1.0], (len(front), len(f))) for f in pieces]
+    for w in (None, weights):
+        got = rule.contract(pieces, front, w)
+        want = CompositeRule.contract(rule, pieces, front, w)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
 class _ConstantDraws:
