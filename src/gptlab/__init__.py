@@ -42,6 +42,7 @@ from .circuits import (
     Acceptor,
     CircuitDAG,
     Decision,
+    Distribution,
     Gate,
     OutcomeString,
     acceptance_prob,
@@ -63,6 +64,7 @@ __all__ = [
     "CompositeType",
     "Decision",
     "DensityCarrier",
+    "Distribution",
     "EffectVector",
     "Gate",
     "KroneckerRule",

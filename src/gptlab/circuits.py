@@ -12,7 +12,10 @@ the rebit rule builds the layer's ``(K, out, in)`` stack with
 ``parallel_stack`` and multiplies by it. ``distribution``, the built-in
 acceptors and the affine bridge compile every outcome of every gate;
 ``prob`` compiles only the outcomes its string selects, so each of its
-layers has one combination. Circuits are immutable once validated and
+layers has one combination. ``distribution`` returns a read-only
+:class:`Distribution`: the walk's float64 leaf values beside the gates'
+outcome labels, looked up by leaf index, with each outcome-string key built
+only when iteration reaches it. Circuits are immutable once validated and
 evaluation keeps no state, so prob() on a shared circuit is safe to call
 concurrently.
 """
@@ -20,10 +23,10 @@ concurrently.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
 from operator import itemgetter
-from typing import Callable, Mapping
 
 import numpy as np
 
@@ -130,6 +133,9 @@ class CircuitDAG:
             if lab not in gate.outcomes:
                 raise GptLabError(f"instance '{iid}' has no outcome '{lab}'")
             pairs.append((iid, lab))
+        if len(assignment) > len(pairs):
+            stray = next(iid for iid in assignment if iid not in self._ids)
+            raise GptLabError(f"outcome string names instance '{stray}', which the circuit lacks")
         return OutcomeString(tuple(pairs))
 
     def n_outcome_strings(self) -> int:
@@ -344,30 +350,99 @@ def _front(layers) -> np.ndarray:
     return _checked(front, "outcome probability")
 
 
-def _walk(layers, instance_ids) -> tuple[list[OutcomeString], list[float]]:
+class Distribution(Mapping):
+    """The probability of every outcome string of a circuit: a read-only
+    ``Mapping[OutcomeString, float]`` over one float64 array of leaves.
+
+    Leaves come depth first, in ``itertools.product`` order over the gates'
+    outcome labels in layer order, so a string's leaf is a mixed-radix number
+    over the gates' outcome counts: a lookup computes it from the string's
+    labels, with no table of keys. Iteration builds each key only when it is
+    reached; ``values()`` and ``items()`` read the array in leaf order. A key
+    that is not an ``OutcomeString`` naming every instance, in circuit order,
+    with one of its labels raises ``KeyError`` (also where a dict would raise
+    ``TypeError``, for an unhashable key). Equality with a dict holds both
+    ways. It holds no theory, so it pickles as plain data.
+    """
+
+    __slots__ = ("_gates", "_pick", "_values", "_digits")
+
+    def __init__(self, gates: tuple[tuple[str, tuple[str, ...]], ...],
+                 pick: tuple[int, ...], values: np.ndarray):
+        # gates: per gate in layer order, (instance id, outcome labels);
+        # pick: per instance in circuit order, its gate's position in gates
+        self._gates, self._pick, self._values = gates, pick, values
+        strides = [1] * len(gates)
+        for g in range(len(gates) - 1, 0, -1):
+            strides[g - 1] = strides[g] * len(gates[g][1])
+        # per instance in circuit order, its (id, label) pair -> the label's term of the leaf index
+        self._digits = tuple({(gates[g][0], lab): k * strides[g] for k, lab in enumerate(gates[g][1])}
+                             for g in pick)
+
+    def __getitem__(self, z) -> float:
+        try:
+            if (type(z) is OutcomeString and type(z.pairs) is tuple
+                    and len(z.pairs) == len(self._digits)):
+                return float(self._values[sum(map(dict.__getitem__, self._digits, z.pairs))])
+        except KeyError:
+            pass
+        raise KeyError(z)
+
+    def __iter__(self):
+        pairs = [[(iid, lab) for lab in labels] for iid, labels in self._gates]
+        pick = itemgetter(*self._pick) if len(self._pick) > 1 else tuple
+        return map(OutcomeString, map(pick, itertools.product(*pairs)))
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def values(self) -> ValuesView:
+        return _Values(self)
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __reduce__(self):
+        return type(self), (self._gates, self._pick, self._values)
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({dict(self.items())!r})"
+
+
+class _Values(ValuesView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return iter(self._mapping._values.tolist())
+
+
+class _Items(ItemsView):
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping, self._mapping._values.tolist())
+
+
+def _distribution(layers, instance_ids) -> Distribution:
     """Every leaf of :func:`_front`, keyed by its outcome string."""
-    front = _front(layers)
-    # a leaf's pairs: one (instance, label) pair per gate in layer order, put in instance order
-    gates = [[(iid, lab) for lab in labels]
-             for layer in layers for iid, labels in zip(layer.gate_ids, layer.outcomes)]
-    slot = {pairs[0][0]: k for k, pairs in enumerate(gates)}
-    pick = itemgetter(*[slot[iid] for iid in instance_ids]) if len(slot) > 1 else tuple
-    keys = list(map(OutcomeString, map(pick, itertools.product(*gates))))
-    return keys, front[:, 0].tolist()
+    gates = tuple((iid, labels) for layer in layers
+                  for iid, labels in zip(layer.gate_ids, layer.outcomes))
+    slot = {iid: k for k, (iid, _) in enumerate(gates)}
+    return Distribution(gates, tuple(slot[iid] for iid in instance_ids), _front(layers)[:, 0])
 
 
 def distribution(
     circuit: CircuitDAG,
     cap: int = DEFAULT_ENUMERATION_CAP,
     foliation: list[list[str]] | None = None,
-) -> dict[OutcomeString, float]:
+) -> Distribution:
     """Probability of every outcome string, in depth-first itertools.product order.
 
     A frontier of all outcome prefixes goes through one layer at a time, each
     applied by the composite rule's ``contract``. The cap is checked before
-    anything is built; values are range-checked as in ``prob``."""
-    keys, values = _walk(_compile(circuit, foliation, cap), circuit.instance_ids)
-    return dict(zip(keys, values))
+    anything is built; values are range-checked as in ``prob``. The result is
+    a read-only :class:`Distribution`, not a dict."""
+    return _distribution(_compile(circuit, foliation, cap), circuit.instance_ids)
 
 
 # The acceptor kinds decided by a predicate on labels, not by a table.
@@ -426,8 +501,8 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
     if kind == "reject-all":
         return 0.0
     if kind not in BUILTIN_ACCEPTORS:
-        keys, values = _walk(layers, instance_ids)
-        return _checked(sum(v for z, v in zip(keys, values) if acceptor.accepts(z)))
+        items = _distribution(layers, instance_ids).items()
+        return _checked(sum((v for z, v in items if acceptor.accepts(z)), 0.0))
     if kind == "first-outcome-is-0":
         target = acceptor.instance or next(iter(instance_ids), None)
         if target not in instance_ids:

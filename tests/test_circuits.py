@@ -229,6 +229,24 @@ def test_table_acceptor_total(classical2):
         acceptance_prob(c, partial)
 
 
+def test_table_acceptor_accepting_nothing_returns_a_float(classical2):
+    c = coin_circuit(classical2)
+    reject = Acceptor.from_table([({"u": "0", "r": "0"}, 1), ({"u": "0", "r": "1"}, 1)], c)
+    p = acceptance_prob(c, reject)
+    assert type(p) is float and p == 0.0
+
+
+def test_outcome_string_rejects_unknown_instances(classical2):
+    c = coin_circuit(classical2)
+    stray = {"u": "0", "r": "0", "typo": "1"}
+    with pytest.raises(GptLabError, match="'typo'"):
+        c.outcome_string(stray)
+    with pytest.raises(GptLabError, match="'typo'"):
+        prob(c, stray)
+    with pytest.raises(GptLabError, match="'typo'"):
+        Acceptor.from_table([(stray, 0)], c)
+
+
 def test_normalization_and_foliation_invariance_random(classical2, qubit, rebit, boxworld):
     for theory in (classical2, qubit, rebit, boxworld):
         rng = np.random.default_rng(hash(theory.name) % 2**32)

@@ -12,6 +12,7 @@ import dataclasses
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hypothesis import given, settings, strategies as st
 from gptlab import (
     Acceptor,
     CircuitDAG,
+    Distribution,
+    OutcomeString,
     acceptance_prob,
     boxworld_gbit,
     classical_theory,
@@ -176,6 +179,58 @@ def test_distribution_matches_the_kronecker_stack_walk(theory, seed, style):
     assert np.abs(got - want).max() <= 1e-12
     if theory is THEORIES["rebit"]:
         assert got.tobytes() == want.tobytes()
+
+
+def mangled_keys(z: OutcomeString, labels) -> list:
+    """Keys naming no outcome string of z's circuit: a label its instance
+    lacks, an unknown, an extra or a dropped instance, the pairs reversed,
+    and z's pairs as a plain tuple or dict."""
+    (iid, _), rest = z.pairs[0], z.pairs[1:]
+    lacking = "".join(labels[iid]) + "x"
+    return [OutcomeString(((iid, lacking), *rest)), OutcomeString((("nosuch", "0"), *rest)),
+            OutcomeString((*z.pairs, ("nosuch", "0"))), OutcomeString(z.pairs[:-1]),
+            OutcomeString(z.pairs[::-1]), z.pairs, z.as_dict()]
+
+
+@PROPERTY
+@given(st.sampled_from(ALL_THEORIES), st.integers(0, 2**32 - 1),
+       st.sampled_from(["greedy", "singletons"]))
+def test_distribution_is_a_read_only_mapping(theory, seed, style):
+    """Against dict(dist.items()) as the reference: lookups by leaf index,
+    KeyError for every key the reference lacks, dict equality both ways,
+    read-only, byte-stable pickles and re-iterable views."""
+    c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+    fol = foliate(c, style)
+    dist = distribution(c, foliation=fol)
+    ref = dict(dist.items())
+    assert type(dist) is Distribution
+    assert len(dist) == len(ref) == c.n_outcome_strings()
+    assert list(dist) == list(dist.keys()) == list(ref)
+    for z, p in ref.items():
+        assert type(dist[z]) is float and dist[z].hex() == p.hex()
+        assert z in dist and dist.get(z).hex() == p.hex()
+    labels = {iid: c.gate(iid).outcome_labels for iid in c.instance_ids}
+    for z in ref:
+        for key in mangled_keys(z, labels):
+            with pytest.raises(KeyError):
+                dist[key]
+            assert key not in dist and dist.get(key, "absent") == "absent"
+            if not isinstance(key, dict):
+                assert key not in ref
+    assert dist == ref and ref == dist
+    z = next(iter(ref))
+    assert dist != {**ref, z: ref[z] + 1.0} and {**ref, z: ref[z] + 1.0} != dist
+    with pytest.raises(TypeError):
+        dist[z] = 0.5
+    again = pickle.loads(pickle.dumps(dist))
+    assert type(again) is Distribution and again == dist
+    assert list(again.items()) == list(dist.items())
+    # --trace digests results by pickle, so two evaluations must pickle alike
+    assert pickle.dumps(dist) == pickle.dumps(distribution(c, foliation=fol))
+    items, values = dist.items(), dist.values()
+    assert list(items) == list(items) == list(ref.items())
+    assert list(values) == list(values) == list(ref.values())
+    assert len(items) == len(values) == len(ref)
 
 
 @PROPERTY

@@ -282,6 +282,15 @@ def test_cli_circuit_eval(capsys):
     assert "u=0,r=0: 0.5" in out
 
 
+def test_cli_table_acceptor_accepting_nothing_prints_a_float(capsys):
+    rows = [{"z": {"u": "0", "r": r}, "a": 1} for r in "01"]
+    circuit = coin_where("acceptor", value={"kind": "table", "table": rows})
+    code, out, _ = run_cli(capsys, "--json", "circuit", "accept", "--circuit", circuit)
+    assert code == 0
+    p = json.loads(out)["acceptance_probability"]
+    assert type(p) is float and p == 0.0
+
+
 def test_cli_json_reports_are_deterministic(capsys):
     args = ("--json", "circuit", "eval", "--circuit", data_path("circuit_coin.json"))
     code1, out1, _ = run_cli(capsys, *args)
@@ -519,6 +528,7 @@ def one_slit_family(extra_key: str, empty: bool = True) -> str:
     *(["interfere", "order", "--family", json.dumps({"n_slits": n, "projectors": {"0": [[0.0]]}})]
       for n in (0, -1)),
     ["interfere", "order", "--family", qutrit_where("n_slits", value=10**9)],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "0", "typo": "1"}, 1)],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
