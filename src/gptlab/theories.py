@@ -260,19 +260,22 @@ class RebitRule(CompositeRule):
 @dataclass(frozen=True, eq=False)
 class StrategyHooks:
     """Strategies on the theory's single system type, used by discrimination
-    searches: deterministic grids of named vectors plus batch samplers.
+    searches: deterministic grids of named rows plus batch samplers.
 
-    ``random_states(rng, n)`` and ``random_effects(rng, n)`` return an
-    ``(n, dim)`` float array of coordinates, one sample per row, and every row
-    has passed the checks a :class:`StateVector` or :class:`EffectVector`
-    makes. One call for n rows takes the same draws from ``rng``, in the same
+    ``state_grid()`` and ``effect_grid()`` return ``(names, rows)``: a fresh
+    list of names and a read-only ``(len(names), dim)`` float array holding
+    one vector's coordinates per row, in name order. ``random_states(rng, n)``
+    and ``random_effects(rng, n)`` return an ``(n, dim)`` float array of
+    coordinates, one sample per row. Every grid and sampled row has passed
+    the checks a :class:`StateVector` or :class:`EffectVector` makes. One
+    sampler call for n rows takes the same draws from ``rng``, in the same
     order and with the same bits, as n calls for one row, so a search's random
     stream does not depend on how it batches.
     """
 
-    state_grid: Callable[[], list[tuple[str, StateVector]]]
+    state_grid: Callable[[], tuple[list[str], np.ndarray]]
     random_states: Callable[[np.random.Generator, int], np.ndarray]
-    effect_grid: Callable[[], list[tuple[str, EffectVector]]]
+    effect_grid: Callable[[], tuple[list[str], np.ndarray]]
     random_effects: Callable[[np.random.Generator, int], np.ndarray]
 
 
@@ -322,11 +325,18 @@ class TheoryDescriptor:
 
 
 _Draw = Callable[[np.random.Generator, int], np.ndarray]
+_Grid = tuple[Sequence[str], np.ndarray]
 
 
-def _checked_hooks(sys: SystemType, state_grid: Callable, draw_states: _Draw,
-                   effect_grid: Callable, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
-    """Hooks whose samplers check every drawn row as the vector classes do."""
+def _checked_hooks(sys: SystemType, state_grid: _Grid, draw_states: _Draw,
+                   effect_grid: _Grid, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
+    """Hooks over ``(names, rows)`` grids whose rows have passed the vector classes'
+    checks, and samplers that check every drawn row as the vector classes do."""
+
+    def grid(names: Sequence[str], rows: np.ndarray):
+        names = list(names)
+        rows.setflags(write=False)
+        return lambda: (list(names), rows)
 
     def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
         return checked_coords(draw_states(rng, n), (n, sys.dim), "state", normalized)
@@ -334,20 +344,20 @@ def _checked_hooks(sys: SystemType, state_grid: Callable, draw_states: _Draw,
     def random_effects(rng: np.random.Generator, n: int) -> np.ndarray:
         return checked_coords(draw_effects(rng, n), (n, sys.dim), "effect")
 
-    return StrategyHooks(state_grid, random_states, effect_grid, random_effects)
+    return StrategyHooks(grid(*state_grid), random_states, grid(*effect_grid), random_effects)
 
 
 def _library_strategies(sys: SystemType, states: Mapping, effects: Mapping,
                         draw_states: _Draw, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
-    """Hooks whose grids are the library's states and effects on ``sys``."""
+    """Hooks whose grids are the library's states and effects on ``sys``, each row the
+    coords of a vector that checked itself when built."""
 
-    def state_grid():
-        return [(n, s) for n, s in states.items() if s.system == sys]
+    def library_grid(vectors: Mapping) -> _Grid:
+        own = {n: v.coords for n, v in vectors.items() if v.system == sys}
+        return list(own), np.array(list(own.values())).reshape(len(own), sys.dim)
 
-    def effect_grid():
-        return [(n, e) for n, e in effects.items() if e.system == sys]
-
-    return _checked_hooks(sys, state_grid, draw_states, effect_grid, draw_effects, normalized)
+    return _checked_hooks(sys, library_grid(states), draw_states, library_grid(effects),
+                          draw_effects, normalized)
 
 
 def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int) -> _Draw:
@@ -566,6 +576,20 @@ def quantum_theory(d: int) -> TheoryDescriptor:
 # real-amplitude quantum theory
 
 
+def _bloch_coords(theta, r=1.0) -> np.ndarray:
+    # rho = (I + r cos(theta) X + r sin(theta) Z)/2 in the (I,X,Z)/sqrt2 basis, which
+    # at r = 1 is also the projector at angle theta; array arguments give one row each
+    return np.stack(np.broadcast_arrays(1.0, r * np.cos(theta), r * np.sin(theta)),
+                    axis=-1) / SQRT2
+
+
+# The rebit strategy grids' pure states and projectors, at k * 15 degrees: one call
+# over the 24 angles, whose rows equal one call per angle bit for bit. At r = 1 the
+# rows pass the state checks, and so the effect checks.
+_GRID_PROJECTORS = checked_coords(_bloch_coords(np.array([k * math.pi / 12 for k in range(24)])),
+                                  (24, 3), "state", normalized=True)
+
+
 def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     """Quantum theory over real Hilbert spaces: states are real symmetric matrices.
 
@@ -632,30 +656,16 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     ]
     gates = {g.name: g for g in devices}
 
-    def _bloch_coords(theta, r=1.0) -> np.ndarray:
-        # rho = (I + r cos(theta) X + r sin(theta) Z)/2 in the (I,X,Z)/sqrt2 basis, which
-        # at r = 1 is also the projector at angle theta; array arguments give one row each
-        return np.stack(np.broadcast_arrays(1.0, r * np.cos(theta), r * np.sin(theta)),
-                        axis=-1) / SQRT2
-
-    grid_angles = [k * math.pi / 12 for k in range(24)]
-
-    def state_grid():
-        entries = [(f"pure({k * 15}°)", StateVector(sys, _bloch_coords(a), normalized=True))
-                   for k, a in enumerate(grid_angles)]
-        entries.append(("mixed", states["mixed"]))
-        return entries
+    # the grids' last rows are library vectors, checked when built
+    state_grid = ([f"pure({k * 15}°)" for k in range(24)] + ["mixed"],
+                  np.vstack([_GRID_PROJECTORS, states["mixed"].coords]))
+    effect_grid = ([f"proj({k * 15}°)" for k in range(24)] + ["unit"],
+                   np.vstack([_GRID_PROJECTORS, effects["u"].coords]))
 
     def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
         # row i holds sample i's (theta, r): the order of one scalar draw after another
         theta, r = rng.uniform([0.0, 0.0], [2 * math.pi, 1.0], size=(n, 2)).T
         return _bloch_coords(theta, r)
-
-    def effect_grid():
-        entries = [(f"proj({k * 15}°)", EffectVector(sys, _bloch_coords(a)))
-                   for k, a in enumerate(grid_angles)]
-        entries.append(("unit", effects["u"]))
-        return entries
 
     def draw_effects(rng: np.random.Generator, n: int) -> np.ndarray:
         # alpha * projector + beta * its complement, drawn (theta, alpha, beta) per row

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -136,8 +137,15 @@ def distinguish_search(theory: TheoryDescriptor,
     the theory's deterministic grid plus ``n_random`` random samples; global
     strategies additionally use the theory's library of joint states and
     joint effects on the pair. A search cannot prove indistinguishability,
-    only bound the separation over the strategies tried.
+    only bound the separation over the strategies tried. ``n_random`` must be
+    an integer (a bool is not); anything else raises ``ValueError``.
     """
+    try:
+        if isinstance(n_random, bool):  # operator.index would take it as 0 or 1
+            raise TypeError
+        n_random = operator.index(n_random)
+    except TypeError:
+        raise ValueError(f"n_random must be an integer, got {n_random!r}") from None
     if n_random < 0:
         raise ValueError("n_random must be >= 0")
     if locality not in ("local", "global"):
@@ -159,54 +167,74 @@ def distinguish_search(theory: TheoryDescriptor,
     rng = np.random.default_rng(seed)
     types = [sys_type, sys_type]
 
-    def grid_pairs(grid) -> tuple[np.ndarray, list[str]]:
-        """Products of every ordered pair of grid entries, in itertools.product order."""
-        coords = np.array([v.coords for _, v in grid])
-        names = [f"{na}⊗{nb}" for (na, _), (nb, _) in itertools.product(grid, repeat=2)]
-        return rule.product_coords(types, [np.repeat(coords, len(grid), axis=0),
-                                           np.tile(coords, (len(grid), 1))]), names
+    def hook_rows(name: str, coords, want: tuple[int, int]) -> np.ndarray:
+        coords = np.asarray(coords)
+        if coords.shape != want:
+            raise ValueError(f"strategy hook {name} returned shape {coords.shape}, "
+                             f"expected {want}")
+        return coords
 
-    grid_states, state_names = grid_pairs(hooks.state_grid())
-    grid_effects, effect_names = grid_pairs(hooks.effect_grid())
+    def grid_pairs(name: str) -> tuple[list[str], np.ndarray]:
+        """The grid's names and the products of every ordered pair of its rows, in
+        itertools.product order: product i has factor a = i // n and factor b = i % n."""
+        grid = getattr(hooks, name)()
+        if len(grid) != 2:
+            raise ValueError(f"strategy hook {name} returned {len(grid)} items, "
+                             f"expected (names, rows)")
+        names, rows = grid
+        n = len(names)
+        rows = hook_rows(name, rows, (n, sys_type.dim))
+        return names, rule.product_coords(types, [np.repeat(rows, n, axis=0),
+                                                  np.tile(rows, (n, 1))])
+
+    grid_state_names, grid_states = grid_pairs("state_grid")
+    grid_effect_names, grid_effects = grid_pairs("effect_grid")
     state_cols, effect_rows = [grid_states.T], [grid_effects]
+    joint_state_names, joint_effect_names = [], []  # global strategies, after the grid pairs
 
     if locality == "global":
         for name, s in theory.states.items():
             if s.system == pair_type:
                 state_cols.append(s.coords)
-                state_names.append(name)
+                joint_state_names.append(name)
         for name, e in theory.effects.items():
             if e.system == pair_type:
                 effect_rows.append(e.coords)
-                effect_names.append(name)
+                joint_effect_names.append(name)
 
-    smat = np.column_stack(state_cols)
-    emat = np.vstack(effect_rows)
-    grid_vals = np.abs(emat @ diff @ smat)
-    best = float(grid_vals.max())
-    ei, si = np.unravel_index(int(grid_vals.argmax()), grid_vals.shape)
-    best_state, best_effect = state_names[si], effect_names[ei]
+    def name_of(grid_names: Sequence[str], joint_names: list[str], i: int) -> str:
+        n = len(grid_names)
+        if i < n * n:
+            return f"{grid_names[i // n]}⊗{grid_names[i % n]}"
+        return joint_names[i - n * n]
+
+    # one (effects, states) array, made absolute in place; best is its value at argmax
+    grid_vals = np.vstack(effect_rows) @ diff @ np.column_stack(state_cols)
+    np.abs(grid_vals, out=grid_vals)
+    ei, si = divmod(int(grid_vals.argmax()), grid_vals.shape[1])
+    best = float(grid_vals[ei, si])
+    best_state = name_of(grid_state_names, joint_state_names, si)
+    best_effect = name_of(grid_effect_names, joint_effect_names, ei)
     evaluations = grid_vals.size
 
     def random_pairs(name: str) -> np.ndarray:
         """``n_random`` products of two samples from one sampler call: sample 2i is
         product i's factor a, sample 2i+1 its factor b."""
         want = (2 * n_random, sys_type.dim)
-        coords = np.asarray(getattr(hooks, name)(rng, want[0]))
-        if coords.shape != want:
-            raise ValueError(f"strategy hook {name} returned shape {coords.shape}, "
-                             f"expected {want}")
+        coords = hook_rows(name, getattr(hooks, name)(rng, want[0]), want)
         return rule.product_coords(types, coords.reshape(n_random, 2, want[1]).swapaxes(0, 1))
 
     # random product strategies, one quadruple per sample, every state drawn before
     # any effect; the states' (dim, n_random) layout fixes einsum's summation order
     rs = np.ascontiguousarray(random_pairs("random_states").T)
     re = random_pairs("random_effects")
-    rand_vals = np.abs(np.einsum("ij,ji->i", re @ diff, rs))
+    rand_vals = np.einsum("ij,ji->i", re @ diff, rs)
+    np.abs(rand_vals, out=rand_vals)
     evaluations += rand_vals.size
-    if rand_vals.size and float(rand_vals.max()) > best:
+    if rand_vals.size:
         i = int(rand_vals.argmax())
-        best = float(rand_vals.max())
-        best_state, best_effect = f"random[{i}]", f"random[{i}]"
+        if rand_vals[i] > best:
+            best = float(rand_vals[i])
+            best_state, best_effect = f"random[{i}]", f"random[{i}]"
 
     return SeparationReport(best, best_state, best_effect, locality, evaluations)

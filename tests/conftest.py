@@ -496,12 +496,19 @@ def reference_distinguish_search(theory, t, u, locality: str, seed: int,
     hooks = theory.strategies
     rng = np.random.default_rng(seed)
 
+    def vectors(grid, vector):
+        """The grid's rows as named vectors, checked again as vectors."""
+        names, rows = grid
+        return [(name, vector(sys_type, row)) for name, row in zip(names, rows, strict=True)]
+
     state_cols, state_names = [], []
-    for (na, sa), (nb, sb) in itertools.product(hooks.state_grid(), repeat=2):
+    for (na, sa), (nb, sb) in itertools.product(vectors(hooks.state_grid(), StateVector),
+                                                repeat=2):
         state_cols.append(reference_product_coords(rule, [sa, sb]))
         state_names.append(f"{na}⊗{nb}")
     effect_rows, effect_names = [], []
-    for (na, ea), (nb, eb) in itertools.product(hooks.effect_grid(), repeat=2):
+    for (na, ea), (nb, eb) in itertools.product(vectors(hooks.effect_grid(), EffectVector),
+                                                repeat=2):
         effect_rows.append(reference_product_coords(rule, [ea, eb]))
         effect_names.append(f"{na}⊗{nb}")
     if locality == "global":

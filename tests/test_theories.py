@@ -150,17 +150,56 @@ def test_t1_t2_agree_on_every_single_rebit(rebit):
     # identical transfer matrices: no single-system strategy separates them
     assert np.allclose(t1, t2, atol=1e-12)
     hooks = rebit.strategies
-    grid = hooks.state_grid()
-    effs = hooks.effect_grid()
+    _, grid = hooks.state_grid()
+    _, effs = hooks.effect_grid()
     rng = np.random.default_rng(1)
     # one state and one effect per sampler call, alternating
     samples = [(hooks.random_states(rng, 1)[0], hooks.random_effects(rng, 1)[0])
                for _ in range(500)]
-    for _, s in grid:
-        for _, e in effs:
-            assert abs(e.coords @ (t1 - t2) @ s.coords) <= 1e-12
+    assert len(grid) == len(effs) == 25
+    for s in grid:
+        for e in effs:
+            assert abs(e @ (t1 - t2) @ s) <= 1e-12
     for s, e in samples:
         assert abs(e @ (t1 - t2) @ s) <= 1e-12
+
+
+def test_rebit_grid_rows_are_the_bloch_vectors_bit_for_bit(rebit):
+    # the rows come from one np.cos/np.sin call over all 24 angles; they must equal
+    # the math library's values at each angle
+    hooks = rebit.strategies
+    for (names, rows), last in ((hooks.state_grid(), rebit.states["mixed"]),
+                                (hooks.effect_grid(), rebit.effects["u"])):
+        for k in range(24):
+            a = k * math.pi / 12
+            want = np.array([1.0, math.cos(a), math.sin(a)]) / SQRT2
+            assert rows[k].tobytes() == want.tobytes(), names[k]
+        assert rows[24].tobytes() == last.coords.tobytes()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.one_of(st.integers(1, 8).map(classical_theory), st.integers(2, 4).map(quantum_theory),
+                 st.builds(real_quantum_theory, st.just(2)), st.builds(boxworld_gbit)),
+       st.sampled_from(["state_grid", "effect_grid"]))
+def test_strategy_grids_are_named_checked_read_only_rows(theory, hook):
+    sys = theory.system()
+    (normalized,) = {s.normalized for s in theory.states.values()}
+    grid = getattr(theory.strategies, hook)
+    names, rows = grid()
+    assert all(isinstance(n, str) for n in names)
+    assert len(set(names)) == len(names) == len(rows) > 0
+    assert rows.shape == (len(names), sys.dim) and rows.dtype == np.float64
+    assert not rows.flags.writeable
+    for row in rows:
+        if hook == "state_grid":
+            StateVector(sys, row, normalized=normalized)
+        else:
+            EffectVector(sys, row)
+    want = list(names)
+    names[0] = "changed"
+    names.append("extra")
+    again_names, again_rows = grid()
+    assert again_names == want and again_rows.tobytes() == rows.tobytes()
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)

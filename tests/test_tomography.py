@@ -191,6 +191,8 @@ def test_distinguish_search_n_random_edge_cases(rebit):
             rebit, t1, t2, locality, seed=1, n_random=3).evaluations - 3
     assert distinguish_search(rebit, t1, t2, "global", n_random=0).separation == \
         pytest.approx(0.5, abs=1e-12)
+    assert distinguish_search(rebit, t1, t2, "local", seed=4, n_random=np.int64(7)) == \
+        distinguish_search(rebit, t1, t2, "local", seed=4, n_random=7)
     for n_random in (-1, -5):
         with pytest.raises(ValueError, match="n_random must be >= 0"):
             distinguish_search(rebit, t1, t2, n_random=n_random)
@@ -208,9 +210,27 @@ def test_distinguish_search_checks_inputs_before_any_work(rebit):
     for locality in ("nonlocal", "Local", ""):
         with pytest.raises(ValueError, match="locality must be 'local' or 'global'"):
             distinguish_search(idle, t1, t2, locality=locality)
+    for n_random in (2.5, True, "3", np.True_, None):
+        with pytest.raises(ValueError, match="n_random must be an integer"):
+            distinguish_search(idle, t1, t2, n_random=n_random)
+    with pytest.raises(ValueError, match="n_random must be >= 0"):
+        distinguish_search(idle, t1, t2, n_random=np.int64(-1))
+
+    # a grid must return (names, rows), with one row of dim coordinates per name;
+    # a list of (name, vector) pairs was the grid's shape before
+    hooks = rebit.strategies
+    names, rows = hooks.state_grid()
+    pairs = [(n, StateVector(rebit.system(), r)) for n, r in zip(names, rows)]
+    for name, bad, match in (("state_grid", lambda: (names, rows[:, :2]), "shape"),
+                             ("effect_grid", lambda: (names[1:], rows), "shape"),
+                             ("state_grid", lambda: (names, rows.ravel()), "shape"),
+                             ("effect_grid", lambda: pairs, "25 items"),
+                             ("state_grid", lambda: pairs[:2], "shape")):
+        theory = dataclasses.replace(rebit, strategies=dataclasses.replace(hooks, **{name: bad}))
+        with pytest.raises(ValueError, match=f"strategy hook {name} returned {match}"):
+            distinguish_search(theory, t1, t2, n_random=5)
 
     # a sampler must return (2 * n_random, dim): two factors per product
-    hooks = rebit.strategies
     for name, bad in (("random_states", lambda rng, n: np.zeros((n, 4))),
                       ("random_effects", lambda rng, n: np.zeros(3 * n)),
                       ("random_states", lambda rng, n: np.zeros((n // 2, 3)))):
@@ -294,9 +314,10 @@ def _endomorphisms(theory):
 def _one_entry_grids(theory):
     """The theory with one-entry grids, so that random samples can win."""
     hooks = theory.strategies
-    states, effects = hooks.state_grid()[-1:], hooks.effect_grid()[-1:]
+    (state_names, states), (effect_names, effects) = hooks.state_grid(), hooks.effect_grid()
     return dataclasses.replace(theory, strategies=dataclasses.replace(
-        hooks, state_grid=lambda: states, effect_grid=lambda: effects))
+        hooks, state_grid=lambda: (state_names[-1:], states[-1:]),
+        effect_grid=lambda: (effect_names[-1:], effects[-1:])))
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
