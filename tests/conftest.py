@@ -407,6 +407,16 @@ def reference_run(machine: AffineMachine, x: str, max_steps: int) -> list[dict]:
     return vectors
 
 
+def reference_merge(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Equal rows merged through a dict keyed on each row's tuple, in first-seen
+    order; each group's weights are added in row order starting from 0.0."""
+    out: dict = {}
+    for row, w in zip(map(tuple, rows.tolist()), weights.tolist()):
+        out[row] = out.get(row, 0.0) + w
+    merged = np.array(list(out), dtype=rows.dtype).reshape(len(out), rows.shape[1])
+    return merged, np.array(list(out.values()), dtype=float)
+
+
 def writer_machine(k: int, a: float, move: str = "R", last: str = "acc") -> AffineMachine:
     """Writes one branching bit per step for k steps, then enters `last`.
 

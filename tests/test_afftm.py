@@ -1,5 +1,6 @@
 """Affine machine semantics: weights, halting, norms, and the circuit bridge."""
 
+import math
 import re
 from itertools import product
 
@@ -28,6 +29,7 @@ from conftest import (
     monte_carlo_acceptance,
     random_circuit,
     random_machine,
+    reference_merge,
     reference_run,
     reference_step,
     writer_machine,
@@ -335,6 +337,43 @@ def rows_vector(rows) -> dict:
         tape = tuple((rows.origin + j, t.symbols[c]) for j, c in enumerate(cells) if c)
         out[Configuration(t.states[state], tape, rows.origin + head)] = w
     return out
+
+
+# weights whose sums are edge cases of float addition, mixed into arbitrary floats
+_EDGE_WEIGHTS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan,
+                                 5e-324, -5e-324, 1e-310, 1.0, -1.0])
+
+
+@st.composite
+def merge_inputs(draw):
+    """Rows over two or three symbols, so that equal rows are common: as drawn,
+    made all distinct (nothing merges), or made all equal (everything merges)."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    pool = [0, 1, 2, 255] if dtype is np.uint8 else [0, 1, 256, 257, 65535]
+    symbols = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True))
+    row = st.tuples(*[st.sampled_from(symbols)] * draw(st.integers(3, 5)))
+    n = draw(st.integers(1, 64))  # above 16 rows, where an unstable sort shows
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    shape = draw(st.sampled_from(["drawn", "distinct", "equal"]))
+    if shape == "distinct":
+        rows = list(dict.fromkeys(rows))
+    elif shape == "equal":
+        rows = rows[:1] * len(rows)
+    weight = st.one_of(_EDGE_WEIGHTS, st.floats())
+    weights = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
+    return np.array(rows, dtype=dtype), np.array(weights, dtype=float)
+
+
+@PROPERTY
+@given(merge_inputs())
+def test_merge_matches_reference(inputs):
+    rows, weights = inputs
+    got_rows, got_weights = afftm._merge(rows, weights)
+    want_rows, want_weights = reference_merge(rows, weights)
+    assert got_rows.dtype == rows.dtype
+    assert got_rows.tolist() == want_rows.tolist()
+    assert list(map(float.hex, got_weights.tolist())) == list(map(float.hex, want_weights.tolist()))
+    assert got_weights.tobytes() == want_weights.tobytes()  # nan signs too
 
 
 @PROPERTY
