@@ -8,15 +8,17 @@ the theory's composite rule applies each layer to a frontier of joint
 states with one ``CompositeRule.contract`` call. A tensor-product rule
 contracts each gate's outcome matrices into the gate's own wire axes, so a
 passthrough wire only moves and no Kronecker product of a layer is formed;
-the rebit rule builds the layer's ``(K, out, in)`` stack with
-``parallel_stack`` and multiplies by it. ``distribution``, the built-in
-acceptors and the affine bridge compile every outcome of every gate;
-``prob`` compiles only the outcomes its string selects, so each of its
-layers has one combination. ``distribution`` returns a read-only
-:class:`Distribution`: the walk's float64 leaf values beside the gates'
-outcome labels, looked up by leaf index, with each outcome-string key built
-only when iteration reaches it. Circuits are immutable once validated and
-evaluation keeps no state, so prob() on a shared circuit is safe to call
+the rebit rule does the same with each gate's Pauli transfer matrices, in
+the 4^k Pauli string coordinates of the layer's k input rebits, except on a
+layer of one gate, which it multiplies by that gate's own transfer stack.
+``distribution``, the built-in acceptors and the affine bridge compile every
+outcome of every gate; ``prob`` compiles only the outcomes its string
+selects, so each of its layers has one combination. ``distribution`` returns
+a read-only :class:`Distribution`: the walk's float64 leaf values beside the
+gates' outcome labels, looked up by leaf index, with each outcome-string key
+built only when iteration reaches it. Circuits are immutable once validated
+and evaluation keeps no state beyond the transfer matrices the rebit rule
+holds per gate outcome, so prob() on a shared circuit is safe to call
 concurrently.
 """
 
@@ -540,7 +542,8 @@ def acceptance_prob(
     outcomes where its instance reads "0", and parity-of-labels is
     (prod S_L + prod P_L)/2 with P_L weighing each "1" label by -1. A
     tensor-product rule applies S_L one gate at a time, as the sums
-    S_g = sum_k w_g(k) M_g(k); other rules sum the layer's stack. Tables sum
+    S_g = sum_k w_g(k) M_g(k), and so does the rebit rule on a layer of two
+    or more gates; other layers sum the layer's stack. Tables sum
     the accepted leaves of the walk ``distribution`` uses. The cap holds
     either way, and the result is range-checked as in ``prob``."""
     return _accept(_compile(circuit, foliation, cap), acceptor, circuit.instance_ids)

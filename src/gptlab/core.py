@@ -212,6 +212,40 @@ def _rotate(x: np.ndarray, width: int) -> np.ndarray:
     return x.reshape(len(x), width, -1).swapaxes(1, 2).reshape(len(x), -1)
 
 
+def contract_wires(factors: Sequence[Sequence[np.ndarray]], front: np.ndarray,
+                   weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """:meth:`CompositeRule.contract` one factor at a time, where ``factors[i]``
+    lists factor i's ``(out_i, in_i)`` outcome matrices, and with no stack.
+
+    The frontier's columns are its wire axes. Each factor contracts its
+    ``(K_i, out_i, in_i)`` outcome matrices (or, with ``weights``, their
+    weighted sums per row) into the leading axis, which is its input, appends
+    its outcome axis to the rows and puts its output axis last; after the
+    last factor the axes are in output order again. Without ``weights``, a
+    factor whose one matrix is exactly the identity (a passthrough wire) only
+    moves its axis. Every row is contracted on its own, with the same shapes
+    whatever the other factors' outcome counts, so a row's bits do not depend
+    on how many combinations are enumerated.
+    """
+    x, moved = front, 1  # moved: the width of identity axes still to move last
+    for i, mats in enumerate(factors):
+        m = mats[0]
+        if weights is None and len(mats) == 1 and np.array_equal(m, np.eye(len(m))):
+            moved *= len(m)
+            continue
+        x, moved = _rotate(x, moved), 1
+        mats = np.stack(mats)
+        if weights is not None:  # one summed matrix per row, paired with it
+            mats = np.tensordot(weights[i], mats, axes=1)[:, None]
+        # (rows, 1, rest, in) @ (K, in, out), or (rows, 1, in, out) with
+        # weights: transposed views, so the product lands in
+        # (rows, K, rest, out) order with no copy
+        y = np.matmul(x.reshape(len(x), 1, m.shape[1], -1).swapaxes(2, 3),
+                      mats.swapaxes(-1, -2))
+        x = y.reshape(-1, y.shape[2] * y.shape[3])
+    return _rotate(x, moved)
+
+
 class CompositeRule:
     """Theory-owned recipe for joint systems and parallel composition.
 
@@ -225,9 +259,10 @@ class CompositeRule:
     ``itertools.product`` order over the factors' lists (the last factor's
     outcome varies fastest). :meth:`parallel_matrix` is its batch of one.
     The circuit engine evaluates layers through :meth:`contract`, which
-    applies that stack to a frontier of joint states; a rule whose composite
-    is a tensor product overrides it to act one factor at a time, without
-    forming the stack.
+    applies that stack to a frontier of joint states. The builtin rules
+    override it to act one factor at a time with :func:`contract_wires`,
+    without forming the stack; the stack walk here serves the rebit rule's
+    one-factor layers and rules that do not override it.
     """
 
     name = "abstract"
@@ -320,35 +355,9 @@ class KroneckerRule(CompositeRule):
 
     def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
                  weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """:meth:`CompositeRule.contract` one factor at a time, with no stack.
-
-        The frontier's columns are its wire axes. Each factor contracts its
-        ``(K_i, out_i, in_i)`` outcome matrices (or, with ``weights``, their
-        weighted sums per row) into the leading axis, which is its input,
-        appends its outcome axis to the rows and puts its output axis last;
-        after the last factor the axes are in output order again. Without
-        ``weights``, a single identity piece (a passthrough wire) only moves
-        its axis. Every row is contracted on its own, with the same shapes
-        whatever the other factors' outcome counts, so a row's bits do not
-        depend on how many combinations are enumerated.
-        """
-        x, moved = front, 1  # moved: the width of identity axes still to move last
-        for i, piece in enumerate(pieces):
-            m = piece[0].matrix
-            if weights is None and len(piece) == 1 and np.array_equal(m, np.eye(len(m))):
-                moved *= len(m)
-                continue
-            x, moved = _rotate(x, moved), 1
-            mats = np.stack([p.matrix for p in piece])
-            if weights is not None:  # one summed matrix per row, paired with it
-                mats = np.tensordot(weights[i], mats, axes=1)[:, None]
-            # (rows, 1, rest, in) @ (K, in, out), or (rows, 1, in, out) with
-            # weights: transposed views, so the product lands in
-            # (rows, K, rest, out) order with no copy
-            y = np.matmul(x.reshape(len(x), 1, m.shape[1], -1).swapaxes(2, 3),
-                          mats.swapaxes(-1, -2))
-            x = y.reshape(-1, y.shape[2] * y.shape[3])
-        return _rotate(x, moved)
+        """:meth:`CompositeRule.contract` by :func:`contract_wires` on the
+        outcome matrices, with no stack."""
+        return contract_wires([[p.matrix for p in piece] for piece in pieces], front, weights)
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         dims = tuple(t.dim for t in types)

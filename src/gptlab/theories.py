@@ -9,8 +9,8 @@ with a state is a plain dot product equal to Tr(E rho).
 
 from __future__ import annotations
 
-import itertools
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence
 
@@ -29,6 +29,7 @@ from .core import (
     TransformationMatrix,
     UNIT,
     checked_coords,
+    contract_wires,
     kron_rows,
     kron_stack,
 )
@@ -118,6 +119,9 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return mats
 
 
+_Y_COUNT = np.array([0, 0, 1, 0], dtype=np.int8)  # Y factors in I, X, Y, Z
+
+
 def pauli_strings(n_qubits: int) -> np.ndarray:
     """All 4^n unnormalised Pauli strings on n qubits, lexicographic over (I, X, Y, Z)."""
     single = np.stack([PAULI[c] for c in "IXYZ"])
@@ -132,9 +136,11 @@ def even_y_index(n_qubits: int) -> np.ndarray:
     """Positions in :func:`pauli_strings` of the strings with an even number of
     Y factors, in coordinate order: strings without any Y come first, so they
     line up with the Kronecker product of the single-system bases."""
-    strings = ["".join(s) for s in itertools.product("IXYZ", repeat=n_qubits)]
-    even = [i for i, s in enumerate(strings) if s.count("Y") % 2 == 0]
-    return np.array(sorted(even, key=lambda i: "Y" in strings[i]), dtype=np.intp)
+    ys = np.zeros(1, dtype=np.int8)  # each string's Y count, strings in lexicographic order
+    for _ in range(n_qubits):
+        ys = (ys[:, None] + _Y_COUNT).ravel()
+    even = np.flatnonzero(ys % 2 == 0)
+    return even[np.argsort(ys[even] > 0, kind="stable")]
 
 
 def _even_y_slots(n_qubits: int) -> np.ndarray:
@@ -164,6 +170,18 @@ class RebitRule(CompositeRule):
     the full I, X, Y, Z string basis (of each piece's Pauli transfer matrix,
     of index permutations, of zero-padded coordinates) restricted to the
     even-Y strings.
+
+    :meth:`contract` works in that basis too: a layer of two or more factors
+    scatters the frontier into its 4^k Pauli string coordinates once (zero on
+    the odd-Y strings), contracts each factor's transfer matrices into the
+    factor's own wire axes with :func:`~gptlab.core.contract_wires`, and
+    restricts to the even-Y strings once. A layer of one factor multiplies
+    by that factor's restricted transfer stack, the base class's walk. Each
+    outcome's transfer matrix is computed once and held while the outcome
+    lives, in a table keyed weakly by the outcome object, so the table never
+    outgrows the outcomes in use; :meth:`identity` returns one held
+    passthrough per system type. Threads racing on one outcome at worst
+    compute its matrix twice.
     """
 
     name = "real-symmetric"
@@ -172,6 +190,8 @@ class RebitRule(CompositeRule):
         self.theory = theory
         self._carriers: dict[int, DensityCarrier] = {}
         self._tables: dict = {}
+        self._identities: dict[SystemType, TransformationMatrix] = {}
+        self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def carrier(self, n_qubits: int) -> DensityCarrier:
         got = self._carriers.get(n_qubits)
@@ -207,23 +227,44 @@ class RebitRule(CompositeRule):
                              factors=types)
 
     def identity(self, system: SystemType) -> TransformationMatrix:
-        k = self._n_leaves(system)
-        return TransformationMatrix(
-            system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),)
-        )
+        got = self._identities.get(system)
+        if got is None:
+            k = self._n_leaves(system)
+            got = self._identities[system] = TransformationMatrix(
+                system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),))
+        return got
 
-    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
-        for p in itertools.chain.from_iterable(pieces):
+    def _transfer(self, p: TransformationMatrix) -> np.ndarray:
+        """The held Pauli transfer matrix of ``p``, computed on first use."""
+        got = self._transfers.get(p)
+        if got is None:
             if p.kraus is None:
                 raise GptLabError(
                     f"gate outcome '{p.outcome_label}' lacks operator (Kraus) data; "
                     "rebit composites cannot be built from single-wire matrices alone"
                 )
-        full = kron_stack(np.stack([self._transfer_matrix(p.kraus) for p in piece])
-                          for piece in pieces)
+            got = self._transfer_matrix(p.kraus)
+            got.setflags(write=False)
+            self._transfers[p] = got
+        return got
+
+    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
+        full = kron_stack(np.stack([self._transfer(p) for p in piece]) for piece in pieces)
         k_out, k_in = (n.bit_length() // 2 for n in full.shape[1:])  # 4^k_out x 4^k_in
         return full[np.ix_(np.arange(len(full)), self._table(even_y_index, k_out),
                            self._table(even_y_index, k_in))]
+
+    def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
+                 weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
+        if len(pieces) == 1:
+            return super().contract(pieces, front, weights)
+        factors = [[self._transfer(p) for p in piece] for piece in pieces]
+        # each factor's 4^k_out x 4^k_in transfer: its rebit counts, summed
+        k_out, k_in = (sum(f[0].shape[axis].bit_length() - 1 for f in factors) // 2
+                       for axis in (0, 1))
+        full = np.zeros((len(front), 4**k_in))
+        full[:, self._table(even_y_index, k_in)] = front
+        return contract_wires(factors, full, weights)[:, self._table(even_y_index, k_out)]
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         leaves = [self._n_leaves(t) for t in types]

@@ -3,6 +3,7 @@ transfer matrices, checked against direct Kraus algebra in the orthonormal
 carriers (the ``kraus_*`` references in ``conftest``).
 """
 
+import gc
 import itertools
 
 import numpy as np
@@ -16,11 +17,13 @@ from gptlab import (
     TransformationMatrix,
     acceptance_prob,
     distribution,
+    foliate,
     prob,
     real_quantum_theory,
     symmetric_pauli_basis,
 )
 from gptlab.circuits import Gate
+from gptlab.core import CompositeRule
 from gptlab.errors import GptLabError
 from gptlab.theories import PAULI, even_y_index
 
@@ -138,3 +141,85 @@ def test_circuits_with_pieces_without_kraus_data_are_rejected():
                      lambda c: prob(c, {"p": "0", "b": "0", "m": "0"})):
         with pytest.raises(GptLabError, match="Kraus"):
             evaluate(c)
+
+
+def _front_dim(factors) -> int:
+    k = sum(f[0].kraus[0].shape[1].bit_length() - 1 for f in factors)  # input rebits
+    return 2**k * (2**k + 1) // 2
+
+
+@PROPERTY
+@given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=MAX_REBITS)
+       .filter(lambda fs: sum(_rebits(f[0]) for f in fs) <= MAX_REBITS),
+       st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_contract_is_the_stack_walk(factors, rows, seed):
+    """RebitRule.contract, wire by wire in Pauli string coordinates, against
+    the base class's stack walk within 1e-12, with and without per-row
+    weights; passthroughs, pair gates and multi-outcome gates mix freely. A
+    layer of one factor is the stack walk itself, bit for bit."""
+    rng = np.random.default_rng(seed)
+    front = rng.uniform(-1.0, 1.0, (rows, _front_dim(factors)))
+    weights = [rng.choice([-1.0, 0.0, 1.0], (rows, len(f))) for f in factors]
+    for w in (None, weights):
+        got = RULE.contract(factors, front, w)
+        want = CompositeRule.contract(RULE, factors, front, w)
+        assert got.shape == want.shape
+        assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
+        if len(factors) == 1:
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("factor", FACTORS, ids=lambda f: f[0].outcome_label or str(len(f)))
+def test_one_factor_layers_are_the_stack_walk(factor):
+    front = np.random.default_rng(0).uniform(-1.0, 1.0, (2, _front_dim([factor])))
+    for w in (None, [np.ones((2, len(factor)))]):
+        got = RULE.contract([factor], front, w)
+        assert got.tobytes() == CompositeRule.contract(RULE, [factor], front, w).tobytes()
+
+
+def test_held_transfers_do_not_grow_with_compiles():
+    """Each outcome's transfer matrix is held while the outcome lives, so
+    fresh circuits, with fresh gates and passthrough wires, leave the table
+    the size one circuit fills it to."""
+    theory = real_quantum_theory(2)
+    rule, h = theory.composite_rule, theory.gate("h").outcomes["0"]
+
+    def fresh_circuit() -> CircuitDAG:
+        mine = Gate("mine", (SYS,), (SYS,), {"0": TransformationMatrix(
+            h.input, h.output, h.matrix, kraus=h.kraus)})
+        c = CircuitDAG(theory)
+        c.add("b", theory.gate("prep_phi_plus"))
+        c.add("g", mine)
+        c.add("m0", theory.gate("measure"))
+        c.add("m1", theory.gate("measure"))
+        c.connect(("b", 0), ("g", 0))
+        c.connect(("g", 0), ("m0", 0))
+        c.connect(("b", 1), ("m1", 0))
+        return c
+
+    sizes = []
+    for _ in range(101):
+        assert sum(distribution(fresh_circuit(), foliation=[["b"], ["g"], ["m0", "m1"]])
+                   .values()) == pytest.approx(1.0, abs=1e-12)
+        gc.collect()
+        sizes.append(len(rule._transfers))
+    assert sizes == sizes[:1] * 101
+    assert rule.identity(SYS) is rule.identity(SYS)
+
+
+def test_multi_factor_layers_reject_pieces_without_kraus_data():
+    bare = TransformationMatrix(SYS, SYS, np.eye(3), outcome_label="bare")
+    with pytest.raises(GptLabError, match="lacks operator \\(Kraus\\) data"):
+        RULE.contract([[bare], [RULE.identity(SYS)]], np.ones((1, PAIR.dim)))
+    c = CircuitDAG(REBIT)
+    c.add("p0", REBIT.gate("prep_0"))
+    c.add("p1", REBIT.gate("prep_0"))
+    c.add("b", Gate("bare", (SYS,), (SYS,), {"0": bare}))
+    c.add("m0", REBIT.gate("measure"))
+    c.add("m1", REBIT.gate("measure"))
+    c.connect(("p0", 0), ("b", 0))
+    c.connect(("b", 0), ("m0", 0))
+    c.connect(("p1", 0), ("m1", 0))
+    for style in ("greedy", "singletons"):  # [b, m1], and [b] beside a passthrough
+        with pytest.raises(GptLabError, match="lacks operator \\(Kraus\\) data"):
+            distribution(c, foliation=foliate(c, style))

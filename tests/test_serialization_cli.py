@@ -4,6 +4,7 @@ import argparse
 import json
 from fractions import Fraction
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -610,6 +611,29 @@ BUNDLED_COMMANDS = [
     ["query", "grover", "--n", "16", "--marked", "3"],
     ["query", "bounds", "--problem", "search", "--n", "100", "--k", "2"],
 ]
+
+
+GOLDEN_CLI = Path(__file__).resolve().parents[1] / "perfbench" / "golden" / "cli.json"
+GOLDEN_DATA = "src/gptlab/data/"  # the golden argvs name the bundled files by this path
+
+
+def _golden_by_argv() -> dict:
+    golden = json.loads(GOLDEN_CLI.read_text())
+    return {tuple(data_path(a[len(GOLDEN_DATA):]) if a.startswith(GOLDEN_DATA) else a
+                  for a in entry["argv"]): entry for entry in golden.values()}
+
+
+@pytest.mark.parametrize("argv", BUNDLED_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_bundled_commands_keep_the_golden_bytes(capsys, argv):
+    """Every value of the stored golden output, byte for byte through
+    json.dumps(..., sort_keys=True), as the cli-bundled benchmark checks it:
+    among them the rebit Bell circuit's -4.930380657631324e-32."""
+    want = _golden_by_argv()[tuple(argv)]
+    code, out, _ = run_cli(capsys, "--json", *argv)
+    assert code == want["exit_code"]
+    got = json.loads(out)
+    for key, value in want["output"].items():
+        assert json.dumps(got[key], sort_keys=True) == json.dumps(value, sort_keys=True), key
 
 
 def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
