@@ -2,24 +2,30 @@
 
 A circuit is a DAG of gate instances joined by typed wires. Each evaluation
 compiles it once into layers of parallel gates (a foliation) that hold, per
-wire factor, the gate's outcome matrices or a passthrough identity, and a
-wire permutation. Every evaluation runs one walk over these layers, in which
-the theory's composite rule applies each layer to a frontier of joint
-states with one ``CompositeRule.contract`` call. A tensor-product rule
-contracts each gate's outcome matrices into the gate's own wire axes, so a
-passthrough wire only moves and no Kronecker product of a layer is formed;
-the rebit rule does the same with each gate's Pauli transfer matrices, in
-the 4^k Pauli string coordinates of the layer's k input rebits, except on a
-layer of one gate, which it multiplies by that gate's own transfer stack.
-``distribution``, the built-in acceptors and the affine bridge compile every
-outcome of every gate; ``prob`` compiles only the outcomes its string
-selects, so each of its layers has one combination. ``distribution`` returns
-a read-only :class:`Distribution`: the walk's float64 leaf values beside the
-gates' outcome labels, looked up by leaf index, with each outcome-string key
-built only when iteration reaches it. Circuits are immutable once validated
-and evaluation keeps no state beyond the transfer matrices the rebit rule
-holds per gate outcome, so prob() on a shared circuit is safe to call
-concurrently.
+wire factor, a :class:`~gptlab.core.Factor`, and a wire permutation: a
+gate's own factor (all its outcomes, or for ``prob`` the one its string
+selects) or the rule's passthrough for a wire no gate of the layer reads.
+Gates and rules hold these, so their stacks and identity flags are built
+once, on first evaluation. Every evaluation runs one walk over these layers,
+in which the theory's composite rule applies each layer to a frontier of
+joint states with one ``CompositeRule.contract`` call. A tensor-product rule
+contracts each factor's held stack into the gate's own wire axes, so no
+Kronecker product of a layer is formed and no matrix is stacked or compared
+with the identity per call; without weights, a factor that is one exact
+identity (a passthrough, or a gate whose one outcome is exactly the
+identity) is skipped, its axis only moved. The rebit rule does the same
+with each outcome's held Pauli transfer matrix, in the 4^k Pauli string
+coordinates of the layer's k input rebits, except on a layer of one gate,
+which it multiplies by that gate's own transfer stack; it never builds the
+gates' stacks. ``distribution``, the built-in acceptors and the affine
+bridge compile every outcome of every gate; ``prob`` compiles only the
+outcomes its string selects, so each of its layers has one combination.
+``distribution`` returns a read-only :class:`Distribution`: the walk's
+float64 leaf values beside the gates' outcome labels, looked up by leaf
+index, with each outcome-string key built only when iteration reaches it.
+Circuits are immutable once validated, and evaluation keeps no state beyond
+what gates and rules hold once built (a race at worst builds it twice), so
+prob() on a shared circuit is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -28,22 +34,41 @@ import itertools
 from collections.abc import Callable, ItemsView, Mapping, ValuesView
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from operator import itemgetter
+from types import MappingProxyType
 
 import numpy as np
 
-from .core import PROB_TOL, CompositeRule, SystemType, TransformationMatrix
+from .core import (PROB_TOL, UNIT, CompositeRule, CompositeType, Factor, SystemType,
+                   TransformationMatrix)
 from .errors import CapacityError, CircuitValidationError, GptLabError
 
 DEFAULT_ENUMERATION_CAP = 2**20
+
+
+def _spans(t: SystemType, wires: tuple[SystemType, ...]) -> bool:
+    """Whether a matrix side of type ``t`` is the joint system of ``wires``:
+    any type spans itself, a composite its factors, and ``UNIT`` no wires."""
+    if (t,) == wires:
+        return True
+    if isinstance(t, CompositeType) and t.factors:
+        return t.factors == wires
+    return not wires and (t is UNIT or t == UNIT)
 
 
 @dataclass(frozen=True, eq=False)
 class Gate:
     """A device: one transformation matrix per classical outcome.
 
-    Preparations have no inputs, effects no outputs; the matrices of all
-    outcomes share one shape.
+    Preparations have no inputs, effects no outputs; every outcome matrix
+    maps the joint system of the input wires to that of the output wires.
+    Evaluation reads the outcomes as :class:`~gptlab.core.Factor` objects
+    the gate holds, built on first evaluation (so building a theory stacks
+    nothing): :attr:`factor` for all outcomes, and one per outcome for the
+    strings ``prob`` selects. Their stacks and identity flags are built
+    once, so ``outcomes`` is a read-only mapping; a pickled gate is built
+    again from its fields.
     """
 
     name: str
@@ -59,11 +84,31 @@ class Gate:
             raise ValueError(f"gate '{self.name}' outcome matrices disagree on shape")
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "outcomes", dict(self.outcomes))
+        object.__setattr__(self, "outcomes", MappingProxyType(dict(self.outcomes)))
+        inputs, outputs = self.inputs, self.outputs
+        for label, t in self.outcomes.items():
+            if not (_spans(t.input, inputs) and _spans(t.output, outputs)):
+                raise ValueError(
+                    f"gate '{self.name}' outcome '{label}' maps {t.input.label} -> "
+                    f"{t.output.label}, not its wires")
+
+    def __reduce__(self):
+        return type(self), (self.name, self.inputs, self.outputs, dict(self.outcomes))
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
         return tuple(self.outcomes)
+
+    @cached_property
+    def factor(self) -> Factor:
+        """Every outcome, in label order, as one layer factor; its read-only
+        ``(K, out, in)`` stack and identity flag are built on first use."""
+        return Factor(self.outcomes.values())
+
+    @cached_property
+    def _singles(self) -> dict[str, Factor]:
+        """Per label, that outcome alone as a factor: the layer ``prob`` reads."""
+        return {label: Factor((t,)) for label, t in self.outcomes.items()}
 
 
 Port = tuple[str, int]
@@ -125,8 +170,17 @@ class CircuitDAG:
     def instance_ids(self) -> list[str]:
         return [iid for iid, _ in self.instances]
 
-    def outcome_string(self, assignment: Mapping[str, str]) -> OutcomeString:
-        """Normalize a mapping instance->label into circuit order."""
+    def outcome_string(self, assignment: OutcomeString | Mapping[str, str]) -> OutcomeString:
+        """Normalize a mapping instance->label, or an ``OutcomeString`` in any
+        order, into circuit order. ``GptLabError`` unless it names every
+        instance once, each with one of its gate's labels, and no other."""
+        if isinstance(assignment, OutcomeString):
+            pairs = assignment.pairs
+            assignment = dict(pairs)
+            if len(assignment) < len(pairs):
+                ids = [iid for iid, _ in pairs]
+                twice = next(iid for k, iid in enumerate(ids) if iid in ids[:k])
+                raise GptLabError(f"outcome string names instance '{twice}' twice")
         pairs = []
         for iid, gate in self.instances:
             if iid not in assignment:
@@ -272,7 +326,7 @@ class _Layer:
 
     gate_ids: tuple[str, ...]
     outcomes: tuple[tuple[str, ...], ...]  # per gate, the outcome labels it reads
-    pieces: tuple[tuple[TransformationMatrix, ...], ...]  # per factor; passthrough wires last
+    pieces: tuple[Factor, ...]  # per factor, held by its gate or the rule; passthrough wires last
     perm: np.ndarray | None  # joint-state gather index applied first; None = identity
     rule: CompositeRule
 
@@ -306,10 +360,13 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
         perm = [slot[w] for w in consumed + passthrough]
         gather = (None if perm == list(range(len(perm)))
                   else rule.permutation_index([wire_type(w) for w in live], perm))
-        outcomes = [g.outcome_labels if select is None else (select[iid],)
-                    for iid, g in zip(layer_ids, gates)]
-        pieces = [tuple(g.outcomes[lab] for lab in labs) for g, labs in zip(gates, outcomes)]
-        pieces += [(rule.identity(wire_type(w)),) for w in passthrough]
+        if select is None:
+            outcomes = [g.outcome_labels for g in gates]
+            pieces = [g.factor for g in gates]
+        else:
+            outcomes = [(select[iid],) for iid in layer_ids]
+            pieces = [g._singles[labs[0]] for g, labs in zip(gates, outcomes)]
+        pieces += [rule.passthrough(wire_type(w)) for w in passthrough]
         layers.append(_Layer(tuple(layer_ids), tuple(outcomes), tuple(pieces), gather, rule))
         live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
                 for p in range(len(g.outputs))] + passthrough
@@ -332,10 +389,10 @@ def prob(
 ) -> float:
     """Probability of one full outcome string: the walk of ``distribution``
     over one combination per layer, every gate restricted to its outcome in
-    ``z``; checked against [-PROB_TOL, 1 + PROB_TOL]."""
-    if not isinstance(z, OutcomeString):
-        z = circuit.outcome_string(z)
-    return float(_front(_compile(circuit, foliation, select=z.as_dict()))[0, 0])
+    ``z``; checked against [-PROB_TOL, 1 + PROB_TOL]. ``z`` is checked by
+    :meth:`CircuitDAG.outcome_string` in either form."""
+    select = circuit.outcome_string(z).as_dict()
+    return float(_front(_compile(circuit, foliation, select=select))[0, 0])
 
 
 def _front(layers) -> np.ndarray:
@@ -487,13 +544,14 @@ class Acceptor:
 
     @staticmethod
     def from_table(entries, circuit: CircuitDAG) -> "Acceptor":
-        """Build a table acceptor from (outcome assignment, a-value) pairs."""
+        """Build a table acceptor from (outcome assignment, a-value) pairs; each
+        assignment, a mapping or an ``OutcomeString``, is checked and put in
+        circuit order by :meth:`CircuitDAG.outcome_string`, as in ``prob``."""
         if isinstance(entries, Mapping):
             entries = entries.items()
         normalized = {}
         for assignment, value in entries:
-            z = assignment if isinstance(assignment, OutcomeString) else circuit.outcome_string(assignment)
-            normalized[z.pairs] = int(value)
+            normalized[circuit.outcome_string(assignment).pairs] = int(value)
         return Acceptor("table", table=normalized)
 
 

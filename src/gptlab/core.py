@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -212,35 +213,56 @@ def _rotate(x: np.ndarray, width: int) -> np.ndarray:
     return x.reshape(len(x), width, -1).swapaxes(1, 2).reshape(len(x), -1)
 
 
-def contract_wires(factors: Sequence[Sequence[np.ndarray]], front: np.ndarray,
-                   weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
-    """:meth:`CompositeRule.contract` one factor at a time, where ``factors[i]``
-    lists factor i's ``(out_i, in_i)`` outcome matrices, and with no stack.
+class Factor(tuple):
+    """One wire factor of a layer: a tuple of its outcome matrices that holds
+    their read-only ``(K, out, in)`` :attr:`stack` and whether it is one
+    exact identity (:attr:`is_identity`), each built on first use. A gate
+    holds one for all its outcomes and one per outcome, and a builtin rule
+    one per passthrough wire type, so a circuit evaluation builds neither
+    again. Threads racing on a first use at worst build it twice."""
 
-    The frontier's columns are its wire axes. Each factor contracts its
-    ``(K_i, out_i, in_i)`` outcome matrices (or, with ``weights``, their
-    weighted sums per row) into the leading axis, which is its input, appends
-    its outcome axis to the rows and puts its output axis last; after the
-    last factor the axes are in output order again. Without ``weights``, a
-    factor whose one matrix is exactly the identity (a passthrough wire) only
-    moves its axis. Every row is contracted on its own, with the same shapes
-    whatever the other factors' outcome counts, so a row's bits do not depend
-    on how many combinations are enumerated.
+    @cached_property
+    def stack(self) -> np.ndarray:
+        return _freeze(np.stack([p.matrix for p in self]))
+
+    @cached_property
+    def is_identity(self) -> bool:
+        m = self[0].matrix
+        return len(self) == 1 and np.array_equal(m, np.eye(len(m)))
+
+
+def contract_wires(stacks: Sequence[np.ndarray], identities: Sequence[bool], front: np.ndarray,
+                   weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
+    """:meth:`CompositeRule.contract` one factor at a time, where ``stacks[i]``
+    is factor i's ``(K_i, out_i, in_i)`` outcome stack and ``identities[i]``
+    says whether it is one exact identity, and with no Kronecker stack.
+
+    The caller holds both (a :class:`Factor`, or the rebit rule's transfer
+    table), so this builds neither. The frontier's columns are its wire
+    axes. Each factor contracts its stack (or, with ``weights``, its
+    weighted sums per row) into the leading axis, which is its input,
+    appends its outcome axis to the rows and puts its output axis last;
+    after the last factor the axes are in output order again. The
+    identity-skip rule: without ``weights``, a factor flagged as one exact
+    identity (a passthrough wire, or a gate whose one outcome is exactly the
+    identity) is not multiplied, only its axis moves, so its zeros keep
+    their signs; with ``weights`` every factor is multiplied. Every row is
+    contracted on its own, with the same shapes whatever the other factors'
+    outcome counts, so a row's bits do not depend on how many combinations
+    are enumerated.
     """
     x, moved = front, 1  # moved: the width of identity axes still to move last
-    for i, mats in enumerate(factors):
-        m = mats[0]
-        if weights is None and len(mats) == 1 and np.array_equal(m, np.eye(len(m))):
-            moved *= len(m)
+    for i, (mats, identity) in enumerate(zip(stacks, identities)):
+        if weights is None and identity:
+            moved *= mats.shape[1]
             continue
         x, moved = _rotate(x, moved), 1
-        mats = np.stack(mats)
         if weights is not None:  # one summed matrix per row, paired with it
             mats = np.tensordot(weights[i], mats, axes=1)[:, None]
         # (rows, 1, rest, in) @ (K, in, out), or (rows, 1, in, out) with
         # weights: transposed views, so the product lands in
         # (rows, K, rest, out) order with no copy
-        y = np.matmul(x.reshape(len(x), 1, m.shape[1], -1).swapaxes(2, 3),
+        y = np.matmul(x.reshape(len(x), 1, mats.shape[-1], -1).swapaxes(2, 3),
                       mats.swapaxes(-1, -2))
         x = y.reshape(-1, y.shape[2] * y.shape[3])
     return _rotate(x, moved)
@@ -263,6 +285,14 @@ class CompositeRule:
     override it to act one factor at a time with :func:`contract_wires`,
     without forming the stack; the stack walk here serves the rebit rule's
     one-factor layers and rules that do not override it.
+
+    The engine passes each factor to :meth:`contract` as a :class:`Factor`:
+    a gate's held factor (all its outcomes, or the one ``prob`` selects), or
+    :meth:`passthrough` for a wire no gate of the layer reads. The
+    tensor-product rule reads the factors' held stacks and identity flags;
+    a rule that reads only the outcome matrices (as the rebit rule does)
+    never makes them build a stack. Plain sequences of outcome matrices are
+    accepted too.
     """
 
     name = "abstract"
@@ -272,6 +302,12 @@ class CompositeRule:
 
     def identity(self, system: SystemType) -> TransformationMatrix:
         raise NotImplementedError
+
+    def passthrough(self, system: SystemType) -> Factor:
+        """:meth:`identity` as the one-outcome factor a layer applies to a wire
+        that none of its gates reads. The builtin rules hold one per system
+        type, and their :meth:`identity` returns its outcome."""
+        return Factor((self.identity(system),))
 
     def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
         """The ``(prod K_i, out, in)`` stack of parallel compositions, where
@@ -334,6 +370,7 @@ class KroneckerRule(CompositeRule):
 
     def __init__(self, theory: str | None = None):
         self.theory = theory
+        self._passthroughs: dict[SystemType, Factor] = {}
 
     def composite(self, types: Sequence[SystemType]) -> SystemType:
         types = tuple(types)
@@ -348,16 +385,26 @@ class KroneckerRule(CompositeRule):
         return CompositeType(label=label, dim=dim, theory=self.theory, factors=types)
 
     def identity(self, system: SystemType) -> TransformationMatrix:
-        return TransformationMatrix(system, system, np.eye(system.dim))
+        return self.passthrough(system)[0]
+
+    def passthrough(self, system: SystemType) -> Factor:
+        got = self._passthroughs.get(system)
+        if got is None:
+            got = self._passthroughs[system] = Factor(
+                (TransformationMatrix(system, system, np.eye(system.dim)),))
+        return got
 
     def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
         return kron_stack(np.stack([p.matrix for p in piece]) for piece in pieces)
 
     def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
                  weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        """:meth:`CompositeRule.contract` by :func:`contract_wires` on the
-        outcome matrices, with no stack."""
-        return contract_wires([[p.matrix for p in piece] for piece in pieces], front, weights)
+        """:meth:`CompositeRule.contract` by :func:`contract_wires` on each
+        factor's held stack and identity flag, with no layer stack; a plain
+        sequence of outcome matrices is stacked for this call."""
+        factors = [p if type(p) is Factor else Factor(p) for p in pieces]
+        return contract_wires([f.stack for f in factors], [f.is_identity for f in factors],
+                              front, weights)
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         dims = tuple(t.dim for t in types)

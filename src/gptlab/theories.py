@@ -23,6 +23,7 @@ from .core import (
     CompositeRule,
     CompositeType,
     EffectVector,
+    Factor,
     KroneckerRule,
     StateVector,
     SystemType,
@@ -177,11 +178,12 @@ class RebitRule(CompositeRule):
     factor's own wire axes with :func:`~gptlab.core.contract_wires`, and
     restricts to the even-Y strings once. A layer of one factor multiplies
     by that factor's restricted transfer stack, the base class's walk. Each
-    outcome's transfer matrix is computed once and held while the outcome
-    lives, in a table keyed weakly by the outcome object, so the table never
-    outgrows the outcomes in use; :meth:`identity` returns one held
-    passthrough per system type. Threads racing on one outcome at worst
-    compute its matrix twice.
+    outcome's transfer matrix, with whether it is exactly the identity, is
+    computed once and held while the outcome lives, in a table keyed weakly
+    by the outcome object, so the table never outgrows the outcomes in use;
+    the stacks of the outcome matrices themselves are never built.
+    :meth:`passthrough` holds one factor per system type. Threads racing on
+    one outcome at worst compute its matrix twice.
     """
 
     name = "real-symmetric"
@@ -190,7 +192,7 @@ class RebitRule(CompositeRule):
         self.theory = theory
         self._carriers: dict[int, DensityCarrier] = {}
         self._tables: dict = {}
-        self._identities: dict[SystemType, TransformationMatrix] = {}
+        self._passthroughs: dict[SystemType, Factor] = {}
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def carrier(self, n_qubits: int) -> DensityCarrier:
@@ -227,15 +229,20 @@ class RebitRule(CompositeRule):
                              factors=types)
 
     def identity(self, system: SystemType) -> TransformationMatrix:
-        got = self._identities.get(system)
+        return self.passthrough(system)[0]
+
+    def passthrough(self, system: SystemType) -> Factor:
+        got = self._passthroughs.get(system)
         if got is None:
             k = self._n_leaves(system)
-            got = self._identities[system] = TransformationMatrix(
-                system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),))
+            got = self._passthroughs[system] = Factor((TransformationMatrix(
+                system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),)),))
         return got
 
-    def _transfer(self, p: TransformationMatrix) -> np.ndarray:
-        """The held Pauli transfer matrix of ``p``, computed on first use."""
+    def _transfer(self, p: TransformationMatrix) -> tuple[np.ndarray, bool]:
+        """The held Pauli transfer matrix of ``p``, as a read-only ``(1, out,
+        in)`` stack, and whether it is exactly the identity; computed on first
+        use."""
         got = self._transfers.get(p)
         if got is None:
             if p.kraus is None:
@@ -243,13 +250,13 @@ class RebitRule(CompositeRule):
                     f"gate outcome '{p.outcome_label}' lacks operator (Kraus) data; "
                     "rebit composites cannot be built from single-wire matrices alone"
                 )
-            got = self._transfer_matrix(p.kraus)
-            got.setflags(write=False)
-            self._transfers[p] = got
+            t = self._transfer_matrix(p.kraus)
+            t.setflags(write=False)
+            got = self._transfers[p] = (t[None], np.array_equal(t, np.eye(len(t))))
         return got
 
     def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
-        full = kron_stack(np.stack([self._transfer(p) for p in piece]) for piece in pieces)
+        full = kron_stack(np.concatenate([self._transfer(p)[0] for p in piece]) for piece in pieces)
         k_out, k_in = (n.bit_length() // 2 for n in full.shape[1:])  # 4^k_out x 4^k_in
         return full[np.ix_(np.arange(len(full)), self._table(even_y_index, k_out),
                            self._table(even_y_index, k_in))]
@@ -258,13 +265,15 @@ class RebitRule(CompositeRule):
                  weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
         if len(pieces) == 1:
             return super().contract(pieces, front, weights)
-        factors = [[self._transfer(p) for p in piece] for piece in pieces]
+        held = [[self._transfer(p) for p in piece] for piece in pieces]
+        stacks = [h[0][0] if len(h) == 1 else np.concatenate([t for t, _ in h]) for h in held]
         # each factor's 4^k_out x 4^k_in transfer: its rebit counts, summed
-        k_out, k_in = (sum(f[0].shape[axis].bit_length() - 1 for f in factors) // 2
-                       for axis in (0, 1))
+        k_out, k_in = (sum(s.shape[axis].bit_length() - 1 for s in stacks) // 2
+                       for axis in (1, 2))
         full = np.zeros((len(front), 4**k_in))
         full[:, self._table(even_y_index, k_in)] = front
-        return contract_wires(factors, full, weights)[:, self._table(even_y_index, k_out)]
+        return contract_wires(stacks, [len(h) == 1 and h[0][1] for h in held], full,
+                              weights)[:, self._table(even_y_index, k_out)]
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         leaves = [self._n_leaves(t) for t in types]

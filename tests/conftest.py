@@ -14,6 +14,11 @@ chain per combination, row or sample; ``reference_layer_stack`` builds a
 circuit layer's stack one ``parallel_matrix`` call per outcome combination,
 and ``reference_walk`` evaluates a circuit by multiplying its frontier by
 those stacks: the Kronecker walk the engine's per-wire contraction is held to.
+``reference_contract_wires`` is the per-wire contraction as it was before
+factors held their stacks: it stacks each factor's outcome matrices and tests
+one-outcome factors against ``np.eye`` on every call; ``reference_theory``
+swaps in a composite rule that contracts through it, the reference the held
+stacks are held to bit for bit.
 ``reference_draws`` keeps the one-sample bodies of the strategy samplers that
 draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
@@ -23,6 +28,7 @@ tomography report's defect basis. Random corpus builders are seeded.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 from functools import reduce
@@ -39,7 +45,8 @@ from gptlab import (
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import _compile, foliate
-from gptlab.core import PHYSICAL_TOL, EffectVector, StateVector, SystemType, TransformationMatrix
+from gptlab.core import (PHYSICAL_TOL, CompositeRule, EffectVector, KroneckerRule, StateVector,
+                         SystemType, TransformationMatrix, _rotate)
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
@@ -199,6 +206,65 @@ def reference_walk(circuit: CircuitDAG, foliation=None) -> np.ndarray:
         stack = reference_layer_stack(layer)
         front = np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
     return front[:, 0]
+
+
+def reference_contract_wires(factors, front, weights=None) -> np.ndarray:
+    """``core.contract_wires`` where ``factors[i]`` lists factor i's outcome
+    matrices: ``np.stack`` per factor and per call, and a one-outcome factor
+    is skipped (without weights) when ``np.array_equal`` finds it equal to
+    ``np.eye``."""
+    x, moved = front, 1
+    for i, mats in enumerate(factors):
+        m = mats[0]
+        if weights is None and len(mats) == 1 and np.array_equal(m, np.eye(len(m))):
+            moved *= len(m)
+            continue
+        x, moved = _rotate(x, moved), 1
+        mats = np.stack(mats)
+        if weights is not None:
+            mats = np.tensordot(weights[i], mats, axes=1)[:, None]
+        y = np.matmul(x.reshape(len(x), 1, m.shape[1], -1).swapaxes(2, 3),
+                      mats.swapaxes(-1, -2))
+        x = y.reshape(-1, y.shape[2] * y.shape[3])
+    return _rotate(x, moved)
+
+
+class ReferenceKroneckerRule(KroneckerRule):
+    """The tensor-product rule contracting through ``reference_contract_wires``,
+    with a fresh ``np.eye`` passthrough per wire and compile."""
+
+    def identity(self, system):
+        return TransformationMatrix(system, system, np.eye(system.dim))
+
+    def passthrough(self, system):
+        return CompositeRule.passthrough(self, system)
+
+    def contract(self, pieces, front, weights=None):
+        return reference_contract_wires([[p.matrix for p in piece] for piece in pieces],
+                                        front, weights)
+
+
+class ReferenceRebitRule(RebitRule):
+    """The rebit rule contracting layers of two or more factors through
+    ``reference_contract_wires``, on transfer matrices computed per call; a
+    layer of one factor keeps the base stack walk."""
+
+    def contract(self, pieces, front, weights=None):
+        if len(pieces) == 1:
+            return CompositeRule.contract(self, pieces, front, weights)
+        factors = [[self._transfer_matrix(p.kraus) for p in piece] for piece in pieces]
+        k_out, k_in = (sum(f[0].shape[axis].bit_length() - 1 for f in factors) // 2
+                       for axis in (0, 1))
+        full = np.zeros((len(front), 4**k_in))
+        full[:, even_y_index(k_in)] = front
+        return reference_contract_wires(factors, full, weights)[:, even_y_index(k_out)]
+
+
+def reference_theory(theory):
+    """``theory`` with its composite rule replaced by the matching reference rule."""
+    rule = theory.composite_rule
+    ref = (ReferenceRebitRule if isinstance(rule, RebitRule) else ReferenceKroneckerRule)(rule.theory)
+    return dataclasses.replace(theory, composite_rule=ref)
 
 
 def reference_product_coords(rule, pieces) -> np.ndarray:

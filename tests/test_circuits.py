@@ -7,17 +7,21 @@ from gptlab import (
     Acceptor,
     CircuitDAG,
     Decision,
+    OutcomeString,
     acceptance_prob,
+    classical_theory,
     decide,
     distribution,
     foliate,
     prob,
     validate,
 )
-from gptlab.circuits import DEFAULT_ENUMERATION_CAP
+from gptlab.circuits import DEFAULT_ENUMERATION_CAP, Gate
+from gptlab.core import UNIT, TransformationMatrix
 from gptlab.errors import CapacityError, CircuitValidationError, GptLabError
 
-from conftest import classical_path_distribution, operator_distribution, random_circuit
+from conftest import (all_theories, classical_path_distribution, operator_distribution,
+                      random_circuit)
 
 
 def coin_circuit(classical2):
@@ -245,6 +249,63 @@ def test_outcome_string_rejects_unknown_instances(classical2):
         prob(c, stray)
     with pytest.raises(GptLabError, match="'typo'"):
         Acceptor.from_table([(stray, 0)], c)
+
+
+def coin_read_circuit(classical2):
+    c = CircuitDAG(classical2)
+    c.add("c0", classical2.gate("coin"))
+    c.add("r0", classical2.gate("read"))
+    c.connect(("c0", 0), ("r0", 0))
+    return c
+
+
+@pytest.mark.parametrize("pairs, message", [
+    ((("c0", "0"),), "missing instance 'r0'"),
+    ((("c0", "7"), ("r0", "0")), "instance 'c0' has no outcome '7'"),
+    ((("c0", "0"), ("r0", "0"), ("x9", "0")), "names instance 'x9', which the circuit lacks"),
+])
+def test_prob_checks_both_outcome_string_forms_alike(classical2, pairs, message):
+    """A string missing an instance, with a label its gate lacks, or naming an
+    extra instance: the same GptLabError as an OutcomeString or a mapping, from
+    prob and from a table acceptor's entries."""
+    c = coin_read_circuit(classical2)
+    for z in (OutcomeString(pairs), dict(pairs)):
+        with pytest.raises(GptLabError, match=message):
+            prob(c, z)
+        with pytest.raises(GptLabError, match=message):
+            Acceptor.from_table([(z, 0)], c)
+
+
+def test_outcome_strings_name_each_instance_once_in_any_order(classical2):
+    c = coin_read_circuit(classical2)
+    with pytest.raises(GptLabError, match="names instance 'c0' twice"):
+        prob(c, OutcomeString((("c0", "0"), ("r0", "0"), ("c0", "1"))))
+    # any order of a full string is read by instance, as a mapping is
+    z = OutcomeString((("r0", "1"), ("c0", "1")))
+    assert prob(c, z) == prob(c, {"c0": "1", "r0": "1"}) == 0.5
+    table = Acceptor.from_table([(OutcomeString(pairs[::-1]), int(pairs[0][1]))
+                                 for pairs in (z.pairs for z in distribution(c))], c)
+    assert acceptance_prob(c, table) == 0.5
+
+
+def test_gate_outcomes_must_span_its_wires(classical2, qubit):
+    """A composite spans its factors and UNIT no wires; any other type only
+    itself, whatever its dimension."""
+    bit, q = classical2.system(), qubit.system()
+    four = classical_theory(4).system()  # the qubit's dimension, not its type
+    with pytest.raises(ValueError, match="'wrong' outcome '0' maps"):
+        Gate("wrong", (q,), (q,), {"0": TransformationMatrix(four, four, np.eye(4))})
+    with pytest.raises(ValueError, match="not its wires"):
+        Gate("wrong", (bit, bit), (), {"0": TransformationMatrix(four, UNIT, np.ones((1, 4)))})
+    with pytest.raises(ValueError, match="not its wires"):
+        Gate("wrong", (), (bit,), {"0": TransformationMatrix(bit, bit, np.eye(2))})
+    pair = qubit.composite_rule.composite([q, q])
+    for inputs in ((q, q), (pair,)):
+        Gate("joint", inputs, (), {"0": TransformationMatrix(pair, UNIT, np.ones((1, 16)))})
+    Gate("unit", (), (), {"0": TransformationMatrix(UNIT, UNIT, np.ones((1, 1)))})
+    for theory in all_theories():
+        for gate in theory.gates.values():  # every built-in gate passes the check
+            Gate(gate.name, gate.inputs, gate.outputs, gate.outcomes)
 
 
 def test_normalization_and_foliation_invariance_random(classical2, qubit, rebit, boxworld):

@@ -8,11 +8,13 @@ against sums over ``distribution``, ``prob`` against ``distribution``, and
 the Kronecker stack walk ``conftest.reference_walk``.
 """
 
+import copy
 import dataclasses
 import itertools
 import json
 import math
 import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -44,6 +46,7 @@ from conftest import (
     operator_distribution,
     random_circuit,
     reference_layer_stack,
+    reference_theory,
     reference_walk,
 )
 
@@ -177,6 +180,161 @@ def test_distribution_matches_the_kronecker_stack_walk(theory, seed, style):
     want = reference_walk(c, fol)
     assert got.shape == want.shape
     assert np.abs(got - want).max() <= 1e-12
+
+
+REFERENCE_THEORIES = {theory.name: reference_theory(theory) for theory in ALL_THEORIES}
+
+
+def add_identity_wire(c: CircuitDAG) -> None:
+    """One more wire: a preparation, a user gate whose one outcome is exactly
+    the identity, and a measurement. On classical bits the preparation is the
+    quasi-state (-0.0, 1.0) and the measurement's rows are (1, -0.0) and
+    (-0.0, 1)."""
+    theory = c.theory
+    wire = theory.system()
+    kraus = (np.eye(2, dtype=complex),) if theory.meta["builtin"] == "real-quantum" else None
+    mine = Gate("mine", (wire,), (wire,), {"0": TransformationMatrix(wire, wire, np.eye(wire.dim),
+                                                                     kraus=kraus)})
+    if theory.meta["builtin"] == "classical":
+        prep = Gate("signed_prep", (), (wire,), {
+            "0": TransformationMatrix(UNIT, wire, np.array([[-0.0], [1.0]]))})
+        read = Gate("signed_read", (wire,), (), {
+            lab: TransformationMatrix(wire, UNIT, np.array([row])) for lab, row
+            in (("0", [1.0, -0.0]), ("1", [-0.0, 1.0]))})
+    else:
+        names = ("prep_v00", "measure_x0") if theory.meta["builtin"] == "boxworld" else (
+            "prep_0", "measure")
+        prep, read = map(theory.gate, names)
+    c.connect((c.add("zp", prep), 0), (c.add("zi", mine), 0))
+    c.connect(("zi", 0), (c.add("zm", read), 0))
+
+
+@PROPERTY
+@given(st.sampled_from(ALL_THEORIES), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["greedy", "singletons"]))
+def test_held_stacks_keep_the_per_call_bits(theory, seed, identity_wire, style):
+    """Every evaluation path, against the same circuit under the rule that
+    stacks and compares with np.eye on every call (conftest.reference_theory):
+    equal bit for bit, signed zeros included."""
+    c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+    if identity_wire:
+        add_identity_wire(c)
+    ref = copy.copy(c)
+    ref.theory = REFERENCE_THEORIES[theory.name]
+    fol = foliate(c, style)
+    if identity_wire:  # the identity gate alone, right after its preparation, so the
+        # layer's other factors are passthrough wires and the whole layer is skipped
+        fol = [[iid for iid in layer if iid != "zi"] for layer in fol]
+        at = next(k for k, layer in enumerate(fol) if "zp" in layer)
+        fol = [layer for layer in fol[:at + 1] + [["zi"]] + fol[at + 1:] if layer]
+    # every layer of the walk, on its frontier with each zero made -0.0: a
+    # product sums from 0.0, so only a skipped identity keeps that sign
+    for weighted in (False, True):
+        front = np.ones((1, 1))
+        for layer, ref_layer in zip(_compile(c, fol), _compile(ref, fol)):
+            if layer.perm is not None:
+                front = np.take(front, layer.perm, axis=1)
+            w = [np.ones((len(front), len(p))) for p in layer.pieces] if weighted else None
+            signed = np.where(front == 0.0, -0.0, front)
+            got = layer.rule.contract(layer.pieces, signed, w)
+            want = ref_layer.rule.contract(ref_layer.pieces, signed, w)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            front = layer.rule.contract(layer.pieces, front, w)
+    got, want = distribution(c, foliation=fol), distribution(ref, foliation=fol)
+    assert list(got) == list(want)
+    assert [p.hex() for p in got.values()] == [p.hex() for p in want.values()]
+    for z in got:
+        assert prob(c, z, foliation=fol).hex() == prob(ref, z, foliation=fol).hex()
+    for acceptor in (Acceptor(kind) for kind in BUILT_IN if kind != "reject-all"):
+        assert (acceptance_prob(c, acceptor, foliation=fol).hex()
+                == acceptance_prob(ref, acceptor, foliation=fol).hex()), acceptor.kind
+        assert (circuit_to_affine_program(c, acceptor).acceptance_weight().hex()
+                == circuit_to_affine_program(ref, acceptor).acceptance_weight().hex())
+
+
+def test_an_exact_identity_gate_is_skipped_not_multiplied():
+    c = CircuitDAG(THEORIES["classical"])
+    add_identity_wire(c)
+    rule, mine = c.theory.composite_rule, c.gate("zi")
+    assert mine.factor.is_identity
+    front = np.array([[-0.0, 1.0]])
+    assert rule.contract([mine.factor], front).tobytes() == front.tobytes()
+    # with weights every factor is multiplied, and the sum from 0.0 drops the sign
+    weighted = rule.contract([mine.factor], front, [np.ones((1, 1))])
+    assert weighted.tobytes() == np.array([[0.0, 1.0]]).tobytes()
+
+
+def test_gates_hold_read_only_stacks_built_on_first_evaluation():
+    for theory in (classical_theory(2), quantum_theory(2), boxworld_gbit()):
+        for gate in theory.gates.values():
+            assert "factor" not in vars(gate)  # building a theory stacks nothing
+        c = random_circuit(theory, np.random.default_rng(3), max_gates=7)
+        distribution(c)
+        for iid in c.instance_ids:
+            gate = c.gate(iid)
+            assert "stack" in vars(gate.factor)
+        for gate in theory.gates.values():
+            stack = gate.factor.stack
+            want = np.stack([t.matrix for t in gate.outcomes.values()])
+            assert stack.shape == want.shape and stack.tobytes() == want.tobytes()
+            assert gate.factor.stack is stack and gate.factor is gate.factor
+            with pytest.raises(ValueError):
+                stack[0, 0, 0] = 2.0
+            assert gate.factor.is_identity == (gate.name == "id")
+            with pytest.raises(TypeError):  # a held stack cannot go stale
+                gate.outcomes["extra"] = gate.factor[0]
+            again = pickle.loads(pickle.dumps(gate))  # built again, read-only again
+            assert "factor" not in vars(again) and again.outcome_labels == gate.outcome_labels
+            assert again.factor.stack.tobytes() == stack.tobytes()
+            assert not again.factor.stack.flags.writeable
+
+
+def test_rebit_evaluation_builds_no_outcome_stacks():
+    """The rebit rule reads its own held Pauli transfers, never the gates' stacks."""
+    theory = real_quantum_theory(2)
+    for seed in range(20):
+        c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+        distribution(c)
+        prob(c, next(iter(distribution(c))))
+        acceptance_prob(c, Acceptor("parity-of-labels"))
+    for gate in theory.gates.values():
+        assert "stack" not in vars(gate.factor)
+        assert not any("stack" in vars(f) for f in gate._singles.values())
+
+
+@pytest.mark.parametrize("make", [quantum_theory, real_quantum_theory], ids=["qubit", "rebit"])
+def test_threads_racing_on_first_evaluations_agree(make):
+    """Eight threads evaluate one circuit of a fresh theory at once, so they
+    race to build its gates' and its rule's held values: every result keeps
+    the bits of the same evaluation on a theory of its own."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    def evaluate(c):
+        dist = distribution(c)
+        return ([p.hex() for p in dist.values()] + [prob(c, z).hex() for z in dist]
+                + [acceptance_prob(c, Acceptor("parity-of-labels")).hex()])
+
+    want = evaluate(random_circuit(make(2), np.random.default_rng(5), max_gates=7))
+    c = random_circuit(make(2), np.random.default_rng(5), max_gates=7)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [pool.submit(evaluate, c) for _ in range(16)]
+            got = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(g == want for g in got)
+
+
+@pytest.mark.parametrize("theory", ALL_THEORIES, ids=lambda t: t.name)
+def test_builtin_rules_hold_one_identity_per_system_type(theory):
+    rule = theory.composite_rule
+    for sys in theory.system_types.values():
+        ident = rule.identity(sys)
+        assert ident is rule.identity(sys) is rule.passthrough(sys)[0]
+        assert rule.passthrough(sys) is rule.passthrough(sys)
+        assert ident.matrix.tobytes() == np.eye(sys.dim).tobytes()
 
 
 def mangled_keys(z: OutcomeString, labels) -> list:
