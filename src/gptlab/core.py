@@ -4,7 +4,8 @@ States are real vectors, effects real covectors, transformations real
 matrices, all tagged with system types; closed-circuit probabilities come out
 of plain matrix arithmetic. Every object is immutable after construction and
 safe to share between concurrent workers; the operations below are pure
-functions.
+functions. A pickled vector or transformation is built again through its
+constructor, so it comes back checked and read-only.
 """
 
 from __future__ import annotations
@@ -107,6 +108,9 @@ class StateVector:
         coords = checked_coords(self.coords, (self.system.dim,), "state", self.normalized)
         object.__setattr__(self, "coords", _freeze(coords))
 
+    def __reduce__(self):
+        return type(self), (self.system, self.coords, self.normalized)
+
 
 @dataclass(frozen=True, eq=False)
 class EffectVector:
@@ -118,6 +122,9 @@ class EffectVector:
     def __post_init__(self) -> None:
         coords = checked_coords(self.coords, (self.system.dim,), "effect")
         object.__setattr__(self, "coords", _freeze(coords))
+
+    def __reduce__(self):
+        return type(self), (self.system, self.coords)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,6 +155,9 @@ class TransformationMatrix:
         if self.kraus is not None:
             ks = tuple(_freeze(np.asarray(k, dtype=complex)) for k in self.kraus)
             object.__setattr__(self, "kraus", ks)
+
+    def __reduce__(self):
+        return type(self), (self.input, self.output, self.matrix, self.outcome_label, self.kraus)
 
 
 def apply(t: TransformationMatrix, s: StateVector) -> StateVector:

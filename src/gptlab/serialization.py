@@ -56,7 +56,7 @@ def _load(source, what: str) -> Any:
         raise ParseError(f"empty {what} description", where)
     try:
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
         raise ParseError(f"invalid JSON: {exc}", where) from None
 
 
@@ -100,7 +100,11 @@ def parse_number(value, where: str) -> float:
     if isinstance(value, bool):
         raise ParseError(f"expected a number, got {value!r}", where)
     if isinstance(value, (int, float)):
-        return float(value)
+        try:
+            return float(value)
+        except OverflowError:  # an int past the float range
+            raise ParseError(f"an integer of {len(str(abs(value)))} digits is not a finite float",
+                             where) from None
     if isinstance(value, str):
         # ASCII text without underscores that float() reads is a decimal, which it
         # rounds correctly as float(Fraction(value)) does, or a spelling of inf or nan
@@ -369,11 +373,11 @@ def parse_family(source) -> ProjectorFamily:
         subset = frozenset(i for i in range(n_slits) if mask >> i & 1)
         if subset in projectors:
             raise ParseError(f"a second key for subset {sorted(subset)}", where)
-        try:
-            matrix = np.array([[parse_number(x, where) for x in row] for row in rows])
-        except TypeError as exc:
-            raise ParseError(f"bad matrix: {exc}", where) from None
-        projectors[subset] = matrix
+        if not isinstance(rows, list) or any(not isinstance(row, list) or len(row) != len(rows[0])
+                                             for row in rows):
+            raise ParseError("a projector must be a list of rows, each a list of one length",
+                             where)
+        projectors[subset] = np.array([[parse_number(x, where) for x in row] for row in rows])
     try:
         family = ProjectorFamily(n_slits, projectors, name=doc.get("name", ""),
                                  synthetic=bool(doc.get("synthetic", False)))

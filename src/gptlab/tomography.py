@@ -139,6 +139,10 @@ def distinguish_search(theory: TheoryDescriptor,
     joint effects on the pair. A search cannot prove indistinguishability,
     only bound the separation over the strategies tried. ``n_random`` must be
     an integer (a bool is not); anything else raises ``ValueError``.
+
+    Product strategies are evaluated through their single-system factors,
+    without forming product coordinates; ``evaluations`` counts the strategy
+    pairs covered.
     """
     try:
         if isinstance(n_random, bool):  # operator.index would take it as 0 or 1
@@ -161,11 +165,13 @@ def distinguish_search(theory: TheoryDescriptor,
     rule = theory.composite_rule
     pair_type = rule.composite([sys_type, sys_type])
     ident = rule.identity(sys_type)
+    # (T x I) - (U x I) as the rule extends T and U to the pair; building it also
+    # rejects a transformation the rule cannot extend (a rebit outcome without Kraus data)
     diff = rule.parallel_matrix([t, ident]) - rule.parallel_matrix([u, ident])
 
     hooks = theory.strategies
     rng = np.random.default_rng(seed)
-    types = [sys_type, sys_type]
+    d = sys_type.dim
 
     def hook_rows(name: str, coords, want: tuple[int, int]) -> np.ndarray:
         coords = np.asarray(coords)
@@ -174,33 +180,64 @@ def distinguish_search(theory: TheoryDescriptor,
                              f"expected {want}")
         return coords
 
-    def grid_pairs(name: str) -> tuple[list[str], np.ndarray]:
-        """The grid's names and the products of every ordered pair of its rows, in
-        itertools.product order: product i has factor a = i // n and factor b = i % n."""
+    def grid(name: str) -> tuple[list[str], np.ndarray]:
         grid = getattr(hooks, name)()
         if len(grid) != 2:
             raise ValueError(f"strategy hook {name} returned {len(grid)} items, "
                              f"expected (names, rows)")
         names, rows = grid
-        n = len(names)
-        rows = hook_rows(name, rows, (n, sys_type.dim))
-        return names, rule.product_coords(types, [np.repeat(rows, n, axis=0),
-                                                  np.tile(rows, (n, 1))])
+        return names, hook_rows(name, rows, (len(names), d))
 
-    grid_state_names, grid_states = grid_pairs("state_grid")
-    grid_effect_names, grid_effects = grid_pairs("effect_grid")
-    state_cols, effect_rows = [grid_states.T], [grid_effects]
-    joint_state_names, joint_effect_names = [], []  # global strategies, after the grid pairs
+    state_names, states = grid("state_grid")
+    effect_names, effects = grid("effect_grid")
+    n_s, n_e = len(state_names), len(effect_names)
+
+    # Every product of unit vectors is one joint unit axis, so a product a⊗b has
+    # the coordinates a_i b_k on axis ax[i * d + k] and zeros elsewhere; diff's
+    # block on the axes whose second factor is unit vector 0 is T - U, as the
+    # rule extends them.
+    ax = rule.product_axes([sys_type, sys_type], np.indices((d, d)).reshape(2, -1))
+    local = diff[np.ix_(ax[::d], ax[::d])]
+
+    # The strategy pairs form one (n_e^2 + J_e, n_s^2 + J_s) array of values: grid
+    # products (product i has factors i // n and i % n) before the J library
+    # entries on the pair, which only global strategies use. Each block is searched
+    # on its own and gives (value, row, col) for its first largest |value|.
+    def first_max(vals: np.ndarray, row0: int = 0, col0: int = 0) -> tuple[float, int, int]:
+        r, c = divmod(int(vals.argmax()), vals.shape[1])
+        return float(vals[r, c]), row0 + r, col0 + c
+
+    # grid x grid: each value factorises as (e_a (T - U) s_a)(e_b s_b), so the best
+    # is the product of the maxima of two (n_e, n_s) tables and the first winner
+    # pairs the first maximiser of each
+    x_best, ea, sa = first_max(np.abs(effects @ local @ states.T))
+    y_best, eb, sb = first_max(np.abs(effects @ states.T))
+    best = x_best * y_best
+    blocks = [(best, ea * n_e + eb, sa * n_s + sb) if best else (0.0, 0, 0)]
+    joint_state_names, joint_effect_names = [], []
 
     if locality == "global":
-        for name, s in theory.states.items():
-            if s.system == pair_type:
-                state_cols.append(s.coords)
-                joint_state_names.append(name)
-        for name, e in theory.effects.items():
-            if e.system == pair_type:
-                effect_rows.append(e.coords)
-                joint_effect_names.append(name)
+        joint_states = {n: s.coords for n, s in theory.states.items() if s.system == pair_type}
+        joint_effects = {n: e.coords for n, e in theory.effects.items() if e.system == pair_type}
+        joint_state_names, joint_effect_names = list(joint_states), list(joint_effects)
+        sj = np.array(list(joint_states.values())).reshape(-1, pair_type.dim)
+        ej = np.array(list(joint_effects.values())).reshape(-1, pair_type.dim)
+        # against a joint state s_J, the product effects read the bilinear form
+        # (diff s_J)[ax] on their factors; against a joint effect e_J, the product
+        # states read (e_J diff)[ax]
+        if len(sj):  # (J_s, n_e, n_e) tables, as the (n_e^2, J_s) block
+            forms = (diff @ sj.T)[ax].T.reshape(-1, d, d)
+            vals = np.abs(effects @ forms @ effects.T).reshape(len(sj), -1).T
+            blocks.append(first_max(vals, 0, n_s * n_s))
+        if len(ej):  # (J_e, n_s, n_s) tables, as the (J_e, n_s^2) block
+            forms = (ej @ diff)[:, ax].reshape(-1, d, d)
+            blocks.append(first_max(np.abs(states @ forms @ states.T).reshape(len(ej), -1),
+                                    n_e * n_e, 0))
+        if len(sj) and len(ej):
+            blocks.append(first_max(np.abs(ej @ diff @ sj.T), n_e * n_e, n_s * n_s))
+
+    # the largest value, at its first position in the array's row-major order
+    best, ei, si = max(blocks, key=lambda b: (b[0], -b[1], -b[2]))
 
     def name_of(grid_names: Sequence[str], joint_names: list[str], i: int) -> str:
         n = len(grid_names)
@@ -208,27 +245,17 @@ def distinguish_search(theory: TheoryDescriptor,
             return f"{grid_names[i // n]}⊗{grid_names[i % n]}"
         return joint_names[i - n * n]
 
-    # one (effects, states) array, made absolute in place; best is its value at argmax
-    grid_vals = np.vstack(effect_rows) @ diff @ np.column_stack(state_cols)
-    np.abs(grid_vals, out=grid_vals)
-    ei, si = divmod(int(grid_vals.argmax()), grid_vals.shape[1])
-    best = float(grid_vals[ei, si])
-    best_state = name_of(grid_state_names, joint_state_names, si)
-    best_effect = name_of(grid_effect_names, joint_effect_names, ei)
-    evaluations = grid_vals.size
-
-    def random_pairs(name: str) -> np.ndarray:
-        """``n_random`` products of two samples from one sampler call: sample 2i is
-        product i's factor a, sample 2i+1 its factor b."""
-        want = (2 * n_random, sys_type.dim)
-        coords = hook_rows(name, getattr(hooks, name)(rng, want[0]), want)
-        return rule.product_coords(types, coords.reshape(n_random, 2, want[1]).swapaxes(0, 1))
+    best_state = name_of(state_names, joint_state_names, si)
+    best_effect = name_of(effect_names, joint_effect_names, ei)
+    evaluations = (n_e * n_e + len(joint_effect_names)) * (n_s * n_s + len(joint_state_names))
 
     # random product strategies, one quadruple per sample, every state drawn before
-    # any effect; the states' (dim, n_random) layout fixes einsum's summation order
-    rs = np.ascontiguousarray(random_pairs("random_states").T)
-    re = random_pairs("random_effects")
-    rand_vals = np.einsum("ij,ji->i", re @ diff, rs)
+    # any effect: samples 2i and 2i+1 are product i's factors a and b
+    want = (2 * n_random, d)
+    rs = hook_rows("random_states", hooks.random_states(rng, want[0]), want)
+    re = hook_rows("random_effects", hooks.random_effects(rng, want[0]), want)
+    rand_vals = np.einsum("ij,ij->i", re[0::2] @ local, rs[0::2])
+    rand_vals *= np.einsum("ij,ij->i", re[1::2], rs[1::2])
     np.abs(rand_vals, out=rand_vals)
     evaluations += rand_vals.size
     if rand_vals.size:

@@ -10,7 +10,8 @@ rebuilding and re-sorting the whole tape for every branch, and
 ``reference_run`` runs one on dict frontiers alone, however large they grow.
 ``reference_parallel_stack``, ``reference_n_local_span`` and
 ``reference_distinguish_search`` build their Kronecker products one ``np.kron``
-chain per combination, row or sample; ``reference_layer_stack`` builds a
+chain per combination, row or sample, and ``reference_strategy_value`` so
+evaluates the one strategy a search report names; ``reference_layer_stack`` builds a
 circuit layer's stack one ``parallel_matrix`` call per outcome combination,
 and ``reference_walk`` evaluates a circuit by multiplying its frontier by
 those stacks: the Kronecker walk the engine's per-wire contraction is held to.
@@ -621,6 +622,42 @@ def reference_distinguish_search(theory, t, u, locality: str, seed: int,
         best_state, best_effect = f"random[{i}]", f"random[{i}]"
     return SeparationReport(best, best_state, best_effect, locality,
                             grid_vals.size + rand_vals.size)
+
+
+def reference_strategy_value(theory, t, u, state: str, effect: str, seed: int,
+                             n_random: int) -> float:
+    """|e((T x I)s) - e((U x I)s)| for the strategy a search report names, on the
+    per-product path of ``reference_distinguish_search``: a grid pair ``a⊗b``, a
+    library vector on the pair, or the search's sample ``random[i]``."""
+    sys_type = theory.system()
+    rule = theory.composite_rule
+    pair_type = rule.composite([sys_type, sys_type])
+    ident = rule.identity(sys_type)
+    diff = rule.parallel_matrix([t, ident]) - rule.parallel_matrix([u, ident])
+    hooks = theory.strategies
+
+    def named(name, grid, library, vector):
+        if name in library and library[name].system == pair_type:
+            return library[name].coords
+        grid_rows = dict(zip(*grid, strict=True))
+        a, b = name.split("⊗")
+        return reference_product_coords(rule, [vector(sys_type, grid_rows[a]),
+                                               vector(sys_type, grid_rows[b])])
+
+    if state.startswith("random["):
+        assert effect == state
+        i = int(state[len("random["):-1])
+        rng = np.random.default_rng(seed)
+        states = [StateVector(sys_type, hooks.random_states(rng, 1)[0])
+                  for _ in range(2 * n_random)]
+        effects = [EffectVector(sys_type, hooks.random_effects(rng, 1)[0])
+                   for _ in range(2 * n_random)]
+        s = reference_product_coords(rule, states[2 * i:2 * i + 2])
+        e = reference_product_coords(rule, effects[2 * i:2 * i + 2])
+    else:
+        s = named(state, hooks.state_grid(), theory.states, StateVector)
+        e = named(effect, hooks.effect_grid(), theory.effects, EffectVector)
+    return abs(float(e @ diff @ s))
 
 
 def defect_direction_overlap(report: TomographyReport, candidate: np.ndarray) -> float:

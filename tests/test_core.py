@@ -1,6 +1,7 @@
 """Carrier types and the four core operations."""
 
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,8 @@ from gptlab import (
 )
 from gptlab.core import checked_coords
 from gptlab.errors import TypeMismatchError
+
+from conftest import all_theories
 
 BIT = SystemType("bit", 2)
 
@@ -196,6 +199,33 @@ def test_state_invariants():
         SystemType("empty", 0)
     with pytest.raises(ValueError):
         CompositeType("pair", 3, factors=(BIT, BIT))  # below the product dimension 4
+
+
+def _same_array(a: np.ndarray, b: np.ndarray) -> bool:
+    return (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
+@pytest.mark.parametrize("theory", all_theories(), ids=lambda th: th.name)
+def test_pickled_vectors_and_transformations_come_back_read_only(theory):
+    # a frozen dataclass unpickles without __post_init__, and numpy restores
+    # arrays writeable; each is built again through its constructor instead
+    vectors = [*theory.states.values(), *theory.effects.values(),
+               *theory.deterministic_effects.values()]
+    for v in vectors:
+        again = pickle.loads(pickle.dumps(v))
+        assert type(again) is type(v) and again.system == v.system
+        assert getattr(again, "normalized", None) == getattr(v, "normalized", None)
+        assert _same_array(again.coords, v.coords) and not again.coords.flags.writeable
+    for gate in theory.gates.values():
+        again = pickle.loads(pickle.dumps(gate))
+        assert again.outcome_labels == gate.outcome_labels
+        for label, t in gate.outcomes.items():
+            for u in (pickle.loads(pickle.dumps(t)), again.outcomes[label]):
+                assert (u.input, u.output, u.outcome_label) == (t.input, t.output, t.outcome_label)
+                assert _same_array(u.matrix, t.matrix) and not u.matrix.flags.writeable
+                assert (u.kraus is None) == (t.kraus is None)
+                for k, kt in zip(u.kraus or (), t.kraus or (), strict=True):
+                    assert _same_array(k, kt) and not k.flags.writeable
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])

@@ -537,6 +537,27 @@ def test_cli_rejects_out_of_range_arguments(capsys, argv):
     assert "input error" in err and "Traceback" not in err
 
 
+def test_cli_rejects_unreadable_numbers_and_rows_in_one_line(capsys):
+    # an integer past the float range raised OverflowError in float(), a ragged
+    # matrix a ValueError in np.array, and a row of text read one entry per character
+    with pytest.raises(ParseError, match="401 digits is not a finite float"):
+        parse_number(10**400, "entry")
+    digits = "1" * 5000  # past Python's int-to-text limit, so json.loads fails on it
+    argvs = [["afftm", "run", "--machine", parity_with(weight=10**400), "--input", "",
+              "--max-steps", "3"],
+             ["interfere", "order", "--family",
+              '{"n_slits": 1, "projectors": {"0": [[1, 0], [0]]}}'],
+             ["interfere", "order", "--family",
+              '{"n_slits": 1, "projectors": {"0": [[0]], "1": [[%s]]}}' % digits]]
+    for projector in ([[10**400]], [[1, 0], [0, 1, 0]], [[1], 0], ["1"], [1], {"0": [1]}, "1"):
+        argvs.append(["interfere", "order", "--family",
+                      json.dumps({"n_slits": 1, "projectors": {"0": [[0]], "1": projector}})])
+    for argv in argvs:
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert err.startswith("input error") and err.count("\n") == 1, err
+
+
 def test_cli_query_cap_is_inclusive(capsys):
     for argv in (["query", "grover", "--n", str(querylab.MAX_ITEMS), "--marked", "0"],
                  ["query", "parity", "--n", str(querylab.MAX_ITEMS)]):
