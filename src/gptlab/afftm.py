@@ -541,13 +541,13 @@ def circuit_to_affine_program(circuit: CircuitDAG, acceptor: Acceptor,
                               cap: int = DEFAULT_ENUMERATION_CAP) -> AffineProgram:
     """Recast a closed circuit as a branching affine program.
 
-    Each greedy foliation layer, as ``circuits`` compiles it, becomes one
-    branching step: a wire permutation, then one branch per outcome
-    combination of the layer's gates, whose affine map is the parallel
-    composition of the chosen outcomes (passthrough wires unchanged). No
-    branch matrix is built: the program runs through ``acceptance_prob``'s
-    code, so its acceptance weight equals the circuit's acceptance
-    probability, bit for bit.
+    Each greedy foliation layer, as ``circuits`` compiles it and the circuit
+    holds it, becomes one branching step: a wire permutation, then one
+    branch per outcome combination of the layer's gates, whose affine map
+    is the parallel composition of the chosen outcomes (passthrough wires
+    unchanged). No branch matrix is built: the program runs through
+    ``acceptance_prob``'s code, so its acceptance weight equals the
+    circuit's acceptance probability, bit for bit.
     """
-    return AffineProgram(tuple(_compile(circuit, None, cap)), acceptor,
+    return AffineProgram(_compile(circuit, None, cap), acceptor,
                          tuple(circuit.instance_ids))

@@ -1,7 +1,10 @@
 """Closed-circuit construction, validation, foliation, and evaluation.
 
-A circuit is a DAG of gate instances joined by typed wires. Each evaluation
-compiles it once into layers of parallel gates (a foliation) that hold, per
+A circuit is a DAG of gate instances joined by typed wires. On its first
+evaluation after each ``add`` or ``connect`` it is validated and compiled
+into layers of parallel gates (the greedy foliation), which it holds until
+it changes; an explicit ``foliation=`` is checked and laid out per call.
+The layers hold, per
 wire factor, a :class:`~gptlab.core.Factor`, and a wire permutation: a
 gate's own factor (all its outcomes, or for ``prob`` the one its string
 selects) or the rule's passthrough for a wire no gate of the layer reads.
@@ -18,14 +21,15 @@ with each outcome's held Pauli transfer matrix, in the 4^k Pauli string
 coordinates of the layer's k input rebits, except on a layer of one gate,
 which it multiplies by that gate's own transfer stack; it never builds the
 gates' stacks. ``distribution``, the built-in acceptors and the affine
-bridge compile every outcome of every gate; ``prob`` compiles only the
-outcomes its string selects, so each of its layers has one combination.
+bridge read every outcome of every gate; ``prob`` swaps each gate's factor
+for the outcome its string selects, so each of its layers has one
+combination.
 ``distribution`` returns a read-only :class:`Distribution`: the walk's
 float64 leaf values beside the gates' outcome labels, looked up by leaf
 index, with each outcome-string key built only when iteration reaches it.
-Circuits are immutable once validated, and evaluation keeps no state beyond
-what gates and rules hold once built (a race at worst builds it twice), so
-prob() on a shared circuit is safe to call concurrently.
+Evaluation keeps no state beyond what circuits, gates and rules hold once
+built (a race at worst builds it twice), so prob() on a shared circuit is
+safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -142,33 +146,55 @@ class OutcomeString:
 class CircuitDAG:
     """A closed circuit over a fixed theory.
 
-    Build with :meth:`add` and :meth:`connect`; evaluation functions validate
-    on entry. The ``theory`` argument is any object exposing a
-    ``composite_rule`` attribute (a :class:`~gptlab.core.CompositeRule`).
+    Build with :meth:`add` and :meth:`connect`, the only ways to change it:
+    ``instances`` and ``wires`` are tuples. The circuit is validated and laid
+    out on its first evaluation after each change, not on every evaluation,
+    and holds the result until the next ``add`` or ``connect`` (or until
+    ``theory.composite_rule`` is another object). The ``theory`` argument is
+    any object exposing a ``composite_rule`` attribute (a
+    :class:`~gptlab.core.CompositeRule`).
     """
 
     def __init__(self, theory):
         self.theory = theory
-        self.instances: list[tuple[str, Gate]] = []
-        self.wires: list[Wire] = []
+        self._instances: list[tuple[str, Gate]] = []
+        self._wires: list[Wire] = []
         self._ids: dict[str, Gate] = {}
+        # (rule, validation report, greedy foliation, greedy layers or None),
+        # built by _held on first use and dropped by add and connect
+        self._held = None
+
+    @property
+    def instances(self) -> tuple[tuple[str, Gate], ...]:
+        return tuple(self._instances)
+
+    @property
+    def wires(self) -> tuple[Wire, ...]:
+        return tuple(self._wires)
 
     def add(self, instance_id: str, gate: Gate) -> str:
         if instance_id in self._ids:
             raise ValueError(f"duplicate instance id '{instance_id}'")
         self._ids[instance_id] = gate
-        self.instances.append((instance_id, gate))
+        self._instances.append((instance_id, gate))
+        self._held = None
         return instance_id
 
     def connect(self, src: Port, dst: Port) -> None:
-        self.wires.append(Wire(tuple(src), tuple(dst)))
+        self._wires.append(Wire(tuple(src), tuple(dst)))
+        self._held = None
+
+    def __getstate__(self):
+        # a copy or a pickle gets lists of its own and compiles again
+        return {**self.__dict__, "_instances": list(self._instances),
+                "_wires": list(self._wires), "_ids": dict(self._ids), "_held": None}
 
     def gate(self, instance_id: str) -> Gate:
         return self._ids[instance_id]
 
     @property
     def instance_ids(self) -> list[str]:
-        return [iid for iid, _ in self.instances]
+        return [iid for iid, _ in self._instances]
 
     def outcome_string(self, assignment: OutcomeString | Mapping[str, str]) -> OutcomeString:
         """Normalize a mapping instance->label, or an ``OutcomeString`` in any
@@ -182,7 +208,7 @@ class CircuitDAG:
                 twice = next(iid for k, iid in enumerate(ids) if iid in ids[:k])
                 raise GptLabError(f"outcome string names instance '{twice}' twice")
         pairs = []
-        for iid, gate in self.instances:
+        for iid, gate in self._instances:
             if iid not in assignment:
                 raise GptLabError(f"outcome string missing instance '{iid}'")
             lab = assignment[iid]
@@ -196,7 +222,7 @@ class CircuitDAG:
 
     def n_outcome_strings(self) -> int:
         n = 1
-        for _, gate in self.instances:
+        for _, gate in self._instances:
             n *= len(gate.outcomes)
         return n
 
@@ -279,12 +305,32 @@ def _validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationRep
     return ValidationReport(not errors, errors), layers
 
 
+def _held(circuit: CircuitDAG, lay_out: bool) -> tuple:
+    """The circuit's held ``(rule, report, greedy foliation, greedy layers)``.
+
+    The circuit is validated on first use after each ``add`` or ``connect``
+    (or when ``theory.composite_rule`` is another object), and laid out on the
+    first greedy evaluation; ``layers`` is None until then, and while the
+    report is not ok. Each update is one attribute write of a whole tuple,
+    so a race at worst builds it twice."""
+    rule = circuit.theory.composite_rule
+    held = circuit._held
+    if held is None or held[0] is not rule:
+        report, greedy = _validate(circuit)
+        held = circuit._held = (rule, report, tuple(map(tuple, greedy)), None)
+    if lay_out and held[3] is None and held[1].ok:
+        held = circuit._held = (*held[:3], _layout(circuit, held[2], rule))
+    return held
+
+
 def validate(circuit: CircuitDAG) -> ValidationReport:
     """Check that the circuit is closed, acyclic, and type-matched.
 
-    Never raises; every violation found is listed in the report.
+    Never raises; every violation found is listed in the report, a copy of
+    the one the circuit holds until its next ``add`` or ``connect``.
     """
-    return _validate(circuit)[0]
+    report = _held(circuit, False)[1]
+    return ValidationReport(report.ok, list(report.errors))
 
 
 def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
@@ -292,14 +338,18 @@ def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
 
     ``greedy`` takes all simultaneously-ready gates per layer; ``singletons``
     emits one gate per layer in topological order. Both are legal foliations
-    and give identical outcome probabilities.
+    and give identical outcome probabilities. The greedy one is a copy of
+    the foliation the circuit holds.
     """
     if style not in ("greedy", "singletons"):
         raise ValueError(f"unknown foliation style '{style}'")
-    report, layers = _validate(circuit, style)
+    if style == "greedy":
+        report, layers = _held(circuit, False)[1:3]
+    else:
+        report, layers = _validate(circuit, style)
     if not report.ok:
         raise CircuitValidationError("; ".join(report.errors))
-    return layers
+    return [list(layer) for layer in layers]
 
 
 def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> list[list[str]]:
@@ -331,19 +381,10 @@ class _Layer:
     rule: CompositeRule
 
 
-def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
-             cap: int | None = None, select: Mapping[str, str] | None = None) -> list[_Layer]:
-    """Validate, check ``cap`` on the outcome strings, and lay out the layers;
-    ``select`` restricts every gate to the one outcome it names."""
-    if cap is not None and circuit.n_outcome_strings() > cap:
-        raise CapacityError(
-            f"{circuit.n_outcome_strings()} outcome strings exceed the enumeration cap {cap}")
-    greedy = foliate(circuit)  # validates
-    foliation = greedy if foliation is None else _check_foliation(circuit, foliation)
-
-    rule = circuit.theory.composite_rule
-    in_wire: dict[Port, Wire] = {w.dst: w for w in circuit.wires}
-    out_wire: dict[Port, Wire] = {w.src: w for w in circuit.wires}
+def _layout(circuit: CircuitDAG, foliation, rule: CompositeRule) -> tuple[_Layer, ...]:
+    """The layers of a checked foliation, every gate reading all its outcomes."""
+    in_wire: dict[Port, Wire] = {w.dst: w for w in circuit._wires}
+    out_wire: dict[Port, Wire] = {w.src: w for w in circuit._wires}
 
     def wire_type(w: Wire) -> SystemType:
         return circuit.gate(w.src[0]).outputs[w.src[1]]
@@ -360,17 +401,35 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
         perm = [slot[w] for w in consumed + passthrough]
         gather = (None if perm == list(range(len(perm)))
                   else rule.permutation_index([wire_type(w) for w in live], perm))
-        if select is None:
-            outcomes = [g.outcome_labels for g in gates]
-            pieces = [g.factor for g in gates]
-        else:
-            outcomes = [(select[iid],) for iid in layer_ids]
-            pieces = [g._singles[labs[0]] for g, labs in zip(gates, outcomes)]
-        pieces += [rule.passthrough(wire_type(w)) for w in passthrough]
-        layers.append(_Layer(tuple(layer_ids), tuple(outcomes), tuple(pieces), gather, rule))
+        outcomes = tuple(g.outcome_labels for g in gates)
+        pieces = [g.factor for g in gates] + [rule.passthrough(wire_type(w)) for w in passthrough]
+        layers.append(_Layer(tuple(layer_ids), outcomes, tuple(pieces), gather, rule))
         live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
                 for p in range(len(g.outputs))] + passthrough
-    return layers
+    return tuple(layers)
+
+
+def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
+             cap: int | None = None, select: Mapping[str, str] | None = None) -> tuple[_Layer, ...]:
+    """The layers to walk, once ``cap`` holds on the outcome strings: the
+    held greedy layers, or those of ``foliation``, checked and laid out on
+    every call. ``select`` restricts every gate to the one outcome it names
+    by swapping the gate's factor for that outcome's."""
+    if cap is not None and circuit.n_outcome_strings() > cap:
+        raise CapacityError(
+            f"{circuit.n_outcome_strings()} outcome strings exceed the enumeration cap {cap}")
+    rule, report, _, layers = _held(circuit, foliation is None)
+    if not report.ok:
+        raise CircuitValidationError("; ".join(report.errors))
+    if foliation is not None:
+        layers = _layout(circuit, _check_foliation(circuit, foliation), rule)
+    if select is None:
+        return layers
+    return tuple(
+        _Layer(layer.gate_ids, tuple((select[iid],) for iid in layer.gate_ids),
+               tuple(circuit.gate(iid)._singles[select[iid]] for iid in layer.gate_ids)
+               + layer.pieces[len(layer.gate_ids):], layer.perm, layer.rule)
+        for layer in layers)
 
 
 def _checked(p, what: str = "acceptance probability"):

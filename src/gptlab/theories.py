@@ -333,8 +333,11 @@ class StrategyHooks:
 class TheoryDescriptor:
     """A named theory: types, composite rule, and device libraries.
 
-    Descriptors are immutable and safe to share across workers. Causal
-    theories carry exactly one deterministic effect per system type.
+    The descriptor's fields cannot be rebound, but ``gates``, ``states``,
+    ``effects`` and ``meta`` are plain dicts a caller can edit. A circuit
+    keeps the ``Gate`` objects it was built with, so editing ``gates`` later
+    does not change a built circuit. Causal theories carry exactly one
+    deterministic effect per system type.
     """
 
     name: str

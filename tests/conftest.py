@@ -386,6 +386,17 @@ def random_circuit(theory, rng: np.random.Generator, max_gates: int = 5) -> Circ
     return c
 
 
+def rebuilt(circuit: CircuitDAG) -> CircuitDAG:
+    """A fresh circuit with the same theory, instances and wires, built by
+    ``add`` and ``connect``, so it holds no compilation."""
+    c = CircuitDAG(circuit.theory)
+    for iid, gate in circuit.instances:
+        c.add(iid, gate)
+    for w in circuit.wires:
+        c.connect(w.src, w.dst)
+    return c
+
+
 def random_machine(rng: np.random.Generator, n_work: int | None = None) -> AffineMachine:
     """A random validated machine; weight patterns include negative weights."""
     if n_work is None:

@@ -1,5 +1,7 @@
 """Circuit validation, foliation, and outcome distributions."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -16,12 +18,12 @@ from gptlab import (
     prob,
     validate,
 )
-from gptlab.circuits import DEFAULT_ENUMERATION_CAP, Gate
+from gptlab.circuits import DEFAULT_ENUMERATION_CAP, Gate, Wire
 from gptlab.core import UNIT, TransformationMatrix
 from gptlab.errors import CapacityError, CircuitValidationError, GptLabError
 
 from conftest import (all_theories, classical_path_distribution, operator_distribution,
-                      random_circuit)
+                      random_circuit, rebuilt)
 
 
 def coin_circuit(classical2):
@@ -164,6 +166,76 @@ def test_unvalidated_circuit_rejected(classical2):
         foliate(c)
     with pytest.raises(CircuitValidationError):
         prob(c, {"u": "0"})
+
+
+def test_an_evaluated_circuit_sees_the_gates_added_after(classical2):
+    c = coin_circuit(classical2)
+    assert len(distribution(c)) == 2 and prob(c, {"u": "0", "r": "1"}) == 0.5
+    c.connect((c.add("p", classical2.gate("coin")), 0), (c.add("s", classical2.gate("read")), 0))
+    assert c.instance_ids == ["u", "r", "p", "s"]
+    assert validate(c).ok and foliate(c) == [["u", "p"], ["r", "s"]]
+    dist = distribution(c)
+    assert len(dist) == 8 and dist == distribution(rebuilt(c))
+    z = {"u": "0", "r": "1", "p": "1", "s": "1"}
+    assert prob(c, z) == 0.25 == dist[c.outcome_string(z)]
+    assert acceptance_prob(c, Acceptor("first-outcome-is-0", instance="s")) == 0.5
+
+
+def test_a_gate_added_after_evaluation_is_validated(classical2):
+    c = coin_circuit(classical2)
+    assert len(distribution(c)) == 2
+    c.add("d", classical2.gate("read"))  # its input is open
+    fresh = rebuilt(c)
+    report = validate(c)
+    assert not report.ok and report == validate(fresh)
+    assert "open port: input 0 of 'd' is not connected" in report.errors
+    for evaluate in (distribution, lambda c: prob(c, {"u": "0", "r": "0", "d": "0"}),
+                     lambda c: acceptance_prob(c, Acceptor("accept-all")), foliate):
+        with pytest.raises(CircuitValidationError) as got:
+            evaluate(c)
+        with pytest.raises(CircuitValidationError) as want:
+            evaluate(fresh)
+        assert str(got.value) == str(want.value)
+
+
+def test_instances_and_wires_are_read_only(classical2):
+    c = coin_circuit(classical2)
+    assert c.instances == (("u", c.gate("u")), ("r", c.gate("r")))
+    assert c.wires == (Wire(("u", 0), ("r", 0)),)
+    with pytest.raises(AttributeError):
+        c.instances.append(("x", classical2.gate("coin")))
+    with pytest.raises(TypeError):
+        c.wires[0] = Wire(("u", 0), ("x", 0))
+    with pytest.raises(AttributeError):
+        c.wires = []
+    assert len(distribution(c)) == 2
+
+
+def test_returned_foliations_and_reports_are_copies(classical2):
+    c = coin_circuit(classical2)
+    dist = distribution(c)
+    fol = foliate(c)
+    fol[0].append("r")
+    fol.reverse()
+    report = validate(c)
+    report.errors.append("not an error")
+    assert foliate(c) == [["u"], ["r"]] and validate(c).errors == []
+    assert distribution(c) == dist
+    c.add("d", classical2.gate("read"))
+    validate(c).errors.clear()
+    with pytest.raises(CircuitValidationError, match="open port"):
+        distribution(c)
+
+
+def test_copies_hold_no_compilation(classical2):
+    c = coin_circuit(classical2)
+    dist = distribution(c)
+    for again in (copy.copy(c), copy.deepcopy(c)):
+        assert again._held is None and distribution(again) == dist
+        again.connect((again.add("p", classical2.gate("coin")), 0),
+                      (again.add("s", classical2.gate("read")), 0))
+        assert len(distribution(again)) == 8
+    assert c.instance_ids == ["u", "r"] and distribution(c) == dist
 
 
 def test_capacity_error(classical2):
@@ -351,14 +423,31 @@ def test_classical_circuits_match_path_sum(classical2):
             assert p == pytest.approx(oracle.get(key, 0.0), abs=1e-12)
 
 
-def test_concurrent_prob_calls(classical2):
+def test_concurrent_prob_calls(classical2, qubit):
+    """Threads evaluating circuits that hold no compilation yet race to build
+    it; each call still reads the bits of a fresh circuit."""
+    import os
+    import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    c = coin_circuit(classical2)
-    zs = [{"u": "0", "r": "0"}, {"u": "0", "r": "1"}] * 8
-    with ThreadPoolExecutor(max_workers=4) as pool:
-        values = list(pool.map(lambda z: prob(c, z), zs))
-    assert all(v == pytest.approx(0.5) for v in values)
+    rng = np.random.default_rng(11)
+    circuits = [coin_circuit(classical2)] + [random_circuit(qubit, rng) for _ in range(4)]
+    want = [distribution(rebuilt(c)) for c in circuits]
+    calls = [(k, z) for _ in range(4) for k, dist in enumerate(want) for z in dist]
+
+    def call(j):
+        k, z = calls[j]
+        return prob(circuits[k], z) if j % 2 else distribution(circuits[k])[z]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=(os.cpu_count() or 1) + 2) as pool:
+            futures = [pool.submit(call, j) for j in range(len(calls))]
+            values = [f.result(timeout=60) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == [want[k][z] for k, z in calls]
 
 
 def test_default_cap_is_desk_scale():

@@ -38,13 +38,14 @@ from gptlab.afftm import circuit_to_affine_program
 from gptlab.circuits import Gate, _compile
 from gptlab.cli import main
 from gptlab.core import UNIT, KroneckerRule, TransformationMatrix
-from gptlab.errors import GptLabError, ParseError
+from gptlab.errors import CircuitValidationError, GptLabError, ParseError
 from gptlab.serialization import circuit_to_json, parse_circuit
 
 from conftest import (
     classical_path_distribution,
     operator_distribution,
     random_circuit,
+    rebuilt,
     reference_layer_stack,
     reference_theory,
     reference_walk,
@@ -250,6 +251,67 @@ def test_held_stacks_keep_the_per_call_bits(theory, seed, identity_wire, style):
                 == acceptance_prob(ref, acceptor, foliation=fol).hex()), acceptor.kind
         assert (circuit_to_affine_program(c, acceptor).acceptance_weight().hex()
                 == circuit_to_affine_program(ref, acceptor).acceptance_weight().hex())
+
+
+def every_value(circuit_for, strings, foliation=None) -> list[str]:
+    """Every evaluation path, one call each on ``circuit_for()``, as hex:
+    ``prob`` on each string first, then ``distribution``, the built-in
+    acceptors and the bridge."""
+    out = [prob(circuit_for(), z, foliation=foliation).hex() for z in strings]
+    out += [p.hex() for p in distribution(circuit_for(), foliation=foliation).values()]
+    for kind in BUILT_IN:
+        out.append(acceptance_prob(circuit_for(), Acceptor(kind), foliation=foliation).hex())
+        if foliation is None:
+            bridge = circuit_to_affine_program(circuit_for(), Acceptor(kind))
+            out.append(bridge.acceptance_weight().hex())
+    return out
+
+
+@PROPERTY
+@given(st.sampled_from(ALL_THEORIES), st.integers(0, 2**32 - 1))
+def test_held_compilation_keeps_the_bits_of_a_fresh_circuit(theory, seed):
+    """The first call on a circuit compiles it and later calls reuse what it
+    holds; every call, first or later, equals bit for bit the same call on a
+    freshly rebuilt copy, which compiles again."""
+    c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+    strings = list(distribution(rebuilt(c)))
+    fresh = every_value(lambda: rebuilt(c), strings)
+    for _ in range(3):
+        assert every_value(lambda: c, strings) == fresh
+
+
+@PROPERTY
+@given(st.sampled_from(ALL_THEORIES), st.integers(0, 2**32 - 1))
+def test_an_explicit_foliation_keeps_the_held_greedy_layout(theory, seed):
+    """A foliation passed in is checked on every call, gives what it gives on
+    a fresh circuit, and leaves the held greedy layers in place."""
+    c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+    strings = list(distribution(rebuilt(c)))
+    greedy = _compile(c, None)
+    single = foliate(c, "singletons")
+    bad = [single[1:] + single[:1], single[:-1], single + single[-1:]]
+    if len(single) == 1:
+        bad = bad[1:]
+    for _ in range(2):
+        for fol in bad:
+            with pytest.raises(CircuitValidationError):
+                distribution(c, foliation=fol)
+            with pytest.raises(CircuitValidationError):
+                prob(c, strings[0], foliation=fol)
+        assert every_value(lambda: c, strings, single) == every_value(
+            lambda: rebuilt(c), strings, single)
+        assert _compile(c, None) is greedy
+    assert every_value(lambda: c, strings) == every_value(lambda: rebuilt(c), strings)
+
+
+def test_a_new_composite_rule_lays_the_circuit_out_again():
+    theory = THEORIES["classical"]
+    c = random_circuit(theory, np.random.default_rng(5), max_gates=7)
+    want = [p.hex() for p in distribution(c).values()]
+    assert {layer.rule for layer in _compile(c, None)} == {theory.composite_rule}
+    c.theory = REFERENCE_THEORIES[theory.name]
+    assert {layer.rule for layer in _compile(c, None)} == {c.theory.composite_rule}
+    assert [p.hex() for p in distribution(c).values()] == want
 
 
 def test_an_exact_identity_gate_is_skipped_not_multiplied():
