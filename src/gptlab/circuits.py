@@ -4,26 +4,25 @@ A circuit is a DAG of gate instances joined by typed wires. On its first
 evaluation after each ``add`` or ``connect`` it is validated and compiled
 into layers of parallel gates (the greedy foliation), which it holds until
 it changes; an explicit ``foliation=`` is checked and laid out per call.
-The layers hold, per
-wire factor, a :class:`~gptlab.core.Factor`, and a wire permutation: a
-gate's own factor (all its outcomes, or for ``prob`` the one its string
-selects) or the rule's passthrough for a wire no gate of the layer reads.
-Gates and rules hold these, so their stacks and identity flags are built
-once, on first evaluation. Every evaluation runs one walk over these layers,
-in which the theory's composite rule applies each layer to a frontier of
-joint states with one ``CompositeRule.contract`` call. A tensor-product rule
-contracts each factor's held stack into the gate's own wire axes, so no
-Kronecker product of a layer is formed and no matrix is stacked or compared
-with the identity per call; without weights, a factor that is one exact
-identity (a passthrough, or a gate whose one outcome is exactly the
-identity) is skipped, its axis only moved. The rebit rule does the same
-with each outcome's held Pauli transfer matrix, in the 4^k Pauli string
-coordinates of the layer's k input rebits, except on a layer of one gate,
-which it multiplies by that gate's own transfer stack; it never builds the
-gates' stacks. ``distribution``, the built-in acceptors and the affine
-bridge read every outcome of every gate; ``prob`` swaps each gate's factor
-for the outcome its string selects, so each of its layers has one
-combination.
+The layers hold a wire permutation and, per wire factor, a
+:class:`~gptlab.core.Factor`: a gate's own, or the rule's passthrough for a
+wire no gate of the layer reads. Gates and rules hold these, so their stacks
+and identity flags are built once, on first evaluation. Every evaluation
+runs one walk over these layers, in which the theory's composite rule
+applies each layer to a frontier of joint states with one
+``CompositeRule.contract`` call. ``distribution`` extends every prefix by
+every outcome combination; ``prob`` selects inside the walk, each gate's
+factor swapped for the outcome its string selects; the built-in acceptors
+and the affine bridge weigh inside it, each layer summed under per-gate
+weights. A tensor-product rule contracts each factor's held stack into the
+gate's own wire axes, so no Kronecker product of a layer is formed and no
+matrix is stacked or compared with the identity per call; without weights,
+a factor that is one exact identity (a passthrough, or a gate whose one
+outcome is exactly the identity) is skipped, its axis only moved. The rebit
+rule does the same with each outcome's held Pauli transfer matrix, in the
+4^k Pauli string coordinates of the layer's k input rebits, except on a
+layer of one gate, which it multiplies by that gate's own transfer stack;
+it never builds the gates' stacks.
 ``distribution`` returns a read-only :class:`Distribution`: the walk's
 float64 leaf values beside the gates' outcome labels, looked up by leaf
 index, with each outcome-string key built only when iteration reaches it.
@@ -270,7 +269,7 @@ def _validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationRep
         (si, sp), (di, dp) = w.src, w.dst
         if si in ids and di in ids:
             sg, dg = circuit.gate(si), circuit.gate(di)
-            if sp < len(sg.outputs) and dp < len(dg.inputs):
+            if 0 <= sp < len(sg.outputs) and 0 <= dp < len(dg.inputs):
                 if sg.outputs[sp] != dg.inputs[dp]:
                     errors.append(
                         f"type mismatch on wire ('{si}',{sp})->('{di}',{dp}): "
@@ -372,10 +371,9 @@ def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> list[list[
 @dataclass(frozen=True, eq=False)
 class _Layer:
     """One compiled foliation layer, applied by ``rule.contract(pieces, ...)``;
-    its outcome combinations are the ``itertools.product`` of ``outcomes``."""
+    its outcome combinations are the ``itertools.product`` of its gates' labels."""
 
-    gate_ids: tuple[str, ...]
-    outcomes: tuple[tuple[str, ...], ...]  # per gate, the outcome labels it reads
+    gates: tuple[tuple[str, Gate], ...]  # (instance id, gate), the first len(gates) pieces
     pieces: tuple[Factor, ...]  # per factor, held by its gate or the rule; passthrough wires last
     perm: np.ndarray | None  # joint-state gather index applied first; None = identity
     rule: CompositeRule
@@ -392,29 +390,26 @@ def _layout(circuit: CircuitDAG, foliation, rule: CompositeRule) -> tuple[_Layer
     live: list[Wire] = []  # the wires of the current joint state, in slot order
     layers: list[_Layer] = []
     for layer_ids in foliation:
-        gates = tuple(circuit.gate(iid) for iid in layer_ids)
-        consumed = [in_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
-                    for p in range(len(g.inputs))]
+        gates = tuple((iid, circuit.gate(iid)) for iid in layer_ids)
+        consumed = [in_wire[(iid, p)] for iid, g in gates for p in range(len(g.inputs))]
         taken = set(consumed)
         passthrough = [w for w in live if w not in taken]
         slot = {w: k for k, w in enumerate(live)}
         perm = [slot[w] for w in consumed + passthrough]
         gather = (None if perm == list(range(len(perm)))
                   else rule.permutation_index([wire_type(w) for w in live], perm))
-        outcomes = tuple(g.outcome_labels for g in gates)
-        pieces = [g.factor for g in gates] + [rule.passthrough(wire_type(w)) for w in passthrough]
-        layers.append(_Layer(tuple(layer_ids), outcomes, tuple(pieces), gather, rule))
-        live = [out_wire[(iid, p)] for iid, g in zip(layer_ids, gates)
-                for p in range(len(g.outputs))] + passthrough
+        pieces = [g.factor for _, g in gates]
+        pieces += [rule.passthrough(wire_type(w)) for w in passthrough]
+        layers.append(_Layer(gates, tuple(pieces), gather, rule))
+        live = [out_wire[(iid, p)] for iid, g in gates for p in range(len(g.outputs))] + passthrough
     return tuple(layers)
 
 
 def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
-             cap: int | None = None, select: Mapping[str, str] | None = None) -> tuple[_Layer, ...]:
+             cap: int | None = None) -> tuple[_Layer, ...]:
     """The layers to walk, once ``cap`` holds on the outcome strings: the
     held greedy layers, or those of ``foliation``, checked and laid out on
-    every call. ``select`` restricts every gate to the one outcome it names
-    by swapping the gate's factor for that outcome's."""
+    every call."""
     if cap is not None and circuit.n_outcome_strings() > cap:
         raise CapacityError(
             f"{circuit.n_outcome_strings()} outcome strings exceed the enumeration cap {cap}")
@@ -423,13 +418,27 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
         raise CircuitValidationError("; ".join(report.errors))
     if foliation is not None:
         layers = _layout(circuit, _check_foliation(circuit, foliation), rule)
-    if select is None:
-        return layers
-    return tuple(
-        _Layer(layer.gate_ids, tuple((select[iid],) for iid in layer.gate_ids),
-               tuple(circuit.gate(iid)._singles[select[iid]] for iid in layer.gate_ids)
-               + layer.pieces[len(layer.gate_ids):], layer.perm, layer.rule)
-        for layer in layers)
+    return layers
+
+
+def _walk(layers, select: Mapping[str, str] | None = None,
+          weigh: Callable[[_Layer], list[np.ndarray]] | None = None, rows: int = 1) -> np.ndarray:
+    """The one loop that applies layers, to a ``(rows, 1)`` frontier. ``select``
+    (instance id -> label) swaps each gate's factor for its selected outcome's;
+    ``weigh(layer)`` gives per factor one row of outcome weights per frontier
+    row, so a layer sums its combinations. Otherwise every leaf's value comes
+    out, depth first, one row each. Each prefix is computed on its own, so a
+    leaf's bits do not depend on what else is walked: ``prob`` reads ``distribution``'s."""
+    front = np.ones((rows, 1))
+    for layer in layers:
+        pieces = layer.pieces
+        if select is not None:
+            pieces = (tuple(gate._singles[select[iid]] for iid, gate in layer.gates)
+                      + pieces[len(layer.gates):])
+        if layer.perm is not None:
+            front = np.take(front, layer.perm, axis=1)  # C order, unlike front[:, perm]
+        front = layer.rule.contract(pieces, front, None if weigh is None else weigh(layer))
+    return front
 
 
 def _checked(p, what: str = "acceptance probability"):
@@ -448,24 +457,11 @@ def prob(
 ) -> float:
     """Probability of one full outcome string: the walk of ``distribution``
     over one combination per layer, every gate restricted to its outcome in
-    ``z``; checked against [-PROB_TOL, 1 + PROB_TOL]. ``z`` is checked by
-    :meth:`CircuitDAG.outcome_string` in either form."""
+    ``z`` as the walk reaches it; checked against [-PROB_TOL, 1 + PROB_TOL].
+    ``z`` is checked by :meth:`CircuitDAG.outcome_string` in either form."""
     select = circuit.outcome_string(z).as_dict()
-    return float(_front(_compile(circuit, foliation, select=select))[0, 0])
-
-
-def _front(layers) -> np.ndarray:
-    """Every leaf's value, depth first, as a (leaves, 1) array. A
-    (prefixes x dim) frontier of joint states passes through one layer at a
-    time; the layer's rule extends every prefix by every outcome combination.
-    Each prefix is computed on its own, so a leaf's value does not depend on
-    which other outcomes are compiled: ``prob`` reads ``distribution``'s bits."""
-    front = np.ones((1, 1))
-    for layer in layers:
-        if layer.perm is not None:
-            front = np.take(front, layer.perm, axis=1)  # C order, unlike front[:, perm]
-        front = layer.rule.contract(layer.pieces, front)
-    return _checked(front, "outcome probability")
+    front = _walk(_compile(circuit, foliation), select)
+    return float(_checked(front, "outcome probability")[0, 0])
 
 
 class Distribution(Mapping):
@@ -542,11 +538,11 @@ class _Items(ItemsView):
 
 
 def _distribution(layers, instance_ids) -> Distribution:
-    """Every leaf of :func:`_front`, keyed by its outcome string."""
-    gates = tuple((iid, labels) for layer in layers
-                  for iid, labels in zip(layer.gate_ids, layer.outcomes))
+    """Every leaf of :func:`_walk`, keyed by its outcome string."""
+    gates = tuple((iid, gate.outcome_labels) for layer in layers for iid, gate in layer.gates)
     slot = {iid: k for k, (iid, _) in enumerate(gates)}
-    return Distribution(gates, tuple(slot[iid] for iid in instance_ids), _front(layers)[:, 0])
+    return Distribution(gates, tuple(slot[iid] for iid in instance_ids),
+                        _checked(_walk(layers), "outcome probability")[:, 0])
 
 
 def distribution(
@@ -626,21 +622,21 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
         target = acceptor.instance or next(iter(instance_ids), None)
         if target not in instance_ids:
             raise GptLabError(f"acceptor names instance '{target}', which the circuit lacks")
-    vecs = np.ones((2 if kind == "parity-of-labels" else 1, 1))  # a row per product of sums
-    for layer in layers:
-        weights = []  # per factor, a row of outcome weights per row of vecs
-        for iid, labels in zip(layer.gate_ids, layer.outcomes):
-            w = [[1.0] * len(labels)]
+    rows = 2 if kind == "parity-of-labels" else 1  # a row per product of sums
+
+    def weigh(layer: _Layer) -> list[np.ndarray]:
+        weights = []  # per factor, a row of outcome weights per frontier row
+        for iid, gate in layer.gates:
+            w = [[1.0] * len(gate.outcomes)]
             if kind == "parity-of-labels":
-                w.append([-1.0 if lab == "1" else 1.0 for lab in labels])
+                w.append([-1.0 if lab == "1" else 1.0 for lab in gate.outcomes])
             elif iid == target:
-                w = [[float(lab == "0") for lab in labels]]
+                w = [[float(lab == "0") for lab in gate.outcomes]]
             weights.append(np.array(w))
-        weights += [np.ones((len(vecs), 1))] * (len(layer.pieces) - len(weights))
-        if layer.perm is not None:
-            vecs = np.take(vecs, layer.perm, axis=1)
-        vecs = layer.rule.contract(layer.pieces, vecs, weights)
-    return _checked(float(vecs[:, 0].mean()))  # parity: mean of its two products
+        return weights + [np.ones((rows, 1))] * (len(layer.pieces) - len(weights))
+
+    # parity: the mean of its two products
+    return _checked(float(_walk(layers, weigh=weigh, rows=rows)[:, 0].mean()))
 
 
 def acceptance_prob(
@@ -651,18 +647,19 @@ def acceptance_prob(
 ) -> float:
     """Total probability of outcome strings with a(z) = 0.
 
-    Built-in acceptors never enumerate. Composite rules are multilinear, so a
-    sum over strings of a weight that factors over gates is a product of
-    weighted layer sums S_L = sum_c w_L(c) M_L(c) over the layer's outcome
+    Built-in acceptors never enumerate: they weigh inside the walk
+    ``distribution`` runs. Composite rules are multilinear, so a sum over
+    strings of a weight that factors over gates is a product of weighted
+    layer sums S_L = sum_c w_L(c) M_L(c) over the layer's outcome
     combinations c, with w_L(c) the product of the gates' weights w_g(k):
     accept-all weighs every outcome by 1, first-outcome-is-0 keeps the
     outcomes where its instance reads "0", and parity-of-labels is
     (prod S_L + prod P_L)/2 with P_L weighing each "1" label by -1. A
     tensor-product rule applies S_L one gate at a time, as the sums
     S_g = sum_k w_g(k) M_g(k), and so does the rebit rule on a layer of two
-    or more gates; other layers sum the layer's stack. Tables sum
-    the accepted leaves of the walk ``distribution`` uses. The cap holds
-    either way, and the result is range-checked as in ``prob``."""
+    or more gates; other layers sum the layer's stack. Tables sum the
+    accepted leaves of ``distribution``'s walk. The cap holds either way,
+    and the result is range-checked as in ``prob``."""
     return _accept(_compile(circuit, foliation, cap), acceptor, circuit.instance_ids)
 
 

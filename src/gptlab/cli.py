@@ -159,7 +159,7 @@ def _cmd_interfere_decompose(args):
     family = parse_family(args.family)
     try:
         vector = np.asarray(json.loads(args.vector), dtype=float)
-    except (ValueError, TypeError):
+    except (ValueError, TypeError, OverflowError, RecursionError):
         raise ParseError(f"--vector must be a JSON array of numbers, got {args.vector!r}",
                          "args") from None
     if vector.shape != (family.dim,):
@@ -427,6 +427,12 @@ def build_parser() -> argparse.ArgumentParser:
 _parser = functools.cache(build_parser)
 
 
+def _fail(kind: str, exc: Exception, code: int) -> int:
+    # one stderr line, also when a name read from the input holds a newline
+    print(f"{kind}: {exc}".replace("\n", "\\n"), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     start = time.perf_counter()
@@ -434,14 +440,11 @@ def main(argv=None) -> int:
         _check_ranges(args)
         report, lines, code = args.handler(args)
     except (ParseError, FileNotFoundError, MachineValidationError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return _fail("input error", exc, EXIT_INPUT)
     except (HaltingViolationError, CapacityError, ReconstructionError) as exc:
-        print(f"domain failure: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _fail("domain failure", exc, EXIT_DOMAIN)
     except GptLabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
+        return _fail("error", exc, EXIT_DOMAIN)
     _emit(args, report, lines, time.perf_counter() - start)
     return code
 

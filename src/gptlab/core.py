@@ -308,6 +308,20 @@ class CompositeRule:
     name = "abstract"
 
     def composite(self, types: Sequence[SystemType]) -> SystemType:
+        """The joint type of ``types`` in wire order: ``UNIT`` for none, the
+        type itself for one, else a labelled :class:`CompositeType` of
+        :meth:`joint_dim` in the rule's ``theory``."""
+        types = tuple(types)
+        if not types:
+            return UNIT
+        if len(types) == 1:
+            return types[0]
+        label = "(" + "⊗".join(t.label for t in types) + ")"
+        return CompositeType(label=label, dim=self.joint_dim(types), theory=self.theory,
+                             factors=types)
+
+    def joint_dim(self, types: tuple[SystemType, ...]) -> int:
+        """The dimension of the joint system of two or more ``types``."""
         raise NotImplementedError
 
     def identity(self, system: SystemType) -> TransformationMatrix:
@@ -382,17 +396,8 @@ class KroneckerRule(CompositeRule):
         self.theory = theory
         self._passthroughs: dict[SystemType, Factor] = {}
 
-    def composite(self, types: Sequence[SystemType]) -> SystemType:
-        types = tuple(types)
-        if not types:
-            return UNIT
-        if len(types) == 1:
-            return types[0]
-        dim = 1
-        for t in types:
-            dim *= t.dim
-        label = "(" + "⊗".join(t.label for t in types) + ")"
-        return CompositeType(label=label, dim=dim, theory=self.theory, factors=types)
+    def joint_dim(self, types: tuple[SystemType, ...]) -> int:
+        return math.prod(t.dim for t in types)
 
     def identity(self, system: SystemType) -> TransformationMatrix:
         return self.passthrough(system)[0]

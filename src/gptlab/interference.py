@@ -193,13 +193,13 @@ def classical_family(d: int) -> ProjectorFamily:
     return ProjectorFamily(d, projectors, name=f"classical-{d}")
 
 
-def quantum_family(d: int, carrier: DensityCarrier | None = None) -> ProjectorFamily:
+def quantum_family(d: int) -> ProjectorFamily:
     """Slits = computational basis directions; P_I acts as rho -> Pi rho Pi.
 
-    Matrices are superoperators on the transfer space of a d-level system.
+    Matrices are superoperators on the transfer space of a d-level system, in
+    the coordinates of ``DensityCarrier(hermitian_basis(d))``.
     """
-    if carrier is None:
-        carrier = DensityCarrier(hermitian_basis(d))
+    carrier = DensityCarrier(hermitian_basis(d))
     projectors = {}
     for key in subsets(d):
         pi = np.zeros((d, d), dtype=complex)

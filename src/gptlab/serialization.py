@@ -47,8 +47,11 @@ def _load(source, what: str) -> Any:
     except OSError:
         is_file = False
     if is_file:
-        text = path.read_text()
         where = str(path)
+        try:
+            text = path.read_text()
+        except (OSError, ValueError) as exc:  # a directory, an unreadable file, or not UTF-8
+            raise ParseError(f"cannot read the file: {exc}", where) from None
     else:
         text = str(source)
         where = what
@@ -56,11 +59,13 @@ def _load(source, what: str) -> Any:
         raise ParseError(f"empty {what} description", where)
     try:
         return json.loads(text)
-    except ValueError as exc:  # a JSONDecodeError, or an integer past int's digit limit
+    # a JSONDecodeError, an integer past int's digit limit, or nesting past the recursion limit
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}", where) from None
 
 
-_KINDS = {str: "a string", int: "an integer", list: "a list", Mapping: "an object"}
+_KINDS = {str: "a string", int: "an integer", bool: "true or false", list: "a list",
+          Mapping: "an object"}
 
 
 def _require(doc, key: str, what: str, kind: type = object):
@@ -235,7 +240,10 @@ def parse_acceptor(doc: Mapping, circuit: CircuitDAG) -> Acceptor:
             a = _require(row, "a", where, int)
             if a not in (0, 1):
                 raise ParseError(f"field 'a' must be 0 (accept) or 1 (reject), got {a!r}", where)
-            entries.append((_require(row, "z", where, Mapping), a))
+            z = _require(row, "z", where, Mapping)
+            if not all(isinstance(label, str) for label in z.values()):
+                raise ParseError(f"field 'z' must map instance ids to labels, got {z!r}", where)
+            entries.append((z, a))
         try:
             acceptor = Acceptor.from_table(entries, circuit)
         except GptLabError as exc:
@@ -378,9 +386,10 @@ def parse_family(source) -> ProjectorFamily:
             raise ParseError("a projector must be a list of rows, each a list of one length",
                              where)
         projectors[subset] = np.array([[parse_number(x, where) for x in row] for row in rows])
+    name = _require(doc, "name", "family", str) if "name" in doc else ""
+    synthetic = "synthetic" in doc and _require(doc, "synthetic", "family", bool)
     try:
-        family = ProjectorFamily(n_slits, projectors, name=doc.get("name", ""),
-                                 synthetic=bool(doc.get("synthetic", False)))
+        family = ProjectorFamily(n_slits, projectors, name=name, synthetic=synthetic)
     except (ValueError, FamilyInvariantError) as exc:
         raise ParseError(str(exc), "family") from None
     return family

@@ -217,16 +217,9 @@ class RebitRule(CompositeRule):
             raise GptLabError(f"'{t.label}' is not a rebit-backed type")
         return 1
 
-    def composite(self, types: Sequence[SystemType]) -> SystemType:
-        types = tuple(types)
-        if not types:
-            return UNIT
-        if len(types) == 1:
-            return types[0]
+    def joint_dim(self, types: tuple[SystemType, ...]) -> int:
         hdim = 2 ** sum(self._n_leaves(t) for t in types)
-        label = "(" + "⊗".join(t.label for t in types) + ")"
-        return CompositeType(label=label, dim=hdim * (hdim + 1) // 2, theory=self.theory,
-                             factors=types)
+        return hdim * (hdim + 1) // 2
 
     def identity(self, system: SystemType) -> TransformationMatrix:
         return self.passthrough(system)[0]
@@ -381,10 +374,19 @@ _Draw = Callable[[np.random.Generator, int], np.ndarray]
 _Grid = tuple[Sequence[str], np.ndarray]
 
 
-def _checked_hooks(sys: SystemType, state_grid: _Grid, draw_states: _Draw,
-                   effect_grid: _Grid, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
-    """Hooks over ``(names, rows)`` grids whose rows have passed the vector classes'
-    checks, and samplers that check every drawn row as the vector classes do."""
+def _builtin(sys: SystemType, rule: CompositeRule, devices: Sequence[Gate], states: dict,
+             effects: dict, draws: tuple[_Draw, _Draw], meta: dict, normalized: bool = True,
+             carrier: DensityCarrier | None = None,
+             grids: tuple[_Grid, _Grid] | None = None) -> TheoryDescriptor:
+    """The built-in theory ``sys.theory`` on its one type ``sys``: ``devices``
+    by name, ``effects["u"]`` deterministic, and strategy hooks over ``(names,
+    rows)`` ``grids`` whose rows passed the vector classes' checks, or else over
+    the library's states and effects on ``sys``, with samplers ``draws`` (the
+    states', the effects') whose every row is checked as the vector classes do."""
+
+    def library_grid(vectors: Mapping) -> _Grid:
+        own = {n: v.coords for n, v in vectors.items() if v.system == sys}
+        return list(own), np.array(list(own.values())).reshape(len(own), sys.dim)
 
     def grid(names: Sequence[str], rows: np.ndarray):
         names = list(names)
@@ -392,25 +394,25 @@ def _checked_hooks(sys: SystemType, state_grid: _Grid, draw_states: _Draw,
         return lambda: (list(names), rows)
 
     def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
-        return checked_coords(draw_states(rng, n), (n, sys.dim), "state", normalized)
+        return checked_coords(draws[0](rng, n), (n, sys.dim), "state", normalized)
 
     def random_effects(rng: np.random.Generator, n: int) -> np.ndarray:
-        return checked_coords(draw_effects(rng, n), (n, sys.dim), "effect")
+        return checked_coords(draws[1](rng, n), (n, sys.dim), "effect")
 
-    return StrategyHooks(grid(*state_grid), random_states, grid(*effect_grid), random_effects)
-
-
-def _library_strategies(sys: SystemType, states: Mapping, effects: Mapping,
-                        draw_states: _Draw, draw_effects: _Draw, normalized: bool) -> StrategyHooks:
-    """Hooks whose grids are the library's states and effects on ``sys``, each row the
-    coords of a vector that checked itself when built."""
-
-    def library_grid(vectors: Mapping) -> _Grid:
-        own = {n: v.coords for n, v in vectors.items() if v.system == sys}
-        return list(own), np.array(list(own.values())).reshape(len(own), sys.dim)
-
-    return _checked_hooks(sys, library_grid(states), draw_states, library_grid(effects),
-                          draw_effects, normalized)
+    state_grid, effect_grid = grids or (library_grid(states), library_grid(effects))
+    return TheoryDescriptor(
+        name=sys.theory,
+        system_types={sys.label: sys},
+        composite_rule=rule,
+        gates={g.name: g for g in devices},
+        states=states,
+        effects=effects,
+        deterministic_effects={sys.label: effects["u"]},
+        carrier=carrier,
+        strategies=StrategyHooks(grid(*state_grid), random_states, grid(*effect_grid),
+                                 random_effects),
+        meta=meta,
+    )
 
 
 def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int) -> _Draw:
@@ -502,7 +504,6 @@ def classical_theory(d: int) -> TheoryDescriptor:
     devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, eye)}))
     devices.append(_measure("read", {str(k): effects[f"p{k}"] for k in range(d)}))
     devices.append(_measure("sink", effects["u"]))
-    gates = {g.name: g for g in devices}
 
     def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.dirichlet(np.ones(d), size=n)
@@ -510,18 +511,8 @@ def classical_theory(d: int) -> TheoryDescriptor:
     def draw_effects(rng: np.random.Generator, n: int) -> np.ndarray:
         return rng.uniform(0.0, 1.0, size=(n, d))
 
-    return TheoryDescriptor(
-        name=name,
-        system_types={sys.label: sys},
-        composite_rule=rule,
-        gates=gates,
-        states=states,
-        effects=effects,
-        deterministic_effects={sys.label: effects["u"]},
-        strategies=_library_strategies(sys, states, effects, draw_states, draw_effects,
-                                       normalized=True),
-        meta={"builtin": "classical", "params": {"d": d}},
-    )
+    return _builtin(sys, rule, devices, states, effects, (draw_states, draw_effects),
+                    {"builtin": "classical", "params": {"d": d}})
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +586,6 @@ def quantum_theory(d: int) -> TheoryDescriptor:
     devices.append(_measure("measure", {str(k): effects[f"p{k}"] for k in range(d)},
                             {str(k): (bras[k],) for k in range(d)}))
     devices.append(_measure("sink", effects["u"], tuple(bras)))
-    gates = {g.name: g for g in devices + pair_devices}
 
     def draw_state(rng: np.random.Generator) -> np.ndarray:
         g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
@@ -610,19 +600,9 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         e = (h - lo * np.eye(d)) / max(hi - lo, ALGEBRA_TOL) * rng.uniform(0.0, 1.0)
         return carrier.to_vector(e)
 
-    return TheoryDescriptor(
-        name=name,
-        system_types={sys.label: sys},
-        composite_rule=rule,
-        gates=gates,
-        states=states,
-        effects=effects,
-        deterministic_effects={sys.label: effects["u"]},
-        carrier=carrier,
-        strategies=_library_strategies(sys, states, effects, _per_sample(draw_state, sys.dim),
-                                       _per_sample(draw_effect, sys.dim), normalized=True),
-        meta={"builtin": "quantum", "params": {"d": d}},
-    )
+    return _builtin(sys, rule, devices + pair_devices, states, effects,
+                    (_per_sample(draw_state, sys.dim), _per_sample(draw_effect, sys.dim)),
+                    {"builtin": "quantum", "params": {"d": d}}, carrier=carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -707,7 +687,6 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
                  {"first": (bras["phi_plus"], bras["psi_minus"]),
                   "second": (bras["phi_minus"], bras["psi_plus"])}),
     ]
-    gates = {g.name: g for g in devices}
 
     # the grids' last rows are library vectors, checked when built
     state_grid = ([f"pure({k * 15}°)" for k in range(24)] + ["mixed"],
@@ -726,19 +705,9 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
         p_coords = _bloch_coords(theta)
         return alpha[:, None] * p_coords + beta[:, None] * (effects["u"].coords - p_coords)
 
-    return TheoryDescriptor(
-        name=name,
-        system_types={sys.label: sys},
-        composite_rule=rule,
-        gates=gates,
-        states=states,
-        effects=effects,
-        deterministic_effects={sys.label: effects["u"]},
-        carrier=carrier,
-        strategies=_checked_hooks(sys, state_grid, draw_states, effect_grid, draw_effects,
-                                  normalized=True),
-        meta={"builtin": "real-quantum", "params": {"d": 2}},
-    )
+    return _builtin(sys, rule, devices, states, effects, (draw_states, draw_effects),
+                    {"builtin": "real-quantum", "params": {"d": 2}}, carrier=carrier,
+                    grids=(state_grid, effect_grid))
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +776,6 @@ def boxworld_gbit() -> TheoryDescriptor:
         devices.append(_measure(f"measure_x{x}", {str(a): effects[f"e{a}x{x}"] for a in range(2)}))
     devices.append(_measure("sink", effects["u"]))
     devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, np.eye(5))}))
-    gates = {g.name: g for g in devices}
 
     def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
         p0, p1 = rng.uniform(size=(n, 2)).T
@@ -818,18 +786,9 @@ def boxworld_gbit() -> TheoryDescriptor:
         alpha, beta = rng.uniform(0.0, 1.0, size=2)
         return alpha * effects[f"e0x{x}"].coords + beta * effects[f"e1x{x}"].coords
 
-    return TheoryDescriptor(
-        name=name,
-        system_types={sys.label: sys},
-        composite_rule=rule,
-        gates=gates,
-        states=states,
-        effects=effects,
-        deterministic_effects={sys.label: effects["u"]},
-        strategies=_library_strategies(sys, states, effects, draw_states,
-                                       _per_sample(draw_effect, sys.dim), normalized=False),
-        meta={"builtin": "boxworld", "params": {}},
-    )
+    return _builtin(sys, rule, devices, states, effects,
+                    (draw_states, _per_sample(draw_effect, sys.dim)),
+                    {"builtin": "boxworld", "params": {}}, normalized=False)
 
 
 # ---------------------------------------------------------------------------

@@ -76,6 +76,12 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
         raise ValueError("need 1 <= locality <= n_systems")
     sys_type = theory.system()
     rule = theory.composite_rule
+    # A composite has at least d^N coordinates, so a type of dimension d >= 2 is
+    # checked before the N types are listed, with no such dimension formatted.
+    d = sys_type.dim
+    if d >= 2 and (n_systems > cap.bit_length() or d**n_systems > cap):
+        raise CapacityError(f"{n_systems} systems of dimension {d} exceed cap {cap}: "
+                            f"the composite has at least {d}^{n_systems} coordinates")
     types = [sys_type] * n_systems
     composite = rule.composite(types)
     if composite.dim > cap:

@@ -110,7 +110,7 @@ def test_singleton_coherence_projector_is_projector():
 def test_qutrit_block_and_coherence_maps_match_displays():
     # P_{01} keeps the upper 2x2 block; omega_{01} keeps only its off-diagonal
     carrier = qutrit_carrier()
-    family = quantum_family(3, carrier)
+    family = quantum_family(3)
     rng = np.random.default_rng(31)
     g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     rho = (g + g.conj().T) / 2
@@ -188,7 +188,7 @@ def test_coherence_projectors_orthogonal_on_quantum_families():
 
 def test_decompose_examples():
     carrier = qutrit_carrier()
-    family = quantum_family(3, carrier)
+    family = quantum_family(3)
 
     # support on {0,1} only: components containing slit 2 vanish
     plus = np.zeros((3, 3), dtype=complex)
@@ -214,7 +214,7 @@ def test_decompose_examples():
 
 def test_decompose_order_too_small():
     carrier = qutrit_carrier()
-    family = quantum_family(3, carrier)
+    family = quantum_family(3)
     plus = np.full((3, 3), 1 / 3, dtype=complex)  # coherences across all pairs
     v = carrier.to_vector(plus)
     with pytest.raises(ReconstructionError) as err:
@@ -229,7 +229,7 @@ def test_decompose_rejects_a_non_finite_vector(bad):
     v = np.zeros(9)
     v[0] = bad
     with np.errstate(invalid="ignore"), pytest.raises(ReconstructionError) as err:
-        decompose(v, quantum_family(3, qutrit_carrier()), 2)
+        decompose(v, quantum_family(3), 2)
     assert np.isnan(err.value.residual)
 
 

@@ -1,6 +1,8 @@
 """Description files, round-trips, and the command-line interface."""
 
 import argparse
+import contextlib
+import io
 import json
 from fractions import Fraction
 from importlib import resources
@@ -530,6 +532,11 @@ def one_slit_family(extra_key: str, empty: bool = True) -> str:
       for n in (0, -1)),
     ["interfere", "order", "--family", qutrit_where("n_slits", value=10**9)],
     ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": "0", "typo": "1"}, 1)],
+    # a negative port index raised IndexError in validation, and a label that is
+    # not a string a TypeError in the table acceptor's lookup
+    ["circuit", "eval", "--circuit", coin_where("wires", 0, "to", value=["r", -10**9])],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": ["0"]}, 0)],
+    ["circuit", "accept", "--circuit", coin_table({"u": "0", "r": {"0": 1}}, 0)],
 ])
 def test_cli_rejects_out_of_range_arguments(capsys, argv):
     code, _, err = run_cli(capsys, *argv)
@@ -727,3 +734,161 @@ def test_cli_interfere_and_query(capsys):
     code, out, _ = run_cli(capsys, "--json", "tomo", "count",
                            "--k", "3", "--systems", "4", "--locality", "2")
     assert code == 0 and json.loads(out)["count"] == 18
+
+
+# ---------------------------------------------------------------------------
+# the input contract: exit 0, 1 or 2, no traceback, at most one line on stderr
+
+
+DEEP = "[" * 1000 + "]" * 1000  # past the recursion limit, where json.loads raised RecursionError
+
+
+def assert_one_line(capsys, argv, code: int, prefix: str):
+    got, out, err = run_cli(capsys, *argv)
+    assert (got, out) == (code, ""), (argv, err)
+    assert err.startswith(prefix) and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["theory", "info", "--theory", DEEP],
+    ["circuit", "eval", "--circuit", DEEP],
+    ["afftm", "run", "--machine", DEEP, "--max-steps", "3"],
+    ["interfere", "order", "--family", DEEP],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"), "--vector", DEEP,
+     "--order", "2"],
+    ["interfere", "order", "--family", qutrit_where("name", value=[1])],
+    ["interfere", "order", "--family", qutrit_where("synthetic", value="yes")],
+    ["interfere", "order", "--family", qutrit_where("synthetic", value=1)],
+    # an integer past the float range in --vector raised OverflowError
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"),
+     "--vector", "[%d, 0, 0, 0, 0, 0, 0, 0, 0]" % 10**400, "--order", "2"],
+    # a directory read as a description file raised IsADirectoryError
+    ["theory", "info", "--theory", data_path("")],
+    # a message naming a value with a newline printed two lines
+    ["theory", "info", "--theory", '{"builtin": "a\\nb"}'],
+], ids=["theory", "circuit", "machine", "family", "vector", "name", "synthetic", "synthetic-int",
+        "huge-vector", "directory", "newline"])
+def test_unreadable_input_is_one_input_error_line(capsys, argv):
+    assert_one_line(capsys, argv, 2, "input error")
+
+
+def test_a_file_that_is_not_utf8_text_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "theory.json"
+    path.write_bytes(b'{"builtin": "\xff"}')
+    assert_one_line(capsys, ["theory", "info", "--theory", str(path)], 2, "input error")
+
+
+def test_family_name_and_synthetic_flag_read_as_given():
+    assert parse_family(qutrit_where("synthetic", value=True)).synthetic is True
+    family = parse_family(qutrit_where("synthetic", value=False))
+    assert family.synthetic is False and family.name == "quantum-3"
+
+
+@pytest.mark.parametrize("systems", ["13", "20000", "1000000000", "9" * 400])
+def test_tomo_check_refuses_past_its_cap_before_listing_systems(capsys, systems):
+    # 2^N > 4096 coordinates: at 20000 systems the composite dimension has
+    # more digits than int-to-text allows, and 10**9 systems ran out of memory
+    argv = ["tomo", "check", "--theory", data_path("theory_classical2.json"),
+            "--systems", systems, "--locality", "1"]
+    assert_one_line(capsys, argv, 1, "domain failure")
+    code, out, _ = run_cli(capsys, "--json", *argv[:5], "12", "--locality", "1")
+    assert code == 0 and json.loads(out)["composite_dim"] == 4096
+
+
+class Dup(list):
+    """A JSON object written with a repeated key: a list of (key, value) pairs."""
+
+
+class Deep:
+    """A value wrapped in ``depth`` JSON arrays, written without recursion."""
+
+    def __init__(self, depth: int, inner):
+        self.depth, self.inner = depth, inner
+
+
+def encode(node) -> str:
+    if isinstance(node, Deep):
+        return "[" * node.depth + encode(node.inner) + "]" * node.depth
+    if isinstance(node, Dup):
+        return "{" + ",".join(f"{json.dumps(k)}:{encode(v)}" for k, v in node) + "}"
+    if isinstance(node, dict):
+        return encode(Dup(node.items()))
+    if isinstance(node, list):
+        return "[" + ",".join(map(encode, node)) + "]"
+    return json.dumps(node)
+
+
+def json_paths(node, path=()):
+    yield path
+    if isinstance(node, (dict, list)):
+        for key, child in node.items() if isinstance(node, dict) else enumerate(node):
+            yield from json_paths(child, path + (key,))
+
+
+HUGE = [10**9, 2**63, 10**18 + 1, 10**309, 10**400, 10**4299]
+SWAPS = [None, True, False, 0, -1, 2.5, float("nan"), float("inf"), "", "x", "a\nb", "/", "nan",
+         "1e999", "1/0", [], {}, [1], {"a": 1}, [[1, 2], [3]]]
+MUTATIONS = ("drop", "duplicate", "swap", "ragged", "deep", "huge")
+
+
+def mutated(doc, data) -> str:
+    """``doc`` as JSON text, with one entry dropped, duplicated, swapped for a value of
+    another type, made ragged, nested deeply or made a huge integer."""
+    root = [json.loads(json.dumps(doc))]  # a copy, in a holder so the whole document can change
+    path = (0, *data.draw(st.sampled_from(list(json_paths(root[0]))), label="path"))
+    chain = [root]  # the containers along the path
+    for k in path[:-1]:
+        chain.append(chain[-1][k])
+    parent, key = chain[-1], path[-1]
+    node = parent[key]
+    kind = data.draw(st.sampled_from(MUTATIONS), label="mutation")
+    if kind == "drop" and parent is not root:
+        del parent[key]
+    elif kind == "duplicate" and isinstance(parent, dict):
+        pairs = list(parent.items())
+        pairs.insert(list(parent).index(key), (key, node))
+        chain[-2][path[-2]] = Dup(pairs)
+    elif kind == "duplicate" and parent is not root:
+        parent.insert(key, node)
+    elif kind == "swap":
+        parent[key] = data.draw(st.sampled_from(SWAPS), label="value")
+    elif kind == "ragged":
+        if isinstance(node, list) and node and isinstance(node[-1], list):
+            node[-1] = node[-1][:-1] if data.draw(st.booleans()) else node[-1] + node[-1][:1]
+        else:
+            parent[key] = [node, [node]]
+    elif kind == "deep":
+        parent[key] = Deep(data.draw(st.sampled_from([10, 500, 985, 990, 995, 1000, 3000])), node)
+    elif kind == "huge":
+        parent[key] = data.draw(st.sampled_from(HUGE)) * data.draw(st.sampled_from([1, -1]))
+    return encode(root[0])
+
+
+DATA_FILES = {path.name: json.loads(path.read_text())
+              for path in Path(data_path("")).glob("*.json")}
+# the integer options whose values the property replaces with huge ones
+HUGE_OPTIONS = ("--systems", "--n", "--k")
+
+
+@settings(max_examples=250, deadline=None, derandomize=True)
+@given(st.sampled_from(BUNDLED_COMMANDS), st.booleans(), st.data())
+def test_no_input_escapes_the_exit_codes(argv, as_json, data):
+    """Every bundled document mutated in one place, in each command that reads
+    its kind, and each command's integer options made huge: ``main`` returns 0,
+    1 or 2 and writes at most one line to stderr."""
+    argv = list(argv)
+    for k, arg in enumerate(argv):
+        name = Path(arg).name
+        if name in DATA_FILES:
+            kind = name.split("_")[0]
+            doc = data.draw(st.sampled_from(sorted(n for n in DATA_FILES if n.startswith(kind))))
+            argv[k] = mutated(DATA_FILES[doc], data)
+        elif argv[k - 1] == "--vector":
+            argv[k] = mutated(json.loads(arg), data)
+        elif argv[k - 1] in HUGE_OPTIONS and data.draw(st.booleans()):
+            argv[k] = str(data.draw(st.sampled_from(HUGE + [0, -1])))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main((["--json"] if as_json else []) + argv)
+    assert code in (0, 1, 2), (argv, err.getvalue())
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
