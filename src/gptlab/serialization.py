@@ -369,7 +369,7 @@ def parse_family(source) -> ProjectorFamily:
     if n_slits > len(raw).bit_length() or len(raw) < (1 << n_slits) - 1:
         raise ParseError(f"{len(raw)} projectors cannot cover the nonempty subsets "
                          f"of {n_slits} slits", "family")
-    projectors = {}
+    shapes = {}  # every key and shape is checked before any entry is read
     for mask_str, rows in raw.items():
         where = f"family.projectors[{mask_str!r}]"
         try:
@@ -379,13 +379,25 @@ def parse_family(source) -> ProjectorFamily:
         if not 0 <= mask < 1 << n_slits:
             raise ParseError(f"bitmask {mask_str!r} is not a subset of the {n_slits} slits", where)
         subset = frozenset(i for i in range(n_slits) if mask >> i & 1)
-        if subset in projectors:
+        if subset in shapes:
             raise ParseError(f"a second key for subset {sorted(subset)}", where)
         if not isinstance(rows, list) or any(not isinstance(row, list) or len(row) != len(rows[0])
                                              for row in rows):
             raise ParseError("a projector must be a list of rows, each a list of one length",
                              where)
-        projectors[subset] = np.array([[parse_number(x, where) for x in row] for row in rows])
+        shapes[subset] = where, rows
+    # each distinct entry string is read once per document; any other entry, each time
+    numbers: dict[str, float] = {}
+
+    def read(x, where: str) -> float:
+        value = parse_number(x, where)
+        if isinstance(x, str):
+            numbers[x] = value
+        return value
+
+    projectors = {subset: np.array([[numbers[x] if type(x) is str and x in numbers
+                                     else read(x, where) for x in row] for row in rows])
+                  for subset, (where, rows) in shapes.items()}
     name = _require(doc, "name", "family", str) if "name" in doc else ""
     synthetic = "synthetic" in doc and _require(doc, "synthetic", "family", bool)
     try:

@@ -9,9 +9,11 @@ with a state is a plain dot product equal to Tr(E rho).
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -57,7 +59,15 @@ class DensityCarrier:
     Orthonormality (Tr(B_i B_j) = delta_ij, checked to ALGEBRA_TOL) makes
     ``to_vector`` an isometry: the Euclidean norm of a state's coordinates
     equals sqrt(Tr(rho^2)), so norm monitors downstream are meaningful.
+
+    A carrier is immutable: ``basis`` is a read-only array that cannot be
+    made writable or rebound, so one carrier per basis can be shared. The
+    built-in theories hold theirs (rebit 1 and 2, quantum d and the qubit
+    pair) once per process, and every build of a theory reads the same one.
+    A pickled carrier is built again through its constructor.
     """
+
+    __slots__ = ("basis",)
 
     def __init__(self, basis: Sequence[np.ndarray]):
         stack = np.stack([np.asarray(b, dtype=complex) for b in basis])
@@ -70,7 +80,17 @@ class DensityCarrier:
         if not np.max(np.abs(gram - np.eye(len(basis)))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be orthonormal under the trace inner product")
         stack.setflags(write=False)
-        self.basis = stack
+        # a view of the read-only stack, which no caller can make writable again
+        object.__setattr__(self, "basis", stack.view())
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"a DensityCarrier is immutable; cannot set '{name}'")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"a DensityCarrier is immutable; cannot delete '{name}'")
+
+    def __reduce__(self):
+        return type(self), (self.basis,)
 
     @property
     def dim(self) -> int:
@@ -159,6 +179,12 @@ def symmetric_pauli_basis(n_qubits: int) -> list[np.ndarray]:
     return list(pauli_strings(n_qubits)[even_y_index(n_qubits)] / scale)
 
 
+@functools.cache
+def _symmetric_carrier(n_qubits: int) -> DensityCarrier:
+    """The carrier of :func:`symmetric_pauli_basis`, built once per process."""
+    return DensityCarrier(symmetric_pauli_basis(n_qubits))
+
+
 class RebitRule(CompositeRule):
     """Composition of real-amplitude two-level systems as an even-Y restriction.
 
@@ -184,22 +210,30 @@ class RebitRule(CompositeRule):
     the stacks of the outcome matrices themselves are never built.
     :meth:`passthrough` holds one factor per system type. Threads racing on
     one outcome at worst compute its matrix twice.
+
+    :meth:`carrier` returns the one carrier per rebit count that every rule
+    shares. The transfer and Pauli string tables are the rule's own; a
+    pickled rule leaves them behind and builds them again on use.
     """
 
     name = "real-symmetric"
 
     def __init__(self, theory: str = "real-quantum-2"):
         self.theory = theory
-        self._carriers: dict[int, DensityCarrier] = {}
         self._tables: dict = {}
         self._passthroughs: dict[SystemType, Factor] = {}
         self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        del state["_tables"], state["_transfers"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _tables={}, _transfers=weakref.WeakKeyDictionary())
+
     def carrier(self, n_qubits: int) -> DensityCarrier:
-        got = self._carriers.get(n_qubits)
-        if got is None:
-            got = self._carriers[n_qubits] = DensityCarrier(symmetric_pauli_basis(n_qubits))
-        return got
+        return _symmetric_carrier(n_qubits)
 
     def _table(self, build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
         """``build(k)`` for one of the Pauli string tables above, built once per k."""
@@ -331,6 +365,15 @@ class TheoryDescriptor:
     keeps the ``Gate`` objects it was built with, so editing ``gates`` later
     does not change a built circuit. Causal theories carry exactly one
     deterministic effect per system type.
+
+    Each call of a built-in constructor builds its own descriptor, system
+    types, composite rule, vectors, transformation matrices, gates, dicts and
+    strategy hooks, and runs every constructor check; no two builds share
+    one, so editing one build changes no other. What builds share is
+    read-only and computed on a theory's first build in the process: the
+    numpy arrays under the vectors' coordinates, the outcome matrices and
+    Kraus tuples, the rebit strategy grid rows, and the immutable
+    :class:`DensityCarrier`.
     """
 
     name: str
@@ -374,6 +417,15 @@ _Draw = Callable[[np.random.Generator, int], np.ndarray]
 _Grid = tuple[Sequence[str], np.ndarray]
 
 
+def _grid(names: tuple[str, ...], rows: np.ndarray) -> _Grid:
+    return list(names), rows
+
+
+def _checked_rows(draw: _Draw, dim: int, kind: str, normalized: bool,
+                  rng: np.random.Generator, n: int) -> np.ndarray:
+    return checked_coords(draw(rng, n), (n, dim), kind, normalized)
+
+
 def _builtin(sys: SystemType, rule: CompositeRule, devices: Sequence[Gate], states: dict,
              effects: dict, draws: tuple[_Draw, _Draw], meta: dict, normalized: bool = True,
              carrier: DensityCarrier | None = None,
@@ -382,22 +434,16 @@ def _builtin(sys: SystemType, rule: CompositeRule, devices: Sequence[Gate], stat
     by name, ``effects["u"]`` deterministic, and strategy hooks over ``(names,
     rows)`` ``grids`` whose rows passed the vector classes' checks, or else over
     the library's states and effects on ``sys``, with samplers ``draws`` (the
-    states', the effects') whose every row is checked as the vector classes do."""
+    states', the effects') whose every row is checked as the vector classes do.
+    The hooks are module functions bound by ``functools.partial``, so the
+    descriptor pickles."""
 
     def library_grid(vectors: Mapping) -> _Grid:
         own = {n: v.coords for n, v in vectors.items() if v.system == sys}
         return list(own), np.array(list(own.values())).reshape(len(own), sys.dim)
 
     def grid(names: Sequence[str], rows: np.ndarray):
-        names = list(names)
-        rows.setflags(write=False)
-        return lambda: (list(names), rows)
-
-    def random_states(rng: np.random.Generator, n: int) -> np.ndarray:
-        return checked_coords(draws[0](rng, n), (n, sys.dim), "state", normalized)
-
-    def random_effects(rng: np.random.Generator, n: int) -> np.ndarray:
-        return checked_coords(draws[1](rng, n), (n, sys.dim), "effect")
+        return functools.partial(_grid, tuple(names), _read_only(rows))
 
     state_grid, effect_grid = grids or (library_grid(states), library_grid(effects))
     return TheoryDescriptor(
@@ -409,24 +455,45 @@ def _builtin(sys: SystemType, rule: CompositeRule, devices: Sequence[Gate], stat
         effects=effects,
         deterministic_effects={sys.label: effects["u"]},
         carrier=carrier,
-        strategies=StrategyHooks(grid(*state_grid), random_states, grid(*effect_grid),
-                                 random_effects),
+        strategies=StrategyHooks(
+            grid(*state_grid),
+            functools.partial(_checked_rows, draws[0], sys.dim, "state", normalized),
+            grid(*effect_grid),
+            functools.partial(_checked_rows, draws[1], sys.dim, "effect", False)),
         meta=meta,
     )
 
 
-def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int) -> _Draw:
-    """A batch draw calling ``draw(rng)`` once per row, in row order. For samples
+def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int,
+                rng: np.random.Generator, n: int) -> np.ndarray:
+    """``n`` rows of ``draw(rng)``, drawn in row order: a batch draw for samples
     that mix distributions, where drawing each one in bulk would reorder the
     random stream."""
+    rows = np.empty((n, dim))
+    for i in range(n):
+        rows[i] = draw(rng)
+    return rows
 
-    def draw_rows(rng: np.random.Generator, n: int) -> np.ndarray:
-        rows = np.empty((n, dim))
-        for i in range(n):
-            rows[i] = draw(rng)
-        return rows
 
-    return draw_rows
+def _read_only(tree):
+    """``tree`` (an array, or a tuple or dict of them; anything else is kept)
+    with each array made read-only, together with every array it is a view
+    of, and handed out as a view, which no caller can make writable again."""
+    if isinstance(tree, tuple):
+        return tuple(_read_only(t) for t in tree)
+    if isinstance(tree, dict):
+        return {k: _read_only(v) for k, v in tree.items()}
+    a = tree
+    while isinstance(a, np.ndarray):
+        a.setflags(write=False)
+        a = a.base
+    return tree.view() if isinstance(tree, np.ndarray) else tree
+
+
+def _held(**arrays) -> SimpleNamespace:
+    """A built-in theory's arrays, read-only, for :func:`functools.cache` to
+    hold once per process."""
+    return SimpleNamespace(**_read_only(arrays))
 
 
 # ---------------------------------------------------------------------------
@@ -468,15 +535,35 @@ def _measure(name: str, effects: EffectVector | Mapping[str, EffectVector],
     })
 
 
-def _channel(name: str, carrier: DensityCarrier, sys: SystemType, kraus: tuple) -> Gate:
-    """A one-outcome device on ``sys`` with the transfer matrix of a Kraus map."""
+def _channel(name: str, sys: SystemType, matrix: np.ndarray, kraus: tuple) -> Gate:
+    """A one-outcome device on ``sys``: a Kraus map with its held transfer matrix."""
     return Gate(name, _wires(sys), _wires(sys), {
-        "0": TransformationMatrix(sys, sys, carrier.channel_matrix(kraus), kraus=kraus)
+        "0": TransformationMatrix(sys, sys, matrix, kraus=kraus)
     })
+
+
+def _channels(carrier: DensityCarrier, maps: Sequence[tuple[str, tuple]]) -> tuple:
+    """``(name, transfer matrix, kraus)`` per named Kraus map, in the carrier."""
+    return tuple((name, carrier.channel_matrix(kraus), kraus) for name, kraus in maps)
 
 
 # ---------------------------------------------------------------------------
 # classical probability theory
+
+
+@functools.cache
+def _classical_arrays(d: int) -> SimpleNamespace:
+    return _held(eye=np.eye(d), uniform=np.full(d, 1.0 / d), ones=np.ones(d),
+                 coin=(np.array([0.5, 0.0]), np.array([0.0, 0.5])),
+                 flip=np.array([[0.0, 1.0], [1.0, 0.0]]))
+
+
+def _dirichlet_rows(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.dirichlet(np.ones(d), size=n)
+
+
+def _uniform_rows(d: int, rng: np.random.Generator, n: int) -> np.ndarray:
+    return rng.uniform(0.0, 1.0, size=(n, d))
 
 
 def classical_theory(d: int) -> TheoryDescriptor:
@@ -484,34 +571,29 @@ def classical_theory(d: int) -> TheoryDescriptor:
     if not 1 <= d <= MAX_SYSTEM_DIM:
         raise ValueError(f"d must lie in 1..{MAX_SYSTEM_DIM}")
     name = f"classical-{d}"
+    a = _classical_arrays(d)
     sys = SystemType(f"c{d}", d, theory=name)
     rule = KroneckerRule(theory=name)
-    eye = np.eye(d)
 
-    states = {f"s{j}": StateVector(sys, eye[:, j], normalized=True) for j in range(d)}
-    states["uniform"] = StateVector(sys, np.full(d, 1.0 / d), normalized=True)
-    effects = {f"p{j}": EffectVector(sys, eye[j]) for j in range(d)}
-    effects["u"] = EffectVector(sys, np.ones(d))
+    states = {f"s{j}": StateVector(sys, a.eye[:, j], normalized=True) for j in range(d)}
+    states["uniform"] = StateVector(sys, a.uniform, normalized=True)
+    effects = {f"p{j}": EffectVector(sys, a.eye[j]) for j in range(d)}
+    effects["u"] = EffectVector(sys, a.ones)
 
     devices = [_prep(f"prep_{j}", {"0": states[f"s{j}"]}) for j in range(d)]
     devices.append(_prep("prep_uniform", {"0": states["uniform"]}))
     if d == 2:
-        devices.append(_prep("coin", {"0": StateVector(sys, [0.5, 0.0]),
-                                      "1": StateVector(sys, [0.0, 0.5])}))
+        devices.append(_prep("coin", {"0": StateVector(sys, a.coin[0]),
+                                      "1": StateVector(sys, a.coin[1])}))
         devices.append(Gate("not", (sys,), (sys,), {
-            "0": TransformationMatrix(sys, sys, np.array([[0.0, 1.0], [1.0, 0.0]]))
+            "0": TransformationMatrix(sys, sys, a.flip)
         }))
-    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, eye)}))
+    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, a.eye)}))
     devices.append(_measure("read", {str(k): effects[f"p{k}"] for k in range(d)}))
     devices.append(_measure("sink", effects["u"]))
 
-    def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.dirichlet(np.ones(d), size=n)
-
-    def draw_effects(rng: np.random.Generator, n: int) -> np.ndarray:
-        return rng.uniform(0.0, 1.0, size=(n, d))
-
-    return _builtin(sys, rule, devices, states, effects, (draw_states, draw_effects),
+    return _builtin(sys, rule, devices, states, effects,
+                    (functools.partial(_dirichlet_rows, d), functools.partial(_uniform_rows, d)),
                     {"builtin": "classical", "params": {"d": d}})
 
 
@@ -519,18 +601,64 @@ def classical_theory(d: int) -> TheoryDescriptor:
 # complex quantum theory
 
 
-# The four maximally entangled two-qubit states, as column kets.
-_BELL_KETS = {
-    "phi_plus": np.array([[1], [0], [0], [1]], dtype=complex) / SQRT2,
-    "phi_minus": np.array([[1], [0], [0], [-1]], dtype=complex) / SQRT2,
-    "psi_plus": np.array([[0], [1], [1], [0]], dtype=complex) / SQRT2,
-    "psi_minus": np.array([[0], [1], [-1], [0]], dtype=complex) / SQRT2,
-}
+@functools.cache
+def _bell_kets() -> dict[str, np.ndarray]:
+    """The four maximally entangled two-qubit states, as read-only column kets."""
+    return _read_only({
+        "phi_plus": np.array([[1], [0], [0], [1]], dtype=complex) / SQRT2,
+        "phi_minus": np.array([[1], [0], [0], [-1]], dtype=complex) / SQRT2,
+        "psi_plus": np.array([[0], [1], [1], [0]], dtype=complex) / SQRT2,
+        "psi_minus": np.array([[0], [1], [-1], [0]], dtype=complex) / SQRT2,
+    })
 
 
 def bell_operators() -> dict[str, np.ndarray]:
     """Projectors onto the four maximally entangled two-qubit states."""
-    return {n: np.outer(v, v.conj()) for n, v in _BELL_KETS.items()}
+    return {n: np.outer(v, v.conj()) for n, v in _bell_kets().items()}
+
+
+@functools.cache
+def _quantum_arrays(d: int) -> SimpleNamespace:
+    carrier = DensityCarrier(hermitian_basis(d))
+    kets = tuple(np.eye(d, dtype=complex).reshape(d, d, 1))  # the basis kets, as columns
+    arrays = dict(
+        carrier=carrier, kets=kets,
+        projs=tuple(carrier.to_vector(k @ k.conj().T) for k in kets),
+        mixed=carrier.to_vector(np.eye(d) / d), unit=carrier.to_vector(np.eye(d)),
+        mixed_kraus=tuple(k / math.sqrt(d) for k in kets),
+        eye=np.eye(d * d), id_kraus=(np.eye(d, dtype=complex),),
+        bras=tuple(k.conj().T for k in kets))
+    if d == 2:
+        pair_carrier = DensityCarrier([np.kron(a, b) for a in carrier.basis for b in carrier.basis])
+        # plus @ plus^dag holds 0.5000000000000001 where the "plus" state holds 0.5
+        plus = np.full((2, 1), 1 / SQRT2, dtype=complex)
+        cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+        arrays.update(
+            plus_coords=carrier.to_vector(np.full((2, 2), 0.5, dtype=complex)),
+            bells={n: pair_carrier.to_vector(op) for n, op in bell_operators().items()},
+            plus=plus, plus_prep=carrier.to_vector(plus @ plus.conj().T),
+            channels=_channels(carrier, (
+                ("h", (np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,)),
+                ("x", (PAULI["X"],)), ("z", (PAULI["Z"],)),
+                ("s", (np.diag([1, 1j]).astype(complex),)),
+                ("t", (np.diag([1, np.exp(1j * math.pi / 4)]),)))),
+            cnot=(pair_carrier.channel_matrix((cnot,)), (cnot,)))
+    return _held(**arrays)
+
+
+def _quantum_state(carrier: DensityCarrier, d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    rho = g @ g.conj().T
+    rho /= np.trace(rho).real
+    return carrier.to_vector(rho)
+
+
+def _quantum_effect(carrier: DensityCarrier, d: int, rng: np.random.Generator) -> np.ndarray:
+    g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    h = (g + g.conj().T) / 2
+    lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
+    e = (h - lo * np.eye(d)) / max(hi - lo, ALGEBRA_TOL) * rng.uniform(0.0, 1.0)
+    return carrier.to_vector(e)
 
 
 def quantum_theory(d: int) -> TheoryDescriptor:
@@ -543,66 +671,41 @@ def quantum_theory(d: int) -> TheoryDescriptor:
     if not 2 <= d <= math.isqrt(MAX_SYSTEM_DIM):
         raise ValueError(f"d must lie in 2..{math.isqrt(MAX_SYSTEM_DIM)}")
     name = f"quantum-{d}"
-    carrier = DensityCarrier(hermitian_basis(d))
+    a = _quantum_arrays(d)
     sys = SystemType(f"q{d}", d * d, theory=name)
     rule = KroneckerRule(theory=name)
 
-    kets = list(np.eye(d, dtype=complex).reshape(d, d, 1))  # the basis kets, as columns
-    projs = [carrier.to_vector(k @ k.conj().T) for k in kets]
-    states = {f"basis_{j}": StateVector(sys, projs[j], normalized=True) for j in range(d)}
-    states["mixed"] = StateVector(sys, carrier.to_vector(np.eye(d) / d), normalized=True)
-    effects = {f"p{j}": EffectVector(sys, projs[j]) for j in range(d)}
-    effects["u"] = EffectVector(sys, carrier.to_vector(np.eye(d)))
+    states = {f"basis_{j}": StateVector(sys, a.projs[j], normalized=True) for j in range(d)}
+    states["mixed"] = StateVector(sys, a.mixed, normalized=True)
+    effects = {f"p{j}": EffectVector(sys, a.projs[j]) for j in range(d)}
+    effects["u"] = EffectVector(sys, a.unit)
 
-    devices = [_prep(f"prep_{j}", states[f"basis_{j}"], (kets[j],)) for j in range(d)]
-    devices.append(_prep("prep_mixed", states["mixed"], tuple(k / math.sqrt(d) for k in kets)))
+    devices = [_prep(f"prep_{j}", states[f"basis_{j}"], (a.kets[j],)) for j in range(d)]
+    devices.append(_prep("prep_mixed", states["mixed"], a.mixed_kraus))
     pair_devices = []
     if d == 2:
-        plus_coords = carrier.to_vector(np.full((2, 2), 0.5, dtype=complex))
-        states["plus"] = StateVector(sys, plus_coords, normalized=True)
-        effects["p_plus"] = EffectVector(sys, plus_coords)
-        pair_carrier = DensityCarrier([np.kron(a, b) for a in carrier.basis for b in carrier.basis])
+        states["plus"] = StateVector(sys, a.plus_coords, normalized=True)
+        effects["p_plus"] = EffectVector(sys, a.plus_coords)
         pair = rule.composite([sys, sys])
-        for bname, op in bell_operators().items():
-            states[bname] = StateVector(pair, pair_carrier.to_vector(op), normalized=True)
-
-        # plus @ plus^dag holds 0.5000000000000001 where the "plus" state holds 0.5
-        plus = np.full((2, 1), 1 / SQRT2, dtype=complex)
-        devices.append(_prep("prep_plus", StateVector(sys, carrier.to_vector(plus @ plus.conj().T)),
-                             (plus,)))
-        for gname, u in (("h", np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2),
-                         ("x", PAULI["X"]), ("z", PAULI["Z"]),
-                         ("s", np.diag([1, 1j]).astype(complex)),
-                         ("t", np.diag([1, np.exp(1j * math.pi / 4)]))):
-            devices.append(_channel(gname, carrier, sys, (u,)))
-        cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-        pair_devices = [_channel("cnot", pair_carrier, pair, (cnot,)),
-                        _prep("prep_bell", states["phi_plus"], (_BELL_KETS["phi_plus"],))]
+        for bname, coords in a.bells.items():
+            states[bname] = StateVector(pair, coords, normalized=True)
+        devices.append(_prep("prep_plus", StateVector(sys, a.plus_prep), (a.plus,)))
+        devices += [_channel(gname, sys, m, kraus) for gname, m, kraus in a.channels]
+        pair_devices = [_channel("cnot", pair, *a.cnot),
+                        _prep("prep_bell", states["phi_plus"], (_bell_kets()["phi_plus"],))]
 
     devices.append(Gate("id", (sys,), (sys,), {
-        "0": TransformationMatrix(sys, sys, np.eye(d * d), kraus=(np.eye(d, dtype=complex),))
+        "0": TransformationMatrix(sys, sys, a.eye, kraus=a.id_kraus)
     }))
-    bras = [k.conj().T for k in kets]
     devices.append(_measure("measure", {str(k): effects[f"p{k}"] for k in range(d)},
-                            {str(k): (bras[k],) for k in range(d)}))
-    devices.append(_measure("sink", effects["u"], tuple(bras)))
+                            {str(k): (a.bras[k],) for k in range(d)}))
+    devices.append(_measure("sink", effects["u"], a.bras))
 
-    def draw_state(rng: np.random.Generator) -> np.ndarray:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        rho = g @ g.conj().T
-        rho /= np.trace(rho).real
-        return carrier.to_vector(rho)
-
-    def draw_effect(rng: np.random.Generator) -> np.ndarray:
-        g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-        h = (g + g.conj().T) / 2
-        lo, hi = np.linalg.eigvalsh(h)[[0, -1]]
-        e = (h - lo * np.eye(d)) / max(hi - lo, ALGEBRA_TOL) * rng.uniform(0.0, 1.0)
-        return carrier.to_vector(e)
-
+    draws = (functools.partial(_quantum_state, a.carrier, d),
+             functools.partial(_quantum_effect, a.carrier, d))
     return _builtin(sys, rule, devices + pair_devices, states, effects,
-                    (_per_sample(draw_state, sys.dim), _per_sample(draw_effect, sys.dim)),
-                    {"builtin": "quantum", "params": {"d": d}}, carrier=carrier)
+                    tuple(functools.partial(_per_sample, draw, d * d) for draw in draws),
+                    {"builtin": "quantum", "params": {"d": d}}, carrier=a.carrier)
 
 
 # ---------------------------------------------------------------------------
@@ -616,11 +719,55 @@ def _bloch_coords(theta, r=1.0) -> np.ndarray:
                     axis=-1) / SQRT2
 
 
-# The rebit strategy grids' pure states and projectors, at k * 15 degrees: one call
-# over the 24 angles, whose rows equal one call per angle bit for bit. At r = 1 the
-# rows pass the state checks, and so the effect checks.
-_GRID_PROJECTORS = checked_coords(_bloch_coords(np.array([k * math.pi / 12 for k in range(24)])),
-                                  (24, 3), "state", normalized=True)
+@functools.cache
+def _rebit_arrays() -> SimpleNamespace:
+    carrier, pair_carrier = _symmetric_carrier(1), _symmetric_carrier(2)
+    e0, e1 = np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)
+    plus = (e0 + e1) / SQRT2
+    bells = bell_operators()
+    zero, one = (carrier.to_vector(e @ e.conj().T) for e in (e0, e1))
+    mixed, unit = carrier.to_vector(np.eye(2) / 2), carrier.to_vector(np.eye(2))
+    # The strategy grids' pure states and projectors, at k * 15 degrees: one call
+    # over the 24 angles, whose rows equal one call per angle bit for bit. At r = 1
+    # the rows pass the state checks, and so the effect checks; the grids' last
+    # rows are library vectors, checked when built.
+    projectors = checked_coords(_bloch_coords(np.array([k * math.pi / 12 for k in range(24)])),
+                                (24, 3), "state", normalized=True)
+    bras = {n: k.conj().T for n, k in _bell_kets().items()}
+    return _held(
+        carrier=carrier, e0=e0, plus=plus, zero=zero, one=one, mixed=mixed, unit=unit,
+        plus_coords=carrier.to_vector(plus @ plus.conj().T),
+        bells={n: pair_carrier.to_vector(op) for n, op in bells.items()},
+        # Two-outcome joint measurement {phi+ + psi-, phi- + psi+}.
+        joint_first=pair_carrier.to_vector(bells["phi_plus"] + bells["psi_minus"]),
+        joint_second=pair_carrier.to_vector(bells["phi_minus"] + bells["psi_plus"]),
+        channels=_channels(carrier, (
+            ("id", (PAULI["I"],)),
+            ("x", (PAULI["X"],)),
+            ("h", (np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,)),
+            # rho -> rho/2 + Y rho Y/2: acts like total dephasing on every single
+            # rebit, but preserves the global Y-parity of joint states.
+            ("t1", (PAULI["I"] / SQRT2, PAULI["Y"] / SQRT2)),
+            # rho -> I tr(rho)/2: discard and reprepare maximally mixed.
+            ("t2", tuple((a @ b.conj().T) / SQRT2 for a in (e0, e1) for b in (e0, e1))))),
+        mixed_kraus=(e0 / SQRT2, e1 / SQRT2),
+        bra0=e0.conj().T, bra1=e1.conj().T,
+        joint_kraus={"first": (bras["phi_plus"], bras["psi_minus"]),
+                     "second": (bras["phi_minus"], bras["psi_plus"])},
+        state_rows=np.vstack([projectors, mixed]), effect_rows=np.vstack([projectors, unit]))
+
+
+def _rebit_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    # row i holds sample i's (theta, r): the order of one scalar draw after another
+    theta, r = rng.uniform([0.0, 0.0], [2 * math.pi, 1.0], size=(n, 2)).T
+    return _bloch_coords(theta, r)
+
+
+def _rebit_effects(unit: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    # alpha * projector + beta * its complement, drawn (theta, alpha, beta) per row
+    theta, alpha, beta = rng.uniform([0.0, 0.0, 0.0], [2 * math.pi, 1.0, 1.0], size=(n, 3)).T
+    p_coords = _bloch_coords(theta)
+    return alpha[:, None] * p_coords + beta[:, None] * (unit - p_coords)
 
 
 def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
@@ -635,78 +782,44 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
     if d != 2:
         raise ValueError("real-amplitude quantum theory is modelled for rebits only (d=2)")
     name = "real-quantum-2"
+    a = _rebit_arrays()
     rule = RebitRule(name)
-    carrier = rule.carrier(1)
     sys = SystemType("rebit", 3, theory=name)
     pair = rule.composite([sys, sys])
-    pair_carrier = rule.carrier(2)
 
-    e0, e1 = np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)
-    plus = (e0 + e1) / SQRT2
-    bells = bell_operators()
-    # Two-outcome joint measurement {phi+ + psi-, phi- + psi+}.
-    first_op = bells["phi_plus"] + bells["psi_minus"]
-    second_op = bells["phi_minus"] + bells["psi_plus"]
-
-    zero, one = (carrier.to_vector(e @ e.conj().T) for e in (e0, e1))
     states = {
-        "zero": StateVector(sys, zero, normalized=True),
-        "plus": StateVector(sys, carrier.to_vector(plus @ plus.conj().T), normalized=True),
-        "mixed": StateVector(sys, carrier.to_vector(np.eye(2) / 2), normalized=True),
+        "zero": StateVector(sys, a.zero, normalized=True),
+        "plus": StateVector(sys, a.plus_coords, normalized=True),
+        "mixed": StateVector(sys, a.mixed, normalized=True),
     }
-    for bname, op in bells.items():
-        states[bname] = StateVector(pair, pair_carrier.to_vector(op), normalized=True)
+    for bname, coords in a.bells.items():
+        states[bname] = StateVector(pair, coords, normalized=True)
     effects = {
-        "p0": EffectVector(sys, zero),
-        "p1": EffectVector(sys, one),
-        "u": EffectVector(sys, carrier.to_vector(np.eye(2))),
-        "joint_first": EffectVector(pair, pair_carrier.to_vector(first_op)),
-        "joint_second": EffectVector(pair, pair_carrier.to_vector(second_op)),
+        "p0": EffectVector(sys, a.zero),
+        "p1": EffectVector(sys, a.one),
+        "u": EffectVector(sys, a.unit),
+        "joint_first": EffectVector(pair, a.joint_first),
+        "joint_second": EffectVector(pair, a.joint_second),
     }
 
-    bras = {n: k.conj().T for n, k in _BELL_KETS.items()}
-    devices = [
-        _channel("id", carrier, sys, (PAULI["I"],)),
-        _channel("x", carrier, sys, (PAULI["X"],)),
-        _channel("h", carrier, sys, (np.array([[1, 1], [1, -1]], dtype=complex) / SQRT2,)),
-        # rho -> rho/2 + Y rho Y/2: acts like total dephasing on every single
-        # rebit, but preserves the global Y-parity of joint states.
-        _channel("t1", carrier, sys, (PAULI["I"] / SQRT2, PAULI["Y"] / SQRT2)),
-        # rho -> I tr(rho)/2: discard and reprepare maximally mixed.
-        _channel("t2", carrier, sys,
-                 tuple((a @ b.conj().T) / SQRT2 for a in (e0, e1) for b in (e0, e1))),
-        _prep("prep_0", states["zero"], (e0,)),
-        _prep("prep_plus", states["plus"], (plus,)),
-        _prep("prep_mixed", states["mixed"], (e0 / SQRT2, e1 / SQRT2)),
+    devices = [_channel(gname, sys, m, kraus) for gname, m, kraus in a.channels]
+    devices += [
+        _prep("prep_0", states["zero"], (a.e0,)),
+        _prep("prep_plus", states["plus"], (a.plus,)),
+        _prep("prep_mixed", states["mixed"], a.mixed_kraus),
         _measure("measure", {"0": effects["p0"], "1": effects["p1"]},
-                 {"0": (e0.conj().T,), "1": (e1.conj().T,)}),
-        _measure("sink", effects["u"], (e0.conj().T, e1.conj().T)),
-        _prep("prep_phi_plus", states["phi_plus"], (_BELL_KETS["phi_plus"],)),
+                 {"0": (a.bra0,), "1": (a.bra1,)}),
+        _measure("sink", effects["u"], (a.bra0, a.bra1)),
+        _prep("prep_phi_plus", states["phi_plus"], (_bell_kets()["phi_plus"],)),
         _measure("joint_measure", {"first": effects["joint_first"],
-                                   "second": effects["joint_second"]},
-                 {"first": (bras["phi_plus"], bras["psi_minus"]),
-                  "second": (bras["phi_minus"], bras["psi_plus"])}),
+                                   "second": effects["joint_second"]}, a.joint_kraus),
     ]
 
-    # the grids' last rows are library vectors, checked when built
-    state_grid = ([f"pure({k * 15}°)" for k in range(24)] + ["mixed"],
-                  np.vstack([_GRID_PROJECTORS, states["mixed"].coords]))
-    effect_grid = ([f"proj({k * 15}°)" for k in range(24)] + ["unit"],
-                   np.vstack([_GRID_PROJECTORS, effects["u"].coords]))
-
-    def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
-        # row i holds sample i's (theta, r): the order of one scalar draw after another
-        theta, r = rng.uniform([0.0, 0.0], [2 * math.pi, 1.0], size=(n, 2)).T
-        return _bloch_coords(theta, r)
-
-    def draw_effects(rng: np.random.Generator, n: int) -> np.ndarray:
-        # alpha * projector + beta * its complement, drawn (theta, alpha, beta) per row
-        theta, alpha, beta = rng.uniform([0.0, 0.0, 0.0], [2 * math.pi, 1.0, 1.0], size=(n, 3)).T
-        p_coords = _bloch_coords(theta)
-        return alpha[:, None] * p_coords + beta[:, None] * (effects["u"].coords - p_coords)
-
-    return _builtin(sys, rule, devices, states, effects, (draw_states, draw_effects),
-                    {"builtin": "real-quantum", "params": {"d": 2}}, carrier=carrier,
+    state_grid = ([f"pure({k * 15}°)" for k in range(24)] + ["mixed"], a.state_rows)
+    effect_grid = ([f"proj({k * 15}°)" for k in range(24)] + ["unit"], a.effect_rows)
+    return _builtin(sys, rule, devices, states, effects,
+                    (_rebit_states, functools.partial(_rebit_effects, a.unit)),
+                    {"builtin": "real-quantum", "params": {"d": 2}}, carrier=a.carrier,
                     grids=(state_grid, effect_grid))
 
 
@@ -745,6 +858,25 @@ def pr_box_coords() -> np.ndarray:
     return coords
 
 
+@functools.cache
+def _gbit_arrays() -> SimpleNamespace:
+    return _held(eye=np.eye(5), mixed=_gbit_coords(0.5, 0.5),
+                 vertices={f"v{p0}{p1}": _gbit_coords(float(p0), float(p1))
+                           for p0 in (0, 1) for p1 in (0, 1)},
+                 pr_box=pr_box_coords())
+
+
+def _gbit_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    p0, p1 = rng.uniform(size=(n, 2)).T
+    return _gbit_coords(p0, p1)
+
+
+def _gbit_effect(eye: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    x = rng.integers(0, 2)
+    alpha, beta = rng.uniform(0.0, 1.0, size=2)
+    return alpha * eye[_gbit_index(0, x)] + beta * eye[_gbit_index(1, x)]
+
+
 def boxworld_gbit() -> TheoryDescriptor:
     """The elementary Boxworld system: a square state space with two binary
     fiducial measurements, plus the PR box on a pair of them.
@@ -754,40 +886,32 @@ def boxworld_gbit() -> TheoryDescriptor:
     are not modelled.
     """
     name = "boxworld"
+    a = _gbit_arrays()
     sys = SystemType("gbit", 5, theory=name)
     rule = KroneckerRule(theory=name)
     pair = rule.composite([sys, sys])
 
-    effects = {"u": EffectVector(sys, np.eye(5)[0])}
+    effects = {"u": EffectVector(sys, a.eye[0])}
     for x in range(2):
-        for a in range(2):
-            effects[f"e{a}x{x}"] = EffectVector(sys, np.eye(5)[_gbit_index(a, x)])
+        for b in range(2):
+            effects[f"e{b}x{x}"] = EffectVector(sys, a.eye[_gbit_index(b, x)])
 
-    states = {"mixed": StateVector(sys, _gbit_coords(0.5, 0.5))}
-    for p0 in (0, 1):
-        for p1 in (0, 1):
-            states[f"v{p0}{p1}"] = StateVector(sys, _gbit_coords(float(p0), float(p1)))
-    states["pr_box"] = StateVector(pair, pr_box_coords())
+    states = {"mixed": StateVector(sys, a.mixed)}
+    for vname, coords in a.vertices.items():
+        states[vname] = StateVector(sys, coords)
+    states["pr_box"] = StateVector(pair, a.pr_box)
 
     devices = [_prep(f"prep_{sname}", states[sname])
                for sname in ("mixed", "v00", "v01", "v10", "v11")]
     devices.append(_prep("prep_pr", states["pr_box"]))
     for x in range(2):
-        devices.append(_measure(f"measure_x{x}", {str(a): effects[f"e{a}x{x}"] for a in range(2)}))
+        devices.append(_measure(f"measure_x{x}", {str(b): effects[f"e{b}x{x}"] for b in range(2)}))
     devices.append(_measure("sink", effects["u"]))
-    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, np.eye(5))}))
+    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, a.eye)}))
 
-    def draw_states(rng: np.random.Generator, n: int) -> np.ndarray:
-        p0, p1 = rng.uniform(size=(n, 2)).T
-        return _gbit_coords(p0, p1)
-
-    def draw_effect(rng: np.random.Generator) -> np.ndarray:
-        x = rng.integers(0, 2)
-        alpha, beta = rng.uniform(0.0, 1.0, size=2)
-        return alpha * effects[f"e0x{x}"].coords + beta * effects[f"e1x{x}"].coords
-
+    draw_effect = functools.partial(_gbit_effect, a.eye)
     return _builtin(sys, rule, devices, states, effects,
-                    (draw_states, _per_sample(draw_effect, sys.dim)),
+                    (_gbit_states, functools.partial(_per_sample, draw_effect, sys.dim)),
                     {"builtin": "boxworld", "params": {}}, normalized=False)
 
 

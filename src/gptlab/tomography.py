@@ -25,6 +25,10 @@ from .theories import TheoryDescriptor
 # The largest composite dimension n_local_span takes by default.
 DEFAULT_SPAN_CAP = 4096
 
+# The most entries n_local_span lets one of its arrays hold, whatever the cap:
+# a defect basis at the default cap holds at most this many.
+MAX_SPAN_ENTRIES = DEFAULT_SPAN_CAP**2
+
 # The most decimal digits a fiducial count may have: the default limit of
 # Python's int-to-text conversion, so every count fiducial_count returns prints.
 MAX_COUNT_DIGITS = 4300
@@ -71,6 +75,11 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
     dimension counts the axes covered over all partitions and the defect
     basis is the uncovered unit axes in ascending order. No rank is decided,
     so no tolerance enters.
+
+    Past ``cap`` coordinates, or when its index arrays (N entries per
+    coordinate) or the defect basis would hold more than
+    ``MAX_SPAN_ENTRIES`` entries, it raises ``CapacityError`` before
+    allocating them.
     """
     if not (1 <= locality <= n_systems):
         raise ValueError("need 1 <= locality <= n_systems")
@@ -82,10 +91,16 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
     if d >= 2 and (n_systems > cap.bit_length() or d**n_systems > cap):
         raise CapacityError(f"{n_systems} systems of dimension {d} exceed cap {cap}: "
                             f"the composite has at least {d}^{n_systems} coordinates")
+    if n_systems * d**n_systems > MAX_SPAN_ENTRIES:
+        raise CapacityError(f"{n_systems} systems of dimension {d} need index arrays of more "
+                            f"than {MAX_SPAN_ENTRIES} entries")
     types = [sys_type] * n_systems
     composite = rule.composite(types)
     if composite.dim > cap:
         raise CapacityError(f"composite dimension {composite.dim} exceeds cap {cap}")
+    if n_systems * composite.dim > MAX_SPAN_ENTRIES:
+        raise CapacityError(f"composite dimension {composite.dim} of {n_systems} systems needs "
+                            f"index arrays of more than {MAX_SPAN_ENTRIES} entries")
 
     covered = np.zeros(composite.dim, dtype=bool)
     for partition in _partitions(list(range(n_systems)), locality):
@@ -94,9 +109,14 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
         axes = rule.product_axes(block_types, choices)  # axes in block order, moved to wire order
         covered[rule.permutation_index(types, [i for b in partition for i in b])[axes]] = True
 
-    rank = int(covered.sum())
-    return TomographyReport(theory.name, n_systems, locality, composite.dim, rank,
-                            composite.dim - rank, defect_basis=np.eye(composite.dim)[~covered])
+    defect = np.flatnonzero(~covered)
+    if len(defect) * composite.dim > MAX_SPAN_ENTRIES:
+        raise CapacityError(f"a defect basis of {len(defect)} x {composite.dim} entries is more "
+                            f"than {MAX_SPAN_ENTRIES}")
+    basis = np.zeros((len(defect), composite.dim))  # the unit rows of the uncovered axes
+    basis[np.arange(len(defect)), defect] = 1.0
+    return TomographyReport(theory.name, n_systems, locality, composite.dim,
+                            composite.dim - len(defect), len(defect), defect_basis=basis)
 
 
 def fiducial_count(k: int, n_systems: int, locality: int) -> int:

@@ -25,6 +25,10 @@ draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
 transfer matrix; ``defect_direction_overlap`` measures a vector against a
 tomography report's defect basis. Random corpus builders are seeded.
+``reference_builtin_arrays`` computes every array a built-in theory's build
+holds from scratch, by the formulas the theories were written with, and
+``builtin_arrays`` reads the same from a build: the reference the arrays the
+builds share are held to byte for byte.
 """
 
 from __future__ import annotations
@@ -51,7 +55,8 @@ from gptlab.core import (PHYSICAL_TOL, CompositeRule, EffectVector, KroneckerRul
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
-from gptlab.theories import DensityCarrier, RebitRule, even_y_index, hermitian_basis
+from gptlab.theories import (DensityCarrier, RebitRule, even_y_index, hermitian_basis,
+                             pr_box_coords, symmetric_pauli_basis)
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
 
 
@@ -772,3 +777,170 @@ def reference_draws(theory):
 
         return gbit_state, None
     return None, None
+
+
+# ---------------------------------------------------------------------------
+# built-in theory arrays
+
+
+def _ref_to_vector(basis, op) -> np.ndarray:
+    return np.einsum("aij,ji->a", basis, np.asarray(op, dtype=complex)).real
+
+
+def _ref_transfer(basis, kraus) -> np.ndarray:
+    moved = sum(np.einsum("ij,bjk,lk->bil", k, basis, k.conj()) for k in np.asarray(kraus, complex))
+    return np.einsum("aij,bji->ab", basis, moved).real
+
+
+def reference_builtin_arrays(builtin: str, d: int | None = None) -> dict:
+    """Every array a build of a built-in theory holds, computed from scratch on
+    each call by the formulas the theories were written with, before their
+    builds shared arrays: ``{"states": {name: coords}, "effects": {name:
+    coords}, "gates": {name: {label: (matrix, kraus or None)}}, "carrier":
+    basis or None}``, each dict in the build's order. :func:`builtin_arrays`
+    reads the same from a build."""
+    sqrt2 = math.sqrt(2.0)
+    pauli = {"I": np.eye(2, dtype=complex), "X": np.array([[0, 1], [1, 0]], dtype=complex),
+             "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+             "Z": np.array([[1, 0], [0, -1]], dtype=complex)}
+    bell_kets = {"phi_plus": np.array([[1], [0], [0], [1]], dtype=complex) / sqrt2,
+                 "phi_minus": np.array([[1], [0], [0], [-1]], dtype=complex) / sqrt2,
+                 "psi_plus": np.array([[0], [1], [1], [0]], dtype=complex) / sqrt2,
+                 "psi_minus": np.array([[0], [1], [-1], [0]], dtype=complex) / sqrt2}
+    bells = {n: np.outer(v, v.conj()) for n, v in bell_kets.items()}
+    states, effects, gates, basis = {}, {}, {}, None
+
+    def prep(name, outs):  # outs: {label: (coords, kraus)}
+        gates[name] = {k: (c.reshape(-1, 1), kr) for k, (c, kr) in outs.items()}
+
+    def measure(name, outs):
+        gates[name] = {k: (c.reshape(1, -1), kr) for k, (c, kr) in outs.items()}
+
+    def channel(name, b, kraus):
+        gates[name] = {"0": (_ref_transfer(b, kraus), kraus)}
+
+    if builtin == "classical":
+        eye = np.eye(d)
+        states.update({f"s{j}": eye[:, j] for j in range(d)}, uniform=np.full(d, 1.0 / d))
+        effects.update({f"p{j}": eye[j] for j in range(d)}, u=np.ones(d))
+        for j in range(d):
+            prep(f"prep_{j}", {"0": (states[f"s{j}"], None)})
+        prep("prep_uniform", {"0": (states["uniform"], None)})
+        if d == 2:
+            prep("coin", {"0": (np.array([0.5, 0.0]), None), "1": (np.array([0.0, 0.5]), None)})
+            gates["not"] = {"0": (np.array([[0.0, 1.0], [1.0, 0.0]]), None)}
+        gates["id"] = {"0": (eye, None)}
+        measure("read", {str(k): (effects[f"p{k}"], None) for k in range(d)})
+        measure("sink", {"0": (effects["u"], None)})
+    elif builtin == "quantum":
+        basis = np.stack(hermitian_basis(d))
+        kets = list(np.eye(d, dtype=complex).reshape(d, d, 1))
+        projs = [_ref_to_vector(basis, k @ k.conj().T) for k in kets]
+        states.update({f"basis_{j}": projs[j] for j in range(d)},
+                      mixed=_ref_to_vector(basis, np.eye(d) / d))
+        effects.update({f"p{j}": projs[j] for j in range(d)}, u=_ref_to_vector(basis, np.eye(d)))
+        for j in range(d):
+            prep(f"prep_{j}", {"0": (projs[j], (kets[j],))})
+        prep("prep_mixed", {"0": (states["mixed"], tuple(k / math.sqrt(d) for k in kets))})
+        pair_gates = {}
+        if d == 2:
+            plus_coords = _ref_to_vector(basis, np.full((2, 2), 0.5, dtype=complex))
+            states["plus"] = effects["p_plus"] = plus_coords
+            pair = np.stack([np.kron(a, b) for a in basis for b in basis])
+            states.update({n: _ref_to_vector(pair, op) for n, op in bells.items()})
+            plus = np.full((2, 1), 1 / sqrt2, dtype=complex)
+            prep("prep_plus", {"0": (_ref_to_vector(basis, plus @ plus.conj().T), (plus,))})
+            for gname, u in (("h", np.array([[1, 1], [1, -1]], dtype=complex) / sqrt2),
+                             ("x", pauli["X"]), ("z", pauli["Z"]),
+                             ("s", np.diag([1, 1j]).astype(complex)),
+                             ("t", np.diag([1, np.exp(1j * math.pi / 4)]))):
+                channel(gname, basis, (u,))
+            cnot = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+            pair_gates = {"cnot": {"0": (_ref_transfer(pair, (cnot,)), (cnot,))},
+                          "prep_bell": {"0": (states["phi_plus"].reshape(-1, 1),
+                                              (bell_kets["phi_plus"],))}}
+        gates["id"] = {"0": (np.eye(d * d), (np.eye(d, dtype=complex),))}
+        bras = [k.conj().T for k in kets]
+        measure("measure", {str(k): (projs[k], (bras[k],)) for k in range(d)})
+        measure("sink", {"0": (effects["u"], tuple(bras))})
+        gates.update(pair_gates)
+    elif builtin == "real-quantum":
+        basis = np.stack(symmetric_pauli_basis(1))
+        pair = np.stack(symmetric_pauli_basis(2))
+        e0, e1 = np.array([[1.0], [0.0]], dtype=complex), np.array([[0.0], [1.0]], dtype=complex)
+        plus = (e0 + e1) / sqrt2
+        zero, one = (_ref_to_vector(basis, e @ e.conj().T) for e in (e0, e1))
+        states.update(zero=zero, plus=_ref_to_vector(basis, plus @ plus.conj().T),
+                      mixed=_ref_to_vector(basis, np.eye(2) / 2))
+        states.update({n: _ref_to_vector(pair, op) for n, op in bells.items()})
+        effects.update(p0=zero, p1=one, u=_ref_to_vector(basis, np.eye(2)),
+                       joint_first=_ref_to_vector(pair, bells["phi_plus"] + bells["psi_minus"]),
+                       joint_second=_ref_to_vector(pair, bells["phi_minus"] + bells["psi_plus"]))
+        channel("id", basis, (pauli["I"],))
+        channel("x", basis, (pauli["X"],))
+        channel("h", basis, (np.array([[1, 1], [1, -1]], dtype=complex) / sqrt2,))
+        channel("t1", basis, (pauli["I"] / sqrt2, pauli["Y"] / sqrt2))
+        channel("t2", basis, tuple((a @ b.conj().T) / sqrt2 for a in (e0, e1) for b in (e0, e1)))
+        prep("prep_0", {"0": (zero, (e0,))})
+        prep("prep_plus", {"0": (states["plus"], (plus,))})
+        prep("prep_mixed", {"0": (states["mixed"], (e0 / sqrt2, e1 / sqrt2))})
+        measure("measure", {"0": (zero, (e0.conj().T,)), "1": (one, (e1.conj().T,))})
+        measure("sink", {"0": (effects["u"], (e0.conj().T, e1.conj().T))})
+        prep("prep_phi_plus", {"0": (states["phi_plus"], (bell_kets["phi_plus"],))})
+        bras = {n: k.conj().T for n, k in bell_kets.items()}
+        measure("joint_measure", {
+            "first": (effects["joint_first"], (bras["phi_plus"], bras["psi_minus"])),
+            "second": (effects["joint_second"], (bras["phi_minus"], bras["psi_plus"]))})
+    elif builtin == "boxworld":
+        def gbit(p0, p1):
+            return np.stack(np.broadcast_arrays(1.0, p0, 1.0 - p0, p1, 1.0 - p1), axis=-1)
+
+        effects["u"] = np.eye(5)[0]
+        effects.update({f"e{a}x{x}": np.eye(5)[1 + 2 * x + a] for x in range(2) for a in range(2)})
+        states["mixed"] = gbit(0.5, 0.5)
+        states.update({f"v{p0}{p1}": gbit(float(p0), float(p1)) for p0 in (0, 1) for p1 in (0, 1)})
+        states["pr_box"] = pr_box_coords()
+        for sname in ("mixed", "v00", "v01", "v10", "v11"):
+            prep(f"prep_{sname}", {"0": (states[sname], None)})
+        prep("prep_pr", {"0": (states["pr_box"], None)})
+        for x in range(2):
+            measure(f"measure_x{x}", {str(a): (effects[f"e{a}x{x}"], None) for a in range(2)})
+        measure("sink", {"0": (effects["u"], None)})
+        gates["id"] = {"0": (np.eye(5), None)}
+    return {"states": states, "effects": effects, "gates": gates, "carrier": basis}
+
+
+def builtin_arrays(theory) -> dict:
+    """:func:`reference_builtin_arrays`, as a build of the theory holds them."""
+    return {"states": {n: v.coords for n, v in theory.states.items()},
+            "effects": {n: e.coords for n, e in theory.effects.items()},
+            "gates": {n: {k: (t.matrix, t.kraus) for k, t in g.outcomes.items()}
+                      for n, g in theory.gates.items()},
+            "carrier": None if theory.carrier is None else theory.carrier.basis}
+
+
+def arrays_in(tree):
+    """Every array in a nest of dicts, tuples and lists, in order."""
+    if isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, dict):
+        for v in tree.values():
+            yield from arrays_in(v)
+    elif isinstance(tree, (tuple, list)):
+        for v in tree:
+            yield from arrays_in(v)
+
+
+def same_bytes(got, want) -> bool:
+    """Whether two nests of dicts (keys in the same order), tuples and arrays
+    hold the same arrays byte for byte: dtype, shape and bits."""
+    if isinstance(want, np.ndarray):
+        return (isinstance(got, np.ndarray) and got.dtype == want.dtype
+                and got.shape == want.shape and got.tobytes() == want.tobytes())
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and list(got) == list(want)
+                and all(same_bytes(got[k], want[k]) for k in want))
+    if isinstance(want, (tuple, list)):
+        return (isinstance(got, (tuple, list)) and len(got) == len(want)
+                and all(same_bytes(g, w) for g, w in zip(got, want)))
+    return got is want is None

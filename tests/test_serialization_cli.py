@@ -269,6 +269,54 @@ def test_family_invariant_errors_at_parse():
             parse_family(json.dumps({"n_slits": 1, "projectors": {"0": [["0"]], "1": [[entry]]}}))
 
 
+def qutrit_doc() -> dict:
+    return json.loads((resources.files("gptlab") / "data" / "family_qutrit.json").read_text())
+
+
+def test_family_entries_read_as_parse_number_reads_each():
+    doc = qutrit_doc()
+    family = parse_family(json.dumps(doc))
+    for mask, rows in doc["projectors"].items():
+        subset = frozenset(i for i in range(3) if int(mask) >> i & 1)
+        want = np.array([[parse_number(x, "") for x in row] for row in rows])
+        assert family.projectors[subset].tobytes() == want.tobytes(), mask
+
+
+@pytest.mark.parametrize("entry, match", [
+    (True, "expected a number"), (False, "expected a number"), (None, "expected a number"),
+    (10**400, "not a finite float"), ([], "expected a number"), ("1/0", "cannot read")])
+def test_a_bad_family_entry_raises_where_it_stands(entry, match):
+    # every other entry of the bundled family is a string; "0.0" and "1" are read
+    # before the bad entry, which is not taken for either of them
+    doc = qutrit_doc()
+    last = list(doc["projectors"])[-1]
+    doc["projectors"][last][4][4] = entry
+    with pytest.raises(ParseError, match=match) as info:
+        parse_family(json.dumps(doc))
+    assert info.value.location == f"family.projectors[{last!r}]"
+
+
+def test_the_first_bad_family_entry_in_document_order_raises():
+    doc = qutrit_doc()
+    masks = list(doc["projectors"])
+    doc["projectors"][masks[2]][0][1] = "bad"
+    doc["projectors"][masks[5]][0][0] = "bad"
+    doc["projectors"][masks[1]][8][8] = True
+    with pytest.raises(ParseError, match="expected a number") as info:
+        parse_family(json.dumps(doc))
+    assert info.value.location == f"family.projectors[{masks[1]!r}]"
+
+
+def test_family_shapes_are_checked_before_any_entry_is_read():
+    doc = qutrit_doc()
+    masks = list(doc["projectors"])
+    doc["projectors"][masks[0]][0][0] = "bad"
+    doc["projectors"][masks[-1]][2] = doc["projectors"][masks[-1]][2][:-1]
+    with pytest.raises(ParseError, match="list of rows") as info:
+        parse_family(json.dumps(doc))
+    assert info.value.location == f"family.projectors[{masks[-1]!r}]"
+
+
 # ---------------------------------------------------------------------------
 # CLI
 
@@ -795,6 +843,13 @@ def test_tomo_check_refuses_past_its_cap_before_listing_systems(capsys, systems)
     assert code == 0 and json.loads(out)["composite_dim"] == 4096
 
 
+def test_tomo_check_refuses_a_cap_past_memory_before_allocating(capsys):
+    # 2^100 coordinates are under a cap of 10^40, but no array holds them
+    argv = ["tomo", "check", "--theory", data_path("theory_classical2.json"),
+            "--systems", "100", "--locality", "1", "--cap", str(10**40)]
+    assert_one_line(capsys, argv, 1, "domain failure")
+
+
 class Dup(list):
     """A JSON object written with a repeated key: a list of (key, value) pairs."""
 
@@ -867,16 +922,21 @@ def mutated(doc, data) -> str:
 DATA_FILES = {path.name: json.loads(path.read_text())
               for path in Path(data_path("")).glob("*.json")}
 # the integer options whose values the property replaces with huge ones
-HUGE_OPTIONS = ("--systems", "--n", "--k")
+HUGE_OPTIONS = ("--systems", "--n", "--k", "--cap", "--max-steps", "--order", "--marked")
+# the commands that take --cap, which the bundled commands leave at its default
+CAP_COMMANDS = (["circuit", "eval"], ["circuit", "accept"], ["tomo", "check"])
 
 
 @settings(max_examples=250, deadline=None, derandomize=True)
 @given(st.sampled_from(BUNDLED_COMMANDS), st.booleans(), st.data())
 def test_no_input_escapes_the_exit_codes(argv, as_json, data):
     """Every bundled document mutated in one place, in each command that reads
-    its kind, and each command's integer options made huge: ``main`` returns 0,
-    1 or 2 and writes at most one line to stderr."""
+    its kind, and each command's integer options made huge (a --cap added where
+    a command takes one): ``main`` returns 0, 1 or 2 and writes at most one
+    line to stderr."""
     argv = list(argv)
+    if argv[:2] in CAP_COMMANDS and data.draw(st.booleans()):
+        argv += ["--cap", "4096"]
     for k, arg in enumerate(argv):
         name = Path(arg).name
         if name in DATA_FILES:
@@ -886,7 +946,7 @@ def test_no_input_escapes_the_exit_codes(argv, as_json, data):
         elif argv[k - 1] == "--vector":
             argv[k] = mutated(json.loads(arg), data)
         elif argv[k - 1] in HUGE_OPTIONS and data.draw(st.booleans()):
-            argv[k] = str(data.draw(st.sampled_from(HUGE + [0, -1])))
+            argv[k] = str(data.draw(st.sampled_from(HUGE + [0, -1, 100])))
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main((["--json"] if as_json else []) + argv)

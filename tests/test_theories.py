@@ -1,12 +1,18 @@
 """Built-in theories: representations, worked rebit example, Boxworld/CHSH."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gptlab
 from gptlab import (
     DensityCarrier,
     EffectVector,
@@ -18,6 +24,7 @@ from gptlab import (
     boxworld_gbit,
     chsh_value,
     classical_theory,
+    distribution,
     gbit_fiducial_settings,
     hermitian_basis,
     pair,
@@ -29,7 +36,17 @@ from gptlab import (
 from gptlab.core import CompositeRule
 from gptlab.theories import PAULI, pr_box_coords
 
-from conftest import all_theories, product_state, reference_draws, reference_parallel_stack
+from conftest import (
+    all_theories,
+    arrays_in,
+    builtin_arrays,
+    product_state,
+    random_circuit,
+    reference_builtin_arrays,
+    reference_draws,
+    reference_parallel_stack,
+    same_bytes,
+)
 
 SQRT2 = math.sqrt(2.0)
 
@@ -487,3 +504,136 @@ def test_devices_are_library_vectors_in_library_order(theory):
     # entries are 0.5000000000000001 where the "plus" state holds 0.5
     assert own_matrices == {"classical-2": {"coin"}, "quantum-2": {"prep_plus"}}.get(
         theory.name, set())
+
+
+# ---------------------------------------------------------------------------
+# arrays held once per process, and what builds do not share
+
+
+# every built-in theory, once per parameter its held arrays depend on
+BUILDS = ("classical_theory(1)", "classical_theory(2)", "classical_theory(3)",
+          "quantum_theory(2)", "quantum_theory(3)", "real_quantum_theory(2)", "boxworld_gbit()")
+
+
+def build(call: str):
+    return eval(call, vars(gptlab))
+
+
+def reference_for(theory) -> dict:
+    return reference_builtin_arrays(theory.meta["builtin"], theory.meta["params"].get("d"))
+
+
+FIRST_BUILDS = f"""
+import pickle, sys
+import gptlab
+from conftest import builtin_arrays
+builds = [[builtin_arrays(eval(call, vars(gptlab))) for _ in range(2)] for call in {BUILDS!r}]
+sys.stdout.buffer.write(pickle.dumps(builds))
+"""
+
+
+def test_first_and_later_builds_hold_the_reference_arrays():
+    # a fresh process, so each theory's first build computes its arrays
+    paths = [str(Path(gptlab.__file__).parents[1]), str(Path(__file__).parent)]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(paths))
+    out = subprocess.run([sys.executable, "-c", FIRST_BUILDS], env=env, capture_output=True,
+                         check=True).stdout
+    for call, (first, later) in zip(BUILDS, pickle.loads(out)):
+        want = reference_for(build(call))
+        assert same_bytes(first, want) and same_bytes(later, want), call
+    for call in BUILDS:  # and in this process, which built them long before
+        theory = build(call)
+        assert same_bytes(builtin_arrays(theory), reference_for(theory)), call
+
+
+@pytest.mark.parametrize("call", BUILDS)
+def test_held_arrays_reject_writes(call):
+    theory = build(call)
+    held = list(arrays_in(builtin_arrays(theory)))
+    held += [getattr(theory.strategies, g)()[1] for g in ("state_grid", "effect_grid")]
+    for a in held:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+
+
+def test_a_density_carrier_cannot_be_rebound_and_pickles_through_its_constructor():
+    carrier = DensityCarrier(hermitian_basis(2))
+    with pytest.raises(AttributeError):
+        carrier.basis = carrier.basis
+    with pytest.raises(AttributeError):
+        del carrier.basis
+    with pytest.raises(AttributeError):
+        carrier.extra = 1
+    again = pickle.loads(pickle.dumps(carrier))
+    assert again.basis.tobytes() == carrier.basis.tobytes() and not again.basis.flags.writeable
+
+
+@pytest.mark.parametrize("call", BUILDS)
+def test_two_builds_share_no_mutable_object(call):
+    one, two = build(call), build(call)
+    for field in ("system_types", "composite_rule", "gates", "states", "effects",
+                  "deterministic_effects", "strategies", "meta"):
+        assert getattr(one, field) is not getattr(two, field), field
+    assert one.meta["params"] is not two.meta["params"]
+    for name, gate in one.gates.items():
+        assert gate is not two.gates[name]
+        for label, t in gate.outcomes.items():
+            assert t is not two.gates[name].outcomes[label]
+    for lib in ("states", "effects"):
+        for name, v in getattr(one, lib).items():
+            assert v is not getattr(two, lib)[name]
+    # what they share is read-only: the carrier and the arrays
+    assert one.carrier is two.carrier
+    assert all(a.base is b.base for a, b in zip(arrays_in(builtin_arrays(one)),
+                                                arrays_in(builtin_arrays(two))))
+
+
+@pytest.mark.parametrize("call", BUILDS)
+def test_editing_one_build_changes_no_later_build(call):
+    edited = build(call)
+    first_gate, first_state = next(iter(edited.gates)), next(iter(edited.states))
+    edited.gates[first_gate] = edited.gates["sink"]
+    edited.gates.pop("id")
+    edited.states.pop(first_state)
+    edited.effects.clear()
+    edited.meta["params"]["d"] = 99
+    later = build(call)
+    assert same_bytes(builtin_arrays(later), reference_for(later))
+    assert later.meta["params"].get("d") != 99 and "id" in later.gates
+
+
+def test_the_rebit_rule_shares_its_carriers():
+    one, two = real_quantum_theory(), real_quantum_theory()
+    assert one.composite_rule.carrier(2) is two.composite_rule.carrier(2)
+    assert one.carrier is one.composite_rule.carrier(1)
+
+
+@pytest.mark.parametrize("call", BUILDS)
+def test_builtin_theories_and_their_circuits_pickle(call):
+    theory = build(call)
+    rng = np.random.default_rng(3)
+    # random circuits on the four theories the circuit catalog covers; evaluating
+    # them fills the rebit rule's transfer table, which pickling leaves behind
+    circuits = [random_circuit(theory, rng) for _ in range(4)] if theory.name in (
+        "classical-2", "quantum-2", "real-quantum-2", "boxworld") else []
+    dists = [distribution(c) for c in circuits]
+    again = pickle.loads(pickle.dumps(theory))
+    assert same_bytes(builtin_arrays(again), reference_for(theory))
+    assert (again.name, again.meta, list(again.system_types.values())) == (
+        theory.name, theory.meta, list(theory.system_types.values()))
+    hooks, hooks_again = theory.strategies, again.strategies
+    for grid in ("state_grid", "effect_grid"):
+        names, rows = getattr(hooks, grid)()
+        names_again, rows_again = getattr(hooks_again, grid)()
+        assert names == names_again and rows.tobytes() == rows_again.tobytes()
+    for sampler in ("random_states", "random_effects"):
+        want = getattr(hooks, sampler)(np.random.default_rng(5), 6)
+        got = getattr(hooks_again, sampler)(np.random.default_rng(5), 6)
+        assert want.tobytes() == got.tobytes(), sampler
+    for c, dist in zip(circuits, dists):
+        c_again = pickle.loads(pickle.dumps(c))
+        got = distribution(c_again)
+        assert [(str(z), p.hex()) for z, p in got.items()] == \
+            [(str(z), p.hex()) for z, p in dist.items()]

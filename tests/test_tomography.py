@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import EffectVector, StateVector, tomography
+from gptlab import (EffectVector, StateVector, classical_theory, real_quantum_theory,
+                    tomography)
 from gptlab.errors import CapacityError, GptLabError, TypeMismatchError
 from gptlab.theories import RebitRule, StrategyHooks
 from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
@@ -97,6 +99,38 @@ def test_defect_overlap_examples(rebit):
 def test_capacity_cap(rebit):
     with pytest.raises(CapacityError):
         n_local_span(rebit, 5, 1, cap=100)
+
+
+def test_a_full_span_builds_no_dense_identity(classical2):
+    # twelve classical bits fill the default cap; their (0, 4096) defect basis
+    # was cut from a 4096 x 4096 identity (128 MiB)
+    tracemalloc.start()
+    try:
+        rep = n_local_span(classical2, 12, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.defect_basis.shape == (0, 4096) and rep.n_local_span_dim == 4096
+    assert peak < 8 * 2**20, peak
+
+
+def test_defect_basis_holds_the_unit_rows_of_the_uncovered_axes(rebit):
+    rep = n_local_span(rebit, 3, 1)
+    want = np.eye(rep.composite_dim)[np.abs(rep.defect_basis).sum(axis=0) > 0]
+    assert rep.defect_basis.tobytes() == want.tobytes() and len(want) == rep.defect == 9
+
+
+@pytest.mark.parametrize("theory, n_sys, cap, match", [
+    (classical_theory(2), 100, 10**40, "100 systems of dimension 2 need index arrays"),
+    (classical_theory(1), 10**9, 4096, "1000000000 systems of dimension 1 need index arrays"),
+    (real_quantum_theory(2), 11, 10**7, "composite dimension 2098176 of 11 systems needs"),
+    (real_quantum_theory(2), 7, 10**5, "defect basis of 6069 x 8256 entries"),
+])
+def test_n_local_span_refuses_arrays_past_its_entry_bound(theory, n_sys, cap, match):
+    # each within its cap, but with an array past MAX_SPAN_ENTRIES
+    assert tomography.MAX_SPAN_ENTRIES == 4096**2
+    with pytest.raises(CapacityError, match=match):
+        n_local_span(theory, n_sys, 1, cap=cap)
 
 
 def test_fiducial_count_formula():
