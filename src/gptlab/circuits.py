@@ -156,16 +156,15 @@ class CircuitDAG:
 
     def __init__(self, theory):
         self.theory = theory
-        self._instances: list[tuple[str, Gate]] = []
+        self._ids: dict[str, Gate] = {}  # in insertion order: the circuit order
         self._wires: list[Wire] = []
-        self._ids: dict[str, Gate] = {}
         # (rule, validation report, greedy foliation, greedy layers or None),
         # built by _held on first use and dropped by add and connect
         self._held = None
 
     @property
     def instances(self) -> tuple[tuple[str, Gate], ...]:
-        return tuple(self._instances)
+        return tuple(self._ids.items())
 
     @property
     def wires(self) -> tuple[Wire, ...]:
@@ -175,7 +174,6 @@ class CircuitDAG:
         if instance_id in self._ids:
             raise ValueError(f"duplicate instance id '{instance_id}'")
         self._ids[instance_id] = gate
-        self._instances.append((instance_id, gate))
         self._held = None
         return instance_id
 
@@ -184,16 +182,16 @@ class CircuitDAG:
         self._held = None
 
     def __getstate__(self):
-        # a copy or a pickle gets lists of its own and compiles again
-        return {**self.__dict__, "_instances": list(self._instances),
-                "_wires": list(self._wires), "_ids": dict(self._ids), "_held": None}
+        # a copy or a pickle gets its own dict and list and compiles again
+        return {**self.__dict__, "_ids": dict(self._ids), "_wires": list(self._wires),
+                "_held": None}
 
     def gate(self, instance_id: str) -> Gate:
         return self._ids[instance_id]
 
     @property
     def instance_ids(self) -> list[str]:
-        return [iid for iid, _ in self._instances]
+        return list(self._ids)
 
     def outcome_string(self, assignment: OutcomeString | Mapping[str, str]) -> OutcomeString:
         """Normalize a mapping instance->label, or an ``OutcomeString`` in any
@@ -207,7 +205,7 @@ class CircuitDAG:
                 twice = next(iid for k, iid in enumerate(ids) if iid in ids[:k])
                 raise GptLabError(f"outcome string names instance '{twice}' twice")
         pairs = []
-        for iid, gate in self._instances:
+        for iid, gate in self._ids.items():
             if iid not in assignment:
                 raise GptLabError(f"outcome string missing instance '{iid}'")
             lab = assignment[iid]
@@ -221,7 +219,7 @@ class CircuitDAG:
 
     def n_outcome_strings(self) -> int:
         n = 1
-        for _, gate in self._instances:
+        for gate in self._ids.values():
             n *= len(gate.outcomes)
         return n
 

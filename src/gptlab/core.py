@@ -4,8 +4,10 @@ States are real vectors, effects real covectors, transformations real
 matrices, all tagged with system types; closed-circuit probabilities come out
 of plain matrix arithmetic. Every object is immutable after construction and
 safe to share between concurrent workers; the operations below are pure
-functions. A pickled vector or transformation is built again through its
-constructor, so it comes back checked and read-only.
+functions. Every array an object holds passes through :func:`_freeze`, which
+copies a caller's array rather than flip it. A pickled vector or
+transformation is built again through its constructor, so it comes back
+checked and read-only.
 """
 
 from __future__ import annotations
@@ -34,7 +36,14 @@ PROB_TOL = 1e-6
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    a.setflags(write=False)
+    """``a`` as a read-only view of read-only memory it owns, which no holder
+    can make writable again: ``a`` itself if it is one (numpy collapses view
+    chains, so its base is the owner), else a view of a copy in a's layout."""
+    base = a.base
+    if not (isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable):
+        a = a.copy(order="K")
+        a.setflags(write=False)
+        a = a.view()
     return a
 
 

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import PHYSICAL_TOL
+from .core import PHYSICAL_TOL, _freeze
 from .errors import FamilyInvariantError, ReconstructionError
 from .theories import DensityCarrier, hermitian_basis
 
@@ -53,13 +53,12 @@ class ProjectorFamily:
                 dim = mat.shape[0]
             elif mat.shape[0] != dim:
                 raise ValueError("projectors must share one carrier dimension")
-            mat.setflags(write=False)
-            fixed[frozenset(key)] = mat
+            fixed[frozenset(key)] = _freeze(mat)
         if dim is None:
             raise ValueError("a projector family needs at least one projector")
         empty = frozenset()
         if empty not in fixed:
-            fixed[empty] = np.zeros((dim, dim))
+            fixed[empty] = _freeze(np.zeros((dim, dim)))
         object.__setattr__(self, "projectors", fixed)
         violations = _violations(self.n_slits, fixed)
         if violations:

@@ -31,6 +31,7 @@ from .core import (
     SystemType,
     TransformationMatrix,
     UNIT,
+    _freeze,
     checked_coords,
     contract_wires,
     kron_rows,
@@ -46,10 +47,10 @@ SQRT2 = math.sqrt(2.0)
 MAX_SYSTEM_DIM = 256
 
 PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+    "I": _freeze(np.eye(2, dtype=complex)),
+    "X": _freeze(np.array([[0, 1], [1, 0]], dtype=complex)),
+    "Y": _freeze(np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "Z": _freeze(np.array([[1, 0], [0, -1]], dtype=complex)),
 }
 
 
@@ -79,9 +80,7 @@ class DensityCarrier:
         gram = np.einsum("aij,bji->ab", stack, stack)
         if not np.max(np.abs(gram - np.eye(len(basis)))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be orthonormal under the trace inner product")
-        stack.setflags(write=False)
-        # a view of the read-only stack, which no caller can make writable again
-        object.__setattr__(self, "basis", stack.view())
+        object.__setattr__(self, "basis", _freeze(stack))
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"a DensityCarrier is immutable; cannot set '{name}'")
@@ -102,9 +101,6 @@ class DensityCarrier:
         if np.max(np.abs(v.imag)) > PHYSICAL_TOL:
             raise ValueError("operator is not Hermitian in this carrier")
         return v.real
-
-    def from_vector(self, coords: np.ndarray) -> np.ndarray:
-        return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), self.basis)
 
     def channel_matrix(self, kraus: Sequence[np.ndarray]) -> np.ndarray:
         """Transfer matrix M_ab = Tr(B_a sum_k K B_b K^dag) of a Kraus map."""
@@ -140,7 +136,7 @@ def hermitian_basis(d: int) -> list[np.ndarray]:
     return mats
 
 
-_Y_COUNT = np.array([0, 0, 1, 0], dtype=np.int8)  # Y factors in I, X, Y, Z
+_Y_COUNT = _freeze(np.array([0, 0, 1, 0], dtype=np.int8))  # Y factors in I, X, Y, Z
 
 
 def pauli_strings(n_qubits: int) -> np.ndarray:
@@ -211,9 +207,8 @@ class RebitRule(CompositeRule):
     :meth:`passthrough` holds one factor per system type. Threads racing on
     one outcome at worst compute its matrix twice.
 
-    :meth:`carrier` returns the one carrier per rebit count that every rule
-    shares. The transfer and Pauli string tables are the rule's own; a
-    pickled rule leaves them behind and builds them again on use.
+    The transfer and Pauli string tables are the rule's own; a pickled rule
+    leaves them behind and builds them again on use.
     """
 
     name = "real-symmetric"
@@ -231,9 +226,6 @@ class RebitRule(CompositeRule):
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state, _tables={}, _transfers=weakref.WeakKeyDictionary())
-
-    def carrier(self, n_qubits: int) -> DensityCarrier:
-        return _symmetric_carrier(n_qubits)
 
     def _table(self, build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
         """``build(k)`` for one of the Pauli string tables above, built once per k."""
@@ -277,8 +269,7 @@ class RebitRule(CompositeRule):
                     f"gate outcome '{p.outcome_label}' lacks operator (Kraus) data; "
                     "rebit composites cannot be built from single-wire matrices alone"
                 )
-            t = self._transfer_matrix(p.kraus)
-            t.setflags(write=False)
+            t = _freeze(self._transfer_matrix(p.kraus))
             got = self._transfers[p] = (t[None], np.array_equal(t, np.eye(len(t))))
         return got
 
@@ -477,17 +468,12 @@ def _per_sample(draw: Callable[[np.random.Generator], np.ndarray], dim: int,
 
 def _read_only(tree):
     """``tree`` (an array, or a tuple or dict of them; anything else is kept)
-    with each array made read-only, together with every array it is a view
-    of, and handed out as a view, which no caller can make writable again."""
+    with each array passed through :func:`~gptlab.core._freeze`."""
     if isinstance(tree, tuple):
         return tuple(_read_only(t) for t in tree)
     if isinstance(tree, dict):
         return {k: _read_only(v) for k, v in tree.items()}
-    a = tree
-    while isinstance(a, np.ndarray):
-        a.setflags(write=False)
-        a = a.base
-    return tree.view() if isinstance(tree, np.ndarray) else tree
+    return _freeze(tree) if isinstance(tree, np.ndarray) else tree
 
 
 def _held(**arrays) -> SimpleNamespace:

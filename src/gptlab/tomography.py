@@ -74,7 +74,8 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
     (the rule's ``product_axes``, then ``permutation_index``), so the span
     dimension counts the axes covered over all partitions and the defect
     basis is the uncovered unit axes in ascending order. No rank is decided,
-    so no tolerance enters.
+    so no tolerance enters. The scan stops once every axis is covered: at
+    n = N, after the first partition, the one block of all N systems.
 
     Past ``cap`` coordinates, or when its index arrays (N entries per
     coordinate) or the defect basis would hold more than
@@ -108,6 +109,8 @@ def n_local_span(theory: TheoryDescriptor, n_systems: int, locality: int,
         choices = np.indices([bt.dim for bt in block_types]).reshape(len(partition), -1)
         axes = rule.product_axes(block_types, choices)  # axes in block order, moved to wire order
         covered[rule.permutation_index(types, [i for b in partition for i in b])[axes]] = True
+        if covered.all():  # a later partition only covers axes again
+            break
 
     defect = np.flatnonzero(~covered)
     if len(defect) * composite.dim > MAX_SPAN_ENTRIES:

@@ -25,6 +25,9 @@ draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
 transfer matrix; ``defect_direction_overlap`` measures a vector against a
 tomography report's defect basis. Random corpus builders are seeded.
+``operator_of`` reads a carrier's coordinates back as an operator, and
+``rebit_carrier`` is the held carrier of n rebits the rebit rule's
+composites are written in.
 ``reference_builtin_arrays`` computes every array a built-in theory's build
 holds from scratch, by the formulas the theories were written with, and
 ``builtin_arrays`` reads the same from a build: the reference the arrays the
@@ -55,8 +58,8 @@ from gptlab.core import (PHYSICAL_TOL, CompositeRule, EffectVector, KroneckerRul
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
-from gptlab.theories import (DensityCarrier, RebitRule, even_y_index, hermitian_basis,
-                             pr_box_coords, symmetric_pauli_basis)
+from gptlab.theories import (DensityCarrier, RebitRule, _symmetric_carrier, even_y_index,
+                             hermitian_basis, pr_box_coords, symmetric_pauli_basis)
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
 
 
@@ -150,6 +153,16 @@ def operator_distribution(circuit: CircuitDAG) -> dict:
     return out
 
 
+def operator_of(carrier: DensityCarrier, coords) -> np.ndarray:
+    """The operator sum_a coords[a] B_a: ``carrier.to_vector`` inverted."""
+    return np.einsum("a,aij->ij", np.asarray(coords, dtype=float), carrier.basis)
+
+
+def rebit_carrier(n_rebits: int) -> DensityCarrier:
+    """The carrier of n rebits, held once per process: the symmetric Pauli basis."""
+    return _symmetric_carrier(n_rebits)
+
+
 def _conjugation_matrix(b_out, b_in, kraus) -> np.ndarray:
     """M_ab = Tr(B_a sum_k K B_b K^dag) between two orthonormal operator bases."""
     moved = sum(k @ b_in @ k.conj().T for k in kraus)
@@ -160,21 +173,21 @@ def kraus_parallel_matrix(rule, pieces) -> np.ndarray:
     """Rebit transfer matrix of pieces in parallel, summed over every Kraus product."""
     kraus = [reduce(np.kron, combo) for combo in itertools.product(*(p.kraus for p in pieces))]
     k_out, k_in = (h.bit_length() - 1 for h in kraus[0].shape)
-    return _conjugation_matrix(rule.carrier(k_out).basis, rule.carrier(k_in).basis, kraus)
+    return _conjugation_matrix(rebit_carrier(k_out).basis, rebit_carrier(k_in).basis, kraus)
 
 
 def kraus_permutation_matrix(rule, leaves, perm) -> np.ndarray:
     """Conjugation by the qubit permutation unitary moving factor perm[i] to slot i."""
     offsets = np.cumsum([0] + list(leaves))
     order = [j for i in perm for j in range(offsets[i], offsets[i] + leaves[i])]
-    basis = rule.carrier(len(order)).basis
+    basis = rebit_carrier(len(order)).basis
     return _conjugation_matrix(basis, basis, [_perm_unitary([2] * len(order), order)])
 
 
 def kraus_product_coords(rule, pieces, leaves) -> np.ndarray:
     """Carrier coordinates of the Kronecker product of the pieces' operators."""
-    ops = [rule.carrier(k).from_vector(p.coords) for p, k in zip(pieces, leaves)]
-    return rule.carrier(sum(leaves)).to_vector(reduce(np.kron, ops))
+    ops = [operator_of(rebit_carrier(k), p.coords) for p, k in zip(pieces, leaves)]
+    return rebit_carrier(sum(leaves)).to_vector(reduce(np.kron, ops))
 
 
 def reference_parallel_stack(rule, pieces) -> np.ndarray:

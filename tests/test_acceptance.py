@@ -55,9 +55,11 @@ from gptlab.tomography import distinguish_search, fiducial_count, n_local_span
 from conftest import (
     defect_direction_overlap,
     monte_carlo_acceptance,
+    operator_of,
     product_state,
     random_circuit,
     random_machine,
+    rebit_carrier,
 )
 
 
@@ -138,7 +140,7 @@ def test_criterion_2_global_difference_direction(rebit):
         assert abs(float((report.defect_basis @ yy_axis)[0])) >= 1 - 1e-9
 
         # entrywise, the difference operator is -(Y x Y)/4
-        op = rule.carrier(2).from_vector(direction)
+        op = operator_of(rebit_carrier(2), direction)
         assert np.max(np.abs(op - (-np.kron(PAULI["Y"], PAULI["Y"]).real / 4))) <= 1e-12
 
 
@@ -170,12 +172,12 @@ def test_criterion_4_interference_hierarchy():
         rng = np.random.default_rng(4)
         g = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
         rho = (g + g.conj().T) / 2
-        blocked = carrier.from_vector(family.projector({0, 1}) @ carrier.to_vector(rho))
+        blocked = operator_of(carrier, family.projector({0, 1}) @ carrier.to_vector(rho))
         want = np.zeros((3, 3), dtype=complex)
         want[:2, :2] = rho[:2, :2]
         assert np.max(np.abs(blocked - want)) <= 1e-12
-        cohered = carrier.from_vector(
-            coherence_projector(family, {0, 1}) @ carrier.to_vector(rho))
+        cohered = operator_of(
+            carrier, coherence_projector(family, {0, 1}) @ carrier.to_vector(rho))
         want = np.zeros((3, 3), dtype=complex)
         want[0, 1], want[1, 0] = rho[0, 1], rho[1, 0]
         assert np.max(np.abs(cohered - want)) <= 1e-12

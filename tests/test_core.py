@@ -18,10 +18,12 @@ from gptlab import (
     approx_matrix,
     pair,
 )
-from gptlab.core import checked_coords
+from gptlab.core import Factor, checked_coords
 from gptlab.errors import TypeMismatchError
+from gptlab.interference import ProjectorFamily
+from gptlab.theories import PAULI, DensityCarrier, RebitRule, hermitian_basis
 
-from conftest import all_theories
+from conftest import all_theories, arrays_in, builtin_arrays
 
 BIT = SystemType("bit", 2)
 
@@ -226,6 +228,51 @@ def test_pickled_vectors_and_transformations_come_back_read_only(theory):
                 assert (u.kraus is None) == (t.kraus is None)
                 for k, kt in zip(u.kraus or (), t.kraus or (), strict=True):
                     assert _same_array(k, kt) and not k.flags.writeable
+
+
+def _refuses_writes(a: np.ndarray) -> bool:
+    try:
+        a.setflags(write=True)
+    except ValueError:
+        return not a.flags.writeable
+    return False
+
+
+def test_every_holder_freezes_its_own_copy_and_builtins_share_theirs():
+    # a caller's arrays, handed to every holder: each object holds a read-only
+    # copy, and the caller's arrays stay writable and its own
+    coords, matrix, kraus = np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2)
+    basis = [b.copy() for b in hermitian_basis(2)]
+    projectors = {frozenset(): np.zeros((2, 2)), frozenset({0}): np.diag([1.0, 0.0]),
+                  frozenset({1}): np.diag([0.0, 1.0]), frozenset({0, 1}): np.eye(2)}
+    t = TransformationMatrix(BIT, BIT, matrix, kraus=(kraus,))
+    family = ProjectorFamily(2, projectors)
+    held = {"state": StateVector(BIT, coords).coords, "effect": EffectVector(BIT, coords).coords,
+            "matrix": t.matrix, "kraus": t.kraus[0], "stack": Factor((t,)).stack,
+            "carrier": DensityCarrier(basis).basis,
+            **{f"projector {sorted(k)}": family.projector(k) for k in projectors}}
+    before = {name: a.copy() for name, a in held.items()}
+    for name, a in held.items():
+        assert _refuses_writes(a), name
+    for a in (coords, matrix, kraus, *basis, *projectors.values()):
+        assert a.flags.writeable
+        a[...] = 7.0
+    for name, a in held.items():
+        assert np.array_equal(a, before[name]), name
+
+    # the built-in theories: every held array, gate stack and rebit transfer
+    # refuses writes, as do the Pauli matrices, and a second build's vectors
+    # view the first build's memory
+    assert all(_refuses_writes(m) for m in PAULI.values())
+    for one, two in zip(all_theories(), all_theories()):
+        shared = list(zip(arrays_in(builtin_arrays(one)), arrays_in(builtin_arrays(two))))
+        assert shared and all(np.shares_memory(a, b) for a, b in shared), one.name
+        stacks = [g.factor.stack for g in one.gates.values()]
+        rule = one.composite_rule
+        if isinstance(rule, RebitRule):
+            stacks += [rule._transfer(t)[0] for g in one.gates.values() for t in g.factor]
+        for a in [a for a, _ in shared] + stacks:
+            assert _refuses_writes(a), one.name
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])

@@ -22,7 +22,7 @@ from gptlab.interference import (
 )
 from gptlab.serialization import family_to_json, parse_family
 
-from conftest import reference_family_violations
+from conftest import operator_of, reference_family_violations
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -116,13 +116,13 @@ def test_qutrit_block_and_coherence_maps_match_displays():
     rho = (g + g.conj().T) / 2
 
     p01 = family.projector({0, 1})
-    got = carrier.from_vector(p01 @ carrier.to_vector(rho))
+    got = operator_of(carrier, p01 @ carrier.to_vector(rho))
     want = np.zeros((3, 3), dtype=complex)
     want[:2, :2] = rho[:2, :2]
     assert np.allclose(got, want, atol=1e-12)
 
     w01 = coherence_projector(family, {0, 1})
-    got = carrier.from_vector(w01 @ carrier.to_vector(rho))
+    got = operator_of(carrier, w01 @ carrier.to_vector(rho))
     want = np.zeros((3, 3), dtype=complex)
     want[0, 1], want[1, 0] = rho[0, 1], rho[1, 0]
     assert np.allclose(got, want, atol=1e-12)

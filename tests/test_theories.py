@@ -40,8 +40,10 @@ from conftest import (
     all_theories,
     arrays_in,
     builtin_arrays,
+    operator_of,
     product_state,
     random_circuit,
+    rebit_carrier,
     reference_builtin_arrays,
     reference_draws,
     reference_parallel_stack,
@@ -103,7 +105,7 @@ def test_carrier_round_trip_and_orthonormality():
         for _ in range(5):
             g = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
             h = (g + g.conj().T) / 2
-            assert np.allclose(carrier.from_vector(carrier.to_vector(h)), h, atol=1e-12)
+            assert np.allclose(operator_of(carrier, carrier.to_vector(h)), h, atol=1e-12)
 
 
 def test_carrier_rejects_a_nan_basis():
@@ -317,17 +319,17 @@ def test_samplers_check_every_drawn_row(rebit, classical2):
 def test_t1_t2_on_half_an_entangled_pair(rebit):
     # operator-level reproduction of the worked example
     rule = rebit.composite_rule
-    pair_carrier = rule.carrier(2)
+    pair_carrier = rebit_carrier(2)
     bells = bell_operators()
     phi = rebit.state("phi_plus")
     ident = rule.identity(rebit.system())
 
     t1xi = rule.parallel_matrix([rebit.gate("t1").outcomes["0"], ident])
-    out1 = pair_carrier.from_vector(t1xi @ phi.coords)
+    out1 = operator_of(pair_carrier, t1xi @ phi.coords)
     assert np.allclose(out1, 0.5 * bells["phi_plus"] + 0.5 * bells["psi_minus"], atol=1e-12)
 
     t2xi = rule.parallel_matrix([rebit.gate("t2").outcomes["0"], ident])
-    out2 = pair_carrier.from_vector(t2xi @ phi.coords)
+    out2 = operator_of(pair_carrier, t2xi @ phi.coords)
     assert np.allclose(out2, np.eye(4) / 4, atol=1e-12)
 
     # the joint two-outcome measurement separates the two outputs
@@ -339,10 +341,10 @@ def test_t1_t2_on_half_an_entangled_pair(rebit):
 def test_global_difference_invisible_to_local_products(rebit):
     # Tr([(T1xI) - (T2xI)](phi+) (E x F)) = 0 for random real symmetric E, F
     rule = rebit.composite_rule
-    pair_carrier = rule.carrier(2)
     ident = rule.identity(rebit.system())
     phi = rebit.state("phi_plus")
-    diff_op = pair_carrier.from_vector(
+    diff_op = operator_of(
+        rebit_carrier(2),
         (rule.parallel_matrix([rebit.gate("t1").outcomes["0"], ident])
          - rule.parallel_matrix([rebit.gate("t2").outcomes["0"], ident])) @ phi.coords
     )
@@ -606,8 +608,10 @@ def test_editing_one_build_changes_no_later_build(call):
 
 def test_the_rebit_rule_shares_its_carriers():
     one, two = real_quantum_theory(), real_quantum_theory()
-    assert one.composite_rule.carrier(2) is two.composite_rule.carrier(2)
-    assert one.carrier is one.composite_rule.carrier(1)
+    assert one.carrier is two.carrier is rebit_carrier(1)
+    # the pair states are coordinates in the one held two-rebit carrier
+    for name, op in bell_operators().items():
+        assert np.array_equal(one.state(name).coords, rebit_carrier(2).to_vector(op))
 
 
 @pytest.mark.parametrize("call", BUILDS)

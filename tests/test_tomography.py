@@ -120,6 +120,30 @@ def test_defect_basis_holds_the_unit_rows_of_the_uncovered_axes(rebit):
     assert rep.defect_basis.tobytes() == want.tobytes() and len(want) == rep.defect == 9
 
 
+def test_n_local_span_stops_once_every_axis_is_covered(monkeypatch, classical2, rebit):
+    # twelve bits at n = 12 have Bell(12) = 4,213,597 partitions; the first, one
+    # block of all twelve, covers every axis
+    full, drawn = tomography._partitions, []
+
+    def counted(items, max_block):  # the recursion comes through here too
+        for partition in full(items, max_block):
+            drawn.append(len(items))  # so a partition of all N items counts as drawn
+            yield partition
+
+    monkeypatch.setattr(tomography, "_partitions", counted)
+    rep = n_local_span(classical2, 12, 12)
+    assert drawn.count(12) == 1 and (rep.n_local_span_dim, rep.defect) == (4096, 0)
+    # rebit reports, cut short or not, equal a scan of every partition
+    cut_short = 0
+    for n_sys, n in [(2, 1), (2, 2), (3, 1), (3, 2), (4, 1), (4, 2)]:
+        drawn.clear()
+        got, want = n_local_span(rebit, n_sys, n), reference_n_local_span(rebit, n_sys, n)
+        assert (got.n_local_span_dim, got.defect) == (want.n_local_span_dim, want.defect)
+        assert got.defect_basis.tobytes() == want.defect_basis.tobytes()
+        cut_short += drawn.count(n_sys) < len(list(full(list(range(n_sys)), n)))
+    assert cut_short
+
+
 @pytest.mark.parametrize("theory, n_sys, cap, match", [
     (classical_theory(2), 100, 10**40, "100 systems of dimension 2 need index arrays"),
     (classical_theory(1), 10**9, 4096, "1000000000 systems of dimension 1 need index arrays"),
