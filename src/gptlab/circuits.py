@@ -13,12 +13,13 @@ applies each layer to a frontier of joint states with one
 ``CompositeRule.contract`` call. ``distribution`` extends every prefix by
 every outcome combination; ``prob`` selects inside the walk, each gate's
 factor swapped for the outcome its string selects; the built-in acceptors
-and the affine bridge weigh inside it, each layer summed under per-gate
-weights. A tensor-product rule contracts each factor's held stack into the
-gate's own wire axes, so no Kronecker product of a layer is formed and no
-matrix is stacked or compared with the identity per call; without weights,
-a factor that is one exact identity (a passthrough, or a gate whose one
-outcome is exactly the identity) is skipped, its axis only moved. The rebit
+and the affine bridge weigh inside it, each layer summed under the weight
+rows its gates hold. A tensor-product rule contracts each factor's held
+stack into the gate's own wire axes, so no Kronecker product of a layer is
+formed and no matrix is stacked or compared with the identity per call;
+without weights, a factor that is one exact identity (a passthrough, or a
+gate whose one outcome is exactly the identity) is skipped, its axis only
+moved. The rebit
 rule does the same with each outcome's held Pauli transfer matrix, in the
 4^k Pauli string coordinates of the layer's k input rebits, except on a
 layer of one gate, which it multiplies by that gate's own transfer stack;
@@ -44,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .core import (PROB_TOL, UNIT, CompositeRule, CompositeType, Factor, SystemType,
-                   TransformationMatrix)
+                   TransformationMatrix, _freeze)
 from .errors import CapacityError, CircuitValidationError, GptLabError
 
 DEFAULT_ENUMERATION_CAP = 2**20
@@ -112,6 +113,17 @@ class Gate:
     def _singles(self) -> dict[str, Factor]:
         """Per label, that outcome alone as a factor: the layer ``prob`` reads."""
         return {label: Factor((t,)) for label, t in self.outcomes.items()}
+
+    @cached_property
+    def _weights(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The read-only outcome weights the built-in acceptors sum the gate
+        under, one column per outcome in label order: parity-of-labels' two
+        rows (all ones, then -1 on label "1"), the all-ones row alone, and
+        first-outcome-is-0's row, 1 on label "0" and 0 elsewhere."""
+        labels = self.outcome_labels
+        parity = _freeze(np.array([[1.0] * len(labels),
+                                   [-1.0 if lab == "1" else 1.0 for lab in labels]]))
+        return parity, parity[:1], _freeze(np.array([[float(lab == "0") for lab in labels]]))
 
 
 Port = tuple[str, int]
@@ -613,28 +625,27 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
     kind, target = acceptor.kind, None
     if kind == "reject-all":
         return 0.0
-    if kind not in BUILTIN_ACCEPTORS:
+    if kind == "table":
         items = _distribution(layers, instance_ids).items()
         return _checked(sum((v for z, v in items if acceptor.accepts(z)), 0.0))
+    if kind not in BUILTIN_ACCEPTORS:
+        raise GptLabError(f"unknown acceptor kind '{kind}'")
     if kind == "first-outcome-is-0":
         target = acceptor.instance or next(iter(instance_ids), None)
         if target not in instance_ids:
             raise GptLabError(f"acceptor names instance '{target}', which the circuit lacks")
-    rows = 2 if kind == "parity-of-labels" else 1  # a row per product of sums
+    parity = kind == "parity-of-labels"
+    rows, row = (2, 0) if parity else (1, 1)  # a frontier row per product of sums
+    ones = np.ones((rows, 1))  # a passthrough's one outcome, weighed 1 in every row
 
     def weigh(layer: _Layer) -> list[np.ndarray]:
-        weights = []  # per factor, a row of outcome weights per frontier row
-        for iid, gate in layer.gates:
-            w = [[1.0] * len(gate.outcomes)]
-            if kind == "parity-of-labels":
-                w.append([-1.0 if lab == "1" else 1.0 for lab in gate.outcomes])
-            elif iid == target:
-                w = [[float(lab == "0") for lab in gate.outcomes]]
-            weights.append(np.array(w))
-        return weights + [np.ones((rows, 1))] * (len(layer.pieces) - len(weights))
+        # per factor, the gate's held weights: a row of outcome weights per frontier row
+        weights = [gate._weights[2 if iid == target else row] for iid, gate in layer.gates]
+        return weights + [ones] * (len(layer.pieces) - len(weights))
 
-    # parity: the mean of its two products
-    return _checked(float(_walk(layers, weigh=weigh, rows=rows)[:, 0].mean()))
+    v = _walk(layers, weigh=weigh, rows=rows)[:, 0].tolist()
+    # np.mean's bits: a sum from +0.0, then parity's mean of its two products
+    return _checked((0.0 + v[0] + v[1]) / 2 if parity else 0.0 + v[0])
 
 
 def acceptance_prob(

@@ -13,6 +13,7 @@ checked and read-only.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -35,14 +36,25 @@ PHYSICAL_TOL = 1e-9
 PROB_TOL = 1e-6
 
 
+# The read-only owners _freeze made, by id (arrays are unhashable): a weak
+# reference each, which drops its entry when its owner goes. Only their
+# memory is lent out uncopied.
+_OWNERS: dict[int, weakref.ref] = {}
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """``a`` as a read-only view of read-only memory it owns, which no holder
-    can make writable again: ``a`` itself if it is one (numpy collapses view
-    chains, so its base is the owner), else a view of a copy in a's layout."""
+    """``a`` as a read-only view, which cannot be made writable again, of
+    read-only memory the library owns: ``a`` itself if it views an owner this
+    function made (numpy collapses view chains, so its base is the owner),
+    else a view of a copy in a's layout. A caller's read-only array is copied
+    too, since the caller can make it writable again."""
     base = a.base
-    if not (isinstance(base, np.ndarray) and base.flags.owndata and not base.flags.writeable):
+    owner = _OWNERS.get(id(base))
+    if owner is None or owner() is not base:
         a = a.copy(order="K")
         a.setflags(write=False)
+        key = id(a)
+        _OWNERS[key] = weakref.ref(a, lambda _, key=key: _OWNERS.pop(key, None))
         a = a.view()
     return a
 
@@ -276,8 +288,10 @@ def contract_wires(stacks: Sequence[np.ndarray], identities: Sequence[bool], fro
             moved *= mats.shape[1]
             continue
         x, moved = _rotate(x, moved), 1
-        if weights is not None:  # one summed matrix per row, paired with it
-            mats = np.tensordot(weights[i], mats, axes=1)[:, None]
+        if weights is not None:  # one summed matrix per row, paired with it;
+            # np.tensordot(w, mats, axes=1)'s own np.dot: its bits, minus its wrapper
+            w = weights[i]
+            mats = np.dot(w, mats.reshape(len(mats), -1)).reshape(len(w), 1, *mats.shape[1:])
         # (rows, 1, rest, in) @ (K, in, out), or (rows, 1, in, out) with
         # weights: transposed views, so the product lands in
         # (rows, K, rest, out) order with no copy
@@ -365,7 +379,8 @@ class CompositeRule:
         stack = self.parallel_stack(pieces)
         if weights is None:
             return np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
-        summed = np.tensordot(kron_rows(weights), stack, axes=1)
+        w = kron_rows(weights)  # np.tensordot(w, stack, axes=1)'s own np.dot: its bits
+        summed = np.dot(w, stack.reshape(len(stack), -1)).reshape(len(w), *stack.shape[1:])
         return np.matmul(summed, front[:, :, None])[:, :, 0]
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:

@@ -20,6 +20,9 @@ factors held their stacks: it stacks each factor's outcome matrices and tests
 one-outcome factors against ``np.eye`` on every call; ``reference_theory``
 swaps in a composite rule that contracts through it, the reference the held
 stacks are held to bit for bit.
+``reference_accept`` weighs a built-in acceptor's layers on that rule with
+weight arrays built per gate, layer and call, the reference the gates' held
+weight rows are held to bit for bit.
 ``reference_draws`` keeps the one-sample bodies of the strategy samplers that
 draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
@@ -36,6 +39,7 @@ builds share are held to byte for byte.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 import math
@@ -52,7 +56,7 @@ from gptlab import (
     real_quantum_theory,
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
-from gptlab.circuits import _compile, foliate
+from gptlab.circuits import _compile, _walk, foliate
 from gptlab.core import (PHYSICAL_TOL, CompositeRule, EffectVector, KroneckerRule, StateVector,
                          SystemType, TransformationMatrix, _rotate)
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
@@ -284,6 +288,35 @@ def reference_theory(theory):
     rule = theory.composite_rule
     ref = (ReferenceRebitRule if isinstance(rule, RebitRule) else ReferenceKroneckerRule)(rule.theory)
     return dataclasses.replace(theory, composite_rule=ref)
+
+
+def reference_accept(circuit: CircuitDAG, acceptor, foliation=None) -> float:
+    """``acceptance_prob`` of a built-in acceptor as it was before gates held
+    their weight rows, on ``reference_theory``'s rule: every layer builds one
+    ``np.array`` of outcome weights per gate and one ``np.ones`` per
+    passthrough factor, and the result is the ``.mean()`` of the rows."""
+    ref = copy.copy(circuit)
+    ref.theory = reference_theory(circuit.theory)
+    layers = _compile(ref, foliation)
+    kind, target = acceptor.kind, None
+    if kind == "reject-all":
+        return 0.0
+    if kind == "first-outcome-is-0":
+        target = acceptor.instance or circuit.instance_ids[0]
+    rows = 2 if kind == "parity-of-labels" else 1
+
+    def weigh(layer):
+        weights = []
+        for iid, gate in layer.gates:
+            w = [[1.0] * len(gate.outcomes)]
+            if kind == "parity-of-labels":
+                w.append([-1.0 if lab == "1" else 1.0 for lab in gate.outcomes])
+            elif iid == target:
+                w = [[float(lab == "0") for lab in gate.outcomes]]
+            weights.append(np.array(w))
+        return weights + [np.ones((rows, 1))] * (len(layer.pieces) - len(weights))
+
+    return float(_walk(layers, weigh=weigh, rows=rows)[:, 0].mean())
 
 
 def reference_product_coords(rule, pieces) -> np.ndarray:

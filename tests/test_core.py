@@ -275,6 +275,27 @@ def test_every_holder_freezes_its_own_copy_and_builtins_share_theirs():
             assert _refuses_writes(a), one.name
 
 
+def test_a_read_only_view_of_a_callers_array_is_copied():
+    # the caller made the owner read-only and can make it writable again, so
+    # only views of owners the library froze itself pass through uncopied
+    owners = [np.array([0.5, 0.5]), np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(2, dtype=complex)]
+    for o in owners:
+        o.setflags(write=False)
+    coords, matrix, kraus = (o[:] for o in owners)
+    t = TransformationMatrix(BIT, BIT, matrix, kraus=(kraus,))
+    held = [StateVector(BIT, coords).coords, EffectVector(BIT, coords).coords,
+            t.matrix, t.kraus[0], Factor((t,)).stack]
+    before = [a.copy() for a in held]
+    for o in owners:
+        o.setflags(write=True)
+        o[0] = 0.25
+    for a, b in zip(held, before):
+        assert not any(np.shares_memory(a, o) for o in owners) and np.array_equal(a, b)
+    # a view of a held array is the library's own: it passes through as it is
+    again = StateVector(BIT, held[0][:])
+    assert np.shares_memory(again.coords, held[0]) and again.coords.base is held[0].base
+
+
 @pytest.mark.parametrize("row", [0, 3, 6])
 def test_checked_coords_checks_every_row(row):
     rows = np.full((7, 2), 0.5)

@@ -46,6 +46,7 @@ from conftest import (
     operator_distribution,
     random_circuit,
     rebuilt,
+    reference_accept,
     reference_layer_stack,
     reference_theory,
     reference_walk,
@@ -253,6 +254,26 @@ def test_held_stacks_keep_the_per_call_bits(theory, seed, identity_wire, style):
                 == circuit_to_affine_program(ref, acceptor).acceptance_weight().hex())
 
 
+@PROPERTY
+@given(st.sampled_from(ALL_THEORIES), st.integers(0, 2**32 - 1), st.booleans(),
+       st.sampled_from(["greedy", "singletons"]), st.data())
+def test_held_weight_rows_keep_the_per_call_bits(theory, seed, identity_wire, style, data):
+    """Every built-in acceptor, and the bridge on the greedy layers, against
+    weights built per gate, layer and call and their ``.mean()`` on the
+    per-call rule (conftest.reference_accept): equal bit for bit."""
+    c = random_circuit(theory, np.random.default_rng(seed), max_gates=7)
+    if identity_wire:
+        add_identity_wire(c)
+    fol = foliate(c, style)
+    target = data.draw(st.sampled_from([None, *c.instance_ids]))
+    for kind in BUILT_IN:
+        acceptor = Acceptor(kind, instance=target if kind == "first-outcome-is-0" else None)
+        want = reference_accept(c, acceptor, fol).hex()
+        assert acceptance_prob(c, acceptor, foliation=fol).hex() == want, kind
+        if style == "greedy":
+            assert circuit_to_affine_program(c, acceptor).acceptance_weight().hex() == want, kind
+
+
 def every_value(circuit_for, strings, foliation=None) -> list[str]:
     """Every evaluation path, one call each on ``circuit_for()``, as hex:
     ``prob`` on each string first, then ``distribution``, the built-in
@@ -349,6 +370,48 @@ def test_gates_hold_read_only_stacks_built_on_first_evaluation():
             assert "factor" not in vars(again) and again.outcome_labels == gate.outcome_labels
             assert again.factor.stack.tobytes() == stack.tobytes()
             assert not again.factor.stack.flags.writeable
+
+
+def test_gates_hold_read_only_weight_rows_built_on_first_weighing():
+    for theory in (classical_theory(2), quantum_theory(2), real_quantum_theory(2), boxworld_gbit()):
+        c = random_circuit(theory, np.random.default_rng(5), max_gates=7)
+        gates = [c.gate(iid) for iid in c.instance_ids]
+        distribution(c)
+        assert not any("_weights" in vars(g) for g in gates)  # enumeration weighs nothing
+        held = None
+        for _ in range(2):
+            for kind in BUILT_IN:
+                acceptance_prob(c, Acceptor(kind))
+                circuit_to_affine_program(c, Acceptor(kind)).acceptance_weight()
+            rows = [vars(g)["_weights"] for g in gates]
+            assert held is None or all(a is b for r, h in zip(rows, held) for a, b in zip(r, h))
+            held = rows
+        for gate, (parity, ones, first) in zip(gates, held):
+            labels = gate.outcome_labels
+            assert parity.tolist() == [[1.0] * len(labels),
+                                       [-1.0 if lab == "1" else 1.0 for lab in labels]]
+            assert ones.tolist() == [[1.0] * len(labels)]
+            assert first.tolist() == [[float(lab == "0") for lab in labels]]
+            for a in (parity, ones, first):
+                with pytest.raises(ValueError):
+                    a.setflags(write=True)
+                with pytest.raises(ValueError):
+                    a[0, 0] = 2.0
+
+
+def test_unknown_acceptor_kinds_are_rejected_before_enumerating(monkeypatch):
+    theory = classical_theory(2)
+    c = CircuitDAG(theory)
+    for i in range(10):  # 2^20 outcome strings
+        c.connect((c.add(f"c{i}", theory.gate("coin")), 0), (c.add(f"r{i}", theory.gate("read")), 0))
+    calls = []
+    monkeypatch.setattr("gptlab.circuits._distribution", lambda *args: calls.append(args))
+    bogus = Acceptor("bogus")
+    with pytest.raises(GptLabError, match=r"^unknown acceptor kind 'bogus'$"):
+        acceptance_prob(c, bogus)
+    with pytest.raises(GptLabError, match=r"^unknown acceptor kind 'bogus'$"):
+        circuit_to_affine_program(c, bogus).acceptance_weight()
+    assert calls == []
 
 
 def test_rebit_evaluation_builds_no_outcome_stacks():
