@@ -19,11 +19,9 @@ stack into the gate's own wire axes, so no Kronecker product of a layer is
 formed and no matrix is stacked or compared with the identity per call;
 without weights, a factor that is one exact identity (a passthrough, or a
 gate whose one outcome is exactly the identity) is skipped, its axis only
-moved. The rebit
-rule does the same with each outcome's held Pauli transfer matrix, in the
-4^k Pauli string coordinates of the layer's k input rebits, except on a
-layer of one gate, which it multiplies by that gate's own transfer stack;
-it never builds the gates' stacks.
+moved. The rebit rule does the same with each outcome's held Pauli transfer
+matrix, in the Pauli string coordinates of the layer's input rebits; it
+never builds the gates' stacks.
 ``distribution`` returns a read-only :class:`Distribution`: the walk's
 float64 leaf values beside the gates' outcome labels, looked up by leaf
 index, with each outcome-string key built only when iteration reaches it.
@@ -664,11 +662,10 @@ def acceptance_prob(
     accept-all weighs every outcome by 1, first-outcome-is-0 keeps the
     outcomes where its instance reads "0", and parity-of-labels is
     (prod S_L + prod P_L)/2 with P_L weighing each "1" label by -1. A
-    tensor-product rule applies S_L one gate at a time, as the sums
-    S_g = sum_k w_g(k) M_g(k), and so does the rebit rule on a layer of two
-    or more gates; other layers sum the layer's stack. Tables sum the
-    accepted leaves of ``distribution``'s walk. The cap holds either way,
-    and the result is range-checked as in ``prob``."""
+    builtin rule applies S_L one gate at a time, as the sums
+    S_g = sum_k w_g(k) M_g(k). Tables sum the accepted leaves of
+    ``distribution``'s walk. The cap holds either way, and the result is
+    range-checked as in ``prob``."""
     return _accept(_compile(circuit, foliation, cap), acceptor, circuit.instance_ids)
 
 

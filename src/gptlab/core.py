@@ -16,7 +16,7 @@ import math
 import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Sequence
 
 import numpy as np
@@ -36,25 +36,23 @@ PHYSICAL_TOL = 1e-9
 PROB_TOL = 1e-6
 
 
-# The read-only owners _freeze made, by id (arrays are unhashable): a weak
-# reference each, which drops its entry when its owner goes. Only their
-# memory is lent out uncopied.
-_OWNERS: dict[int, weakref.ref] = {}
+# The owners _freeze made, by id (arrays are unhashable), each held weakly so
+# that its entry goes with it. Only their memory is lent out uncopied; an
+# array over other bytes (an unpickled one) can be writable.
+_OWNERS: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
-    """``a`` as a read-only view, which cannot be made writable again, of
-    read-only memory the library owns: ``a`` itself if it views an owner this
-    function made (numpy collapses view chains, so its base is the owner),
-    else a view of a copy in a's layout. A caller's read-only array is copied
-    too, since the caller can make it writable again."""
+    """``a`` as a read-only view over bytes numpy cannot write, so neither it
+    nor its owner can be made writable again: ``a`` itself if it views an
+    owner this function made (numpy collapses view chains), else a view of
+    such an owner over a copy in a's layout. A caller's read-only array is
+    copied too, since the caller can make it writable again."""
     base = a.base
-    owner = _OWNERS.get(id(base))
-    if owner is None or owner() is not base:
-        a = a.copy(order="K")
-        a.setflags(write=False)
-        key = id(a)
-        _OWNERS[key] = weakref.ref(a, lambda _, key=key: _OWNERS.pop(key, None))
+    if base is None or _OWNERS.get(id(base)) is not base:
+        c = a.copy(order="K")  # its bytes, in memory order, are the owner's
+        a = np.ndarray(c.shape, c.dtype, c.ravel(order="K").tobytes(), strides=c.strides)
+        _OWNERS[id(a)] = a
         a = a.view()
     return a
 
@@ -218,17 +216,6 @@ def approx_matrix(m, eps: float) -> np.ndarray:
     return out
 
 
-def kron_stack(stacks) -> np.ndarray:
-    """Kronecker products of ``(K_i, out_i, in_i)`` matrix stacks, one per
-    combination in ``itertools.product`` order: a ``(prod K_i, prod out_i,
-    prod in_i)`` stack, starting from [[1.0]]."""
-    out = np.ones((1, 1, 1))
-    for s in stacks:  # np.kron's products in np.kron's order: its bits, signed zeros too
-        out = (out[:, None, :, None, :, None] * s[None, :, None, :, None, :]).reshape(
-            len(out) * len(s), out.shape[1] * s.shape[1], -1)
-    return out
-
-
 def kron_rows(stacks) -> np.ndarray:
     """Row-wise Kronecker products of ``(batch, dim_i)`` stacks, starting from [[1.0]]."""
     out = np.ones((1, 1))
@@ -308,16 +295,11 @@ class CompositeRule:
     theories whose joint systems are bigger than the tensor product of the
     parts (no tomographic locality) still evaluate correctly.
 
-    Parallel composition is batched: :meth:`parallel_stack` takes, per wire
-    factor, the list of that factor's outcome matrices and returns the
-    ``(prod K_i, out, in)`` stack of every combination's composite matrix, in
-    ``itertools.product`` order over the factors' lists (the last factor's
-    outcome varies fastest). :meth:`parallel_matrix` is its batch of one.
-    The circuit engine evaluates layers through :meth:`contract`, which
-    applies that stack to a frontier of joint states. The builtin rules
-    override it to act one factor at a time with :func:`contract_wires`,
-    without forming the stack; the stack walk here serves the rebit rule's
-    one-factor layers and rules that do not override it.
+    A rule gives two forms of parallel composition: :meth:`parallel_matrix`,
+    the matrix of one outcome per factor, and :meth:`contract`, which applies
+    every outcome combination of a layer's factors to a frontier of joint
+    states. The builtin rules contract one factor at a time with
+    :func:`contract_wires`, so no Kronecker product of a layer is formed.
 
     The engine passes each factor to :meth:`contract` as a :class:`Factor`:
     a gate's held factor (all its outcomes, or the one ``prob`` selects), or
@@ -356,32 +338,24 @@ class CompositeRule:
         type, and their :meth:`identity` returns its outcome."""
         return Factor((self.identity(system),))
 
-    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
-        """The ``(prod K_i, out, in)`` stack of parallel compositions, where
-        ``pieces[i]`` lists the K_i outcome matrices of factor i in wire order."""
-        raise NotImplementedError
-
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
         """Matrix of the parallel composition of ``pieces``, in wire order."""
-        return self.parallel_stack([[p] for p in pieces])[0]
+        raise NotImplementedError
 
     def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
                  weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
         """A ``(B, in)`` frontier of joint states through the parallel
-        composition of ``pieces`` (as in :meth:`parallel_stack`).
+        composition of ``pieces``, where ``pieces[i]`` lists factor i's K_i
+        outcome matrices in wire order.
 
-        Without ``weights``: the ``(B * prod K_i, out)`` frontier of every
-        (row, combination) pair, rows major, combinations in
-        ``itertools.product`` order. With ``weights``, one ``(B, K_i)`` array
-        per factor: the ``(B, out)`` rows ``sum_c w_b(c) M(c) front[b]``, where
+        Without ``weights``: the ``(B * prod K_i, out)`` frontier of each row
+        times each combination's :meth:`parallel_matrix` M(c), rows major,
+        combinations in ``itertools.product`` order (the last factor's
+        outcome varies fastest). With ``weights``, one ``(B, K_i)`` array per
+        factor: the ``(B, out)`` rows ``sum_c w_b(c) M(c) front[b]``, where
         ``w_b(c)`` is the product of the factors' weights in row b for c.
         """
-        stack = self.parallel_stack(pieces)
-        if weights is None:
-            return np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
-        w = kron_rows(weights)  # np.tensordot(w, stack, axes=1)'s own np.dot: its bits
-        summed = np.dot(w, stack.reshape(len(stack), -1)).reshape(len(w), *stack.shape[1:])
-        return np.matmul(summed, front[:, :, None])[:, :, 0]
+        raise NotImplementedError
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         """Gather index reordering a joint state so factor i comes from slot perm[i]:
@@ -433,8 +407,8 @@ class KroneckerRule(CompositeRule):
                 (TransformationMatrix(system, system, np.eye(system.dim)),))
         return got
 
-    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
-        return kron_stack(np.stack([p.matrix for p in piece]) for piece in pieces)
+    def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
+        return reduce(np.kron, [p.matrix for p in pieces], np.ones((1, 1)))
 
     def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
                  weights: Sequence[np.ndarray] | None = None) -> np.ndarray:

@@ -35,7 +35,6 @@ from .core import (
     checked_coords,
     contract_wires,
     kron_rows,
-    kron_stack,
 )
 from .errors import GptLabError, TypeMismatchError
 
@@ -198,12 +197,12 @@ class RebitRule(CompositeRule):
     scatters the frontier into its 4^k Pauli string coordinates once (zero on
     the odd-Y strings), contracts each factor's transfer matrices into the
     factor's own wire axes with :func:`~gptlab.core.contract_wires`, and
-    restricts to the even-Y strings once. A layer of one factor multiplies
-    by that factor's restricted transfer stack, the base class's walk. Each
-    outcome's transfer matrix, with whether it is exactly the identity, is
-    computed once and held while the outcome lives, in a table keyed weakly
-    by the outcome object, so the table never outgrows the outcomes in use;
-    the stacks of the outcome matrices themselves are never built.
+    restricts to the even-Y strings once; a layer of one factor contracts
+    the even-Y blocks of its outcomes' matrices, with no scatter. Each outcome's
+    transfer matrix and block, with whether the matrix is exactly the
+    identity, are computed once and held while the outcome lives, in a table
+    keyed weakly by the outcome object, so the table never outgrows the
+    outcomes in use; the stacks of the outcome matrices are never built.
     :meth:`passthrough` holds one factor per system type. Threads racing on
     one outcome at worst compute its matrix twice.
 
@@ -258,10 +257,15 @@ class RebitRule(CompositeRule):
                 system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),)),))
         return got
 
-    def _transfer(self, p: TransformationMatrix) -> tuple[np.ndarray, bool]:
-        """The held Pauli transfer matrix of ``p``, as a read-only ``(1, out,
-        in)`` stack, and whether it is exactly the identity; computed on first
-        use."""
+    def _even_y(self, full: np.ndarray) -> np.ndarray:
+        """The even-Y block of a 4^k_out x 4^k_in matrix over Pauli strings."""
+        k_out, k_in = (n.bit_length() // 2 for n in full.shape)
+        return full[np.ix_(self._table(even_y_index, k_out), self._table(even_y_index, k_in))]
+
+    def _transfer(self, p: TransformationMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
+        """The held Pauli transfer matrix of ``p`` and its even-Y block, each
+        as a read-only ``(1, out, in)`` stack, and whether the matrix is
+        exactly the identity; computed on first use."""
         got = self._transfers.get(p)
         if got is None:
             if p.kraus is None:
@@ -269,43 +273,45 @@ class RebitRule(CompositeRule):
                     f"gate outcome '{p.outcome_label}' lacks operator (Kraus) data; "
                     "rebit composites cannot be built from single-wire matrices alone"
                 )
-            t = _freeze(self._transfer_matrix(p.kraus))
-            got = self._transfers[p] = (t[None], np.array_equal(t, np.eye(len(t))))
+            t = self._transfer_matrix(p.kraus)
+            got = self._transfers[p] = (_freeze(t[None]), _freeze(self._even_y(t)[None]),
+                                        np.array_equal(t, np.eye(len(t))))
         return got
 
-    def parallel_stack(self, pieces: Sequence[Sequence[TransformationMatrix]]) -> np.ndarray:
-        full = kron_stack(np.concatenate([self._transfer(p)[0] for p in piece]) for piece in pieces)
-        k_out, k_in = (n.bit_length() // 2 for n in full.shape[1:])  # 4^k_out x 4^k_in
-        return full[np.ix_(np.arange(len(full)), self._table(even_y_index, k_out),
-                           self._table(even_y_index, k_in))]
+    def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
+        transfers = [self._transfer(p)[0][0] for p in pieces]
+        return self._even_y(functools.reduce(np.kron, transfers, np.ones((1, 1))))
 
     def contract(self, pieces: Sequence[Sequence[TransformationMatrix]], front: np.ndarray,
                  weights: Sequence[np.ndarray] | None = None) -> np.ndarray:
-        if len(pieces) == 1:
-            return super().contract(pieces, front, weights)
+        if len(pieces) == 1:  # even-Y blocks, always multiplied: the bundled Bell circuit's bits
+            blocks = np.concatenate([self._transfer(p)[1] for p in pieces[0]])
+            return contract_wires([blocks], [False], front, weights)
         held = [[self._transfer(p) for p in piece] for piece in pieces]
-        stacks = [h[0][0] if len(h) == 1 else np.concatenate([t for t, _ in h]) for h in held]
+        stacks = [h[0][0] if len(h) == 1 else np.concatenate([t[0] for t in h]) for h in held]
         # each factor's 4^k_out x 4^k_in transfer: its rebit counts, summed
         k_out, k_in = (sum(s.shape[axis].bit_length() - 1 for s in stacks) // 2
                        for axis in (1, 2))
         full = np.zeros((len(front), 4**k_in))
         full[:, self._table(even_y_index, k_in)] = front
-        return contract_wires(stacks, [len(h) == 1 and h[0][1] for h in held], full,
+        return contract_wires(stacks, [len(h) == 1 and h[0][2] for h in held], full,
                               weights)[:, self._table(even_y_index, k_out)]
 
-    def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
+    def _strings(self, types: Sequence[SystemType]) -> tuple[list[int], np.ndarray, np.ndarray]:
+        """The rebit counts of ``types``, and their joint strings' even-Y index and slots."""
         leaves = [self._n_leaves(t) for t in types]
-        offsets = np.cumsum([0] + leaves)
-        leaf_order = [j for i in perm for j in range(offsets[i], offsets[i] + leaves[i])]
         k = sum(leaves)
-        moved = np.arange(4**k).reshape((4,) * k).transpose(leaf_order).ravel()
-        return self._table(_even_y_slots, k)[moved[self._table(even_y_index, k)]]
+        return leaves, self._table(even_y_index, k), self._table(_even_y_slots, k)
+
+    def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
+        leaves, even, slots = self._strings(types)
+        moved = np.arange(len(slots)).reshape([4**k for k in leaves]).transpose(perm).ravel()
+        return slots[moved[even]]
 
     def product_axes(self, types: Sequence[SystemType], choices: Sequence[np.ndarray]) -> np.ndarray:
-        leaves = [self._n_leaves(t) for t in types]
+        leaves, _, slots = self._strings(types)
         strings = tuple(self._table(even_y_index, k)[c] for c, k in zip(choices, leaves))
-        full = np.ravel_multi_index(strings, tuple(4**k for k in leaves))
-        return self._table(_even_y_slots, sum(leaves))[full]
+        return slots[np.ravel_multi_index(strings, tuple(4**k for k in leaves))]
 
     def _transfer_matrix(self, kraus: Sequence[np.ndarray]) -> np.ndarray:
         """M_ab = Tr(P_a sum_j K_j P_b K_j^dag) / 2^((k_out + k_in)/2) over Pauli strings P."""
@@ -318,11 +324,11 @@ class RebitRule(CompositeRule):
 
     def product_coords(self, types: Sequence[SystemType],
                        stacks: Sequence[np.ndarray]) -> np.ndarray:
-        leaves = [self._n_leaves(t) for t in types]
+        leaves, even, _ = self._strings(types)
         padded = [np.zeros((len(s), 4**k)) for s, k in zip(stacks, leaves)]
         for p, s, k in zip(padded, stacks, leaves):
             p[:, self._table(even_y_index, k)] = s
-        return kron_rows(padded)[:, self._table(even_y_index, sum(leaves))]
+        return kron_rows(padded)[:, even]
 
 
 @dataclass(frozen=True, eq=False)

@@ -11,7 +11,10 @@ rebuilding and re-sorting the whole tape for every branch, and
 ``reference_parallel_stack``, ``reference_n_local_span`` and
 ``reference_distinguish_search`` build their Kronecker products one ``np.kron``
 chain per combination, row or sample, and ``reference_strategy_value`` so
-evaluates the one strategy a search report names; ``reference_layer_stack`` builds a
+evaluates the one strategy a search report names; ``reference_stack_contract``
+applies a layer by multiplying a frontier by its whole
+``reference_parallel_stack``, the stack walk the rules' per-wire contraction
+is held to; ``reference_layer_stack`` builds a
 circuit layer's stack one ``parallel_matrix`` call per outcome combination,
 and ``reference_walk`` evaluates a circuit by multiplying its frontier by
 those stacks: the Kronecker walk the engine's per-wire contraction is held to.
@@ -58,7 +61,7 @@ from gptlab import (
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import _compile, _walk, foliate
 from gptlab.core import (PHYSICAL_TOL, CompositeRule, EffectVector, KroneckerRule, StateVector,
-                         SystemType, TransformationMatrix, _rotate)
+                         SystemType, TransformationMatrix, _rotate, kron_rows)
 from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
@@ -195,10 +198,11 @@ def kraus_product_coords(rule, pieces, leaves) -> np.ndarray:
 
 
 def reference_parallel_stack(rule, pieces) -> np.ndarray:
-    """``rule.parallel_stack(pieces)`` one combination at a time, in
-    itertools.product order: an np.kron chain from [[1.0]] over the chosen
+    """The ``(prod K_i, out, in)`` stack of every outcome combination's
+    ``rule.parallel_matrix``, in itertools.product order over ``pieces[i]``,
+    factor i's outcome matrices: an np.kron chain from [[1.0]] over the chosen
     outcomes' matrices; for rebits, over their Pauli transfer matrices,
-    restricted to the even-Y strings at the end."""
+    computed per call and restricted to the even-Y strings at the end."""
     mats = []
     for combo in itertools.product(*pieces):
         if not isinstance(rule, RebitRule):
@@ -208,6 +212,20 @@ def reference_parallel_stack(rule, pieces) -> np.ndarray:
         k_out, k_in = (n.bit_length() // 2 for n in full.shape)  # 4^k_out x 4^k_in
         mats.append(full[np.ix_(even_y_index(k_out), even_y_index(k_in))])
     return np.stack(mats)
+
+
+def reference_stack_contract(rule, pieces, front, weights=None) -> np.ndarray:
+    """``rule.contract(pieces, front, weights)`` as a walk over the layer's
+    whole ``reference_parallel_stack``: each row times every combination's
+    matrix or, with weights, times the matrices' sum under the row's
+    Kronecker product of the factors' weights (``np.tensordot``'s own
+    ``np.dot``)."""
+    stack = reference_parallel_stack(rule, pieces)
+    if weights is None:
+        return np.matmul(stack, front[:, None, :, None]).reshape(-1, stack.shape[1])
+    w = kron_rows(weights)
+    summed = np.dot(w, stack.reshape(len(stack), -1)).reshape(len(w), *stack.shape[1:])
+    return np.matmul(summed, front[:, :, None])[:, :, 0]
 
 
 def reference_layer_stack(layer) -> np.ndarray:
@@ -270,11 +288,11 @@ class ReferenceKroneckerRule(KroneckerRule):
 class ReferenceRebitRule(RebitRule):
     """The rebit rule contracting layers of two or more factors through
     ``reference_contract_wires``, on transfer matrices computed per call; a
-    layer of one factor keeps the base stack walk."""
+    layer of one factor is ``reference_stack_contract``."""
 
     def contract(self, pieces, front, weights=None):
         if len(pieces) == 1:
-            return CompositeRule.contract(self, pieces, front, weights)
+            return reference_stack_contract(self, pieces, front, weights)
         factors = [[self._transfer_matrix(p.kraus) for p in piece] for piece in pieces]
         k_out, k_in = (sum(f[0].shape[axis].bit_length() - 1 for f in factors) // 2
                        for axis in (0, 1))

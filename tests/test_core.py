@@ -18,7 +18,7 @@ from gptlab import (
     approx_matrix,
     pair,
 )
-from gptlab.core import Factor, checked_coords
+from gptlab.core import Factor, _freeze, checked_coords
 from gptlab.errors import TypeMismatchError
 from gptlab.interference import ProjectorFamily
 from gptlab.theories import PAULI, DensityCarrier, RebitRule, hermitian_basis
@@ -269,10 +269,10 @@ def test_every_holder_freezes_its_own_copy_and_builtins_share_theirs():
         assert shared and all(np.shares_memory(a, b) for a, b in shared), one.name
         stacks = [g.factor.stack for g in one.gates.values()]
         rule = one.composite_rule
-        if isinstance(rule, RebitRule):
-            stacks += [rule._transfer(t)[0] for g in one.gates.values() for t in g.factor]
+        if isinstance(rule, RebitRule):  # each outcome's transfer and its even-Y block
+            stacks += [m for g in one.gates.values() for t in g.factor for m in rule._transfer(t)[:2]]
         for a in [a for a, _ in shared] + stacks:
-            assert _refuses_writes(a), one.name
+            assert _refuses_writes(a) and _refuses_writes(a.base), one.name
 
 
 def test_a_read_only_view_of_a_callers_array_is_copied():
@@ -294,6 +294,22 @@ def test_a_read_only_view_of_a_callers_array_is_copied():
     # a view of a held array is the library's own: it passes through as it is
     again = StateVector(BIT, held[0][:])
     assert np.shares_memory(again.coords, held[0]) and again.coords.base is held[0].base
+
+
+def test_held_owners_refuse_writes_and_keep_the_layout():
+    # the owner under a held array is memory numpy cannot write, so neither the
+    # held view nor its base can be made writable again
+    v = StateVector(BIT, [0.5, 0.5])
+    with pytest.raises(ValueError):
+        v.coords.base.setflags(write=True)
+    assert v.coords.tolist() == [0.5, 0.5]
+    # and it keeps the copy's layout, since BLAS picks kernels by stride
+    c = np.arange(24.0).reshape(2, 3, 4)
+    for a in (np.asfortranarray(c[0]), c.transpose(2, 0, 1), (c * (1 - 1j)).real, c[:, ::-1]):
+        held = _freeze(a)
+        assert held.strides == a.copy(order="K").strides and np.array_equal(held, a)
+        assert _refuses_writes(held) and _refuses_writes(held.base)
+        assert _freeze(held).base is held.base  # the library's own passes through
 
 
 @pytest.mark.parametrize("row", [0, 3, 6])

@@ -47,7 +47,6 @@ from conftest import (
     random_circuit,
     rebuilt,
     reference_accept,
-    reference_layer_stack,
     reference_theory,
     reference_walk,
 )
@@ -523,33 +522,23 @@ def test_json_round_trip_keeps_every_bit(c, data):
     assert acceptance_prob(again, parsed_acceptor) == acceptance_prob(c, acceptor)
 
 
-@PROPERTY
-@given(circuits(), st.sampled_from(["greedy", "singletons"]))
-def test_layer_stacks_match_per_combination_matrices(c, style):
-    for layer in _compile(c, foliate(c, style)):
-        got, want = layer.rule.parallel_stack(layer.pieces), reference_layer_stack(layer)
-        assert got.shape == want.shape
-        assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
-        assert got.flags.c_contiguous
-
-
 class CountingRule(KroneckerRule):
     """A tensor-product rule that counts its ``contract`` calls, the outcome
-    combinations they extend the frontier by, and the layer stacks it builds
-    (a ``parallel_matrix`` is a stack of one)."""
+    combinations they extend the frontier by, and the composite matrices it
+    builds (its ``parallel_matrix`` calls)."""
 
     def __init__(self, theory):
         super().__init__(theory)
-        self.contracts = self.stacks = self.combinations = 0
+        self.contracts = self.matrices = self.combinations = 0
 
     def contract(self, pieces, front, weights=None):
         self.contracts += 1
         self.combinations += math.prod(map(len, pieces))
         return super().contract(pieces, front, weights)
 
-    def parallel_stack(self, pieces):
-        self.stacks += 1
-        return super().parallel_stack(pieces)
+    def parallel_matrix(self, pieces):
+        self.matrices += 1
+        return super().parallel_matrix(pieces)
 
 
 def counting_coin_circuit() -> tuple[CircuitDAG, CountingRule]:
@@ -570,11 +559,11 @@ def test_prob_builds_one_layer_matrix_per_layer():
     z = {**{f"c{k}": "1" for k in range(4)}, **{f"r{k}": "1" for k in range(4)}}
     for style in ("greedy", "singletons"):
         fol = foliate(c, style)
-        rule.contracts = rule.stacks = rule.combinations = 0
+        rule.contracts = rule.matrices = rule.combinations = 0
         assert prob(c, z, foliation=fol) == pytest.approx(2.0**-4)
         # the walk of distribution, one contraction of one selected combination
         # per layer, and no Kronecker stack
-        assert (rule.contracts, rule.stacks, rule.combinations) == (len(fol), 0, len(fol))
+        assert (rule.contracts, rule.matrices, rule.combinations) == (len(fol), 0, len(fol))
 
 
 def test_enumeration_and_acceptors_build_one_stack_per_layer():
@@ -583,21 +572,21 @@ def test_enumeration_and_acceptors_build_one_stack_per_layer():
     acceptors = [Acceptor(kind) for kind in BUILT_IN if kind != "reject-all"] + [table]
     for style in ("greedy", "singletons"):
         fol = foliate(c, style)
-        rule.contracts = rule.stacks = 0
+        rule.contracts = rule.matrices = 0
         distribution(c, foliation=fol)
-        assert (rule.contracts, rule.stacks) == (len(fol), 0)
+        assert (rule.contracts, rule.matrices) == (len(fol), 0)
         for acceptor in acceptors:
             rule.contracts = 0
             acceptance_prob(c, acceptor, foliation=fol)
-            assert (rule.contracts, rule.stacks) == (len(fol), 0), acceptor.kind
+            assert (rule.contracts, rule.matrices) == (len(fol), 0), acceptor.kind
     # the bridge compiles the greedy foliation; running the program contracts
     # each of its layers once
     for acceptor in acceptors:
         rule.contracts = 0
         program = circuit_to_affine_program(c, acceptor)
-        assert (rule.contracts, rule.stacks) == (0, 0)
+        assert (rule.contracts, rule.matrices) == (0, 0)
         program.acceptance_weight()
-        assert (rule.contracts, rule.stacks) == (len(foliate(c)), 0)
+        assert (rule.contracts, rule.matrices) == (len(foliate(c)), 0)
 
 
 def overfull_circuit() -> CircuitDAG:

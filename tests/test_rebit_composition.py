@@ -23,7 +23,6 @@ from gptlab import (
     symmetric_pauli_basis,
 )
 from gptlab.circuits import Gate
-from gptlab.core import CompositeRule
 from gptlab.errors import GptLabError
 from gptlab.theories import PAULI, even_y_index
 
@@ -32,6 +31,7 @@ from conftest import (
     kraus_permutation_matrix,
     kraus_product_coords,
     reference_parallel_stack,
+    reference_stack_contract,
 )
 
 REBIT = real_quantum_theory(2)
@@ -70,13 +70,13 @@ def test_parallel_matrix_matches_kraus_products(pieces):
 @PROPERTY
 @given(st.lists(st.sampled_from(FACTORS), min_size=1, max_size=MAX_REBITS)
        .filter(lambda fs: sum(_rebits(f[0]) for f in fs) <= MAX_REBITS))
-def test_parallel_stack_is_the_per_combination_products(factors):
-    got = RULE.parallel_stack(factors)
+def test_parallel_matrix_is_the_per_combination_products(factors):
     want = reference_parallel_stack(RULE, factors)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
-    for m, combo in zip(got, itertools.product(*factors)):
-        assert np.max(np.abs(m - kraus_parallel_matrix(RULE, combo))) <= 1e-12
+    for m, combo in zip(want, itertools.product(*factors)):
+        got = RULE.parallel_matrix(list(combo))
+        assert got.shape == m.shape
+        assert got.tobytes() == m.tobytes()  # every bit, signed zeros too
+        assert np.max(np.abs(got - kraus_parallel_matrix(RULE, combo))) <= 1e-12
 
 
 @PROPERTY
@@ -154,15 +154,15 @@ def _front_dim(factors) -> int:
        st.integers(1, 3), st.integers(0, 2**32 - 1))
 def test_contract_is_the_stack_walk(factors, rows, seed):
     """RebitRule.contract, wire by wire in Pauli string coordinates, against
-    the base class's stack walk within 1e-12, with and without per-row
-    weights; passthroughs, pair gates and multi-outcome gates mix freely. A
-    layer of one factor is the stack walk itself, bit for bit."""
+    the stack walk within 1e-12, with and without per-row weights;
+    passthroughs, pair gates and multi-outcome gates mix freely. A layer of
+    one factor keeps the stack walk's bits."""
     rng = np.random.default_rng(seed)
     front = rng.uniform(-1.0, 1.0, (rows, _front_dim(factors)))
     weights = [rng.choice([-1.0, 0.0, 1.0], (rows, len(f))) for f in factors]
     for w in (None, weights):
         got = RULE.contract(factors, front, w)
-        want = CompositeRule.contract(RULE, factors, front, w)
+        want = reference_stack_contract(RULE, factors, front, w)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
         if len(factors) == 1:
@@ -174,13 +174,15 @@ def test_one_factor_layers_are_the_stack_walk(factor):
     front = np.random.default_rng(0).uniform(-1.0, 1.0, (2, _front_dim([factor])))
     for w in (None, [np.ones((2, len(factor)))]):
         got = RULE.contract([factor], front, w)
-        assert got.tobytes() == CompositeRule.contract(RULE, [factor], front, w).tobytes()
+        assert got.tobytes() == reference_stack_contract(RULE, [factor], front, w).tobytes()
 
 
 def test_held_transfers_do_not_grow_with_compiles():
     """Each outcome's transfer matrix is held while the outcome lives, so
     fresh circuits, with fresh gates and passthrough wires, leave the table
-    the size one circuit fills it to."""
+    the size one circuit fills it to. The cycle collector is off: reference
+    counting alone frees each circuit's outcomes, so a reference cycle that
+    keeps one alive fails this."""
     theory = real_quantum_theory(2)
     rule, h = theory.composite_rule, theory.gate("h").outcomes["0"]
 
@@ -198,11 +200,16 @@ def test_held_transfers_do_not_grow_with_compiles():
         return c
 
     sizes = []
-    for _ in range(101):
-        assert sum(distribution(fresh_circuit(), foliation=[["b"], ["g"], ["m0", "m1"]])
-                   .values()) == pytest.approx(1.0, abs=1e-12)
-        gc.collect()
-        sizes.append(len(rule._transfers))
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for _ in range(101):
+            assert sum(distribution(fresh_circuit(), foliation=[["b"], ["g"], ["m0", "m1"]])
+                       .values()) == pytest.approx(1.0, abs=1e-12)
+            sizes.append(len(rule._transfers))
+    finally:
+        if enabled:
+            gc.enable()
     assert sizes == sizes[:1] * 101
     assert rule.identity(SYS) is rule.identity(SYS)
 

@@ -1,5 +1,6 @@
 """Built-in theories: representations, worked rebit example, Boxworld/CHSH."""
 
+import itertools
 import math
 import os
 import pickle
@@ -33,7 +34,6 @@ from gptlab import (
     symmetric_pauli_basis,
     tsirelson_settings,
 )
-from gptlab.core import CompositeRule
 from gptlab.theories import PAULI, pr_box_coords
 
 from conftest import (
@@ -47,6 +47,7 @@ from conftest import (
     reference_builtin_arrays,
     reference_draws,
     reference_parallel_stack,
+    reference_stack_contract,
     same_bytes,
 )
 
@@ -249,7 +250,7 @@ _ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3.0 ** 0.5])
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from([t for t in all_theories() if t.meta["builtin"] != "real-quantum"]),
        st.data())
-def test_kronecker_parallel_stack_is_the_per_combination_products(theory, data):
+def test_kronecker_parallel_matrix_is_the_per_combination_products(theory, data):
     rule, sys = theory.composite_rule, theory.system()
     # every gate's outcome list, one-outcome gates included, the passthrough
     # identity, and random 1-3 outcome maps on one wire, to and from the unit
@@ -260,19 +261,19 @@ def test_kronecker_parallel_stack_is_the_per_combination_products(theory, data):
                         for _ in range(1 + k)])
     pieces = data.draw(st.lists(st.sampled_from(factors), max_size=4)
                        .filter(lambda fs: math.prod(f[0].matrix.size for f in fs) <= 2**16))
-    got = rule.parallel_stack(pieces)
     want = reference_parallel_stack(rule, pieces)
-    assert got.shape == want.shape
-    assert got.tobytes() == want.tobytes()  # every bit, signed zeros too
-    assert got[0].tobytes() == rule.parallel_matrix([f[0] for f in pieces]).tobytes()
+    for m, combo in zip(want, itertools.product(*pieces)):
+        got = rule.parallel_matrix(list(combo))
+        assert got.shape == m.shape
+        assert got.tobytes() == m.tobytes()  # every bit, signed zeros too
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(st.sampled_from([t for t in all_theories() if t.meta["builtin"] != "real-quantum"]),
        st.data())
 def test_kronecker_contract_is_the_stack_product(theory, data):
-    """KroneckerRule.contract against the base class's stack path, within
-    1e-12: with and without per-row weights, passthrough identities anywhere."""
+    """KroneckerRule.contract against the stack walk, within 1e-12: with and
+    without per-row weights, passthrough identities anywhere."""
     rule, sys = theory.composite_rule, theory.system()
     factors = [list(g.outcomes.values()) for g in theory.gates.values()] + [[rule.identity(sys)]]
     pieces = data.draw(st.lists(st.sampled_from(factors), min_size=1, max_size=4)
@@ -283,7 +284,7 @@ def test_kronecker_contract_is_the_stack_product(theory, data):
     weights = [rng.choice([-1.0, 0.0, 1.0], (len(front), len(f))) for f in pieces]
     for w in (None, weights):
         got = rule.contract(pieces, front, w)
-        want = CompositeRule.contract(rule, pieces, front, w)
+        want = reference_stack_contract(rule, pieces, front, w)
         assert got.shape == want.shape
         assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
