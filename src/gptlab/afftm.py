@@ -40,6 +40,7 @@ from itertools import chain
 from math import isfinite
 from numbers import Real
 from operator import mul
+from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
@@ -75,6 +76,9 @@ class Branch:
 
 @dataclass(frozen=True, eq=False)
 class AffineMachine:
+    """Checked once, when built; ``transitions`` is a read-only mapping, so the
+    checks keep holding, and a pickled machine is built again through them."""
+
     states: frozenset[str]
     initial: str
     accept: str
@@ -86,7 +90,9 @@ class AffineMachine:
     def __post_init__(self) -> None:
         object.__setattr__(self, "states", frozenset(self.states))
         object.__setattr__(self, "alphabet", frozenset(self.alphabet))
-        object.__setattr__(self, "transitions", dict(self.transitions))
+        transitions = dict(self.transitions)
+        object.__setattr__(self, "transitions", MappingProxyType(transitions))
+        object.__setattr__(self, "_branches", transitions.get)  # step's lookup, at dict speed
         for s in (self.initial, self.accept, self.reject):
             if s not in self.states:
                 raise ValueError(f"'{s}' is not in the machine's state set")
@@ -109,6 +115,10 @@ class AffineMachine:
                 violations.append(f"weights from ({state!r}, {symbol!r}) sum to {total!r}, not 1")
         if violations:
             raise MachineValidationError("; ".join(violations))
+
+    def __reduce__(self):
+        return type(self), (self.states, self.initial, self.accept, self.reject, self.blank,
+                            self.alphabet, dict(self.transitions))
 
     def is_halting(self, state: str) -> bool:
         return state in (self.accept, self.reject)
@@ -167,7 +177,7 @@ def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
             out[cfg] = get(cfg, 0.0) + weight
             continue
         left, symbol, right = _split(tape, head, blank)
-        branches = machine.transitions.get((state, symbol))
+        branches = machine._branches((state, symbol))
         if not branches:
             raise MachineValidationError(
                 f"no transition for non-halting ({state!r}, {symbol!r})"

@@ -3,7 +3,7 @@
 A circuit is a DAG of gate instances joined by typed wires. On its first
 evaluation after each ``add`` or ``connect`` it is validated and compiled
 into layers of parallel gates (the greedy foliation), which it holds until
-it changes; an explicit ``foliation=`` is checked and laid out per call.
+it changes; an explicit ``foliation=`` is checked as it is laid out, per call.
 The layers hold a wire permutation and, per wire factor, a
 :class:`~gptlab.core.Factor`: a gate's own, or the rule's passthrough for a
 wire no gate of the layer reads. Gates and rules hold these, so their stacks
@@ -42,21 +42,10 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import (PROB_TOL, UNIT, CompositeRule, CompositeType, Factor, SystemType,
-                   TransformationMatrix, _freeze)
+from .core import PROB_TOL, CompositeRule, Factor, SystemType, TransformationMatrix, _freeze
 from .errors import CapacityError, CircuitValidationError, GptLabError
 
 DEFAULT_ENUMERATION_CAP = 2**20
-
-
-def _spans(t: SystemType, wires: tuple[SystemType, ...]) -> bool:
-    """Whether a matrix side of type ``t`` is the joint system of ``wires``:
-    any type spans itself, a composite its factors, and ``UNIT`` no wires."""
-    if (t,) == wires:
-        return True
-    if isinstance(t, CompositeType) and t.factors:
-        return t.factors == wires
-    return not wires and (t is UNIT or t == UNIT)
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +53,8 @@ class Gate:
     """A device: one transformation matrix per classical outcome.
 
     Preparations have no inputs, effects no outputs; every outcome matrix
-    maps the joint system of the input wires to that of the output wires.
+    maps the joint system of the input wires to that of the output wires: a
+    side of type ``t`` spans the wires ``(t,)`` or ``t.wires``.
     Evaluation reads the outcomes as :class:`~gptlab.core.Factor` objects
     the gate holds, built on first evaluation (so building a theory stacks
     nothing): :attr:`factor` for all outcomes, and one per outcome for the
@@ -87,9 +77,9 @@ class Gate:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "outcomes", MappingProxyType(dict(self.outcomes)))
-        inputs, outputs = self.inputs, self.outputs
         for label, t in self.outcomes.items():
-            if not (_spans(t.input, inputs) and _spans(t.output, outputs)):
+            if not (self.inputs in ((t.input,), t.input.wires)
+                    and self.outputs in ((t.output,), t.output.wires)):
                 raise ValueError(
                     f"gate '{self.name}' outcome '{label}' maps {t.input.label} -> "
                     f"{t.output.label}, not its wires")
@@ -244,26 +234,37 @@ class ValidationReport:
 
 
 def _validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationReport, list]:
-    """The validation report, plus the foliation of the given style."""
+    """The validation report, plus the foliation of the given style, from one
+    pass over the wires; type mismatches are reported after the port errors."""
     errors: list[str] = []
-    ids = {iid for iid, _ in circuit.instances}
-
+    mismatches: list[str] = []
+    gates = circuit._ids
+    succ: dict[str, set[str]] = {iid: set() for iid in gates}
+    indeg = dict.fromkeys(gates, 0)
     out_seen: dict[Port, int] = {}
     in_seen: dict[Port, int] = {}
-    for w in circuit.wires:
+    for w in circuit._wires:
+        types = []
         for end, role, seen in ((w.src, "source", out_seen), (w.dst, "target", in_seen)):
             iid, port = end
-            if iid not in ids:
+            if iid not in gates:
                 errors.append(f"wire {role} references unknown instance '{iid}'")
                 continue
-            gate = circuit.gate(iid)
-            ports = gate.outputs if role == "source" else gate.inputs
+            ports = gates[iid].outputs if role == "source" else gates[iid].inputs
             if not (0 <= port < len(ports)):
                 errors.append(f"wire {role} ('{iid}', {port}): port index out of range")
                 continue
             seen[end] = seen.get(end, 0) + 1
+            types.append(ports[port])
+        (si, sp), (di, dp) = w.src, w.dst
+        if si in gates and di in gates and di not in succ[si]:
+            succ[si].add(di)
+            indeg[di] += 1
+        if len(types) == 2 and types[0] != types[1]:
+            mismatches.append(f"type mismatch on wire ('{si}',{sp})->('{di}',{dp}): "
+                              f"{types[0].label} vs {types[1].label}")
 
-    for iid, gate in circuit.instances:
+    for iid, gate in gates.items():
         for role, n, seen in (("output", len(gate.outputs), out_seen),
                               ("input", len(gate.inputs), in_seen)):
             for p in range(n):
@@ -272,28 +273,11 @@ def _validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationRep
                     errors.append(f"open port: {role} {p} of '{iid}' is not connected")
                 elif count > 1:
                     errors.append(f"{role} {p} of '{iid}' connected {count} times")
-
-    for w in circuit.wires:
-        (si, sp), (di, dp) = w.src, w.dst
-        if si in ids and di in ids:
-            sg, dg = circuit.gate(si), circuit.gate(di)
-            if 0 <= sp < len(sg.outputs) and 0 <= dp < len(dg.inputs):
-                if sg.outputs[sp] != dg.inputs[dp]:
-                    errors.append(
-                        f"type mismatch on wire ('{si}',{sp})->('{di}',{dp}): "
-                        f"{sg.outputs[sp].label} vs {dg.inputs[dp].label}"
-                    )
+    errors += mismatches
 
     # Kahn's algorithm over the instance dependency graph, ready instances in insertion order
-    order = {iid: k for k, (iid, _) in enumerate(circuit.instances)}
-    succ: dict[str, set[str]] = {iid: set() for iid in order}
-    indeg = dict.fromkeys(order, 0)
-    for w in circuit.wires:
-        si, di = w.src[0], w.dst[0]
-        if si in ids and di in ids and di not in succ[si]:
-            succ[si].add(di)
-            indeg[di] += 1
-    ready = [iid for iid in order if indeg[iid] == 0]
+    order = {iid: k for k, iid in enumerate(gates)}
+    ready = [iid for iid in gates if indeg[iid] == 0]
     layers: list[list[str]] = []
     while ready:
         layer = ready if style == "greedy" else ready[:1]
@@ -305,8 +289,8 @@ def _validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationRep
                     next_ready.append(nxt)
         layers.append(list(layer))
         ready = sorted(next_ready, key=order.get)
-    if sum(map(len, layers)) != len(ids):
-        stuck = sorted(iid for iid in ids if indeg[iid] > 0)
+    if sum(map(len, layers)) != len(gates):
+        stuck = sorted(iid for iid in gates if indeg[iid] > 0)
         errors.append(f"cycle detected involving instances {stuck}")
 
     return ValidationReport(not errors, errors), layers
@@ -359,23 +343,6 @@ def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
     return [list(layer) for layer in layers]
 
 
-def _check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> list[list[str]]:
-    seen: dict[str, int] = {}
-    for k, layer in enumerate(layers):
-        for iid in layer:
-            if iid in seen:
-                raise CircuitValidationError(f"instance '{iid}' appears in two layers")
-            seen[iid] = k
-    if set(seen) != set(circuit.instance_ids):
-        raise CircuitValidationError("foliation does not cover every instance exactly once")
-    for w in circuit.wires:
-        if seen[w.src[0]] >= seen[w.dst[0]]:
-            raise CircuitValidationError(
-                f"foliation violates wire order ('{w.src[0]}' before '{w.dst[0]}')"
-            )
-    return layers
-
-
 @dataclass(frozen=True, eq=False)
 class _Layer:
     """One compiled foliation layer, applied by ``rule.contract(pieces, ...)``;
@@ -388,7 +355,17 @@ class _Layer:
 
 
 def _layout(circuit: CircuitDAG, foliation, rule: CompositeRule) -> tuple[_Layer, ...]:
-    """The layers of a checked foliation, every gate reading all its outcomes."""
+    """The layers of ``foliation`` on a valid circuit, every gate reading all its
+    outcomes, checked as they are laid out: an instance in two layers, then one
+    missed or unknown, then the first wire (in wire order) read before it is written."""
+    layer_of: dict[str, int] = {}
+    for k, layer_ids in enumerate(foliation):
+        for iid in layer_ids:
+            if iid in layer_of:
+                raise CircuitValidationError(f"instance '{iid}' appears in two layers")
+            layer_of[iid] = k
+    if layer_of.keys() != circuit._ids.keys():
+        raise CircuitValidationError("foliation does not cover every instance exactly once")
     in_wire: dict[Port, Wire] = {w.dst: w for w in circuit._wires}
     out_wire: dict[Port, Wire] = {w.src: w for w in circuit._wires}
 
@@ -403,7 +380,12 @@ def _layout(circuit: CircuitDAG, foliation, rule: CompositeRule) -> tuple[_Layer
         taken = set(consumed)
         passthrough = [w for w in live if w not in taken]
         slot = {w: k for k, w in enumerate(live)}
-        perm = [slot[w] for w in consumed + passthrough]
+        try:
+            perm = [slot[w] for w in consumed + passthrough]
+        except KeyError:  # a consumed wire that is not live yet
+            w = next(w for w in circuit._wires if layer_of[w.src[0]] >= layer_of[w.dst[0]])
+            raise CircuitValidationError(
+                f"foliation violates wire order ('{w.src[0]}' before '{w.dst[0]}')") from None
         gather = (None if perm == list(range(len(perm)))
                   else rule.permutation_index([wire_type(w) for w in live], perm))
         pieces = [g.factor for _, g in gates]
@@ -416,8 +398,8 @@ def _layout(circuit: CircuitDAG, foliation, rule: CompositeRule) -> tuple[_Layer
 def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
              cap: int | None = None) -> tuple[_Layer, ...]:
     """The layers to walk, once ``cap`` holds on the outcome strings: the
-    held greedy layers, or those of ``foliation``, checked and laid out on
-    every call."""
+    held greedy layers, or those :func:`_layout` checks and lays out from
+    ``foliation`` on every call."""
     if cap is not None and circuit.n_outcome_strings() > cap:
         raise CapacityError(
             f"{circuit.n_outcome_strings()} outcome strings exceed the enumeration cap {cap}")
@@ -425,7 +407,7 @@ def _compile(circuit: CircuitDAG, foliation: list[list[str]] | None,
     if not report.ok:
         raise CircuitValidationError("; ".join(report.errors))
     if foliation is not None:
-        layers = _layout(circuit, _check_foliation(circuit, foliation), rule)
+        layers = _layout(circuit, foliation, rule)
     return layers
 
 

@@ -4,9 +4,10 @@ Exit codes: 0 success, 1 domain failure (bounded-error test fails, halting
 violation, reconstruction failure), 2 input error (missing/malformed files,
 bad arguments, a query size or Grover iteration count over
 ``querylab.MAX_ITEMS``, a fiducial count of more than
-``tomography.MAX_COUNT_DIGITS`` digits). With --json a single JSON document
-goes to stdout; it contains no timing, so fixed seeds and inputs give
-byte-identical output.
+``tomography.MAX_COUNT_DIGITS`` digits). With --json a single strict JSON
+document goes to stdout; it contains no timing, so fixed seeds and inputs
+give byte-identical output. A result that is not finite (NaN or an infinity,
+which strict JSON cannot write) is then a domain failure, with no output.
 
 ``main`` parses every call with one full parser, built on the first call of
 the process and reused: ``parse_args`` leaves the parser unchanged (it makes
@@ -58,13 +59,19 @@ def _seed(args) -> int:
     return seed
 
 
-def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> None:
+def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> bool:
+    """Print the report; False, printing nothing, if --json cannot write it."""
     if args.json:
-        print(json.dumps(report, sort_keys=True))
+        try:
+            text = json.dumps(report, sort_keys=True, allow_nan=False)
+        except ValueError:  # a NaN or an infinity
+            return False
+        print(text)
     else:
         for line in human_lines:
             print(line)
         print(f"[{elapsed * 1000:.1f} ms]")
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -445,7 +452,9 @@ def main(argv=None) -> int:
         return _fail("domain failure", exc, EXIT_DOMAIN)
     except GptLabError as exc:
         return _fail("error", exc, EXIT_DOMAIN)
-    _emit(args, report, lines, time.perf_counter() - start)
+    if not _emit(args, report, lines, time.perf_counter() - start):
+        return _fail("domain failure", "a result is not finite, which --json cannot write",
+                     EXIT_DOMAIN)
     return code
 
 

@@ -69,6 +69,11 @@ class SystemType:
         if self.dim < 1:
             raise ValueError(f"system dimension must be >= 1, got {self.dim}")
 
+    @property
+    def wires(self) -> tuple[SystemType, ...]:
+        """The wires a matrix side of this type spans: none for ``UNIT``, else itself."""
+        return () if self == UNIT else (self,)
+
 
 # Trivial type carried by "no wire at all"; scalars live here.
 UNIT = SystemType("unit", 1)
@@ -91,6 +96,11 @@ class CompositeType(SystemType):
         prod = math.prod(f.dim for f in self.factors)
         if self.dim < prod:
             raise ValueError(f"composite dim {self.dim} < product of factor dims {prod}")
+
+    @property
+    def wires(self) -> tuple[SystemType, ...]:
+        """Its factors, the wires :meth:`CompositeRule.composite` joined; itself if none."""
+        return self.factors or (self,)
 
 
 def checked_coords(coords, shape: tuple[int, ...], kind: str,
@@ -315,7 +325,7 @@ class CompositeRule:
     def composite(self, types: Sequence[SystemType]) -> SystemType:
         """The joint type of ``types`` in wire order: ``UNIT`` for none, the
         type itself for one, else a labelled :class:`CompositeType` of
-        :meth:`joint_dim` in the rule's ``theory``."""
+        :meth:`joint_dim` in the rule's ``theory``, whose ``wires`` are ``types``."""
         types = tuple(types)
         if not types:
             return UNIT

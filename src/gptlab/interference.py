@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -33,7 +34,9 @@ def subsets(n_slits: int, min_size: int = 0, max_size: int | None = None) -> lis
 
 @dataclass(frozen=True, eq=False)
 class ProjectorFamily:
-    """Square real matrices P_I on a common carrier space, indexed by slit subsets."""
+    """Square real matrices P_I on a common carrier space, indexed by slit subsets:
+    a read-only mapping of read-only matrices, so the checks made when the
+    family is built keep holding, and a pickled family is built again through them."""
 
     n_slits: int
     projectors: Mapping[frozenset, np.ndarray]
@@ -59,10 +62,13 @@ class ProjectorFamily:
         empty = frozenset()
         if empty not in fixed:
             fixed[empty] = _freeze(np.zeros((dim, dim)))
-        object.__setattr__(self, "projectors", fixed)
+        object.__setattr__(self, "projectors", MappingProxyType(fixed))
         violations = _violations(self.n_slits, fixed)
         if violations:
             raise FamilyInvariantError("; ".join(violations))
+
+    def __reduce__(self):
+        return type(self), (self.n_slits, dict(self.projectors), self.name, self.synthetic)
 
     @property
     def dim(self) -> int:
@@ -163,14 +169,16 @@ def decompose(vector: np.ndarray, family: ProjectorFamily, order: int) -> Cohere
     Raises :class:`ReconstructionError` (carrying the residual norm) when the
     components miss the input by more than PHYSICAL_TOL relative to its norm,
     i.e. when ``order`` is below the interference order on this vector, or
-    when the residual is not a number.
+    when the residual is not finite (an input near the float range overflows).
     """
     vector = np.asarray(vector, dtype=float)
     components = {}
-    for key in subsets(family.n_slits, min_size=1, max_size=order):
-        components[key] = coherence_projector(family, key) @ vector
-    residual = float(np.linalg.norm(sum(components.values()) - vector))
-    if not residual <= PHYSICAL_TOL * max(1.0, float(np.linalg.norm(vector))):
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key in subsets(family.n_slits, min_size=1, max_size=order):
+            components[key] = coherence_projector(family, key) @ vector
+        residual = float(np.linalg.norm(sum(components.values()) - vector))
+        scale = max(1.0, float(np.linalg.norm(vector)))
+    if not (np.isfinite(residual) and residual <= PHYSICAL_TOL * scale):
         raise ReconstructionError(
             f"components up to size {order} miss the input by {residual:.3e}", residual
         )

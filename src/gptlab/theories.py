@@ -23,7 +23,6 @@ from .core import (
     ALGEBRA_TOL,
     PHYSICAL_TOL,
     CompositeRule,
-    CompositeType,
     EffectVector,
     Factor,
     KroneckerRule,
@@ -236,8 +235,8 @@ class RebitRule(CompositeRule):
     def _n_leaves(self, t: SystemType) -> int:
         if t.dim == 1:
             return 0
-        if isinstance(t, CompositeType) and t.factors:
-            return sum(self._n_leaves(f) for f in t.factors)
+        if t.wires != (t,):
+            return sum(map(self._n_leaves, t.wires))
         if t.dim != 3:
             raise GptLabError(f"'{t.label}' is not a rebit-backed type")
         return 1
@@ -492,10 +491,6 @@ def _held(**arrays) -> SimpleNamespace:
 # devices built from the state and effect libraries
 
 
-def _wires(system: SystemType) -> tuple[SystemType, ...]:
-    return system.factors if isinstance(system, CompositeType) and system.factors else (system,)
-
-
 def _outcomes(vectors, kraus) -> list[tuple]:
     """``(key, label, vector, kraus)`` per device outcome. A lone vector is the
     single unlabelled outcome "0"; outcomes given by key are labelled with it,
@@ -510,7 +505,7 @@ def _prep(name: str, states: StateVector | Mapping[str, StateVector],
     """A preparation device: each outcome's column is the coords of its state."""
     outs = _outcomes(states, kraus)
     sys = outs[0][2].system
-    return Gate(name, (), _wires(sys), {
+    return Gate(name, (), sys.wires, {
         key: TransformationMatrix(UNIT, sys, s.coords.reshape(-1, 1), outcome_label=label, kraus=k)
         for key, label, s, k in outs
     })
@@ -521,7 +516,7 @@ def _measure(name: str, effects: EffectVector | Mapping[str, EffectVector],
     """A measurement or sink device: each outcome's row is the coords of its effect."""
     outs = _outcomes(effects, kraus)
     sys = outs[0][2].system
-    return Gate(name, _wires(sys), (), {
+    return Gate(name, sys.wires, (), {
         key: TransformationMatrix(sys, UNIT, e.coords.reshape(1, -1), outcome_label=label, kraus=k)
         for key, label, e, k in outs
     })
@@ -529,7 +524,7 @@ def _measure(name: str, effects: EffectVector | Mapping[str, EffectVector],
 
 def _channel(name: str, sys: SystemType, matrix: np.ndarray, kraus: tuple) -> Gate:
     """A one-outcome device on ``sys``: a Kraus map with its held transfer matrix."""
-    return Gate(name, _wires(sys), _wires(sys), {
+    return Gate(name, sys.wires, sys.wires, {
         "0": TransformationMatrix(sys, sys, matrix, kraus=kraus)
     })
 

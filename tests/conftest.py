@@ -38,6 +38,11 @@ composites are written in.
 holds from scratch, by the formulas the theories were written with, and
 ``builtin_arrays`` reads the same from a build: the reference the arrays the
 builds share are held to byte for byte.
+``reference_validate`` validates and foliates a circuit in three passes over
+its wires, ``reference_check_foliation`` checks an explicit foliation in a
+pass of its own before it is laid out, and ``reference_spans`` decides which
+wires a matrix side spans by unpacking composite factors itself: the
+references the engine's one pass over the wiring is held to.
 """
 
 from __future__ import annotations
@@ -59,10 +64,12 @@ from gptlab import (
     real_quantum_theory,
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
-from gptlab.circuits import _compile, _walk, foliate
-from gptlab.core import (PHYSICAL_TOL, CompositeRule, EffectVector, KroneckerRule, StateVector,
-                         SystemType, TransformationMatrix, _rotate, kron_rows)
-from gptlab.errors import GptLabError, HaltingViolationError, MachineValidationError
+from gptlab.circuits import ValidationReport, _compile, _walk, foliate
+from gptlab.core import (PHYSICAL_TOL, UNIT, CompositeRule, CompositeType, EffectVector,
+                         KroneckerRule, StateVector, SystemType, TransformationMatrix, _rotate,
+                         kron_rows)
+from gptlab.errors import (CircuitValidationError, GptLabError, HaltingViolationError,
+                           MachineValidationError)
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
 from gptlab.theories import (DensityCarrier, RebitRule, _symmetric_carrier, even_y_index,
@@ -464,6 +471,104 @@ def rebuilt(circuit: CircuitDAG) -> CircuitDAG:
     for w in circuit.wires:
         c.connect(w.src, w.dst)
     return c
+
+
+def reference_spans(t: SystemType, wires: tuple[SystemType, ...]) -> bool:
+    """Whether a matrix side of type ``t`` is the joint system of ``wires``:
+    any type spans itself, a composite its factors, and ``UNIT`` no wires."""
+    if (t,) == wires:
+        return True
+    if isinstance(t, CompositeType) and t.factors:
+        return t.factors == wires
+    return not wires and (t is UNIT or t == UNIT)
+
+
+def reference_validate(circuit: CircuitDAG, style: str = "greedy") -> tuple[ValidationReport, list]:
+    """The validation report and the foliation of ``style``, from three passes
+    over the wires: ports, then types, then the dependency edges."""
+    errors: list[str] = []
+    ids = {iid for iid, _ in circuit.instances}
+
+    out_seen: dict = {}
+    in_seen: dict = {}
+    for w in circuit.wires:
+        for end, role, seen in ((w.src, "source", out_seen), (w.dst, "target", in_seen)):
+            iid, port = end
+            if iid not in ids:
+                errors.append(f"wire {role} references unknown instance '{iid}'")
+                continue
+            gate = circuit.gate(iid)
+            ports = gate.outputs if role == "source" else gate.inputs
+            if not (0 <= port < len(ports)):
+                errors.append(f"wire {role} ('{iid}', {port}): port index out of range")
+                continue
+            seen[end] = seen.get(end, 0) + 1
+
+    for iid, gate in circuit.instances:
+        for role, n, seen in (("output", len(gate.outputs), out_seen),
+                              ("input", len(gate.inputs), in_seen)):
+            for p in range(n):
+                count = seen.get((iid, p), 0)
+                if count == 0:
+                    errors.append(f"open port: {role} {p} of '{iid}' is not connected")
+                elif count > 1:
+                    errors.append(f"{role} {p} of '{iid}' connected {count} times")
+
+    for w in circuit.wires:
+        (si, sp), (di, dp) = w.src, w.dst
+        if si in ids and di in ids:
+            sg, dg = circuit.gate(si), circuit.gate(di)
+            if 0 <= sp < len(sg.outputs) and 0 <= dp < len(dg.inputs):
+                if sg.outputs[sp] != dg.inputs[dp]:
+                    errors.append(
+                        f"type mismatch on wire ('{si}',{sp})->('{di}',{dp}): "
+                        f"{sg.outputs[sp].label} vs {dg.inputs[dp].label}"
+                    )
+
+    order = {iid: k for k, (iid, _) in enumerate(circuit.instances)}
+    succ: dict[str, set[str]] = {iid: set() for iid in order}
+    indeg = dict.fromkeys(order, 0)
+    for w in circuit.wires:
+        si, di = w.src[0], w.dst[0]
+        if si in ids and di in ids and di not in succ[si]:
+            succ[si].add(di)
+            indeg[di] += 1
+    ready = [iid for iid in order if indeg[iid] == 0]
+    layers: list[list[str]] = []
+    while ready:
+        layer = ready if style == "greedy" else ready[:1]
+        next_ready = ready[len(layer):]
+        for iid in layer:
+            for nxt in succ[iid]:
+                indeg[nxt] -= 1
+                if indeg[nxt] == 0:
+                    next_ready.append(nxt)
+        layers.append(list(layer))
+        ready = sorted(next_ready, key=order.get)
+    if sum(map(len, layers)) != len(ids):
+        stuck = sorted(iid for iid in ids if indeg[iid] > 0)
+        errors.append(f"cycle detected involving instances {stuck}")
+
+    return ValidationReport(not errors, errors), layers
+
+
+def reference_check_foliation(circuit: CircuitDAG, layers: list[list[str]]) -> list[list[str]]:
+    """``layers``, once they cover every instance once and put every wire's
+    source in an earlier layer than its target; else ``CircuitValidationError``."""
+    seen: dict[str, int] = {}
+    for k, layer in enumerate(layers):
+        for iid in layer:
+            if iid in seen:
+                raise CircuitValidationError(f"instance '{iid}' appears in two layers")
+            seen[iid] = k
+    if set(seen) != set(circuit.instance_ids):
+        raise CircuitValidationError("foliation does not cover every instance exactly once")
+    for w in circuit.wires:
+        if seen[w.src[0]] >= seen[w.dst[0]]:
+            raise CircuitValidationError(
+                f"foliation violates wire order ('{w.src[0]}' before '{w.dst[0]}')"
+            )
+    return layers
 
 
 def random_machine(rng: np.random.Generator, n_work: int | None = None) -> AffineMachine:

@@ -1,6 +1,7 @@
 """Affine machine semantics: weights, halting, norms, and the circuit bridge."""
 
 import math
+import pickle
 import re
 from itertools import product
 
@@ -603,3 +604,21 @@ def test_rows_that_turn_mostly_blank_go_back_to_step(monkeypatch):
     with pytest.raises(HaltingViolationError, match=r"after 2000 steps \(states \['q8'\]\)"):
         acceptance_weight(m, "", 2000)
     assert widths[-1] is None and None not in widths[:-1] and len(widths) < 64
+
+
+def test_a_machines_transitions_are_read_only_and_pickle_so():
+    """Scaling a built machine's branch weights would bypass the weight-sum check."""
+    m = writer_machine(3, 0.3)
+    scaled = tuple(Branch(b.next_state, b.write, b.move, 5 * b.weight)
+                   for b in m.transitions[("q0", "_")])
+    for machine in (m, pickle.loads(pickle.dumps(m))):
+        with pytest.raises(TypeError):
+            machine.transitions[("q0", "_")] = scaled
+        with pytest.raises(TypeError):
+            del machine.transitions[("q0", "_")]
+        assert acceptance_weight(machine, "", 10) == acceptance_weight(m, "", 10)
+    again = pickle.loads(pickle.dumps(m))
+    assert dict(again.transitions) == dict(m.transitions) and again.states == m.states
+    with pytest.raises(MachineValidationError, match="sum to"):  # rebuilt through its checks
+        AffineMachine(m.states, m.initial, m.accept, m.reject, m.blank, m.alphabet,
+                      {**m.transitions, ("q0", "_"): scaled})

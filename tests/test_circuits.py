@@ -4,6 +4,7 @@ import copy
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gptlab import (
     Acceptor,
@@ -16,14 +17,16 @@ from gptlab import (
     distribution,
     foliate,
     prob,
+    quantum_theory,
     validate,
 )
-from gptlab.circuits import DEFAULT_ENUMERATION_CAP, Gate, Wire
-from gptlab.core import UNIT, TransformationMatrix
+from gptlab.circuits import DEFAULT_ENUMERATION_CAP, Gate, Wire, _compile, _validate
+from gptlab.core import UNIT, CompositeType, SystemType, TransformationMatrix
 from gptlab.errors import CapacityError, CircuitValidationError, GptLabError
 
 from conftest import (all_theories, classical_path_distribution, operator_distribution,
-                      random_circuit, rebuilt)
+                      random_circuit, rebuilt, reference_check_foliation, reference_spans,
+                      reference_validate)
 
 
 def coin_circuit(classical2):
@@ -452,3 +455,133 @@ def test_concurrent_prob_calls(classical2, qubit):
 
 def test_default_cap_is_desk_scale():
     assert DEFAULT_ENUMERATION_CAP == 2**20
+
+
+# The wiring properties: random circuits of bits or qubits, each wired as a
+# random closed circuit and then changed in a few places, so that reports
+# list unknown ids, bad ports, double connections, type mismatches, cycles
+# and open ports, in every order the wires can come in.
+WIRING_THEORIES = (classical_theory(2), quantum_theory(2))
+WIRING_CHANGES = ("drop", "extra", "back", "foreign", "retarget", "shuffle")
+
+
+def wired(theory, gates, wires) -> CircuitDAG:
+    c = CircuitDAG(theory)
+    for iid, gate in gates:
+        c.add(iid, gate)
+    for src, dst in wires:
+        c.connect(src, dst)
+    return c
+
+
+@st.composite
+def wirings(draw) -> CircuitDAG:
+    theory, other = draw(st.permutations(WIRING_THEORIES))
+    base = random_circuit(theory, np.random.default_rng(draw(st.integers(0, 2**16))))
+    gates, wires = list(base.instances), [(w.src, w.dst) for w in base.wires]
+    for change in draw(st.lists(st.sampled_from(WIRING_CHANGES), max_size=3)):
+        ids = [iid for iid, _ in gates]
+        end = st.tuples(st.sampled_from(ids + ["ghost"]), st.integers(-1, 2))
+        at = st.integers(0, max(0, len(wires) - 1))
+        if change == "drop" and wires:
+            del wires[draw(at)]
+        elif change == "extra":
+            wires.insert(draw(at), (draw(end), draw(end)))
+        elif change == "back" and wires:  # the target's output 0 into the source: a cycle
+            src, dst = wires[draw(at)]
+            wires.append(((dst[0], 0), (src[0], 0)))
+        elif change == "foreign" and wires:  # a wire into a gate of another wire type
+            gate = other.gate(draw(st.sampled_from(["id", "sink"])))
+            gates.append((f"x{len(gates)}", gate))
+            k = draw(at)
+            wires[k] = (wires[k][0], (gates[-1][0], 0))
+        elif change == "retarget" and wires:
+            inputs = [(iid, p) for iid, g in gates for p in range(len(g.inputs))]
+            if inputs:
+                k = draw(at)
+                wires[k] = (wires[k][0], draw(st.sampled_from(inputs)))
+        elif change == "shuffle":
+            wires = draw(st.permutations(wires))
+    return wired(theory, gates, wires)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(wirings(), st.sampled_from(["greedy", "singletons"]))
+def test_validation_reads_as_the_three_pass_reference(c, style):
+    report, layers = _validate(c, style)
+    want, want_layers = reference_validate(c, style)
+    assert (report.ok, report.errors, layers) == (want.ok, want.errors, want_layers)
+
+
+FOLIATION_CHANGES = ("shuffle", "scatter", "merge", "drop", "repeat", "unknown")
+
+
+@st.composite
+def explicit_foliations(draw) -> tuple[CircuitDAG, list[list[str]]]:
+    theory = draw(st.sampled_from(WIRING_THEORIES))
+    c = random_circuit(theory, np.random.default_rng(draw(st.integers(0, 2**16))))
+    layers = foliate(c, draw(st.sampled_from(["greedy", "singletons"])))
+    for change in draw(st.lists(st.sampled_from(FOLIATION_CHANGES), max_size=2)):
+        ids = [iid for layer in layers for iid in layer]
+        at = st.integers(0, max(0, len(layers) - 1))
+        if change == "shuffle":
+            layers = draw(st.permutations(layers))
+        elif change == "scatter":  # every instance into a random layer, some left empty
+            layers = [[] for _ in ids]
+            for iid in draw(st.permutations(ids)):
+                layers[draw(st.integers(0, len(ids) - 1))].append(iid)
+        elif change == "merge" and len(layers) > 1:
+            k = draw(st.integers(0, len(layers) - 2))
+            layers = layers[:k] + [layers[k] + layers[k + 1]] + layers[k + 2:]
+        elif change == "drop" and ids:
+            gone = draw(st.sampled_from(ids))
+            layers = [[iid for iid in layer if iid != gone] for layer in layers]
+        elif change == "repeat" and ids and layers:
+            k = draw(at)
+            layers[k] = layers[k] + [draw(st.sampled_from(ids))]
+        elif change == "unknown" and layers:
+            k = draw(at)
+            layers[k] = layers[k] + ["ghost"]
+    return c, [list(layer) for layer in layers]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(explicit_foliations())
+def test_explicit_foliations_are_checked_as_the_reference_checks(case):
+    c, layers = case
+    try:
+        reference_check_foliation(c, layers)
+    except CircuitValidationError as exc:
+        with pytest.raises(CircuitValidationError) as got:
+            _compile(c, layers)
+        assert str(got.value) == str(exc)
+        return
+    compiled = _compile(c, layers)
+    assert [[iid for iid, _ in layer.gates] for layer in compiled] == layers
+    dist = distribution(c)
+    for z, p in distribution(c, foliation=layers).items():
+        assert p == pytest.approx(dist[z], abs=1e-12)
+
+
+_bit, _q = WIRING_THEORIES[0].system(), WIRING_THEORIES[1].system()
+SPAN_TYPES = (UNIT, SystemType("unit", 1), _bit, _q, classical_theory(4).system(),
+              WIRING_THEORIES[1].composite_rule.composite([_q, _q]),
+              CompositeType("bits", 4, factors=(_bit, _bit)),
+              CompositeType("one", 2, factors=(_bit,)), CompositeType("bare", 4),
+              CompositeType("nothing", 1))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from(SPAN_TYPES), st.lists(st.sampled_from(SPAN_TYPES), max_size=3))
+def test_gate_sides_span_the_wires_the_reference_spans(t, wires):
+    """Either side of a gate accepts a type on exactly the wires ``reference_spans``
+    finds it spans, ``UNIT`` and factorless composites included."""
+    wires = tuple(wires)
+    sides = ((wires, (), TransformationMatrix(t, UNIT, np.ones((1, t.dim)))),
+             ((), wires, TransformationMatrix(UNIT, t, np.ones((t.dim, 1)))))
+    for inputs, outputs, outcome in sides:
+        if reference_spans(t, wires):
+            Gate("g", inputs, outputs, {"0": outcome})
+        else:
+            with pytest.raises(ValueError, match="not its wires"):
+                Gate("g", inputs, outputs, {"0": outcome})

@@ -3,6 +3,7 @@
 import functools
 import itertools
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -299,3 +300,19 @@ def test_family_json_round_trip_keeps_every_projector(spec):
     for key, matrix in family.projectors.items():
         assert again.projectors[key].dtype == matrix.dtype
         assert again.projectors[key].tobytes() == matrix.tobytes()
+
+
+def test_a_familys_projectors_are_read_only_and_pickle_so():
+    """Swapping a projector of a built family would bypass the invariant checks."""
+    f = quantum_family(3)
+    assert interference_order(f) == 2
+    for family in (f, pickle.loads(pickle.dumps(f))):
+        with pytest.raises(TypeError):
+            family.projectors[frozenset({0, 1})] = np.eye(9)
+        with pytest.raises(ValueError):
+            family.projector({0, 1})[0, 0] = 2.0
+        assert interference_order(family) == 2
+    again = pickle.loads(pickle.dumps(f))
+    assert (again.n_slits, again.name, again.synthetic) == (f.n_slits, f.name, f.synthetic)
+    assert again.projectors.keys() == f.projectors.keys()
+    assert all(np.array_equal(again.projectors[k], p) for k, p in f.projectors.items())

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
@@ -756,6 +757,46 @@ def test_cli_interfere_decompose(capsys):
     assert set(doc["components"]) == {"{0}", "{1}", "{2}"}
 
 
+# Weights of +-1e200 cancel in acceptance but overflow the squared norms:
+# the acceptance weight is NaN and the norms from step 1 on are infinite.
+OVERFLOWING_MACHINE = json.dumps({
+    "states": ["q0", "q1", "q2", "acc", "rej"], "initial": "q0", "accept": "acc",
+    "reject": "rej", "blank": "_", "alphabet": ["_", "a", "b"],
+    "transitions": [{"state": s, "read": "_", "branches": [
+        {"next": nxt, "write": "a", "move": "R", "weight": 1e200},
+        {"next": nxt, "write": "b", "move": "R", "weight": -1e200},
+        {"next": nxt, "write": "_", "move": "R", "weight": 1.0}]}
+        for s, nxt in (("q0", "q1"), ("q1", "q2"))]
+    + [{"state": "q2", "read": "_", "branches": [
+        {"next": "acc", "write": "_", "move": "S", "weight": 1.0}]}]})
+
+
+@pytest.mark.parametrize("argv", [
+    ["afftm", "run", "--machine", OVERFLOWING_MACHINE, "--max-steps", "5"],
+    ["afftm", "norms", "--machine", OVERFLOWING_MACHINE, "--max-steps", "5"],
+    ["interfere", "decompose", "--family", data_path("family_qutrit.json"), "--order", "2",
+     "--vector", json.dumps([1e308] * 9)],
+])
+def test_a_result_json_cannot_write_is_a_domain_failure(capsys, argv):
+    """Strict JSON has no NaN or infinity: such a --json report is exit 1, with
+    one stderr line and nothing on stdout."""
+    code, out, err = run_cli(capsys, "--json", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("domain failure: ") and err.count("\n") == 1
+
+
+def test_human_output_still_prints_a_result_that_is_not_finite(capsys):
+    code, out, err = run_cli(capsys, "afftm", "run", "--machine", OVERFLOWING_MACHINE,
+                             "--max-steps", "5")
+    assert code == 0 and "acceptance weight on '': nan" in out and err == ""
+    with warnings.catch_warnings():  # the overflow is the error's to report, not numpy's
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, "interfere", "decompose",
+                               "--family", data_path("family_qutrit.json"), "--order", "2",
+                               "--vector", json.dumps([1e308] * 9))
+    assert code == 1 and err == "domain failure: components up to size 2 miss the input by inf\n"
+
+
 def test_cli_theory_info_json(capsys):
     code, out, _ = run_cli(capsys, "--json", "theory", "info",
                            "--theory", data_path("theory_gbit.json"))
@@ -952,3 +993,9 @@ def test_no_input_escapes_the_exit_codes(argv, as_json, data):
         code = main((["--json"] if as_json else []) + argv)
     assert code in (0, 1, 2), (argv, err.getvalue())
     assert err.getvalue().count("\n") <= 1, err.getvalue()
+    if as_json and out.getvalue():  # strict JSON: no NaN, Infinity or -Infinity
+        json.loads(out.getvalue(), parse_constant=refuse_constant)
+
+
+def refuse_constant(name):
+    raise AssertionError(f"--json output holds {name}, which strict JSON lacks")
