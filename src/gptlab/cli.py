@@ -452,6 +452,8 @@ def main(argv=None) -> int:
         return _fail("domain failure", exc, EXIT_DOMAIN)
     except GptLabError as exc:
         return _fail("error", exc, EXIT_DOMAIN)
+    except MemoryError as exc:  # a cap checked too late; numpy names the allocation
+        return _fail("domain failure", str(exc) or "out of memory", EXIT_DOMAIN)
     if not _emit(args, report, lines, time.perf_counter() - start):
         return _fail("domain failure", "a result is not finite, which --json cannot write",
                      EXIT_DOMAIN)

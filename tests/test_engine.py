@@ -5,7 +5,8 @@ rebit theories, with crossing wires, and check each fast path against the
 leaf-by-leaf reference: contracted built-in acceptors and the affine bridge
 against sums over ``distribution``, ``prob`` against ``distribution``, and
 ``distribution`` against the independent oracles in ``conftest`` and against
-the Kronecker stack walk ``conftest.reference_walk``.
+the Kronecker stack walk ``conftest.reference_walk``, and gathered selections
+against ``conftest.reference_contract_wires``, which always multiplies.
 """
 
 import copy
@@ -15,6 +16,7 @@ import json
 import math
 import pickle
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -34,10 +36,11 @@ from gptlab import (
     quantum_theory,
     real_quantum_theory,
 )
+from gptlab import core
 from gptlab.afftm import circuit_to_affine_program
 from gptlab.circuits import Gate, _compile
 from gptlab.cli import main
-from gptlab.core import UNIT, KroneckerRule, TransformationMatrix
+from gptlab.core import UNIT, Factor, KroneckerRule, SystemType, TransformationMatrix
 from gptlab.errors import CircuitValidationError, GptLabError, ParseError
 from gptlab.serialization import circuit_to_json, parse_circuit
 
@@ -47,6 +50,7 @@ from conftest import (
     random_circuit,
     rebuilt,
     reference_accept,
+    reference_contract_wires,
     reference_theory,
     reference_walk,
 )
@@ -346,6 +350,174 @@ def test_an_exact_identity_gate_is_skipped_not_multiplied():
     assert weighted.tobytes() == np.array([[0.0, 1.0]]).tobytes()
 
 
+# Built-in gates whose every outcome row is a unit row. A preparation's column
+# has zero rows, and the other effects weigh more than one coordinate.
+SELECTIONS = {"classical-2": {"id", "not", "read"}, "classical-3": {"id", "read"},
+              "quantum-2": {"id"}, "real-quantum-2": set(),
+              "boxworld": {"id", "measure_x0", "measure_x1", "sink"}}
+
+
+@pytest.mark.parametrize("make", [lambda: classical_theory(2), lambda: classical_theory(3),
+                                  lambda: quantum_theory(2), lambda: real_quantum_theory(2),
+                                  boxworld_gbit], ids=list(SELECTIONS))
+def test_selections_are_the_factors_of_unit_rows(make):
+    theory = make()
+    got = {name for name, gate in theory.gates.items() if gate.factor.select is not None}
+    assert got == SELECTIONS[theory.name]
+    for name in got:  # the input axis each output row reads
+        factor = theory.gate(name).factor
+        assert factor.select.tolist() == factor.stack.argmax(axis=-1).tolist()
+        with pytest.raises(ValueError):
+            factor.select[0, 0] = 0
+    if theory.name == "classical-2":
+        assert theory.gate("not").factor.select.tolist() == [[1, 0]]
+        assert theory.gate("read").factor.select.tolist() == [[0], [1]]
+        c = CircuitDAG(theory)
+        add_identity_wire(c)  # its read's rows are (1, -0.0) and (-0.0, 1); its prep is not one
+        assert c.gate("zm").factor.select.tolist() == [[0], [1]]
+        assert c.gate("zp").factor.select is None
+
+
+# Frontier entries: signed zeros, subnormals, huge values (1.5e308 overflows
+# when a factor weighs it by 3) and ordinary ones; matrix entries of the
+# factors that are no selections.
+FRONT_ENTRIES = [0.0, -0.0, 5e-324, -5e-324, 2.5e-308, 1e300, -1e300, 1.5e308, 0.5, -1.25, 3.0]
+NOT_FINITE = [np.inf, -np.inf, np.nan]
+MATRIX_ENTRIES = [0.0, -0.0, 1.0, -1.0, 0.5, 3.0]
+
+
+@st.composite
+def selection_factors(draw):
+    """One to three selections (K 1-3, out 1-4, in 1-4), some with a factor
+    that is no selection after them, each outcome a matrix between labelled
+    types; the input dimensions."""
+    factors, dims = [], []
+
+    def matrices(k, out, n_in, entries):
+        flat = draw(st.lists(st.sampled_from(entries), min_size=k * out * n_in,
+                             max_size=k * out * n_in))
+        return np.array(flat).reshape(k, out, n_in)
+
+    def factor(mats):
+        n_in, out = mats.shape[2], mats.shape[1]
+        return Factor(TransformationMatrix(SystemType("a", n_in), SystemType("b", out), m)
+                      for m in mats)
+
+    for _ in range(draw(st.integers(1, 3))):
+        k, out, n_in = draw(st.integers(1, 3)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+        mats = matrices(k, out, n_in, [0.0, -0.0])
+        axes = np.array(draw(st.lists(st.integers(0, n_in - 1), min_size=k * out,
+                                      max_size=k * out))).reshape(k, out)
+        mats[np.arange(k)[:, None], np.arange(out), axes] = 1.0
+        factors.append(factor(mats))
+        dims.append(n_in)
+        if draw(st.booleans()):
+            n_in = draw(st.integers(1, 3))
+            factors.append(factor(matrices(draw(st.integers(1, 2)), draw(st.integers(1, 3)), n_in,
+                                           MATRIX_ENTRIES)))
+            dims.append(n_in)
+    return factors, dims
+
+
+def contracted(contract, *args):
+    """``contract(*args)`` and the numpy warnings it raised."""
+    with warnings.catch_warnings(record=True) as caught, np.errstate(all="warn"):
+        warnings.simplefilter("always")
+        got = contract(*args)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(selection_factors(), st.data())
+def test_gathered_selections_keep_the_matmul_bits(drawn, data):
+    """The tensor-product rule, which gathers through a selection once the
+    frontier rows times its outcomes reach core._GATHER_FROM, against
+    conftest.reference_contract_wires, which always multiplies: the same
+    shape, strides, bytes and numpy warnings, also once a value is not finite."""
+    factors, dims = drawn
+    at = core._GATHER_FROM
+    rows = data.draw(st.sampled_from([1, 2, at // 4, at // 3, at // 2 - 1, at // 2, at - 1, at,
+                                      at + 1]) | st.integers(1, 2 * at))
+    # at most 2^17 values in any frontier along the way
+    rows = min(rows, max(1, 2**17 // math.prod(len(f) * max(f[0].matrix.shape) for f in factors)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    front = rng.choice(FRONT_ENTRIES, size=(rows, math.prod(dims)))
+    if rng.random() < 0.2:  # values the gather may not copy
+        front.flat[rng.integers(0, front.size, size=rng.integers(1, 3))] = rng.choice(NOT_FINITE)
+    got, got_warnings = contracted(KroneckerRule().contract, factors, front)
+    want, want_warnings = contracted(reference_contract_wires,
+                                     [[t.matrix for t in f] for f in factors], front)
+    assert got.shape == want.shape and got.strides == want.strides
+    assert got.tobytes() == want.tobytes()
+    assert got_warnings == want_warnings
+
+
+def test_the_size_rule_gathers_finite_frontiers_from_the_constant(monkeypatch):
+    """A read of one bit gathers once rows times outcomes reach the constant,
+    and multiplies below it and on a frontier that is not finite."""
+    read = classical_theory(2).gate("read").factor
+    calls = []
+    gather = core._gather
+    monkeypatch.setattr(core, "_gather", lambda *args: calls.append(args) or gather(*args))
+    at = core._GATHER_FROM
+    for rows, value, gathers in ((at // 2 - 1, 0.5, False), (at // 2, 0.5, True),
+                                 (at // 2, np.nan, False)):
+        calls.clear()
+        front = np.full((rows, 2), 0.25)
+        front[-1, -1] = value
+        got = KroneckerRule().contract([read], front)
+        want = reference_contract_wires([[t.matrix for t in read]], front)
+        assert got.tobytes() == want.tobytes() and bool(calls) == gathers, rows
+
+
+def wide_classical_circuit(theory, width: int, nots: bool) -> CircuitDAG:
+    """coin->read, or coin->not->read, on ``width`` wires, then add_identity_wire's."""
+    c = CircuitDAG(theory)
+    for i in range(width):
+        last = c.add(f"c{i}", theory.gate("coin"))
+        if nots:
+            c.connect((last, 0), (c.add(f"n{i}", theory.gate("not")), 0))
+            last = f"n{i}"
+        c.connect((last, 0), (c.add(f"r{i}", theory.gate("read")), 0))
+    add_identity_wire(c)
+    return c
+
+
+def held_factors(c: CircuitDAG) -> list:
+    """Every factor the circuit's gates and its rule hold so far."""
+    held = list(c.theory.composite_rule._passthroughs.values())
+    for iid in c.instance_ids:
+        built = vars(c.gate(iid))
+        held += [built["factor"]] if "factor" in built else []
+        held += built.get("_singles", {}).values()
+    return held
+
+
+@pytest.mark.parametrize("style", ["greedy", "singletons"])
+@pytest.mark.parametrize("nots", [False, True], ids=["coin-read", "coin-not-read"])
+@pytest.mark.parametrize("width", range(5, 10))
+def test_wide_classical_circuits_keep_the_matmul_bits(width, nots, style):
+    """Enumeration gathers through reads and nots, up to 2^19 leaves, and
+    must keep the bits of the rule that always multiplies
+    (conftest.reference_theory); prob, one row of one outcome per layer,
+    stays below the size rule, never builds a selection, and reads the same bits."""
+    theory = classical_theory(2)
+    c = wide_classical_circuit(theory, width, nots)
+    fol = foliate(c, style)
+    rng = np.random.default_rng(width)
+    strings = [c.outcome_string({iid: str(rng.choice(c.gate(iid).outcome_labels))
+                                 for iid in c.instance_ids}) for _ in range(20)]
+    probs = [prob(c, z, foliation=fol) for z in strings]
+    assert not any("select" in vars(f) for f in held_factors(c))
+    ref = copy.copy(c)
+    ref.theory = REFERENCE_THEORIES[theory.name]
+    dist = distribution(c, foliation=fol)
+    assert [p.hex() for p in dist.values()] == [
+        p.hex() for p in distribution(ref, foliation=fol).values()]
+    assert [p.hex() for p in probs] == [dist[z].hex() for z in strings]
+    assert c.gate("r0").factor.select is not None
+
+
 def test_gates_hold_read_only_stacks_built_on_first_evaluation():
     for theory in (classical_theory(2), quantum_theory(2), boxworld_gbit()):
         for gate in theory.gates.values():
@@ -459,6 +631,16 @@ def test_builtin_rules_hold_one_identity_per_system_type(theory):
         assert ident is rule.identity(sys) is rule.passthrough(sys)[0]
         assert rule.passthrough(sys) is rule.passthrough(sys)
         assert ident.matrix.tobytes() == np.eye(sys.dim).tobytes()
+    # a pickled rule's factors build their held arrays again, read-only
+    for factor in rule._passthroughs.values():
+        assert factor.is_identity and factor.stack is not None and factor.select is not None
+    again = pickle.loads(pickle.dumps(rule))
+    for sys in theory.system_types.values():
+        factor = again.passthrough(sys)
+        assert type(factor) is Factor and not vars(factor)
+        for held in (factor.stack, factor.select):
+            with pytest.raises(ValueError):
+                held.setflags(write=True)
 
 
 def mangled_keys(z: OutcomeString, labels) -> list:

@@ -891,6 +891,22 @@ def test_tomo_check_refuses_a_cap_past_memory_before_allocating(capsys):
     assert_one_line(capsys, argv, 1, "domain failure")
 
 
+@pytest.mark.parametrize("error, line", [
+    (MemoryError(), "out of memory"),
+    (MemoryError("Unable to allocate 512. MiB"), "Unable to allocate 512. MiB"),
+])
+def test_running_out_of_memory_is_one_domain_failure_line(capsys, monkeypatch, error, line):
+    # a wide greedy circuit or a deep branching writer can outgrow memory
+    # before any cap catches it; numpy raises a MemoryError subclass
+    def allocate(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr("gptlab.circuits.distribution", allocate)
+    code, out, err = run_cli(capsys, "--json", "circuit", "eval",
+                             "--circuit", data_path("circuit_coin.json"))
+    assert (code, out, err) == (1, "", f"domain failure: {line}\n")
+
+
 class Dup(list):
     """A JSON object written with a repeated key: a list of (key, value) pairs."""
 
