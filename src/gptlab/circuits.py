@@ -574,7 +574,10 @@ class Acceptor:
             except (KeyError, TypeError):
                 raise GptLabError(f"acceptor table has no entry for '{z}'") from None
         if self.kind == "first-outcome-is-0":
-            label = z.label(self.instance) if self.instance else z.pairs[0][1]
+            try:
+                label = z.label(self.instance) if self.instance else z.pairs[0][1]
+            except (KeyError, IndexError):
+                raise GptLabError(_unread(self.instance, f"outcome string '{z}'")) from None
             return 0 if label == "0" else 1
         if self.kind == "parity-of-labels":
             return sum(1 for _, lab in z.pairs if lab == "1") % 2
@@ -600,6 +603,13 @@ class Acceptor:
         return Acceptor("table", table=normalized)
 
 
+def _unread(instance: str | None, where: str) -> str:
+    """Why first-outcome-is-0 reads nothing in ``where``: its instance, or any, is missing."""
+    if not instance:
+        return f"acceptor first-outcome-is-0 has no instance to read: {where} has none"
+    return f"acceptor names instance '{instance}', which {where} lacks"
+
+
 def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
     """Acceptance probability over compiled layers."""
     kind, target = acceptor.kind, None
@@ -613,7 +623,7 @@ def _accept(layers, acceptor: Acceptor, instance_ids) -> float:
     if kind == "first-outcome-is-0":
         target = acceptor.instance or next(iter(instance_ids), None)
         if target not in instance_ids:
-            raise GptLabError(f"acceptor names instance '{target}', which the circuit lacks")
+            raise GptLabError(_unread(target, "the circuit"))
     parity = kind == "parity-of-labels"
     rows, row = (2, 0) if parity else (1, 1)  # a frontier row per product of sums
     ones = np.ones((rows, 1))  # a passthrough's one outcome, weighed 1 in every row

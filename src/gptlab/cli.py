@@ -7,7 +7,8 @@ bad arguments, a query size or Grover iteration count over
 ``tomography.MAX_COUNT_DIGITS`` digits). With --json a single strict JSON
 document goes to stdout; it contains no timing, so fixed seeds and inputs
 give byte-identical output. A result that is not finite (NaN or an infinity,
-which strict JSON cannot write) is then a domain failure, with no output.
+which strict JSON cannot write) is a domain failure in either mode, with no
+output.
 
 ``main`` parses every call with one full parser, built on the first call of
 the process and reused: ``parse_args`` leaves the parser unchanged (it makes
@@ -60,12 +61,12 @@ def _seed(args) -> int:
 
 
 def _emit(args, report: dict, human_lines: list[str], elapsed: float) -> bool:
-    """Print the report; False, printing nothing, if --json cannot write it."""
+    """Print the report; False, printing nothing, if a number in it is not finite."""
+    try:  # in either mode: strict JSON writes no NaN or infinity
+        text = json.dumps(report, sort_keys=True, allow_nan=False)
+    except ValueError:
+        return False
     if args.json:
-        try:
-            text = json.dumps(report, sort_keys=True, allow_nan=False)
-        except ValueError:  # a NaN or an infinity
-            return False
         print(text)
     else:
         for line in human_lines:
@@ -455,8 +456,7 @@ def main(argv=None) -> int:
     except MemoryError as exc:  # a cap checked too late; numpy names the allocation
         return _fail("domain failure", str(exc) or "out of memory", EXIT_DOMAIN)
     if not _emit(args, report, lines, time.perf_counter() - start):
-        return _fail("domain failure", "a result is not finite, which --json cannot write",
-                     EXIT_DOMAIN)
+        return _fail("domain failure", "a result is not finite (NaN or an infinity)", EXIT_DOMAIN)
     return code
 
 

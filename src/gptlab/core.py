@@ -246,7 +246,7 @@ class Factor(tuple):
     their read-only ``(K, out, in)`` :attr:`stack`, whether it is one exact
     identity (:attr:`is_identity`) and, for a selection, the input axis each
     output row reads (:attr:`select`), each built on first use. A gate holds
-    one for all its outcomes and one per outcome, and a builtin rule one per
+    one for all its outcomes and one per outcome, and a rule one per
     passthrough wire type, so a circuit evaluation builds none of them
     again. Threads racing on a first use at worst build it twice. A pickled
     factor leaves them behind and builds them, read-only, again on use."""
@@ -376,9 +376,17 @@ class CompositeRule:
     selections; a rule that reads only the outcome matrices (as the rebit
     rule does) never makes them build a stack. Plain sequences of outcome
     matrices are accepted too.
+
+    A rule holds its ``theory`` and one :meth:`passthrough` per system type,
+    and a pickled rule carries only those; a subclass's ``__init__`` calls
+    this one. A rule that reads Kraus data gives them by :meth:`identity_kraus`.
     """
 
     name = "abstract"
+
+    def __init__(self, theory: str | None = None):
+        self.theory = theory
+        self._passthroughs: dict[SystemType, Factor] = {}
 
     def composite(self, types: Sequence[SystemType]) -> SystemType:
         """The joint type of ``types`` in wire order: ``UNIT`` for none, the
@@ -397,14 +405,22 @@ class CompositeRule:
         """The dimension of the joint system of two or more ``types``."""
         raise NotImplementedError
 
+    def identity_kraus(self, system: SystemType) -> tuple[np.ndarray, ...] | None:
+        """The Kraus operators :meth:`identity` carries on ``system``: none here."""
+        return None
+
     def identity(self, system: SystemType) -> TransformationMatrix:
-        raise NotImplementedError
+        """The identity on ``system``: the outcome of its :meth:`passthrough`."""
+        return self.passthrough(system)[0]
 
     def passthrough(self, system: SystemType) -> Factor:
-        """:meth:`identity` as the one-outcome factor a layer applies to a wire
-        that none of its gates reads. The builtin rules hold one per system
-        type, and their :meth:`identity` returns its outcome."""
-        return Factor((self.identity(system),))
+        """The one-outcome factor a layer applies to a wire none of its gates
+        reads: the identity, with :meth:`identity_kraus`, held per system type."""
+        got = self._passthroughs.get(system)
+        if got is None:
+            got = self._passthroughs[system] = Factor((TransformationMatrix(
+                system, system, np.eye(system.dim), kraus=self.identity_kraus(system)),))
+        return got
 
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
         """Matrix of the parallel composition of ``pieces``, in wire order."""
@@ -458,22 +474,8 @@ class KroneckerRule(CompositeRule):
 
     name = "tensor-product"
 
-    def __init__(self, theory: str | None = None):
-        self.theory = theory
-        self._passthroughs: dict[SystemType, Factor] = {}
-
     def joint_dim(self, types: tuple[SystemType, ...]) -> int:
         return math.prod(t.dim for t in types)
-
-    def identity(self, system: SystemType) -> TransformationMatrix:
-        return self.passthrough(system)[0]
-
-    def passthrough(self, system: SystemType) -> Factor:
-        got = self._passthroughs.get(system)
-        if got is None:
-            got = self._passthroughs[system] = Factor(
-                (TransformationMatrix(system, system, np.eye(system.dim)),))
-        return got
 
     def parallel_matrix(self, pieces: Sequence[TransformationMatrix]) -> np.ndarray:
         return reduce(np.kron, [p.matrix for p in pieces], np.ones((1, 1)))

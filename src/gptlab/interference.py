@@ -24,8 +24,8 @@ from .theories import DensityCarrier, hermitian_basis
 
 
 def subsets(n_slits: int, min_size: int = 0, max_size: int | None = None) -> list[frozenset]:
-    """All slit subsets by (size, lexicographic) order."""
-    max_size = n_slits if max_size is None else max_size
+    """All slit subsets by (size, lexicographic) order, up to ``max_size`` slits."""
+    max_size = n_slits if max_size is None else min(max_size, n_slits)
     out = []
     for k in range(min_size, max_size + 1):
         out.extend(frozenset(c) for c in itertools.combinations(range(n_slits), k))

@@ -24,7 +24,6 @@ from .core import (
     PHYSICAL_TOL,
     CompositeRule,
     EffectVector,
-    Factor,
     KroneckerRule,
     StateVector,
     SystemType,
@@ -52,6 +51,7 @@ PAULI = {
 }
 
 
+@dataclass(frozen=True, eq=False)
 class DensityCarrier:
     """An orthonormal Hermitian operator basis with vectorisation maps.
 
@@ -66,25 +66,19 @@ class DensityCarrier:
     A pickled carrier is built again through its constructor.
     """
 
-    __slots__ = ("basis",)
+    basis: np.ndarray  # given as a sequence of matrices, held as one read-only stack
 
-    def __init__(self, basis: Sequence[np.ndarray]):
-        stack = np.stack([np.asarray(b, dtype=complex) for b in basis])
+    def __post_init__(self) -> None:
+        stack = np.stack([np.asarray(b, dtype=complex) for b in self.basis])
         if not np.isfinite(stack).all():
             raise ValueError("carrier basis entries must be finite")
         # `not x <= tol`, so that a NaN from an overflowing product fails the check
         if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be Hermitian")
         gram = np.einsum("aij,bji->ab", stack, stack)
-        if not np.max(np.abs(gram - np.eye(len(basis)))) <= ALGEBRA_TOL:
+        if not np.max(np.abs(gram - np.eye(len(stack)))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be orthonormal under the trace inner product")
         object.__setattr__(self, "basis", _freeze(stack))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"a DensityCarrier is immutable; cannot set '{name}'")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"a DensityCarrier is immutable; cannot delete '{name}'")
 
     def __reduce__(self):
         return type(self), (self.basis,)
@@ -202,34 +196,26 @@ class RebitRule(CompositeRule):
     identity, are computed once and held while the outcome lives, in a table
     keyed weakly by the outcome object, so the table never outgrows the
     outcomes in use; the stacks of the outcome matrices are never built.
-    :meth:`passthrough` holds one factor per system type. Threads racing on
-    one outcome at worst compute its matrix twice.
+    Threads racing on one outcome at worst compute its matrix twice.
 
-    The transfer and Pauli string tables are the rule's own; a pickled rule
-    leaves them behind and builds them again on use.
+    That table and the read-only Pauli string tables (at most 4^k entries for
+    k rebits) are the class's: pure functions of an outcome's Kraus operators
+    or of k, so every rule shares them, and a rule holds and pickles only
+    what :class:`~gptlab.core.CompositeRule` gives every rule.
     """
 
     name = "real-symmetric"
+    _tables: dict = {}  # by (build, k)
+    _transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __init__(self, theory: str = "real-quantum-2"):
-        self.theory = theory
-        self._tables: dict = {}
-        self._passthroughs: dict[SystemType, Factor] = {}
-        self._transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-    def __getstate__(self) -> dict:
-        state = dict(self.__dict__)
-        del state["_tables"], state["_transfers"]
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _tables={}, _transfers=weakref.WeakKeyDictionary())
+        super().__init__(theory)
 
     def _table(self, build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
         """``build(k)`` for one of the Pauli string tables above, built once per k."""
         got = self._tables.get((build, k))
         if got is None:
-            got = self._tables[(build, k)] = build(k)
+            got = self._tables[(build, k)] = _freeze(build(k))
         return got
 
     def _n_leaves(self, t: SystemType) -> int:
@@ -245,16 +231,8 @@ class RebitRule(CompositeRule):
         hdim = 2 ** sum(self._n_leaves(t) for t in types)
         return hdim * (hdim + 1) // 2
 
-    def identity(self, system: SystemType) -> TransformationMatrix:
-        return self.passthrough(system)[0]
-
-    def passthrough(self, system: SystemType) -> Factor:
-        got = self._passthroughs.get(system)
-        if got is None:
-            k = self._n_leaves(system)
-            got = self._passthroughs[system] = Factor((TransformationMatrix(
-                system, system, np.eye(system.dim), kraus=(np.eye(2**k, dtype=complex),)),))
-        return got
+    def identity_kraus(self, system: SystemType) -> tuple[np.ndarray, ...]:
+        return (np.eye(2 ** self._n_leaves(system), dtype=complex),)
 
     def _even_y(self, full: np.ndarray) -> np.ndarray:
         """The even-Y block of a 4^k_out x 4^k_in matrix over Pauli strings."""
@@ -368,8 +346,8 @@ class TheoryDescriptor:
     one, so editing one build changes no other. What builds share is
     read-only and computed on a theory's first build in the process: the
     numpy arrays under the vectors' coordinates, the outcome matrices and
-    Kraus tuples, the rebit strategy grid rows, and the immutable
-    :class:`DensityCarrier`.
+    Kraus tuples, the rebit strategy grid rows, the immutable
+    :class:`DensityCarrier`, and the :class:`RebitRule` tables, filled on use.
     """
 
     name: str
@@ -522,8 +500,8 @@ def _measure(name: str, effects: EffectVector | Mapping[str, EffectVector],
     })
 
 
-def _channel(name: str, sys: SystemType, matrix: np.ndarray, kraus: tuple) -> Gate:
-    """A one-outcome device on ``sys``: a Kraus map with its held transfer matrix."""
+def _channel(name: str, sys: SystemType, matrix: np.ndarray, kraus: tuple | None = None) -> Gate:
+    """A one-outcome device on ``sys``: its transfer matrix, with its Kraus map if given."""
     return Gate(name, sys.wires, sys.wires, {
         "0": TransformationMatrix(sys, sys, matrix, kraus=kraus)
     })
@@ -572,10 +550,8 @@ def classical_theory(d: int) -> TheoryDescriptor:
     if d == 2:
         devices.append(_prep("coin", {"0": StateVector(sys, a.coin[0]),
                                       "1": StateVector(sys, a.coin[1])}))
-        devices.append(Gate("not", (sys,), (sys,), {
-            "0": TransformationMatrix(sys, sys, a.flip)
-        }))
-    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, a.eye)}))
+        devices.append(_channel("not", sys, a.flip))
+    devices.append(_channel("id", sys, a.eye))
     devices.append(_measure("read", {str(k): effects[f"p{k}"] for k in range(d)}))
     devices.append(_measure("sink", effects["u"]))
 
@@ -681,9 +657,7 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         pair_devices = [_channel("cnot", pair, *a.cnot),
                         _prep("prep_bell", states["phi_plus"], (_bell_kets()["phi_plus"],))]
 
-    devices.append(Gate("id", (sys,), (sys,), {
-        "0": TransformationMatrix(sys, sys, a.eye, kraus=a.id_kraus)
-    }))
+    devices.append(_channel("id", sys, a.eye, a.id_kraus))
     devices.append(_measure("measure", {str(k): effects[f"p{k}"] for k in range(d)},
                             {str(k): (a.bras[k],) for k in range(d)}))
     devices.append(_measure("sink", effects["u"], a.bras))
@@ -894,7 +868,7 @@ def boxworld_gbit() -> TheoryDescriptor:
     for x in range(2):
         devices.append(_measure(f"measure_x{x}", {str(b): effects[f"e{b}x{x}"] for b in range(2)}))
     devices.append(_measure("sink", effects["u"]))
-    devices.append(Gate("id", (sys,), (sys,), {"0": TransformationMatrix(sys, sys, a.eye)}))
+    devices.append(_channel("id", sys, a.eye))
 
     draw_effect = functools.partial(_gbit_effect, a.eye)
     return _builtin(sys, rule, devices, states, effects,

@@ -47,10 +47,12 @@ references the engine's one pass over the wiring is held to.
 
 from __future__ import annotations
 
+import contextlib
 import copy
 import dataclasses
 import itertools
 import math
+import signal
 from functools import reduce
 
 import numpy as np
@@ -65,9 +67,8 @@ from gptlab import (
 )
 from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
 from gptlab.circuits import ValidationReport, _compile, _walk, foliate
-from gptlab.core import (PHYSICAL_TOL, UNIT, CompositeRule, CompositeType, EffectVector,
-                         KroneckerRule, StateVector, SystemType, TransformationMatrix, _rotate,
-                         kron_rows)
+from gptlab.core import (PHYSICAL_TOL, UNIT, CompositeType, EffectVector, Factor, KroneckerRule,
+                         StateVector, SystemType, TransformationMatrix, _rotate, kron_rows)
 from gptlab.errors import (CircuitValidationError, GptLabError, HaltingViolationError,
                            MachineValidationError)
 from gptlab.interference import subsets
@@ -99,6 +100,22 @@ def boxworld():
 
 def all_theories():
     return [classical_theory(2), quantum_theory(2), real_quantum_theory(2), boxworld_gbit()]
+
+
+@contextlib.contextmanager
+def time_limit(seconds: float):
+    """Fail the block with ``TimeoutError`` once it has run ``seconds``, rather
+    than hang the suite; a timer signal, so it bounds the main thread only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def product_state(theory, states) -> StateVector:
@@ -285,7 +302,7 @@ class ReferenceKroneckerRule(KroneckerRule):
         return TransformationMatrix(system, system, np.eye(system.dim))
 
     def passthrough(self, system):
-        return CompositeRule.passthrough(self, system)
+        return Factor((self.identity(system),))
 
     def contract(self, pieces, front, weights=None):
         return reference_contract_wires([[p.matrix for p in piece] for piece in pieces],

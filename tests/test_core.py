@@ -269,8 +269,12 @@ def test_every_holder_freezes_its_own_copy_and_builtins_share_theirs():
         assert shared and all(np.shares_memory(a, b) for a, b in shared), one.name
         stacks = [g.factor.stack for g in one.gates.values()]
         rule = one.composite_rule
-        if isinstance(rule, RebitRule):  # each outcome's transfer and its even-Y block
+        if isinstance(rule, RebitRule):  # each outcome's transfer and its even-Y block,
             stacks += [m for g in one.gates.values() for t in g.factor for m in rule._transfer(t)[:2]]
+            rule.permutation_index([one.system()] * 2, [1, 0])  # and the Pauli string tables
+            assert {build.__name__ for build, _ in rule._tables} == {
+                "pauli_strings", "even_y_index", "_even_y_slots"}
+            stacks += list(rule._tables.values())
         for a in [a for a, _ in shared] + stacks:
             assert _refuses_writes(a) and _refuses_writes(a.base), one.name
 

@@ -635,12 +635,31 @@ def test_builtin_rules_hold_one_identity_per_system_type(theory):
     for factor in rule._passthroughs.values():
         assert factor.is_identity and factor.stack is not None and factor.select is not None
     again = pickle.loads(pickle.dumps(rule))
+    assert set(vars(rule)) == set(vars(again)) == {"theory", "_passthroughs"}
     for sys in theory.system_types.values():
         factor = again.passthrough(sys)
         assert type(factor) is Factor and not vars(factor)
         for held in (factor.stack, factor.select):
             with pytest.raises(ValueError):
                 held.setflags(write=True)
+
+
+def test_a_rule_giving_identity_kraus_holds_them_on_its_passthroughs():
+    class KrausRule(KroneckerRule):
+        def identity_kraus(self, system):
+            return (np.eye(math.isqrt(system.dim), dtype=complex),)
+
+    qubit = quantum_theory(2)
+    rule = KrausRule(qubit.name)
+    types = [qubit.system(), rule.composite([qubit.system()] * 2)]
+    for t in types:
+        factor = rule.passthrough(t)
+        assert factor is rule.passthrough(t) and rule.identity(t) is factor[0]
+        assert factor[0].matrix.tobytes() == np.eye(t.dim).tobytes()
+        kraus = np.eye(math.isqrt(t.dim), dtype=complex)
+        assert [k.tobytes() for k in factor[0].kraus] == [kraus.tobytes()]
+    assert list(rule._passthroughs) == types
+    assert KroneckerRule().identity(qubit.system()).kraus is None
 
 
 def mangled_keys(z: OutcomeString, labels) -> list:
@@ -813,6 +832,13 @@ def test_acceptor_naming_an_unknown_instance():
     ghost = Acceptor("first-outcome-is-0", instance="ghost")
     with pytest.raises(GptLabError, match="ghost"):
         acceptance_prob(c, ghost)
+    # on an outcome string, too, a missing instance is a GptLabError
+    with pytest.raises(GptLabError, match="instance 'ghost', which outcome string 'u=0,r=0'"):
+        ghost.value(c.outcome_string({"u": "0", "r": "0"}))
+    with pytest.raises(GptLabError, match="no instance to read: outcome string '' has none"):
+        Acceptor("first-outcome-is-0").value(OutcomeString(()))
+    with pytest.raises(GptLabError, match="no instance to read: the circuit has none"):
+        acceptance_prob(CircuitDAG(c.theory), Acceptor("first-outcome-is-0"))
     with pytest.raises(GptLabError, match="ghost"):
         circuit_to_affine_program(c, ghost).acceptance_weight()
     doc = circuit_to_json(c, ghost)

@@ -23,7 +23,7 @@ from gptlab.interference import (
 )
 from gptlab.serialization import family_to_json, parse_family
 
-from conftest import operator_of, reference_family_violations
+from conftest import operator_of, reference_family_violations, time_limit
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True)
 
@@ -222,6 +222,19 @@ def test_decompose_order_too_small():
         decompose(v, family, 1)
     assert err.value.residual > 0.1
     assert decompose(v, family, 2).residual <= 1e-12
+
+
+def test_decompose_past_the_slit_count_is_the_full_decomposition():
+    # no subset is larger than the family's slits, so an order of 10^12 lists
+    # order 3's subsets, not 10^12 empty sizes
+    v = qutrit_carrier().to_vector(np.full((3, 3), 1 / 3, dtype=complex))
+    with time_limit(10):
+        big = decompose(v, quantum_family(3), 10**12)
+    full = decompose(v, quantum_family(3), 3)
+    assert (big.order, big.residual) == (10**12, full.residual)
+    assert [(k, c.tobytes()) for k, c in big.components.items()] == \
+        [(k, c.tobytes()) for k, c in full.components.items()]
+    assert subsets(3, max_size=10**12) == subsets(3)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

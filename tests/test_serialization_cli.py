@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import io
 import json
+import pickle
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -29,7 +30,7 @@ from gptlab.serialization import (
     theory_to_json,
 )
 
-from conftest import random_machine
+from conftest import random_machine, time_limit
 
 
 def data_path(name: str) -> str:
@@ -74,6 +75,11 @@ def test_parse_bundled_circuits():
     assert acceptor is None
     dist = {str(z): p for z, p in distribution(bell).items()}
     assert dist["prep=0,t=0,m=first"] == pytest.approx(1.0, abs=1e-12)
+    # its rebit rule pickles to its theory and passthroughs alone, and evaluates alike
+    again = pickle.loads(pickle.dumps(bell))
+    assert set(vars(again.theory.composite_rule)) == {"theory", "_passthroughs"}
+    assert [(str(z), p.hex()) for z, p in distribution(again).items()] == \
+        [(z, p.hex()) for z, p in dist.items()]
 
 
 def test_circuit_round_trip_identical_results():
@@ -785,16 +791,40 @@ def test_a_result_json_cannot_write_is_a_domain_failure(capsys, argv):
     assert err.startswith("domain failure: ") and err.count("\n") == 1
 
 
-def test_human_output_still_prints_a_result_that_is_not_finite(capsys):
-    code, out, err = run_cli(capsys, "afftm", "run", "--machine", OVERFLOWING_MACHINE,
-                             "--max-steps", "5")
-    assert code == 0 and "acceptance weight on '': nan" in out and err == ""
+def test_human_output_refuses_a_result_that_is_not_finite(capsys):
+    """The exit code does not depend on the output mode: without --json too a
+    result that is not finite is exit 1, with one stderr line and nothing on
+    stdout."""
+    for command in ("run", "norms"):
+        code, out, err = run_cli(capsys, "afftm", command, "--machine", OVERFLOWING_MACHINE,
+                                 "--max-steps", "5")
+        assert (code, out) == (1, "")
+        assert err.startswith("domain failure: ") and err.count("\n") == 1
     with warnings.catch_warnings():  # the overflow is the error's to report, not numpy's
         warnings.simplefilter("error")
         code, _, err = run_cli(capsys, "interfere", "decompose",
                                "--family", data_path("family_qutrit.json"), "--order", "2",
                                "--vector", json.dumps([1e308] * 9))
     assert code == 1 and err == "domain failure: components up to size 2 miss the input by inf\n"
+
+
+def test_decompose_at_an_order_past_the_slits_returns_at_once(capsys):
+    argv = ["--json", "interfere", "decompose", "--family", data_path("family_qutrit.json"),
+            "--vector", "[1,0,0,0,0,0,0,0,0]", "--order"]
+    with time_limit(10):
+        code, out, _ = run_cli(capsys, *argv, "100000000")
+    _, want, _ = run_cli(capsys, *argv, "3")
+    assert code == 0 and json.loads(out)["order"] == 100000000
+    assert json.dumps(json.loads(out)["components"]) == json.dumps(json.loads(want)["components"])
+
+
+def test_first_outcome_is_0_on_a_circuit_without_instances(capsys):
+    circuit = json.dumps({"theory": {"builtin": "classical", "params": {"d": 2}},
+                          "instances": [], "acceptor": {"kind": "first-outcome-is-0"}})
+    code, out, err = run_cli(capsys, "circuit", "accept", "--circuit", circuit)
+    assert (code, out) == (1, "")
+    assert err == ("error: acceptor first-outcome-is-0 has no instance to read: "
+                   "the circuit has none\n")
 
 
 def test_cli_theory_info_json(capsys):
