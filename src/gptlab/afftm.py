@@ -16,17 +16,18 @@ dict stepped by `step`. Once a frontier holds _ROWS_FROM configurations,
 the run converts it to rows (`_Rows`) and steps it there:
 an integer row per configuration (state index, head column, and a tape
 window of symbol indices with blank = 0) beside a float64 weight array.
-A row step gathers each row's branches from a transition table built at the
-hand-off, repeats the row over them, writes and moves, then merges equal
-rows in first-seen order and sums their weights in row order, as `step`
-does, so every acceptance weight and norm is bit-identical on either
-encoding. Equal rows are grouped by one stable sort of the rows' bytes;
-when no two rows are equal (a writer's frontier never merges), the step
-keeps them as they are. The window covers the tape at the hand-off. When a
-head steps past an edge, it moves to the cells some row has written or a
-head is on, padded on that side; if those rows would be mostly blank (heads
-far from the written cells), the run converts them back and finishes on
-`step`. So memory follows the tape a run writes, never `max_steps`.
+A row step gathers each row's branches from a transition table the machine
+builds at its first hand-off and holds, repeats the row over them, writes
+and moves, then merges equal rows in first-seen order and sums their weights
+in row order, as `step` does. A norm adds a frontier's squares left to right
+in float64 on either encoding. So every acceptance weight and norm is
+bit-identical on either. Equal rows are grouped by one stable sort of the
+rows' bytes; when no two rows are equal (a writer's frontier never merges),
+the step keeps them as they are. The window covers the tape at the hand-off.
+When a head steps past an edge, it moves to the cells some row has written
+or a head is on, padded on that side; if those rows would be mostly blank
+(heads far from the written cells), the run converts them back and finishes
+on `step`. So memory follows the tape a run writes, never `max_steps`.
 
 Machines are immutable; runs on different inputs may proceed concurrently.
 """
@@ -36,10 +37,10 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain
 from math import isfinite
 from numbers import Real
-from operator import mul
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple
 
@@ -54,7 +55,7 @@ Move = str  # "L" | "R" | "S"
 _MOVES = {"L": -1, "R": 1, "S": 0}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Branch:
     next_state: str
     write: str
@@ -123,6 +124,10 @@ class AffineMachine:
     def is_halting(self, state: str) -> bool:
         return state in (self.accept, self.reject)
 
+    @cached_property
+    def _rows_table(self) -> "_Table":  # the row encoding's, built at the first hand-off
+        return _table(self)
+
 
 def _undeclared(machine: AffineMachine, key, state: str, symbol: str) -> ValueError:
     what = f"state {state!r}" if state not in machine.states else f"symbol {symbol!r}"
@@ -141,20 +146,12 @@ class Configuration(NamedTuple):
     head: int
 
 
-def _split(tape: tuple[tuple[int, str], ...], head: int, blank: str):
-    """(cells left of the head, symbol under it, cells right of it)."""
-    i = bisect_left(tape, (head,))
-    if i < len(tape) and tape[i][0] == head:
-        return tape[:i], tape[i][1], tape[i + 1:]
-    return tape[:i], blank, tape[i:]
-
-
 def initial_configuration(machine: AffineMachine, x: str) -> Configuration:
-    if not machine.alphabet.issuperset(x):
+    if x and not machine.alphabet.issuperset(x):  # "" makes no pass over the input
         unknown = sorted(set(x) - machine.alphabet)
         raise MachineValidationError(f"input symbols {unknown} are not in the tape alphabet")
-    tape = tuple((i, c) for i, c in enumerate(x) if c != machine.blank)
-    return Configuration(machine.initial, tape, 0)
+    tape = tuple((i, c) for i, c in enumerate(x) if c != machine.blank) if x else ()
+    return tuple.__new__(Configuration, (machine.initial, tape, 0))
 
 
 AffineVector = dict  # Configuration -> weight; exact zeros pruned
@@ -163,8 +160,9 @@ AffineVector = dict  # Configuration -> weight; exact zeros pruned
 def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
     """One parallel transition step; halting configurations persist unchanged.
 
-    Each configuration's tape is split once at the head; every branch's tape
-    shares those slices. Equal configurations merge in first-seen order.
+    Each configuration's tape is split once at the head (a blank tape takes no
+    bisection); every branch's tape shares those slices. Equal configurations
+    merge in first-seen order.
     """
     out: AffineVector = {}
     get = out.get
@@ -176,7 +174,11 @@ def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
         if state in halting:
             out[cfg] = get(cfg, 0.0) + weight
             continue
-        left, symbol, right = _split(tape, head, blank)
+        i = j = bisect_left(tape, (head,)) if tape else 0
+        symbol = blank
+        if i < len(tape) and tape[i][0] == head:
+            symbol, j = tape[i][1], i + 1
+        left, right = tape[:i], tape[j:]
         branches = machine._branches((state, symbol))
         if not branches:
             raise MachineValidationError(
@@ -285,7 +287,7 @@ class _Rows:
 
     @classmethod
     def of(cls, machine: AffineMachine, vector: AffineVector) -> "_Rows":
-        table = _table(machine)
+        table = machine._rows_table
         state_index = {s: i for i, s in enumerate(table.states)}
         symbol_index = {a: i for i, a in enumerate(table.symbols)}
         states, tapes, heads = zip(*vector)
@@ -312,10 +314,8 @@ class _Rows:
             out[Configuration(t.states[state], tape, origin + head)] = w
         return out
 
-    def weights_in(self, state: str | None) -> list[float]:
-        """The weights of the rows in `state`, or of all rows for None, in row order."""
-        if state is None:
-            return self.weights.tolist()
+    def weights_in(self, state: str) -> list[float]:
+        """The weights of the rows in `state`, in row order."""
         return self.weights[self.rows[:, 0] == self.table.states.index(state)].tolist()
 
     def running(self) -> list[str]:
@@ -403,8 +403,8 @@ def _row_dtype(table: _Table, width: int) -> np.dtype:
 
 def _run(machine: AffineMachine, x: str, max_steps: int, state: str | None = None):
     """Yield the weights of each frontier of a run, in frontier order, from the
-    input on until every branch halts; with `state`, only the weights of the
-    configurations in that state.
+    input on until every branch halts: all of them as a float64 array, or with
+    `state`, only those of the configurations in that state.
 
     The frontier is an affine vector stepped by `step` until it first holds
     _ROWS_FROM configurations, and _Rows from then on, unless those turn
@@ -417,11 +417,11 @@ def _run(machine: AffineMachine, x: str, max_steps: int, state: str | None = Non
     steps = 0
     while True:
         if rows is None:
-            yield vector.values() if state is None else (
+            yield np.fromiter(vector.values(), float, len(vector)) if state is None else (
                 w for c, w in vector.items() if c.state == state)
             running = [c.state for c in vector if c.state not in halting]
         else:
-            yield rows.weights_in(state)
+            yield rows.weights if state is None else rows.weights_in(state)
             running = rows.running()
         if not running:
             return
@@ -463,8 +463,11 @@ class NormTrace:
 
 
 def norm_trace(machine: AffineMachine, x: str, max_steps: int) -> NormTrace:
-    norms = [float(np.sqrt(sum(map(mul, weights, weights))))
-             for weights in _run(machine, x, max_steps)]
+    """Each frontier's norm; its squares add left to right in float64, as `sum` did before 3.12."""
+    norms = []
+    for w in _run(machine, x, max_steps):
+        with np.errstate(all="ignore"):  # as float arithmetic: inf and nan without a warning
+            norms.append(float(np.sqrt(np.cumsum(w * w)[-1] if len(w) else 0.0)))
     flagged = [i for i, n in enumerate(norms) if n > 1.0 + PHYSICAL_TOL]
     return NormTrace(norms, flagged)
 

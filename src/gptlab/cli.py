@@ -455,7 +455,14 @@ def main(argv=None) -> int:
         return _fail("error", exc, EXIT_DOMAIN)
     except MemoryError as exc:  # a cap checked too late; numpy names the allocation
         return _fail("domain failure", str(exc) or "out of memory", EXIT_DOMAIN)
-    if not _emit(args, report, lines, time.perf_counter() - start):
+    try:  # a reader that closed the pipe shows at the print or at the flush
+        emitted = _emit(args, report, lines, time.perf_counter() - start)
+        sys.stdout.flush()
+    except BrokenPipeError:  # exit 1 without a traceback; the flush at exit writes to devnull
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_DOMAIN
+    if not emitted:
         return _fail("domain failure", "a result is not finite (NaN or an infinity)", EXIT_DOMAIN)
     return code
 

@@ -60,6 +60,7 @@ from conftest import (
     random_circuit,
     random_machine,
     rebit_carrier,
+    reference_accept,
 )
 
 
@@ -263,6 +264,9 @@ def test_criterion_7_bridge_equivalence(corpus):
                 got = circuit_to_affine_program(c, acceptor).acceptance_weight()
                 want = acceptance_prob(c, acceptor)
                 assert abs(got - want) <= 1e-9
+                # both run one weighing over the circuit's held layers; the reference
+                # compiles its own layers and weighs them with arrays built per call
+                assert abs(got - reference_accept(c, acceptor)) <= 1e-9
 
 
 def test_criterion_8_normalization_and_foliation_invariance(corpus):

@@ -1,9 +1,12 @@
 """Affine machine semantics: weights, halting, norms, and the circuit bridge."""
 
+import dataclasses
 import math
 import pickle
 import re
+from functools import reduce
 from itertools import product
+from operator import add
 
 import numpy as np
 import pytest
@@ -107,6 +110,31 @@ def test_branch_weights_are_finite_real_numbers(weight, message):
         Branch("acc", "_", "S", weight)
 
 
+def test_branches_are_slotted():
+    branches = [Branch("acc", "0", move, 0.5) for move in "LRS"]
+    for b in branches:
+        assert not hasattr(b, "__dict__")
+        same = Branch(b.next_state, b.write, b.move, b.weight)
+        assert b == same and hash(b) == hash(same) and pickle.loads(pickle.dumps(b)) == b
+        assert repr(b) == f"Branch(next_state='acc', write='0', move='{b.move}', weight=0.5)"
+    assert branches[0] != branches[1]
+    assert dataclasses.replace(branches[1], move="L") == branches[0]
+    with pytest.raises(ValueError, match="^move must be one of L/R/S, got 'U'$"):
+        dataclasses.replace(branches[0], move="U")
+    with pytest.raises(ValueError, match="^weight must be finite, got nan$"):
+        dataclasses.replace(branches[0], weight=math.nan)
+
+
+def test_initial_configurations_are_configurations():
+    m = coin_machine()
+    for x, tape in (("", ()), ("0_1", ((0, "0"), (2, "1")))):
+        cfg = initial_configuration(m, x)
+        assert type(cfg) is Configuration and cfg == ("q0", tape, 0)
+    with pytest.raises(MachineValidationError,
+                       match=r"^input symbols \['a', 'b'\] are not in the tape alphabet$"):
+        initial_configuration(m, "b0a")
+
+
 def test_step_semantics():
     m = branch_2_minus_1()
     v0 = {initial_configuration(m, ""): 1.0}
@@ -163,7 +191,11 @@ def test_configuration_is_a_tuple():
     assert cfg == ("q0", ((-1, "1"), (2, "0")), 2)
     state, tape, head = cfg
     assert (state, tape, head) == (cfg.state, cfg.tape, cfg.head)
-    assert [afftm._split(tape, h, "_")[1] for h in (-1, 0, 2, 3)] == ["1", "_", "0", "_"]
+    # the symbol under the head, as step reads it: each symbol leads to its own state
+    read = {"1": "acc", "0": "rej", "_": "q1"}
+    m = machine({("q0", sym): (Branch(nxt, sym, "S", 1.0),) for sym, nxt in read.items()})
+    for h, sym in zip((-1, 0, 2, 3), "1_0_"):
+        assert step(m, {Configuration("q0", tape, h): 1.0}) == {Configuration(read[sym], tape, h): 1.0}
 
 
 def _coin_with(next_state="acc", write="_", read="_"):
@@ -548,6 +580,30 @@ def test_weights_of_any_real_type_are_floats_across_the_hand_off(run):
     m, x, max_steps = run
     assert {type(b.weight) for bs in m.transitions.values() for b in bs} == {float}
     _check_run(m, x, max_steps)
+
+
+def test_a_machine_builds_its_row_table_once(monkeypatch):
+    built, table = [], afftm._table
+    monkeypatch.setattr(afftm, "_table", lambda machine: built.append(machine) or table(machine))
+    m = writer_machine(9, 0.3)
+    assert _peak(m, "", 9) >= afftm._ROWS_FROM
+    acceptance_weight(m, "", 9)
+    norm_trace(m, "", 9)
+    assert built == [m]
+    assert pickle.dumps(m) == pickle.dumps(writer_machine(9, 0.3))  # the table is not pickled
+    again = pickle.loads(pickle.dumps(m))
+    assert norm_trace(again, "", 9) == norm_trace(m, "", 9) and built == [m, again]
+
+
+def test_norms_add_the_squares_left_to_right():
+    # weights of 0.3 and 0.7 make squares whose sum depends on the order of the additions
+    m = writer_machine(12, 0.3)
+    vectors = reference_run(m, "", 12)
+    assert len(vectors[-1]) == 2**12
+    squares = [[w * w for w in v.values()] for v in vectors]
+    want = [math.sqrt(reduce(add, s, 0.0)).hex() for s in squares]
+    assert [n.hex() for n in norm_trace(m, "", 12).norms] == want
+    assert want != [math.sqrt(np.sum(s)).hex() for s in squares]  # pairwise sums differ
 
 
 def test_writer_window_does_not_scale_with_max_steps():

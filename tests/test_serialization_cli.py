@@ -4,7 +4,10 @@ import argparse
 import contextlib
 import io
 import json
+import os
 import pickle
+import subprocess
+import sys
 import warnings
 from fractions import Fraction
 from importlib import resources
@@ -332,6 +335,49 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has left: every write raises BrokenPipeError."""
+
+    def __init__(self, fd: int) -> None:
+        super().__init__()
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self.fd
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_cli_closed_stdout_exits_1_quietly(capsys, monkeypatch, mode):
+    read, write = os.pipe()
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(write))
+        assert main([*mode, "circuit", "eval", "--circuit", data_path("circuit_rebit_bell.json")]) == 1
+        # stdout's descriptor now writes to the null device, so the flush at exit cannot fail
+        assert os.path.samestat(os.fstat(write), os.stat(os.devnull))
+    finally:
+        os.close(read)
+        os.close(write)
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_cli_into_a_closed_pipe_exits_1_without_a_traceback(mode):
+    src = str(Path(main.__code__.co_filename).parents[1])
+    read, write = os.pipe()
+    os.close(read)  # the reader leaves before the command starts
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gptlab", *mode, "circuit", "eval",
+                               "--circuit", data_path("circuit_rebit_bell.json")],
+                              stdout=write, stderr=subprocess.PIPE, text=True, timeout=60,
+                              env=dict(os.environ, PYTHONPATH=src))
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_cli_circuit_eval(capsys):
