@@ -10,10 +10,14 @@ give byte-identical output. A result that is not finite (NaN or an infinity,
 which strict JSON cannot write) is a domain failure in either mode, with no
 output.
 
-``main`` parses every call with one full parser, built on the first call of
-the process and reused: ``parse_args`` leaves the parser unchanged (it makes
-a fresh namespace and help formatter each time), so a call sees the same
-parser a fresh ``build_parser()`` returns.
+The full parser is built once per process, on the first call of ``main``,
+and reused: ``parse_args`` leaves it unchanged (it makes a fresh namespace and
+help formatter each time). A call of the form ``[--json] [--seed N] GROUP
+COMMAND rest...`` is parsed by that command's parser from the same tree, as
+argparse's subparser actions would hand it ``rest``; every other call, help
+flags and usage errors among them, by the full parser. Either way a call
+parses to the namespace, or ends in the exit and messages, of
+``build_parser().parse_args``.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ import json
 import os
 import sys
 import time
+from operator import itemgetter
 
 import numpy as np
 
@@ -100,7 +105,9 @@ def _cmd_theory_info(args):
 def _cmd_circuit_eval(args):
     circuit, _ = parse_circuit(args.circuit)
     dist = circuits.distribution(circuit, cap=args.cap)
-    entries = {str(z): p for z, p in sorted(dist.items(), key=lambda kv: str(kv[0]))}
+    # each string formatted once, then sorted by it alone (stable: strings that read
+    # alike keep dist's order)
+    entries = dict(sorted(((str(z), p) for z, p in dist.items()), key=itemgetter(0)))
     report = {"command": "circuit eval", "distribution": entries,
               "total": sum(dist.values())}
     lines = [f"{z}: {p:.6g}" for z, p in entries.items()]
@@ -416,8 +423,8 @@ _GROUPS = (
 )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    """The command-line parser: every command group with its subcommands."""
+def _build() -> tuple[argparse.ArgumentParser, dict]:
+    """The full parser, and each command's parser in it by (group, command)."""
     parser = argparse.ArgumentParser(
         prog="gptlab",
         description="Simulation laboratory for computation in generalised probabilistic theories",
@@ -427,12 +434,58 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None,
                         help=f"RNG seed (default {DEFAULT_SEED}; GPTLAB_SEED overrides the default)")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for name, help_text, add in _GROUPS:
-        add(sub.add_parser(name, help=help_text).add_subparsers(dest="subcommand", required=True))
-    return parser
+        group = sub.add_parser(name, help=help_text).add_subparsers(dest="subcommand",
+                                                                    required=True)
+        add(group)
+        commands.update(((name, command), q) for command, q in group.choices.items())
+    return parser, commands
 
 
-_parser = functools.cache(build_parser)
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser: every command group with its subcommands."""
+    return _build()[0]
+
+
+_tree = functools.cache(_build)
+
+
+def _parse_command(argv: list[str], commands: dict) -> argparse.Namespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` makes for an argv of the
+    form ``[--json] [--seed N] GROUP COMMAND rest``, read by the command's own
+    parser; None for every other argv, which the full parser reads.
+
+    The tree's two upper levels pass ``rest`` on as it is once they have
+    classified its tokens, and the one token they reject there is ``--=...``,
+    which the top level finds ambiguous among ``--help``, ``--json`` and
+    ``--seed``. A seed value starting with ``-`` or one ``int`` rejects, and
+    tokens the command's parser leaves over, go to the full parser too.
+    """
+    flags, i = {"json": False, "seed": None}, 0
+    while i < len(argv) and argv[i] in ("--json", "--seed"):
+        if argv[i] == "--seed":
+            i += 1
+            try:
+                if argv[i].startswith("-"):
+                    return None
+                flags["seed"] = int(argv[i])
+            except (IndexError, ValueError):
+                return None
+        else:
+            flags["json"] = True
+        i += 1
+    parser, rest = commands.get(tuple(argv[i:i + 2])), argv[i + 2:]
+    if parser is None or any(arg.startswith("--=") for arg in rest):
+        return None
+    own, extras = parser.parse_known_args(rest)
+    if extras:  # the full parser reports them, from its top level
+        return None
+    # the subparser actions' order: global flags, group, command, the command's values
+    args = argparse.Namespace(**flags, command=argv[i], subcommand=argv[i + 1])
+    for key, value in vars(own).items():
+        setattr(args, key, value)
+    return args
 
 
 def _fail(kind: str, exc: Exception, code: int) -> int:
@@ -442,7 +495,9 @@ def _fail(kind: str, exc: Exception, code: int) -> int:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    parser, commands = _tree()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _parse_command(argv, commands) or parser.parse_args(argv)
     start = time.perf_counter()
     try:
         _check_ranges(args)

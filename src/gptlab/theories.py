@@ -718,16 +718,20 @@ def _rebit_arrays() -> SimpleNamespace:
         state_rows=np.vstack([projectors, mixed]), effect_rows=np.vstack([projectors, unit]))
 
 
+# The rebit samplers scale unit draws: rng.uniform(0.0, high) is 0.0 + high * u for the
+# same u, so the values keep its bits without its array-bound broadcasting.
+
+
 def _rebit_states(rng: np.random.Generator, n: int) -> np.ndarray:
     # row i holds sample i's (theta, r): the order of one scalar draw after another
-    theta, r = rng.uniform([0.0, 0.0], [2 * math.pi, 1.0], size=(n, 2)).T
-    return _bloch_coords(theta, r)
+    theta, r = rng.random((n, 2)).T
+    return _bloch_coords(theta * (2 * math.pi), r)
 
 
 def _rebit_effects(unit: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
     # alpha * projector + beta * its complement, drawn (theta, alpha, beta) per row
-    theta, alpha, beta = rng.uniform([0.0, 0.0, 0.0], [2 * math.pi, 1.0, 1.0], size=(n, 3)).T
-    p_coords = _bloch_coords(theta)
+    theta, alpha, beta = rng.random((n, 3)).T
+    p_coords = _bloch_coords(theta * (2 * math.pi))
     return alpha[:, None] * p_coords + beta[:, None] * (unit - p_coords)
 
 

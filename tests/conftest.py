@@ -27,7 +27,9 @@ stacks are held to bit for bit.
 weight arrays built per gate, layer and call, the reference the gates' held
 weight rows are held to bit for bit.
 ``reference_draws`` keeps the one-sample bodies of the strategy samplers that
-draw in bulk. ``bit_oracle_unitary`` writes the oracle's dense permutation
+draw in bulk, and ``reference_rebit_states`` and ``reference_rebit_effects``
+the rebit samplers as they drew with ``rng.uniform``'s array bounds.
+``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
 transfer matrix; ``defect_direction_overlap`` measures a vector against a
 tomography report's defect basis. Random corpus builders are seeded.
@@ -73,8 +75,8 @@ from gptlab.errors import (CircuitValidationError, GptLabError, HaltingViolation
                            MachineValidationError)
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
-from gptlab.theories import (DensityCarrier, RebitRule, _symmetric_carrier, even_y_index,
-                             hermitian_basis, pr_box_coords, symmetric_pauli_basis)
+from gptlab.theories import (DensityCarrier, RebitRule, _bloch_coords, _symmetric_carrier,
+                             even_y_index, hermitian_basis, pr_box_coords, symmetric_pauli_basis)
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
 
 
@@ -963,6 +965,19 @@ def reference_draws(theory):
 
         return gbit_state, None
     return None, None
+
+
+def reference_rebit_states(rng: np.random.Generator, n: int) -> np.ndarray:
+    """The rebit state sampler as it drew with ``rng.uniform``'s array bounds."""
+    theta, r = rng.uniform([0.0, 0.0], [2 * math.pi, 1.0], size=(n, 2)).T
+    return _bloch_coords(theta, r)
+
+
+def reference_rebit_effects(unit: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+    """The rebit effect sampler as it drew with ``rng.uniform``'s array bounds."""
+    theta, alpha, beta = rng.uniform([0.0, 0.0, 0.0], [2 * math.pi, 1.0, 1.0], size=(n, 3)).T
+    p_coords = _bloch_coords(theta)
+    return alpha[:, None] * p_coords + beta[:, None] * (unit - p_coords)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import functools
 import io
 import json
 import os
@@ -12,12 +13,14 @@ import warnings
 from fractions import Fraction
 from importlib import resources
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import acceptance_prob, distribution, querylab
+from gptlab import (CircuitDAG, acceptance_prob, circuits, classical_theory, cli, distribution,
+                    querylab)
 from gptlab.afftm import acceptance_weight, norm_trace
 from gptlab.cli import build_parser, main
 from gptlab.errors import GptLabError, MachineValidationError, ParseError
@@ -384,6 +387,34 @@ def test_cli_circuit_eval(capsys):
     code, out, _ = run_cli(capsys, "circuit", "eval", "--circuit", data_path("circuit_coin.json"))
     assert code == 0
     assert "u=0,r=0: 0.5" in out
+
+
+def _coin_read_circuit(n_wires: int) -> str:
+    """A coin -> read circuit on ``n_wires`` wires, 4^n_wires outcome strings, as JSON."""
+    th = classical_theory(2)
+    c = CircuitDAG(th)
+    for i in range(n_wires):
+        c.connect((c.add(f"c{i}", th.gate("coin")), 0), (c.add(f"r{i}", th.gate("read")), 0))
+    return json.dumps(circuit_to_json(c))
+
+
+@pytest.mark.parametrize("circuit", [data_path("circuit_rebit_bell.json"), _coin_read_circuit(8)],
+                         ids=["bell", "coin-read-2^16"])
+def test_circuit_eval_formats_each_outcome_string_once(monkeypatch, circuit):
+    args = argparse.Namespace(circuit=circuit, cap=circuits.DEFAULT_ENUMERATION_CAP)
+    # the report as it was built with each string formatted as sort key and as dict key
+    dist = distribution(parse_circuit(circuit)[0])
+    entries = {str(z): p for z, p in sorted(dist.items(), key=lambda kv: str(kv[0]))}
+    want = {"command": "circuit eval", "distribution": entries, "total": sum(dist.values())}
+    calls = []
+    to_str = circuits.OutcomeString.__str__
+    monkeypatch.setattr(circuits.OutcomeString, "__str__",
+                        lambda z: calls.append(z) or to_str(z))
+    report, lines, code = cli._cmd_circuit_eval(args)
+    assert len(calls) == len(dist) == len(set(calls))
+    assert code == 0 and list(report["distribution"]) == list(entries)
+    assert json.dumps(report) == json.dumps(want)
+    assert lines == [f"{z}: {p:.6g}" for z, p in entries.items()] + [f"total: {want['total']:.6g}"]
 
 
 def test_cli_table_acceptor_accepting_nothing_prints_a_float(capsys):
@@ -783,6 +814,166 @@ def test_the_shared_parser_keeps_no_state_between_calls(capsys, monkeypatch):
     second = {tuple(argv): outcome(argv) for argv in reversed(argvs)}
     assert second == first
     assert [first[tuple(argv)][0] for argv in argvs] == [0] * 13 + [("exit", 2), ("exit", 0)]
+
+
+class _Parsed(Exception):
+    """Raised in place of main's range checks: it carries the namespace main parsed."""
+
+
+def main_parse(argv, from_sys_argv=False):
+    """The namespace ``main`` parses ``argv`` to (read from ``sys.argv`` if
+    ``from_sys_argv``); main stops there, before the command runs."""
+    def stop(args):
+        raise _Parsed(args)
+
+    with mock.patch.object(cli, "_check_ranges", stop), \
+            mock.patch.object(sys, "argv", ["gptlab", *argv]):
+        try:
+            main(None if from_sys_argv else argv)
+        except _Parsed as parsed:
+            return parsed.args[0]
+    raise AssertionError("main returned before its range checks")
+
+
+def parse_outcome(parse, argv):
+    """One parse's (namespace items in order, or ("exit", code)), stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, {"COLUMNS": "80"}):
+        try:
+            result = list(vars(parse(argv)).items())
+        except SystemExit as exc:
+            result = ("exit", exc.code)
+    return result, out.getvalue(), err.getvalue()
+
+
+GLOBAL_SPELLINGS = [["--json"], ["--seed", "3"], ["--seed=3"], ["--js"]]
+
+
+@pytest.mark.parametrize("flags", [[], *GLOBAL_SPELLINGS], ids=" ".join)
+@pytest.mark.parametrize("argv", BUNDLED_COMMANDS, ids=lambda argv: " ".join(argv[:2]))
+def test_bundled_commands_parse_as_the_full_parser_parses_them(argv, flags):
+    want = parse_outcome(build_parser().parse_args, [*flags, *argv])
+    assert isinstance(want[0], list)  # each is a namespace, not an exit
+    assert parse_outcome(main_parse, [*flags, *argv]) == want
+    assert parse_outcome(functools.partial(main_parse, from_sys_argv=True),
+                         [*flags, *argv]) == want
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "-1", *TOMO_COUNT],
+    ["--seed", "-1_0", *TOMO_COUNT],
+    ["--seed", " 4", *TOMO_COUNT],
+    ["--seed", "1_0", *TOMO_COUNT],
+    ["--seed", "3", "--seed", "4", "--json", "--json", *TOMO_COUNT],
+    ["--", *TOMO_COUNT],
+    [*TOMO_COUNT, "--=x"],
+    [*TOMO_COUNT, "--", "--=x"],
+    [*TOMO_COUNT, "--json"],
+    [*TOMO_COUNT, "--k", "2"],
+    [*TOMO_COUNT, "--syst", "3"],
+    ["query", "grover", "--n", "4", "--seed", "-1"],
+    ["query", "grover", "--n", "4", "--seed=7", "--seed", "8"],
+], ids=" ".join)
+def test_edge_command_lines_parse_as_the_full_parser_parses_them(argv):
+    assert parse_outcome(main_parse, argv) == parse_outcome(build_parser().parse_args, argv)
+
+
+def test_a_plain_command_line_skips_the_full_parser():
+    parser, _ = cli._tree()
+    with mock.patch.object(parser, "parse_args", side_effect=AssertionError("full parser")):
+        for argv in BUNDLED_COMMANDS:
+            args = main_parse(["--json", "--seed", "3", *argv])
+            assert (args.json, args.seed, args.command) == (True, 3, argv[0])
+        # a value query's own --seed takes over from the global one, as in the full parser
+        args = main_parse(["--seed", "3", "query", "grover", "--n", "4", "--seed", "5"])
+        assert args.seed == 5
+    with pytest.raises(AssertionError, match="full parser"), \
+            mock.patch.object(parser, "parse_args", side_effect=AssertionError("full parser")):
+        main_parse(["--seed=3", *BUNDLED_COMMANDS[0]])
+
+
+def _command_options() -> dict:
+    """(group, command) -> [(long option string, values it reads)] for that command's parser."""
+    def good(action):
+        return list(action.choices or (["3", "0"] if action.type is int else ["0110", "[1]"]))
+
+    return {(group, command): [(s, good(a)) for a in q._actions for s in a.option_strings
+                               if s.startswith("--") and s != "--help"]
+            for group, gq in _subcommands(build_parser()).items()
+            for command, q in _subcommands(gq).items()}
+
+
+COMMAND_OPTIONS = _command_options()
+GROUPS = sorted({g for g, _ in COMMAND_OPTIONS})
+ODD_GROUPS = ["nosuch", "circ", "-h", "--json", "--"]
+ODD_COMMANDS = ["nosuch", "ev", "-h", "--help", "--"]
+BAD_VALUES = ["-1", "-1_0", "x", "", " 4", "1_0", "1.5", "[1,0]", "--json", "--", "-h"]
+STRAYS = ["-h", "--help", "--he", "--", "extra", "--=x", "--=", "--nosuch", "-x", "-",
+          "--seed", "--json", "--js", "3", "-5"]
+
+
+def often(common: list, rare: list, plain: bool):
+    """One of ``common`` if ``plain``, else three times in four; else one of ``rare``."""
+    return st.sampled_from(common) if plain else st.one_of(*[st.sampled_from(common)] * 3,
+                                                           st.sampled_from(rare))
+
+
+@st.composite
+def global_flags(draw, plain):
+    """Global flags in any order and spelling: --json, --js, --seed N, --seed=N, --se N."""
+    tokens = []
+    for _ in range(draw(st.integers(0, 3))):
+        value = draw(often(["3", "0"], BAD_VALUES, plain))
+        tokens += draw(often([["--json"], ["--seed", value]],
+                             [["--js"], ["--j"], ["--seed=" + value], ["--se", value],
+                              ["--s=" + value], ["--seed"]], plain))
+    return tokens
+
+
+@st.composite
+def command_options(draw, options, tidy):
+    """Each of a command's options in some order, as ``--name value`` with a value it
+    reads if ``tidy``; else now and then left out, given twice, abbreviated, written
+    ``--name=value``, without its value or with a bad one."""
+    tokens = []
+    for option, values in draw(st.permutations(options)):
+        value = draw(often(values, BAD_VALUES, tidy))
+        name = option[:draw(st.integers(3, len(option)))]
+        tokens += draw(often([[option, value]],
+                             [[], [option, value] * 2, [name, value], [f"{option}={value}"],
+                              [option]], tidy))
+    return tokens
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.data())
+def test_main_parses_every_command_line_as_the_full_parser(data):
+    """Argv from a small grammar: global flags, known and unknown group and
+    command tokens, a command's options with good, bad, missing and abbreviated
+    values, -h, -- and stray tokens. ``main`` (given the argv or reading it
+    from sys.argv) parses each to the namespace, keys in order, of
+    ``build_parser().parse_args``, or ends in the same exit with the same
+    stdout and stderr."""
+    plain = data.draw(st.booleans(), label="plain")  # [--json] [--seed N] GROUP COMMAND
+    argv = data.draw(global_flags(data.draw(st.booleans(), label="plain flags")), label="flags")
+    group = data.draw(often(GROUPS, ODD_GROUPS + [None], plain), label="group")
+    commands = [c for g, c in COMMAND_OPTIONS if g == group]
+    command = data.draw(often(commands or ODD_COMMANDS, ODD_COMMANDS + [None], plain),
+                        label="command")
+    argv += [t for t in (group, command) if t is not None]
+    options = COMMAND_OPTIONS.get((group, command)) or data.draw(
+        st.sampled_from(list(COMMAND_OPTIONS.values())), label="other options")
+    tidy = data.draw(st.booleans(), label="tidy")  # good options, no stray tokens
+    rest = data.draw(command_options(options, tidy), label="options")
+    strays = data.draw(often([[]], [[s] for s in STRAYS] + [STRAYS[:2]], tidy), label="strays")
+    for stray in strays:
+        rest.insert(data.draw(st.integers(0, len(rest)), label="at"), stray)
+    argv += rest
+    want = parse_outcome(build_parser().parse_args, argv)
+    from_sys_argv = data.draw(st.booleans(), label="from sys.argv")
+    assert parse_outcome(functools.partial(main_parse, from_sys_argv=from_sys_argv),
+                         argv) == want
 
 
 def test_cli_circuit_accept(capsys):

@@ -47,6 +47,8 @@ from conftest import (
     reference_builtin_arrays,
     reference_draws,
     reference_parallel_stack,
+    reference_rebit_effects,
+    reference_rebit_states,
     reference_stack_contract,
     same_bytes,
 )
@@ -242,6 +244,21 @@ def test_batch_samplers_draw_like_one_sample_calls(theory, n, seed):
             assert ref_rng.random() == following
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 2000])
+@pytest.mark.parametrize("seed", [0, 1, 11, 23, 2**32 - 1])
+def test_rebit_samplers_keep_the_bits_of_uniform_draws(rebit, seed, n):
+    # the samplers scale rng.random's draws; rng.uniform's array bounds drew the same
+    hooks, unit = rebit.strategies, rebit.effects["u"].coords
+    for sampler, reference in ((hooks.random_states, reference_rebit_states),
+                               (hooks.random_effects,
+                                lambda rng, n: reference_rebit_effects(unit, rng, n))):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = sampler(rng, n), reference(ref_rng, n)
+        assert got.shape == want.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref_rng.random()  # both took the same draws
+
+
 # entries of random outcome matrices: both signed zeros, and values whose
 # products round
 _ENTRIES = np.array([0.0, -0.0, 1.0, -1.0, 0.1, -2.5, 1e-300, 3.0 ** 0.5])
@@ -296,6 +313,9 @@ class _ConstantDraws:
         self.value = value
 
     def uniform(self, low=0.0, high=1.0, size=None):
+        return np.full(size, self.value)
+
+    def random(self, size=None):
         return np.full(size, self.value)
 
     def dirichlet(self, alpha, size=None):
