@@ -36,19 +36,20 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from math import isfinite
 from numbers import Real
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
 from .circuits import (DEFAULT_ENUMERATION_CAP, Acceptor, CircuitDAG, Decision, _accept,
                        _compile, _Layer)
-from .core import ALGEBRA_TOL, PHYSICAL_TOL
+from .core import ALGEBRA_TOL, PHYSICAL_TOL, _Checked
 from .errors import HaltingViolationError, MachineValidationError
 
 Move = str  # "L" | "R" | "S"
@@ -56,7 +57,7 @@ _MOVES = {"L": -1, "R": 1, "S": 0}
 
 
 @dataclass(frozen=True, slots=True)
-class Branch:
+class Branch(_Checked):
     next_state: str
     write: str
     move: Move
@@ -76,9 +77,9 @@ class Branch:
 
 
 @dataclass(frozen=True, eq=False)
-class AffineMachine:
+class AffineMachine(_Checked):
     """Checked once, when built; ``transitions`` is a read-only mapping, so the
-    checks keep holding, and a pickled machine is built again through them."""
+    checks keep holding."""
 
     states: frozenset[str]
     initial: str
@@ -116,10 +117,6 @@ class AffineMachine:
                 violations.append(f"weights from ({state!r}, {symbol!r}) sum to {total!r}, not 1")
         if violations:
             raise MachineValidationError("; ".join(violations))
-
-    def __reduce__(self):
-        return type(self), (self.states, self.initial, self.accept, self.reject, self.blank,
-                            self.alphabet, dict(self.transitions))
 
     def is_halting(self, state: str) -> bool:
         return state in (self.accept, self.reject)
@@ -211,6 +208,8 @@ class _Table(NamedTuple):
 
     states: list[str]  # state index -> name, sorted
     symbols: list[str]  # symbol index -> symbol, blank = 0
+    state_index: dict[str, int]  # the inverses of the two lists
+    symbol_index: dict[str, int]
     halting: np.ndarray  # per state index
     first: np.ndarray  # per key: index of its first branch
     count: np.ndarray  # per key: number of branches
@@ -237,7 +236,8 @@ def _table(machine: AffineMachine) -> _Table:
             branches.extend(keyed)
     count = np.array(count, dtype=np.intp)
     next_state, write, move, weight = zip(*branches)  # the accept state has branches
-    return _Table(states, symbols, np.array([machine.is_halting(s) for s in states]),
+    return _Table(states, symbols, state_index, symbol_index,
+                  np.array([machine.is_halting(s) for s in states]),
                   np.cumsum(count) - count, count,
                   np.array([state_index[s] for s in next_state], dtype=np.intp),
                   np.array([symbol_index[a] for a in write], dtype=np.intp),
@@ -288,8 +288,6 @@ class _Rows:
     @classmethod
     def of(cls, machine: AffineMachine, vector: AffineVector) -> "_Rows":
         table = machine._rows_table
-        state_index = {s: i for i, s in enumerate(table.states)}
-        symbol_index = {a: i for i, a in enumerate(table.symbols)}
         states, tapes, heads = zip(*vector)
         cells = list(chain.from_iterable(chain.from_iterable(tapes)))  # position, symbol, ...
         row = np.repeat(np.arange(len(vector)), np.fromiter(map(len, tapes), np.intp, len(tapes)))
@@ -298,9 +296,9 @@ class _Rows:
         lo = min(heads.min(), position.min(initial=heads.min()))
         width = max(heads.max(), position.max(initial=heads.max())) - lo + 1
         rows = np.zeros((len(vector), 2 + width), dtype=_row_dtype(table, width))
-        rows[:, 0] = np.fromiter(map(state_index.__getitem__, states), np.intp, len(states))
+        rows[:, 0] = np.fromiter(map(table.state_index.__getitem__, states), np.intp, len(states))
         rows[:, 1] = heads - lo
-        rows[row, 2 + position - lo] = np.fromiter(map(symbol_index.__getitem__, cells[1::2]),
+        rows[row, 2 + position - lo] = np.fromiter(map(table.symbol_index.__getitem__, cells[1::2]),
                                                    np.intp, len(row))
         weights = np.fromiter(vector.values(), dtype=float, count=len(vector))
         return cls(table, rows, weights, int(lo))
@@ -316,7 +314,7 @@ class _Rows:
 
     def weights_in(self, state: str) -> list[float]:
         """The weights of the rows in `state`, in row order."""
-        return self.weights[self.rows[:, 0] == self.table.states.index(state)].tolist()
+        return self.weights[self.rows[:, 0] == self.table.state_index[state]].tolist()
 
     def running(self) -> list[str]:
         """The names of the states some row is running in, each once."""

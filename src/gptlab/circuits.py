@@ -42,14 +42,15 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .core import PROB_TOL, CompositeRule, Factor, SystemType, TransformationMatrix, _freeze
+from .core import (PROB_TOL, CompositeRule, Factor, SystemType, TransformationMatrix, _Checked,
+                   _freeze)
 from .errors import CapacityError, CircuitValidationError, GptLabError
 
 DEFAULT_ENUMERATION_CAP = 2**20
 
 
 @dataclass(frozen=True, eq=False)
-class Gate:
+class Gate(_Checked):
     """A device: one transformation matrix per classical outcome.
 
     Preparations have no inputs, effects no outputs; every outcome matrix
@@ -59,8 +60,7 @@ class Gate:
     the gate holds, built on first evaluation (so building a theory stacks
     nothing): :attr:`factor` for all outcomes, and one per outcome for the
     strings ``prob`` selects. Their stacks and identity flags are built
-    once, so ``outcomes`` is a read-only mapping; a pickled gate is built
-    again from its fields.
+    once, so ``outcomes`` is a read-only mapping.
     """
 
     name: str
@@ -83,9 +83,6 @@ class Gate:
                 raise ValueError(
                     f"gate '{self.name}' outcome '{label}' maps {t.input.label} -> "
                     f"{t.output.label}, not its wires")
-
-    def __reduce__(self):
-        return type(self), (self.name, self.inputs, self.outputs, dict(self.outcomes))
 
     @property
     def outcome_labels(self) -> tuple[str, ...]:
@@ -554,18 +551,23 @@ BUILTIN_ACCEPTORS = ("first-outcome-is-0", "parity-of-labels", "accept-all", "re
 
 
 @dataclass(frozen=True)
-class Acceptor:
+class Acceptor(_Checked):
     """The accept/reject function a(z) over outcome strings; a(z)=0 accepts.
 
-    ``table`` acceptors carry an explicit mapping and must be total on the
-    circuit's outcome strings. The built-in predicates run in time linear in
-    the string length. Table sizes are checkable; asymptotic uniformity of a
-    family of acceptors is the caller's claim.
+    ``table`` acceptors carry an explicit mapping, held as a read-only copy,
+    and must be total on the circuit's outcome strings. The built-in
+    predicates run in time linear in the string length. Table sizes are
+    checkable; asymptotic uniformity of a family of acceptors is the
+    caller's claim.
     """
 
     kind: str  # "table" or one of BUILTIN_ACCEPTORS
     table: Mapping[tuple[tuple[str, str], ...], int] | None = None
     instance: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.table is not None:
+            object.__setattr__(self, "table", MappingProxyType(dict(self.table)))
 
     def value(self, z: OutcomeString) -> int:
         if self.kind == "table":

@@ -5,19 +5,18 @@ matrices, all tagged with system types; closed-circuit probabilities come out
 of plain matrix arithmetic. Every object is immutable after construction and
 safe to share between concurrent workers; the operations below are pure
 functions. Every array an object holds passes through :func:`_freeze`, which
-copies a caller's array rather than flip it. A pickled vector or
-transformation is built again through its constructor, so it comes back
-checked and read-only.
+copies a caller's array rather than flip it.
 """
 
 from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 from functools import cached_property, reduce
-from typing import Sequence
+from types import MappingProxyType
 
 import numpy as np
 
@@ -57,8 +56,21 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
+class _Checked:
+    """The base of every frozen dataclass whose ``__post_init__`` checks it: a
+    pickle or a copy is built again through the constructor from the fields
+    in order, each read-only mapping passed as a dict, so it comes back
+    checked and read-only and carries nothing built on first use."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        args = (getattr(self, f.name) for f in fields(self))
+        return type(self), tuple(dict(a) if type(a) is MappingProxyType else a for a in args)
+
+
 @dataclass(frozen=True)
-class SystemType:
+class SystemType(_Checked):
     """A wire type: the dimension of the real vector space its states span."""
 
     label: str
@@ -120,7 +132,7 @@ def checked_coords(coords, shape: tuple[int, ...], kind: str,
 
 
 @dataclass(frozen=True, eq=False)
-class StateVector:
+class StateVector(_Checked):
     """A state, as the real coordinate vector of its system type.
 
     ``normalized`` marks states whose coordinates are fiducial outcome
@@ -137,12 +149,9 @@ class StateVector:
         coords = checked_coords(self.coords, (self.system.dim,), "state", self.normalized)
         object.__setattr__(self, "coords", _freeze(coords))
 
-    def __reduce__(self):
-        return type(self), (self.system, self.coords, self.normalized)
-
 
 @dataclass(frozen=True, eq=False)
-class EffectVector:
+class EffectVector(_Checked):
     """An effect, as a real covector paired with states by a dot product."""
 
     system: SystemType
@@ -152,12 +161,9 @@ class EffectVector:
         coords = checked_coords(self.coords, (self.system.dim,), "effect")
         object.__setattr__(self, "coords", _freeze(coords))
 
-    def __reduce__(self):
-        return type(self), (self.system, self.coords)
-
 
 @dataclass(frozen=True, eq=False)
-class TransformationMatrix:
+class TransformationMatrix(_Checked):
     """One outcome of a device, as a real matrix between coordinate spaces.
 
     ``kraus`` optionally carries the operator form (rectangular Kraus
@@ -184,9 +190,6 @@ class TransformationMatrix:
         if self.kraus is not None:
             ks = tuple(_freeze(np.asarray(k, dtype=complex)) for k in self.kraus)
             object.__setattr__(self, "kraus", ks)
-
-    def __reduce__(self):
-        return type(self), (self.input, self.output, self.matrix, self.outcome_label, self.kraus)
 
 
 def apply(t: TransformationMatrix, s: StateVector) -> StateVector:

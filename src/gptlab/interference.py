@@ -12,13 +12,13 @@ is built, so the analyses below take its invariants as given.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
-from typing import Iterable, Mapping
 
 import numpy as np
 
-from .core import PHYSICAL_TOL, _freeze
+from .core import PHYSICAL_TOL, _Checked, _freeze
 from .errors import FamilyInvariantError, ReconstructionError
 from .theories import DensityCarrier, hermitian_basis
 
@@ -33,10 +33,10 @@ def subsets(n_slits: int, min_size: int = 0, max_size: int | None = None) -> lis
 
 
 @dataclass(frozen=True, eq=False)
-class ProjectorFamily:
+class ProjectorFamily(_Checked):
     """Square real matrices P_I on a common carrier space, indexed by slit subsets:
     a read-only mapping of read-only matrices, so the checks made when the
-    family is built keep holding, and a pickled family is built again through them."""
+    family is built keep holding."""
 
     n_slits: int
     projectors: Mapping[frozenset, np.ndarray]
@@ -66,9 +66,6 @@ class ProjectorFamily:
         violations = _violations(self.n_slits, fixed)
         if violations:
             raise FamilyInvariantError("; ".join(violations))
-
-    def __reduce__(self):
-        return type(self), (self.n_slits, dict(self.projectors), self.name, self.synthetic)
 
     @property
     def dim(self) -> int:

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import PHYSICAL_TOL
+from .core import PHYSICAL_TOL, _Checked
 
 # The largest item count the command line accepts, and the most Grover
 # iterations it runs. It bounds the oracle table, and PARITY by pairing, whose
@@ -26,7 +26,7 @@ MAX_ITEMS = 4096
 
 
 @dataclass(frozen=True)
-class OracleFunction:
+class OracleFunction(_Checked):
     """A bit-valued function on items 0..N-1, given by its full table."""
 
     table: tuple[int, ...]

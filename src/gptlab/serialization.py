@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 import re
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any
 
 import numpy as np
 

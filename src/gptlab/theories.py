@@ -13,8 +13,8 @@ import functools
 import math
 import weakref
 from dataclasses import dataclass, field
+from collections.abc import Callable, Mapping, Sequence
 from types import SimpleNamespace
-from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ from .core import (
     SystemType,
     TransformationMatrix,
     UNIT,
+    _Checked,
     _freeze,
     checked_coords,
     contract_wires,
@@ -52,7 +53,7 @@ PAULI = {
 
 
 @dataclass(frozen=True, eq=False)
-class DensityCarrier:
+class DensityCarrier(_Checked):
     """An orthonormal Hermitian operator basis with vectorisation maps.
 
     Orthonormality (Tr(B_i B_j) = delta_ij, checked to ALGEBRA_TOL) makes
@@ -63,7 +64,6 @@ class DensityCarrier:
     made writable or rebound, so one carrier per basis can be shared. The
     built-in theories hold theirs (rebit 1 and 2, quantum d and the qubit
     pair) once per process, and every build of a theory reads the same one.
-    A pickled carrier is built again through its constructor.
     """
 
     basis: np.ndarray  # given as a sequence of matrices, held as one read-only stack
@@ -79,9 +79,6 @@ class DensityCarrier:
         if not np.max(np.abs(gram - np.eye(len(stack)))) <= ALGEBRA_TOL:
             raise ValueError("carrier basis must be orthonormal under the trace inner product")
         object.__setattr__(self, "basis", _freeze(stack))
-
-    def __reduce__(self):
-        return type(self), (self.basis,)
 
     @property
     def dim(self) -> int:
@@ -168,6 +165,12 @@ def symmetric_pauli_basis(n_qubits: int) -> list[np.ndarray]:
 
 
 @functools.cache
+def _table(build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
+    """``build(k)`` for a Pauli string table above, read-only and built once per process."""
+    return _freeze(build(k))
+
+
+@functools.cache
 def _symmetric_carrier(n_qubits: int) -> DensityCarrier:
     """The carrier of :func:`symmetric_pauli_basis`, built once per process."""
     return DensityCarrier(symmetric_pauli_basis(n_qubits))
@@ -198,25 +201,17 @@ class RebitRule(CompositeRule):
     outcomes in use; the stacks of the outcome matrices are never built.
     Threads racing on one outcome at worst compute its matrix twice.
 
-    That table and the read-only Pauli string tables (at most 4^k entries for
-    k rebits) are the class's: pure functions of an outcome's Kraus operators
-    or of k, so every rule shares them, and a rule holds and pickles only
-    what :class:`~gptlab.core.CompositeRule` gives every rule.
+    That table is the class's and the read-only Pauli string tables
+    (:func:`_table`) the module's: pure functions of an outcome's Kraus
+    operators or of k, so every rule shares them, and a rule holds and
+    pickles only what :class:`~gptlab.core.CompositeRule` gives every rule.
     """
 
     name = "real-symmetric"
-    _tables: dict = {}  # by (build, k)
     _transfers: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
     def __init__(self, theory: str = "real-quantum-2"):
         super().__init__(theory)
-
-    def _table(self, build: Callable[[int], np.ndarray], k: int) -> np.ndarray:
-        """``build(k)`` for one of the Pauli string tables above, built once per k."""
-        got = self._tables.get((build, k))
-        if got is None:
-            got = self._tables[(build, k)] = _freeze(build(k))
-        return got
 
     def _n_leaves(self, t: SystemType) -> int:
         if t.dim == 1:
@@ -237,7 +232,7 @@ class RebitRule(CompositeRule):
     def _even_y(self, full: np.ndarray) -> np.ndarray:
         """The even-Y block of a 4^k_out x 4^k_in matrix over Pauli strings."""
         k_out, k_in = (n.bit_length() // 2 for n in full.shape)
-        return full[np.ix_(self._table(even_y_index, k_out), self._table(even_y_index, k_in))]
+        return full[np.ix_(_table(even_y_index, k_out), _table(even_y_index, k_in))]
 
     def _transfer(self, p: TransformationMatrix) -> tuple[np.ndarray, np.ndarray, bool]:
         """The held Pauli transfer matrix of ``p`` and its even-Y block, each
@@ -270,15 +265,15 @@ class RebitRule(CompositeRule):
         k_out, k_in = (sum(s.shape[axis].bit_length() - 1 for s in stacks) // 2
                        for axis in (1, 2))
         full = np.zeros((len(front), 4**k_in))
-        full[:, self._table(even_y_index, k_in)] = front
+        full[:, _table(even_y_index, k_in)] = front
         return contract_wires(stacks, [len(h) == 1 and h[0][2] for h in held], full,
-                              weights)[:, self._table(even_y_index, k_out)]
+                              weights)[:, _table(even_y_index, k_out)]
 
     def _strings(self, types: Sequence[SystemType]) -> tuple[list[int], np.ndarray, np.ndarray]:
         """The rebit counts of ``types``, and their joint strings' even-Y index and slots."""
         leaves = [self._n_leaves(t) for t in types]
         k = sum(leaves)
-        return leaves, self._table(even_y_index, k), self._table(_even_y_slots, k)
+        return leaves, _table(even_y_index, k), _table(_even_y_slots, k)
 
     def permutation_index(self, types: Sequence[SystemType], perm: Sequence[int]) -> np.ndarray:
         leaves, even, slots = self._strings(types)
@@ -287,13 +282,13 @@ class RebitRule(CompositeRule):
 
     def product_axes(self, types: Sequence[SystemType], choices: Sequence[np.ndarray]) -> np.ndarray:
         leaves, _, slots = self._strings(types)
-        strings = tuple(self._table(even_y_index, k)[c] for c, k in zip(choices, leaves))
+        strings = tuple(_table(even_y_index, k)[c] for c, k in zip(choices, leaves))
         return slots[np.ravel_multi_index(strings, tuple(4**k for k in leaves))]
 
     def _transfer_matrix(self, kraus: Sequence[np.ndarray]) -> np.ndarray:
         """M_ab = Tr(P_a sum_j K_j P_b K_j^dag) / 2^((k_out + k_in)/2) over Pauli strings P."""
         k_out, k_in = (h.bit_length() - 1 for h in kraus[0].shape)
-        p_out, p_in = self._table(pauli_strings, k_out), self._table(pauli_strings, k_in)
+        p_out, p_in = _table(pauli_strings, k_out), _table(pauli_strings, k_in)
         # Unnormalised strings and one division per piece, rather than P/sqrt(2)
         # per qubit: this keeps the bundled Bell circuit's distribution
         # bit-identical to the orthonormal-carrier values it was recorded with.
@@ -304,7 +299,7 @@ class RebitRule(CompositeRule):
         leaves, even, _ = self._strings(types)
         padded = [np.zeros((len(s), 4**k)) for s, k in zip(stacks, leaves)]
         for p, s, k in zip(padded, stacks, leaves):
-            p[:, self._table(even_y_index, k)] = s
+            p[:, _table(even_y_index, k)] = s
         return kron_rows(padded)[:, even]
 
 
@@ -331,7 +326,7 @@ class StrategyHooks:
 
 
 @dataclass(frozen=True, eq=False)
-class TheoryDescriptor:
+class TheoryDescriptor(_Checked):
     """A named theory: types, composite rule, and device libraries.
 
     The descriptor's fields cannot be rebound, but ``gates``, ``states``,
@@ -347,7 +342,7 @@ class TheoryDescriptor:
     read-only and computed on a theory's first build in the process: the
     numpy arrays under the vectors' coordinates, the outcome matrices and
     Kraus tuples, the rebit strategy grid rows, the immutable
-    :class:`DensityCarrier`, and the :class:`RebitRule` tables, filled on use.
+    :class:`DensityCarrier`, and the rebit rule's tables, filled on use.
     """
 
     name: str
@@ -392,7 +387,8 @@ _Grid = tuple[Sequence[str], np.ndarray]
 
 
 def _grid(names: tuple[str, ...], rows: np.ndarray) -> _Grid:
-    return list(names), rows
+    # read-only as held at build, and after a pickle, which restores them writable
+    return list(names), _freeze(rows)
 
 
 def _checked_rows(draw: _Draw, dim: int, kind: str, normalized: bool,

@@ -13,8 +13,8 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
-from typing import Iterator, Sequence
 
 import numpy as np
 

@@ -55,7 +55,8 @@ import dataclasses
 import itertools
 import math
 import signal
-from functools import reduce
+from collections.abc import Mapping
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -75,8 +76,9 @@ from gptlab.errors import (CircuitValidationError, GptLabError, HaltingViolation
                            MachineValidationError)
 from gptlab.interference import subsets
 from gptlab.querylab import OracleFunction
-from gptlab.theories import (DensityCarrier, RebitRule, _bloch_coords, _symmetric_carrier,
-                             even_y_index, hermitian_basis, pr_box_coords, symmetric_pauli_basis)
+from gptlab.theories import (DensityCarrier, RebitRule, StrategyHooks, _bloch_coords,
+                             _symmetric_carrier, even_y_index, hermitian_basis, pr_box_coords,
+                             symmetric_pauli_basis)
 from gptlab.tomography import SeparationReport, TomographyReport, _partitions
 
 
@@ -1145,3 +1147,51 @@ def same_bytes(got, want) -> bool:
         return (isinstance(got, (tuple, list)) and len(got) == len(want)
                 and all(same_bytes(g, w) for g, w in zip(got, want)))
     return got is want is None
+
+
+def reachable(obj):
+    """``obj`` and every object it reaches, each once: through dataclass
+    fields, mapping keys and values, the items of tuples, lists and sets, the
+    attributes of other gptlab objects (composite rules, circuits) and, from
+    strategy hooks, what each grid returns; the arguments a hook binds are not
+    entered."""
+    seen, todo = {}, [obj]
+    while todo:
+        o = todo.pop()
+        if id(o) in seen:
+            continue
+        seen[id(o)] = o  # held, so that no later object reuses its id
+        yield o
+        if isinstance(o, StrategyHooks):
+            todo += [o.state_grid(), o.effect_grid()]
+        elif dataclasses.is_dataclass(o) and not isinstance(o, type):
+            todo += [getattr(o, f.name) for f in dataclasses.fields(o)]
+        elif isinstance(o, Mapping):
+            todo += [*o.keys(), *o.values()]
+        elif isinstance(o, (tuple, list, set, frozenset)):
+            todo += o
+        elif type(o).__module__.startswith("gptlab.") and hasattr(o, "__dict__"):
+            todo += vars(o).values()
+
+
+def same_value(a, b) -> bool:
+    """Whether two objects hold the same values: arrays byte for byte (dtype
+    and shape too), dataclasses field by field, mappings key by key in order,
+    bound hooks by function and arguments, other gptlab objects attribute by
+    attribute, and anything else by ``==``."""
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, np.ndarray):
+        return same_bytes(a, b)
+    if dataclasses.is_dataclass(a):
+        return all(same_value(getattr(a, f.name), getattr(b, f.name))
+                   for f in dataclasses.fields(a))
+    if isinstance(a, Mapping):
+        return list(a) == list(b) and all(same_value(a[k], b[k]) for k in a)
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(same_value, a, b))
+    if isinstance(a, partial):
+        return a.func is b.func and same_value((a.args, a.keywords), (b.args, b.keywords))
+    if type(a).__module__.startswith("gptlab.") and hasattr(a, "__dict__"):
+        return same_value(vars(a), vars(b))
+    return a == b

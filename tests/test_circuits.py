@@ -308,6 +308,21 @@ def test_table_acceptor_total(classical2):
         acceptance_prob(c, partial)
 
 
+def test_an_acceptors_table_is_a_read_only_copy(classical2):
+    c = coin_circuit(classical2)
+    strings = list(distribution(c))
+    table = {z.pairs: 0 for z in strings}
+    for acceptor in (Acceptor("table", table=table), Acceptor.from_table(
+            {z: 0 for z in strings}, c)):
+        table[strings[0].pairs] = 0  # the caller's dict, edited after the build
+        assert acceptance_prob(c, acceptor) == 1.0
+        table[strings[0].pairs] = 1
+        assert acceptance_prob(c, acceptor) == 1.0
+        with pytest.raises(TypeError):
+            acceptor.table[strings[0].pairs] = 1
+        assert acceptance_prob(c, acceptor) == 1.0
+
+
 def test_table_acceptor_accepting_nothing_returns_a_float(classical2):
     c = coin_circuit(classical2)
     reject = Acceptor.from_table([({"u": "0", "r": "0"}, 1), ({"u": "0", "r": "1"}, 1)], c)

@@ -1,5 +1,6 @@
 """Carrier types and the four core operations."""
 
+import itertools
 import math
 import pickle
 from fractions import Fraction
@@ -21,7 +22,8 @@ from gptlab import (
 from gptlab.core import Factor, _freeze, checked_coords
 from gptlab.errors import TypeMismatchError
 from gptlab.interference import ProjectorFamily
-from gptlab.theories import PAULI, DensityCarrier, RebitRule, hermitian_basis
+from gptlab.theories import (PAULI, DensityCarrier, RebitRule, _even_y_slots, _table,
+                             even_y_index, hermitian_basis, pauli_strings)
 
 from conftest import all_theories, arrays_in, builtin_arrays
 
@@ -271,10 +273,11 @@ def test_every_holder_freezes_its_own_copy_and_builtins_share_theirs():
         rule = one.composite_rule
         if isinstance(rule, RebitRule):  # each outcome's transfer and its even-Y block,
             stacks += [m for g in one.gates.values() for t in g.factor for m in rule._transfer(t)[:2]]
-            rule.permutation_index([one.system()] * 2, [1, 0])  # and the Pauli string tables
-            assert {build.__name__ for build, _ in rule._tables} == {
-                "pauli_strings", "even_y_index", "_even_y_slots"}
-            stacks += list(rule._tables.values())
+            # and the Pauli string tables, each built once per process
+            builds = list(itertools.product((pauli_strings, even_y_index, _even_y_slots), (1, 2)))
+            tables = [_table(build, k) for build, k in builds]
+            assert all(_table(build, k) is t for (build, k), t in zip(builds, tables))
+            stacks += tables
         for a in [a for a, _ in shared] + stacks:
             assert _refuses_writes(a) and _refuses_writes(a.base), one.name
 
