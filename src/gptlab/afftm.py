@@ -49,7 +49,7 @@ import numpy as np
 
 from .circuits import (DEFAULT_ENUMERATION_CAP, Acceptor, CircuitDAG, Decision, _accept,
                        _compile, _Layer)
-from .core import ALGEBRA_TOL, PHYSICAL_TOL, _Checked
+from .core import ALGEBRA_TOL, PHYSICAL_TOL, _Checked, _freeze
 from .errors import HaltingViolationError, MachineValidationError
 
 Move = str  # "L" | "R" | "S"
@@ -206,10 +206,10 @@ class _Table(NamedTuple):
     so halting rows persist unchanged; a missing transition has no branches.
     """
 
-    states: list[str]  # state index -> name, sorted
-    symbols: list[str]  # symbol index -> symbol, blank = 0
-    state_index: dict[str, int]  # the inverses of the two lists
-    symbol_index: dict[str, int]
+    states: tuple[str, ...]  # state index -> name, sorted
+    symbols: tuple[str, ...]  # symbol index -> symbol, blank = 0
+    state_index: Mapping[str, int]  # the inverses of the two tuples
+    symbol_index: Mapping[str, int]
     halting: np.ndarray  # per state index
     first: np.ndarray  # per key: index of its first branch
     count: np.ndarray  # per key: number of branches
@@ -220,8 +220,9 @@ class _Table(NamedTuple):
 
 
 def _table(machine: AffineMachine) -> _Table:
-    states = sorted(machine.states)
-    symbols = [machine.blank, *sorted(machine.alphabet - {machine.blank})]
+    """The machine's table, read-only throughout; built once, at its first hand-off to rows."""
+    states = tuple(sorted(machine.states))
+    symbols = (machine.blank, *sorted(machine.alphabet - {machine.blank}))
     state_index = {s: i for i, s in enumerate(states)}
     symbol_index = {a: i for i, a in enumerate(symbols)}
     count, branches = [], []
@@ -236,13 +237,12 @@ def _table(machine: AffineMachine) -> _Table:
             branches.extend(keyed)
     count = np.array(count, dtype=np.intp)
     next_state, write, move, weight = zip(*branches)  # the accept state has branches
-    return _Table(states, symbols, state_index, symbol_index,
-                  np.array([machine.is_halting(s) for s in states]),
-                  np.cumsum(count) - count, count,
-                  np.array([state_index[s] for s in next_state], dtype=np.intp),
-                  np.array([symbol_index[a] for a in write], dtype=np.intp),
-                  np.array([_MOVES[m] for m in move], dtype=np.intp),
-                  np.array(weight, dtype=float))
+    arrays = (np.array([machine.is_halting(s) for s in states]), np.cumsum(count) - count, count,
+              np.array([state_index[s] for s in next_state], dtype=np.intp),
+              np.array([symbol_index[a] for a in write], dtype=np.intp),
+              np.array([_MOVES[m] for m in move], dtype=np.intp), np.array(weight, dtype=float))
+    return _Table(states, symbols, MappingProxyType(state_index),
+                  MappingProxyType(symbol_index), *map(_freeze, arrays))
 
 
 def _merge(rows: np.ndarray, weights: np.ndarray):

@@ -341,7 +341,7 @@ def foliate(circuit: CircuitDAG, style: str = "greedy") -> list[list[str]]:
 
 
 @dataclass(frozen=True, eq=False)
-class _Layer:
+class _Layer(_Checked):
     """One compiled foliation layer, applied by ``rule.contract(pieces, ...)``;
     its outcome combinations are the ``itertools.product`` of its gates' labels."""
 
@@ -349,6 +349,11 @@ class _Layer:
     pieces: tuple[Factor, ...]  # per factor, held by its gate or the rule; passthrough wires last
     perm: np.ndarray | None  # joint-state gather index applied first; None = identity
     rule: CompositeRule
+
+    def __post_init__(self) -> None:
+        if self.perm is not None:  # over immutable bytes, so read-only for good
+            perm = np.asarray(self.perm, np.intp).tobytes()
+            object.__setattr__(self, "perm", np.frombuffer(perm, np.intp))
 
 
 def _layout(circuit: CircuitDAG, foliation, rule: CompositeRule) -> tuple[_Layer, ...]:

@@ -316,7 +316,8 @@ class StrategyHooks:
     the checks a :class:`StateVector` or :class:`EffectVector` makes. One
     sampler call for n rows takes the same draws from ``rng``, in the same
     order and with the same bits, as n calls for one row, so a search's random
-    stream does not depend on how it batches.
+    stream does not depend on how it batches. The built-in hooks bind no
+    array: their grid rows view bytes, read-only for good in every copy.
     """
 
     state_grid: Callable[[], tuple[list[str], np.ndarray]]
@@ -341,8 +342,8 @@ class TheoryDescriptor(_Checked):
     one, so editing one build changes no other. What builds share is
     read-only and computed on a theory's first build in the process: the
     numpy arrays under the vectors' coordinates, the outcome matrices and
-    Kraus tuples, the rebit strategy grid rows, the immutable
-    :class:`DensityCarrier`, and the rebit rule's tables, filled on use.
+    Kraus tuples, the immutable :class:`DensityCarrier`, and the rebit
+    rule's tables, filled on use.
     """
 
     name: str
@@ -386,9 +387,9 @@ _Draw = Callable[[np.random.Generator, int], np.ndarray]
 _Grid = tuple[Sequence[str], np.ndarray]
 
 
-def _grid(names: tuple[str, ...], rows: np.ndarray) -> _Grid:
-    # read-only as held at build, and after a pickle, which restores them writable
-    return list(names), _freeze(rows)
+def _grid(names: tuple[str, ...], data: bytes) -> _Grid:
+    # rows over immutable bytes: no pickle or copy of the hook makes them writable
+    return list(names), np.frombuffer(data).reshape(len(names), -1)
 
 
 def _checked_rows(draw: _Draw, dim: int, kind: str, normalized: bool,
@@ -397,24 +398,26 @@ def _checked_rows(draw: _Draw, dim: int, kind: str, normalized: bool,
 
 
 def _builtin(sys: SystemType, rule: CompositeRule, devices: Sequence[Gate], states: dict,
-             effects: dict, draws: tuple[_Draw, _Draw], meta: dict, normalized: bool = True,
+             effects: dict, draws: tuple[_Draw, _Draw], meta: dict,
              carrier: DensityCarrier | None = None,
              grids: tuple[_Grid, _Grid] | None = None) -> TheoryDescriptor:
     """The built-in theory ``sys.theory`` on its one type ``sys``: ``devices``
     by name, ``effects["u"]`` deterministic, and strategy hooks over ``(names,
     rows)`` ``grids`` whose rows passed the vector classes' checks, or else over
     the library's states and effects on ``sys``, with samplers ``draws`` (the
-    states', the effects') whose every row is checked as the vector classes do.
-    The hooks are module functions bound by ``functools.partial``, so the
-    descriptor pickles."""
+    states', the effects') whose every row is checked as the vector classes do
+    (states with the flag the library's states on ``sys`` carry). The hooks are
+    module functions bound by ``functools.partial`` to no array, so the
+    descriptor pickles; a grid binds its rows as bytes, read-only for good."""
 
     def library_grid(vectors: Mapping) -> _Grid:
         own = {n: v.coords for n, v in vectors.items() if v.system == sys}
-        return list(own), np.array(list(own.values())).reshape(len(own), sys.dim)
+        return list(own), np.array(list(own.values()))
 
     def grid(names: Sequence[str], rows: np.ndarray):
-        return functools.partial(_grid, tuple(names), _read_only(rows))
+        return functools.partial(_grid, tuple(names), rows.tobytes())
 
+    normalized = all(s.normalized for s in states.values() if s.system == sys)
     state_grid, effect_grid = grids or (library_grid(states), library_grid(effects))
     return TheoryDescriptor(
         name=sys.theory,
@@ -465,35 +468,19 @@ def _held(**arrays) -> SimpleNamespace:
 # devices built from the state and effect libraries
 
 
-def _outcomes(vectors, kraus) -> list[tuple]:
-    """``(key, label, vector, kraus)`` per device outcome. A lone vector is the
-    single unlabelled outcome "0"; outcomes given by key are labelled with it,
-    and ``kraus`` then maps each key to that outcome's operators."""
-    if isinstance(vectors, Mapping):
-        return [(k, k, v, None if kraus is None else kraus[k]) for k, v in vectors.items()]
-    return [("0", "", vectors, kraus)]
-
-
-def _prep(name: str, states: StateVector | Mapping[str, StateVector],
-          kraus: tuple | Mapping[str, tuple] | None = None) -> Gate:
-    """A preparation device: each outcome's column is the coords of its state."""
-    outs = _outcomes(states, kraus)
+def _device(name: str, vectors: StateVector | EffectVector | Mapping,
+            kraus: tuple | Mapping[str, tuple] | None = None) -> Gate:
+    """A preparation from states, or a measurement or sink from effects: each
+    outcome's matrix is its vector's coords. A lone vector is the single
+    unlabelled outcome "0"; outcomes given by key are labelled with it, and
+    ``kraus`` then maps each key to that outcome's operators."""
+    outs = ([(k, k, v, None if kraus is None else kraus[k]) for k, v in vectors.items()]
+            if isinstance(vectors, Mapping) else [("0", "", vectors, kraus)])
     sys = outs[0][2].system
-    return Gate(name, (), sys.wires, {
-        key: TransformationMatrix(UNIT, sys, s.coords.reshape(-1, 1), outcome_label=label, kraus=k)
-        for key, label, s, k in outs
-    })
-
-
-def _measure(name: str, effects: EffectVector | Mapping[str, EffectVector],
-             kraus: tuple | Mapping[str, tuple] | None = None) -> Gate:
-    """A measurement or sink device: each outcome's row is the coords of its effect."""
-    outs = _outcomes(effects, kraus)
-    sys = outs[0][2].system
-    return Gate(name, sys.wires, (), {
-        key: TransformationMatrix(sys, UNIT, e.coords.reshape(1, -1), outcome_label=label, kraus=k)
-        for key, label, e, k in outs
-    })
+    src, dst = (UNIT, sys) if isinstance(outs[0][2], StateVector) else (sys, UNIT)
+    return Gate(name, src.wires, dst.wires, {
+        key: TransformationMatrix(src, dst, v.coords.reshape(dst.dim, src.dim),
+                                  outcome_label=label, kraus=k) for key, label, v, k in outs})
 
 
 def _channel(name: str, sys: SystemType, matrix: np.ndarray, kraus: tuple | None = None) -> Gate:
@@ -541,15 +528,15 @@ def classical_theory(d: int) -> TheoryDescriptor:
     effects = {f"p{j}": EffectVector(sys, a.eye[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, a.ones)
 
-    devices = [_prep(f"prep_{j}", {"0": states[f"s{j}"]}) for j in range(d)]
-    devices.append(_prep("prep_uniform", {"0": states["uniform"]}))
+    devices = [_device(f"prep_{j}", {"0": states[f"s{j}"]}) for j in range(d)]
+    devices.append(_device("prep_uniform", {"0": states["uniform"]}))
     if d == 2:
-        devices.append(_prep("coin", {"0": StateVector(sys, a.coin[0]),
-                                      "1": StateVector(sys, a.coin[1])}))
+        devices.append(_device("coin", {"0": StateVector(sys, a.coin[0]),
+                                        "1": StateVector(sys, a.coin[1])}))
         devices.append(_channel("not", sys, a.flip))
     devices.append(_channel("id", sys, a.eye))
-    devices.append(_measure("read", {str(k): effects[f"p{k}"] for k in range(d)}))
-    devices.append(_measure("sink", effects["u"]))
+    devices.append(_device("read", {str(k): effects[f"p{k}"] for k in range(d)}))
+    devices.append(_device("sink", effects["u"]))
 
     return _builtin(sys, rule, devices, states, effects,
                     (functools.partial(_dirichlet_rows, d), functools.partial(_uniform_rows, d)),
@@ -639,8 +626,8 @@ def quantum_theory(d: int) -> TheoryDescriptor:
     effects = {f"p{j}": EffectVector(sys, a.projs[j]) for j in range(d)}
     effects["u"] = EffectVector(sys, a.unit)
 
-    devices = [_prep(f"prep_{j}", states[f"basis_{j}"], (a.kets[j],)) for j in range(d)]
-    devices.append(_prep("prep_mixed", states["mixed"], a.mixed_kraus))
+    devices = [_device(f"prep_{j}", states[f"basis_{j}"], (a.kets[j],)) for j in range(d)]
+    devices.append(_device("prep_mixed", states["mixed"], a.mixed_kraus))
     pair_devices = []
     if d == 2:
         states["plus"] = StateVector(sys, a.plus_coords, normalized=True)
@@ -648,15 +635,15 @@ def quantum_theory(d: int) -> TheoryDescriptor:
         pair = rule.composite([sys, sys])
         for bname, coords in a.bells.items():
             states[bname] = StateVector(pair, coords, normalized=True)
-        devices.append(_prep("prep_plus", StateVector(sys, a.plus_prep), (a.plus,)))
+        devices.append(_device("prep_plus", StateVector(sys, a.plus_prep), (a.plus,)))
         devices += [_channel(gname, sys, m, kraus) for gname, m, kraus in a.channels]
         pair_devices = [_channel("cnot", pair, *a.cnot),
-                        _prep("prep_bell", states["phi_plus"], (_bell_kets()["phi_plus"],))]
+                        _device("prep_bell", states["phi_plus"], (_bell_kets()["phi_plus"],))]
 
     devices.append(_channel("id", sys, a.eye, a.id_kraus))
-    devices.append(_measure("measure", {str(k): effects[f"p{k}"] for k in range(d)},
-                            {str(k): (a.bras[k],) for k in range(d)}))
-    devices.append(_measure("sink", effects["u"], a.bras))
+    devices.append(_device("measure", {str(k): effects[f"p{k}"] for k in range(d)},
+                           {str(k): (a.bras[k],) for k in range(d)}))
+    devices.append(_device("sink", effects["u"], a.bras))
 
     draws = (functools.partial(_quantum_state, a.carrier, d),
              functools.partial(_quantum_effect, a.carrier, d))
@@ -724,11 +711,11 @@ def _rebit_states(rng: np.random.Generator, n: int) -> np.ndarray:
     return _bloch_coords(theta * (2 * math.pi), r)
 
 
-def _rebit_effects(unit: np.ndarray, rng: np.random.Generator, n: int) -> np.ndarray:
+def _rebit_effects(rng: np.random.Generator, n: int) -> np.ndarray:
     # alpha * projector + beta * its complement, drawn (theta, alpha, beta) per row
     theta, alpha, beta = rng.random((n, 3)).T
     p_coords = _bloch_coords(theta * (2 * math.pi))
-    return alpha[:, None] * p_coords + beta[:, None] * (unit - p_coords)
+    return alpha[:, None] * p_coords + beta[:, None] * (_rebit_arrays().unit - p_coords)
 
 
 def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
@@ -765,21 +752,21 @@ def real_quantum_theory(d: int = 2) -> TheoryDescriptor:
 
     devices = [_channel(gname, sys, m, kraus) for gname, m, kraus in a.channels]
     devices += [
-        _prep("prep_0", states["zero"], (a.e0,)),
-        _prep("prep_plus", states["plus"], (a.plus,)),
-        _prep("prep_mixed", states["mixed"], a.mixed_kraus),
-        _measure("measure", {"0": effects["p0"], "1": effects["p1"]},
-                 {"0": (a.bra0,), "1": (a.bra1,)}),
-        _measure("sink", effects["u"], (a.bra0, a.bra1)),
-        _prep("prep_phi_plus", states["phi_plus"], (_bell_kets()["phi_plus"],)),
-        _measure("joint_measure", {"first": effects["joint_first"],
-                                   "second": effects["joint_second"]}, a.joint_kraus),
+        _device("prep_0", states["zero"], (a.e0,)),
+        _device("prep_plus", states["plus"], (a.plus,)),
+        _device("prep_mixed", states["mixed"], a.mixed_kraus),
+        _device("measure", {"0": effects["p0"], "1": effects["p1"]},
+                {"0": (a.bra0,), "1": (a.bra1,)}),
+        _device("sink", effects["u"], (a.bra0, a.bra1)),
+        _device("prep_phi_plus", states["phi_plus"], (_bell_kets()["phi_plus"],)),
+        _device("joint_measure", {"first": effects["joint_first"],
+                                  "second": effects["joint_second"]}, a.joint_kraus),
     ]
 
     state_grid = ([f"pure({k * 15}°)" for k in range(24)] + ["mixed"], a.state_rows)
     effect_grid = ([f"proj({k * 15}°)" for k in range(24)] + ["unit"], a.effect_rows)
     return _builtin(sys, rule, devices, states, effects,
-                    (_rebit_states, functools.partial(_rebit_effects, a.unit)),
+                    (_rebit_states, _rebit_effects),
                     {"builtin": "real-quantum", "params": {"d": 2}}, carrier=a.carrier,
                     grids=(state_grid, effect_grid))
 
@@ -832,9 +819,10 @@ def _gbit_states(rng: np.random.Generator, n: int) -> np.ndarray:
     return _gbit_coords(p0, p1)
 
 
-def _gbit_effect(eye: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _gbit_effect(rng: np.random.Generator) -> np.ndarray:
     x = rng.integers(0, 2)
     alpha, beta = rng.uniform(0.0, 1.0, size=2)
+    eye = _gbit_arrays().eye
     return alpha * eye[_gbit_index(0, x)] + beta * eye[_gbit_index(1, x)]
 
 
@@ -862,18 +850,17 @@ def boxworld_gbit() -> TheoryDescriptor:
         states[vname] = StateVector(sys, coords)
     states["pr_box"] = StateVector(pair, a.pr_box)
 
-    devices = [_prep(f"prep_{sname}", states[sname])
+    devices = [_device(f"prep_{sname}", states[sname])
                for sname in ("mixed", "v00", "v01", "v10", "v11")]
-    devices.append(_prep("prep_pr", states["pr_box"]))
+    devices.append(_device("prep_pr", states["pr_box"]))
     for x in range(2):
-        devices.append(_measure(f"measure_x{x}", {str(b): effects[f"e{b}x{x}"] for b in range(2)}))
-    devices.append(_measure("sink", effects["u"]))
+        devices.append(_device(f"measure_x{x}", {str(b): effects[f"e{b}x{x}"] for b in range(2)}))
+    devices.append(_device("sink", effects["u"]))
     devices.append(_channel("id", sys, a.eye))
 
-    draw_effect = functools.partial(_gbit_effect, a.eye)
     return _builtin(sys, rule, devices, states, effects,
-                    (_gbit_states, functools.partial(_per_sample, draw_effect, sys.dim)),
-                    {"builtin": "boxworld", "params": {}}, normalized=False)
+                    (_gbit_states, functools.partial(_per_sample, _gbit_effect, sys.dim)),
+                    {"builtin": "boxworld", "params": {}})
 
 
 # ---------------------------------------------------------------------------

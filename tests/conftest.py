@@ -32,7 +32,9 @@ the rebit samplers as they drew with ``rng.uniform``'s array bounds.
 ``bit_oracle_unitary`` writes the oracle's dense permutation
 matrix one basis state (x, y) at a time, and ``oracle_unitary`` adds its
 transfer matrix; ``defect_direction_overlap`` measures a vector against a
-tomography report's defect basis. Random corpus builders are seeded.
+tomography report's defect basis. Random corpus builders are seeded;
+``crossed_circuit`` is a small circuit one of whose compiled layers gathers
+its wires.
 ``operator_of`` reads a carrier's coordinates back as an operator, and
 ``rebit_carrier`` is the held carrier of n rebits the rebit rule's
 composites are written in.
@@ -447,6 +449,18 @@ _CATALOG = {
     "boxworld": dict(prep1=["prep_mixed", "prep_v00", "prep_v11", "prep_v01"], prep2=["prep_pr"],
                      trans=["id"], close1=["measure_x0", "measure_x1", "sink"], close2=[]),
 }
+
+
+def crossed_circuit(theory) -> CircuitDAG:
+    """``p0 -> h0 -> m0`` beside ``p1 -> m1``, instances added ``p0, p1, m1, h0,
+    m0``: its second compiled layer gathers the two wires into ``m1, h0`` order."""
+    c = CircuitDAG(theory)
+    for iid, name in (("p0", "prep_0"), ("p1", "prep_0"), ("m1", "measure"), ("h0", "h"),
+                      ("m0", "measure")):
+        c.add(iid, theory.gate(name))
+    for src, dst in (("p0", "h0"), ("p1", "m1"), ("h0", "m0")):
+        c.connect((src, 0), (dst, 0))
+    return c
 
 
 def random_circuit(theory, rng: np.random.Generator, max_gates: int = 5) -> CircuitDAG:
@@ -1152,9 +1166,9 @@ def same_bytes(got, want) -> bool:
 def reachable(obj):
     """``obj`` and every object it reaches, each once: through dataclass
     fields, mapping keys and values, the items of tuples, lists and sets, the
-    attributes of other gptlab objects (composite rules, circuits) and, from
-    strategy hooks, what each grid returns; the arguments a hook binds are not
-    entered."""
+    arguments and keywords a ``functools.partial`` binds, the attributes of
+    gptlab objects (composite rules, circuits) with the cached properties
+    built on them, and, from strategy hooks, what each grid returns."""
     seen, todo = {}, [obj]
     while todo:
         o = todo.pop()
@@ -1164,13 +1178,15 @@ def reachable(obj):
         yield o
         if isinstance(o, StrategyHooks):
             todo += [o.state_grid(), o.effect_grid()]
+        if isinstance(o, partial):
+            todo += [*o.args, *o.keywords.values()]
         elif dataclasses.is_dataclass(o) and not isinstance(o, type):
             todo += [getattr(o, f.name) for f in dataclasses.fields(o)]
         elif isinstance(o, Mapping):
             todo += [*o.keys(), *o.values()]
         elif isinstance(o, (tuple, list, set, frozenset)):
             todo += o
-        elif type(o).__module__.startswith("gptlab.") and hasattr(o, "__dict__"):
+        if type(o).__module__.startswith("gptlab.") and hasattr(o, "__dict__"):
             todo += vars(o).values()
 
 

@@ -7,12 +7,13 @@ import re
 from functools import reduce
 from itertools import product
 from operator import add
+from types import MappingProxyType
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gptlab import Acceptor, acceptance_prob
+from gptlab import Acceptor, acceptance_prob, distribution
 from gptlab import afftm
 from gptlab.afftm import (
     AffineMachine,
@@ -29,6 +30,7 @@ from gptlab.afftm import (
 from gptlab.errors import HaltingViolationError, MachineValidationError
 
 from conftest import (
+    crossed_circuit,
     fanout,
     monte_carlo_acceptance,
     random_circuit,
@@ -358,6 +360,30 @@ def test_bridge_random_classical_circuits(classical2):
         assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_a_programs_layers_refuse_writes(qubit):
+    c = crossed_circuit(qubit)
+    want = [(str(z), p.hex()) for z, p in distribution(c).items()]
+    perm = circuit_to_affine_program(c, Acceptor("accept-all")).steps[1].perm
+    with pytest.raises(ValueError, match="read-only"):
+        perm[:] = np.roll(perm, 1)  # this made every later probability 0.0
+    with pytest.raises(ValueError):
+        perm.setflags(write=True)
+    assert [(str(z), p.hex()) for z, p in distribution(c).items()] == want
+
+
+def test_a_pickled_program_holds_read_only_layers(qubit):
+    c = crossed_circuit(qubit)
+    for acceptor in (Acceptor("parity-of-labels"), Acceptor("first-outcome-is-0", instance="m1")):
+        program = circuit_to_affine_program(c, acceptor)
+        again = pickle.loads(pickle.dumps(program))
+        perms = [layer.perm for layer in again.steps if layer.perm is not None]
+        assert perms and not any(p.flags.writeable for p in perms)
+        for p in perms:
+            with pytest.raises(ValueError):
+                p.setflags(write=True)
+        assert again.acceptance_weight().hex() == program.acceptance_weight().hex()
+
+
 # ---------------------------------------------------------------------------
 # rows: the encoding a run steps its frontier in from afftm._ROWS_FROM on
 
@@ -593,6 +619,21 @@ def test_a_machine_builds_its_row_table_once(monkeypatch):
     assert pickle.dumps(m) == pickle.dumps(writer_machine(9, 0.3))  # the table is not pickled
     again = pickle.loads(pickle.dumps(m))
     assert norm_trace(again, "", 9) == norm_trace(m, "", 9) and built == [m, again]
+
+
+def test_a_machines_row_table_holds_nothing_writable():
+    m = writer_machine(9, 0.3)
+    want = acceptance_weight(m, "", 9)
+    assert "_rows_table" in vars(m)  # built by the run's hand-off to rows
+    table = m._rows_table
+    assert type(table.states) is type(table.symbols) is tuple
+    assert type(table.state_index) is type(table.symbol_index) is MappingProxyType
+    for a in table[4:]:
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0.5  # on the weights, this moved the next run's weight
+        with pytest.raises(ValueError):
+            a.setflags(write=True)
+    assert acceptance_weight(m, "", 9).hex() == want.hex()
 
 
 def test_norms_add_the_squares_left_to_right():

@@ -17,12 +17,14 @@ import numpy as np
 import pytest
 
 import gptlab
-from gptlab import Acceptor, distribution
+from gptlab import Acceptor, acceptance_prob, distribution
+from gptlab.afftm import acceptance_weight, circuit_to_affine_program, norm_trace
+from gptlab.circuits import _compile, _Layer
 from gptlab.core import _Checked
 from gptlab.querylab import OracleFunction
 from gptlab.serialization import parse_circuit, parse_family, parse_machine, parse_theory
 
-from conftest import reachable, same_value
+from conftest import crossed_circuit, reachable, same_value, writer_machine
 
 DATA = Path(gptlab.__file__).parent / "data"
 
@@ -54,7 +56,7 @@ def checked_instances() -> list:
     out = [rebit.system(), pair.system, pair, rebit.effect("u"), rebit.gate("h").outcomes["0"],
            rebit.carrier, rebit, rebit.gate("measure"), machine.transitions[("q0", "_")][0],
            machine, parse_family(DATA / "family_qutrit.json"), OracleFunction((0, 1, 1, 0)),
-           first_is_0, table]
+           _compile(crossed_circuit(rebit), None)[1], first_is_0, table]
     for obj in out:  # every cached property, built
         for name in _cached(type(obj)):
             getattr(obj, name)
@@ -126,7 +128,7 @@ def forced_instances() -> list:
 
 
 def test_the_forced_instances_cover_every_class_with_a_check():
-    assert {type(o) for o in forced_instances()} == _subclasses(_Checked) - {Acceptor}
+    assert {type(o) for o in forced_instances()} == _subclasses(_Checked) - {Acceptor, _Layer}
 
 
 @pytest.mark.parametrize("how", ROUND_TRIPS)
@@ -135,10 +137,12 @@ def test_a_pickle_or_copy_runs_the_constructors_checks_again(how):
         error, message = _constructor_error(bad)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             ROUND_TRIPS[how](bad)
-    # the acceptor checks nothing, but holds its table read-only again
-    acceptor = checked_instances()[-1]
+    # the acceptor and the layer check nothing, but hold their table and perm read-only again
+    *_, layer, _, acceptor = checked_instances()
     writable = _forced(acceptor, "table", dict(acceptor.table))
     assert type(ROUND_TRIPS[how](writable).table) is MappingProxyType
+    again = ROUND_TRIPS[how](_forced(layer, "perm", layer.perm.copy()))
+    assert _refuses_writes(again.perm) and same_value(again.perm, layer.perm)
 
 
 def test_every_checked_dataclass_takes_the_construction_rule():
@@ -157,3 +161,44 @@ def test_every_checked_dataclass_takes_the_construction_rule():
                 assert all(f.init for f in dataclasses.fields(cls)), cls.__name__
                 checked.add(cls)
     assert checked == _subclasses(_Checked)
+
+
+BUILTINS = ("classical_theory(2)", "classical_theory(5)", "quantum_theory(2)",
+            "quantum_theory(3)", "real_quantum_theory()", "boxworld_gbit()")
+
+
+@pytest.mark.parametrize("call", BUILTINS)
+def test_a_builtin_theory_and_its_copies_hold_no_writable_array(call):
+    theory = eval(call, vars(gptlab))
+    for how, again in (("build", theory), *((h, f(theory)) for h, f in ROUND_TRIPS.items())):
+        for sampler in (again.strategies.random_states, again.strategies.random_effects):
+            sampler(np.random.default_rng(1), 3)
+        arrays = [o for o in reachable(again) if isinstance(o, np.ndarray)]
+        assert arrays and all(map(_refuses_writes, arrays)), how
+
+
+def test_objects_in_use_hold_no_writable_array():
+    # after the bundled circuits are evaluated, their bridge programs built and
+    # run and the bundled machines run, beside a circuit whose layers gather and a
+    # writer that hands its frontier to rows, every array they reach refuses
+    # writes: the circuits' held layers and the cached properties built on use too
+    circuits = [parse_circuit(p) for p in sorted(DATA.glob("circuit_*.json"))]
+    circuits.append((crossed_circuit(parse_theory(DATA / "theory_qubit.json")), None))
+    programs = []
+    for circuit, acceptor in circuits:
+        acceptor = acceptor or Acceptor("parity-of-labels")
+        distribution(circuit)
+        acceptance_prob(circuit, acceptor)
+        programs.append(circuit_to_affine_program(circuit, acceptor))
+        programs[-1].acceptance_weight()
+    machines = [parse_machine(p) for p in sorted(DATA.glob("machine_*.json"))]
+    machines.append(writer_machine(9, 0.3))
+    for machine in machines:
+        acceptance_weight(machine, "", 40)
+        norm_trace(machine, "", 40)
+    assert "_rows_table" in vars(machines[-1])
+    reached = list(reachable((circuits, programs, machines)))
+    perms = [o.perm for o in reached if type(o) is _Layer and o.perm is not None]
+    assert perms and any(o is machines[-1]._rows_table.weight for o in reached)
+    arrays = [o for o in reached if isinstance(o, np.ndarray)]
+    assert all(map(_refuses_writes, arrays))
