@@ -17,13 +17,16 @@ the run converts it to rows (`_Rows`) and steps it there:
 an integer row per configuration (state index, head column, and a tape
 window of symbol indices with blank = 0) beside a float64 weight array.
 A row step gathers each row's branches from a transition table the machine
-builds at its first hand-off and holds, repeats the row over them, writes
-and moves, then merges equal rows in first-seen order and sums their weights
+builds from its transitions at its first hand-off and holds, repeats the row
+over them, writes and moves (reading and writing the head cell through flat
+indices), then merges equal rows in first-seen order and sums their weights
 in row order, as `step` does. A norm adds a frontier's squares left to right
 in float64 on either encoding. So every acceptance weight and norm is
 bit-identical on either. Equal rows are grouped by one stable sort of the
-rows' bytes; when no two rows are equal (a writer's frontier never merges),
-the step keeps them as they are. The window covers the tape at the hand-off.
+rows' bytes and found by comparing neighbours word by word; rows already in
+byte order are compared where they are, others through one sorted copy.
+When no two rows are equal (a writer's frontier never merges), the step
+keeps them as they are. The window covers the tape at the hand-off.
 When a head steps past an edge, it moves to the cells some row has written
 or a head is on, padded on that side; if those rows would be mostly blank
 (heads far from the written cells), the run converts them back and finishes
@@ -42,6 +45,7 @@ from functools import cached_property
 from itertools import chain
 from math import isfinite
 from numbers import Real
+from operator import itemgetter
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -49,7 +53,7 @@ import numpy as np
 
 from .circuits import (DEFAULT_ENUMERATION_CAP, Acceptor, CircuitDAG, Decision, _accept,
                        _compile, _Layer)
-from .core import ALGEBRA_TOL, PHYSICAL_TOL, _Checked, _freeze
+from .core import ALGEBRA_TOL, PHYSICAL_TOL, _Checked
 from .errors import HaltingViolationError, MachineValidationError
 
 Move = str  # "L" | "R" | "S"
@@ -190,13 +194,14 @@ def step(machine: AffineMachine, vector: AffineVector) -> AffineVector:
     return out
 
 
-# A frontier of this many configurations steps as rows. Handing a writer off
-# here and stepping once more (128 -> 256) costs what the dict step does;
-# each further step is cheaper as rows, and a run that peaks below it is not.
-# A hand-off at 64 slows a writer that peaks at 128 (0.43 against 0.34 ms on
-# one core of a 2 vCPU Xeon) and read 3% more afftm-frontier ops/s over ten
-# paired benchmark runs, less than the spread between runs.
-_ROWS_FROM = 128
+# A frontier of this many configurations steps as rows. Handing off here
+# slows a writer that peaks at 128 (0.50 against 0.31 ms with a hand-off at
+# 128) and speeds every longer one: 2^10 configurations take 0.68 against
+# 0.82 ms, 2^12 1.04 against 1.17 ms, 2^14 2.55 against 2.61 ms. A hand-off
+# at 32 slows the 2^14 writer (3.08 ms): its window doubles once more, to 30
+# columns. Medians of norm_trace on fresh writers, in the reference ms of
+# perfbench's bench_calibrate, on a shared 2 vCPU Xeon.
+_ROWS_FROM = 64
 
 
 class _Table(NamedTuple):
@@ -204,6 +209,7 @@ class _Table(NamedTuple):
 
     A halting state gets one branch per symbol that keeps the configuration,
     so halting rows persist unchanged; a missing transition has no branches.
+    Each array is read-only over immutable bytes.
     """
 
     states: tuple[str, ...]  # state index -> name, sorted
@@ -220,29 +226,35 @@ class _Table(NamedTuple):
 
 
 def _table(machine: AffineMachine) -> _Table:
-    """The machine's table, read-only throughout; built once, at its first hand-off to rows."""
+    """The machine's table, read-only throughout; built once, at its first hand-off to rows.
+
+    Only the keys with branches are visited: the machine's transitions, then one
+    keeping branch per symbol for each halting state (19 of the 45 keys of
+    `writer_machine(13)`, whose table takes about 35 us).
+    """
     states = tuple(sorted(machine.states))
     symbols = (machine.blank, *sorted(machine.alphabet - {machine.blank}))
     state_index = {s: i for i, s in enumerate(states)}
     symbol_index = {a: i for i, a in enumerate(symbols)}
-    count, branches = [], []
-    for state in states:
-        for symbol in symbols:
-            if machine.is_halting(state):
-                keyed = [(state, symbol, "S", 1.0)]
-            else:
-                keyed = [(b.next_state, b.write, b.move, b.weight)
-                         for b in machine.transitions.get((state, symbol), ())]
-            count.append(len(keyed))
-            branches.extend(keyed)
-    count = np.array(count, dtype=np.intp)
-    next_state, write, move, weight = zip(*branches)  # the accept state has branches
-    arrays = (np.array([machine.is_halting(s) for s in states]), np.cumsum(count) - count, count,
-              np.array([state_index[s] for s in next_state], dtype=np.intp),
-              np.array([symbol_index[a] for a in write], dtype=np.intp),
-              np.array([_MOVES[m] for m in move], dtype=np.intp), np.array(weight, dtype=float))
-    return _Table(states, symbols, MappingProxyType(state_index),
-                  MappingProxyType(symbol_index), *map(_freeze, arrays))
+    n_symbols = len(symbols)
+    keyed = {state_index[s] * n_symbols + symbol_index[a]:
+             [(state_index[b.next_state], symbol_index[b.write], _MOVES[b.move], b.weight)
+              for b in branches]
+             for (s, a), branches in machine.transitions.items()}
+    halting = np.zeros(len(states), dtype=bool)
+    for state in (machine.accept, machine.reject):  # they have no transitions
+        i = state_index[state]
+        halting[i] = True
+        keyed.update({i * n_symbols + j: [(i, j, 0, 1.0)] for j in range(n_symbols)})
+    keys = sorted(keyed)
+    count = np.zeros(len(states) * n_symbols, dtype=np.intp)
+    count[keys] = [len(keyed[key]) for key in keys]
+    next_state, write, move, weight = zip(*chain.from_iterable(map(keyed.__getitem__, keys)))
+    arrays = (halting, np.cumsum(count) - count, count, np.array(next_state, dtype=np.intp),
+              np.array(write, dtype=np.intp), np.array(move, dtype=np.intp),
+              np.array(weight, dtype=float))
+    return _Table(states, symbols, MappingProxyType(state_index), MappingProxyType(symbol_index),
+                  *(np.frombuffer(a.tobytes(), a.dtype) for a in arrays))  # as _Layer.perm
 
 
 def _merge(rows: np.ndarray, weights: np.ndarray):
@@ -251,18 +263,27 @@ def _merge(rows: np.ndarray, weights: np.ndarray):
     Each C-contiguous row is one key of its bytes, so one stable sort of the
     keys puts each group of equal rows together, its first-seen row first.
     The sort is linear on keys that already come in byte order, as a
-    right-moving writer's frontier does. If no two neighbours are equal the rows are
-    distinct, and come back as they are with `weights + 0.0`, the sums
-    `np.bincount` would give. Otherwise `np.bincount` adds each group's
-    weights in row order starting from 0.0, the additions
-    `out.get(cfg, 0.0) + w` makes in `step`.
+    right-moving writer's frontier does, and such rows are compared where
+    they are, not through a sorted copy. Neighbours are compared as 8-byte
+    words, then a 4-, 2- and 1-byte tail: the bytes a void `!=` compares, in
+    about 45 against 390 us at 16,384 rows of 16 bytes. If no two neighbours
+    are equal the rows are distinct, and come back as they are with
+    `weights + 0.0`, the sums `np.bincount` would give. Otherwise
+    `np.bincount` adds each group's weights in row order starting from 0.0,
+    the additions `out.get(cfg, 0.0) + w` makes in `step`.
     """
     keys = rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
     order = np.argsort(keys, kind="stable")
-    ranked = keys[order]
-    starts = np.empty(len(rows), dtype=bool)
+    in_order = (order[1:] > order[:-1]).all()
+    ranked = (rows if in_order else np.take(rows, order, axis=0)).view(np.uint8)
+    starts = np.zeros(len(rows), dtype=bool)
     starts[0] = True
-    starts[1:] = ranked[1:] != ranked[:-1]  # bytewise; np.not_equal has no void loop
+    start = 0
+    for size in (8, 4, 2, 1):  # each whole 8-byte word, then a 4-, 2- and 1-byte tail
+        while ranked.shape[1] - start >= size:
+            column = ranked[:, start:start + size].view(f"u{size}")[:, 0]
+            starts[1:] |= column[1:] != column[:-1]
+            start += size
     if starts.all():
         return rows, weights + 0.0
     seen = np.empty(len(rows), dtype=np.intp)  # each row's first-seen equal row
@@ -289,17 +310,18 @@ class _Rows:
     def of(cls, machine: AffineMachine, vector: AffineVector) -> "_Rows":
         table = machine._rows_table
         states, tapes, heads = zip(*vector)
-        cells = list(chain.from_iterable(chain.from_iterable(tapes)))  # position, symbol, ...
+        cells = list(chain.from_iterable(tapes))  # (position, symbol) pairs
         row = np.repeat(np.arange(len(vector)), np.fromiter(map(len, tapes), np.intp, len(tapes)))
-        position = np.array(cells[0::2], dtype=np.intp)
+        position = np.fromiter(map(itemgetter(0), cells), np.intp, len(cells))
         heads = np.array(heads, dtype=np.intp)
         lo = min(heads.min(), position.min(initial=heads.min()))
         width = max(heads.max(), position.max(initial=heads.max())) - lo + 1
         rows = np.zeros((len(vector), 2 + width), dtype=_row_dtype(table, width))
-        rows[:, 0] = np.fromiter(map(table.state_index.__getitem__, states), np.intp, len(states))
+        state_index, symbol_index = dict(table.state_index), dict(table.symbol_index)  # dict speed
+        rows[:, 0] = np.fromiter(map(state_index.__getitem__, states), np.intp, len(states))
         rows[:, 1] = heads - lo
-        rows[row, 2 + position - lo] = np.fromiter(map(table.symbol_index.__getitem__, cells[1::2]),
-                                                   np.intp, len(row))
+        rows[row, 2 + position - lo] = np.fromiter(
+            map(symbol_index.__getitem__, map(itemgetter(1), cells)), np.intp, len(cells))
         weights = np.fromiter(vector.values(), dtype=float, count=len(vector))
         return cls(table, rows, weights, int(lo))
 
@@ -329,20 +351,21 @@ class _Rows:
         mostly blank: a run then goes on with `step`.
         """
         t, rows = self.table, self.rows
+        n, columns = rows.shape
         heads = rows[:, 1].astype(np.intp)
-        symbols = rows[np.arange(len(rows)), 2 + heads].astype(np.intp)
+        symbols = rows.reshape(-1)[np.arange(2, n * columns, columns) + heads].astype(np.intp)
         keys = rows[:, 0].astype(np.intp) * len(t.symbols) + symbols
         count = t.count[keys]
         if not count.all():
             i = int(np.argmin(count))
             raise MachineValidationError(f"no transition for non-halting "
                                          f"({t.states[rows[i, 0]]!r}, {t.symbols[symbols[i]]!r})")
-        parent = np.repeat(np.arange(len(rows)), count)
+        parent = np.repeat(np.arange(n), count)
         ends = np.cumsum(count)
         branch = np.arange(ends[-1]) + np.repeat(t.first[keys] - (ends - count), count)
         child = np.take(rows, parent, axis=0)
         heads = heads[parent]
-        child[np.arange(len(child)), 2 + heads] = t.write[branch]
+        child.reshape(-1)[np.arange(2, child.size, columns) + heads] = t.write[branch]
         child[:, 0] = t.next_state[branch]
         heads += t.move[branch]
         start = 0

@@ -70,7 +70,7 @@ from gptlab import (
     quantum_theory,
     real_quantum_theory,
 )
-from gptlab.afftm import AffineMachine, Branch, Configuration, initial_configuration
+from gptlab.afftm import AffineMachine, Branch, Configuration, _Table, initial_configuration
 from gptlab.circuits import ValidationReport, _compile, _walk, foliate
 from gptlab.core import (PHYSICAL_TOL, UNIT, CompositeType, EffectVector, Factor, KroneckerRule,
                          StateVector, SystemType, TransformationMatrix, _rotate, kron_rows)
@@ -702,6 +702,34 @@ def reference_merge(rows: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, 
         out[row] = out.get(row, 0.0) + w
     merged = np.array(list(out), dtype=rows.dtype).reshape(len(out), rows.shape[1])
     return merged, np.array(list(out.values()), dtype=float)
+
+
+def reference_table(machine: AffineMachine) -> _Table:
+    """The row encoding's transition table by a dense loop over every (state,
+    symbol) key, in key order: a halting state's key gets one keeping branch,
+    any other key the machine's branches for it, or none."""
+    states = tuple(sorted(machine.states))
+    symbols = (machine.blank, *sorted(machine.alphabet - {machine.blank}))
+    state_index = {s: i for i, s in enumerate(states)}
+    symbol_index = {a: i for i, a in enumerate(symbols)}
+    count, branches = [], []
+    for state in states:
+        for symbol in symbols:
+            if machine.is_halting(state):
+                keyed = [(state, symbol, "S", 1.0)]
+            else:
+                keyed = [(b.next_state, b.write, b.move, b.weight)
+                         for b in machine.transitions.get((state, symbol), ())]
+            count.append(len(keyed))
+            branches.extend(keyed)
+    count = np.array(count, dtype=np.intp)
+    next_state, write, move, weight = zip(*branches)
+    return _Table(states, symbols, state_index, symbol_index,
+                  np.array([machine.is_halting(s) for s in states]), np.cumsum(count) - count,
+                  count, np.array([state_index[s] for s in next_state], dtype=np.intp),
+                  np.array([symbol_index[a] for a in write], dtype=np.intp),
+                  np.array([REFERENCE_MOVES[m] for m in move], dtype=np.intp),
+                  np.array(weight, dtype=float))
 
 
 def writer_machine(k: int, a: float, move: str = "R", last: str = "acc") -> AffineMachine:

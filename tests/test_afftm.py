@@ -38,6 +38,7 @@ from conftest import (
     reference_merge,
     reference_run,
     reference_step,
+    reference_table,
     writer_machine,
 )
 
@@ -406,21 +407,37 @@ _EDGE_WEIGHTS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math
 @st.composite
 def merge_inputs(draw):
     """Rows over two or three symbols, so that equal rows are common: as drawn,
-    made all distinct (nothing merges), or made all equal (everything merges)."""
+    made all distinct (nothing merges), made all equal (everything merges), or
+    each followed by a copy that differs in one byte. Rows of 2-24 bytes span
+    whole 8-byte words and every tail of 4, 2 and 1 bytes; they come in the
+    order drawn, in byte order (as a right-moving writer's do) or shuffled."""
     dtype = draw(st.sampled_from([np.uint8, np.uint16]))
     pool = [0, 1, 2, 255] if dtype is np.uint8 else [0, 1, 256, 257, 65535]
     symbols = draw(st.lists(st.sampled_from(pool), min_size=2, max_size=3, unique=True))
-    row = st.tuples(*[st.sampled_from(symbols)] * draw(st.integers(3, 5)))
+    width = draw(st.integers(2, 24 if dtype is np.uint8 else 12))
+    row = st.tuples(*[st.sampled_from(symbols)] * width)
     n = draw(st.integers(1, 64))  # above 16 rows, where an unstable sort shows
     rows = draw(st.lists(row, min_size=n, max_size=n))
-    shape = draw(st.sampled_from(["drawn", "distinct", "equal"]))
+    shape = draw(st.sampled_from(["drawn", "distinct", "equal", "one byte apart"]))
     if shape == "distinct":
         rows = list(dict.fromkeys(rows))
     elif shape == "equal":
         rows = rows[:1] * len(rows)
+    rows = np.array(rows, dtype=dtype)
+    if shape == "one byte apart":  # in a word or in the tail, wherever the byte falls
+        raw = rows.view(np.uint8).copy()
+        byte = st.integers(0, raw.shape[1] - 1)
+        for i in range(len(raw)):
+            raw[i, draw(byte)] ^= draw(st.integers(1, 255))
+        rows = np.stack([rows, raw.view(dtype)], axis=1).reshape(2 * len(rows), width)
+    order = draw(st.sampled_from(["drawn", "byte order", "shuffled"]))
+    if order == "byte order":
+        rows = rows[sorted(range(len(rows)), key=lambda i: rows[i].tobytes())]
+    elif order == "shuffled":
+        rows = rows[draw(st.permutations(range(len(rows))))]
     weight = st.one_of(_EDGE_WEIGHTS, st.floats())
     weights = draw(st.lists(weight, min_size=len(rows), max_size=len(rows)))
-    return np.array(rows, dtype=dtype), np.array(weights, dtype=float)
+    return np.ascontiguousarray(rows), np.array(weights, dtype=float)
 
 
 @PROPERTY
@@ -608,6 +625,20 @@ def test_weights_of_any_real_type_are_floats_across_the_hand_off(run):
     _check_run(m, x, max_steps)
 
 
+@PROPERTY
+@given(machine_runs(), st.integers(0, 3), st.sampled_from([0.5, 2.0, 0.3]))
+def test_row_table_matches_reference(run, k, a):
+    """Built from the transitions alone, the table is the dense loop's, keys
+    with no transition included: tuples, mappings, and arrays by dtype and bytes."""
+    m = fanout(run[0], k, a)
+    got, want = afftm._table(m), reference_table(m)
+    for name, g, w in zip(want._fields, got, want):
+        if isinstance(w, np.ndarray):
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), name
+        else:
+            assert g == w and list(g) == list(w), name
+
+
 def test_a_machine_builds_its_row_table_once(monkeypatch):
     built, table = [], afftm._table
     monkeypatch.setattr(afftm, "_table", lambda machine: built.append(machine) or table(machine))
@@ -688,7 +719,8 @@ def test_rows_moving_over_blanks_keep_a_narrow_window(monkeypatch):
     widths = _row_widths(monkeypatch)
     with pytest.raises(HaltingViolationError, match="after 5000 steps"):
         acceptance_weight(m, "", 5000)
-    assert len(widths) == 5000 - 7 and max(widths) <= 2
+    h = afftm._ROWS_FROM.bit_length() - 1  # the step the doubling fan-out is handed off at
+    assert len(widths) == 5000 - h and max(widths) <= 2
 
 
 def test_rows_that_turn_mostly_blank_go_back_to_step(monkeypatch):
@@ -700,7 +732,8 @@ def test_rows_that_turn_mostly_blank_go_back_to_step(monkeypatch):
     widths = _row_widths(monkeypatch)
     with pytest.raises(HaltingViolationError, match=r"after 2000 steps \(states \['q8'\]\)"):
         acceptance_weight(m, "", 2000)
-    assert widths[-1] is None and None not in widths[:-1] and len(widths) < 64
+    h = afftm._ROWS_FROM.bit_length() - 1  # the step the doubling fan-out is handed off at
+    assert widths[-1] is None and None not in widths[:-1] and h + len(widths) < 71
 
 
 def test_a_machines_transitions_are_read_only_and_pickle_so():
